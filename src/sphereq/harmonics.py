@@ -11,21 +11,23 @@ ghost nodes (u(-theta, phi) = u(theta, phi + pi)) so that every row stays
 centered and uniformly better than second order.  The second realization
 exists so symmetry audits never silently inherit exactness from the
 spectral basis.
+
+The two are built independently but applied alike: both are block-diagonal
+in the longitudinal Fourier mode m, so ``make_operator`` stores one real
+colatitude block per mode and every application is a per-ring real FFT, a
+batched block product and the inverse FFT (the per-m layout of SHTns,
+Schaeffer 2013).
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError, ResolutionError
 from .grid import ScalarField, TWO_PI
-
-_legendre_cache = {}
-_cache_lock = threading.Lock()
 
 
 def legendre_table(theta, degree_cap):
@@ -55,17 +57,6 @@ def legendre_table(theta, degree_cap):
                 )
                 plm[l, m] -= a * b * plm[l - 2, m]
     return plm
-
-
-def _cached_table(grid, degree_cap):
-    key = (grid.n_theta, degree_cap)
-    with _cache_lock:
-        table = _legendre_cache.get(key)
-    if table is None:
-        table = legendre_table(grid.theta_nodes, degree_cap)
-        with _cache_lock:
-            _legendre_cache[key] = table
-    return table
 
 
 def max_degree(grid):
@@ -121,7 +112,7 @@ def sht_forward(field, degree_cap):
     grid = field.grid
     L = int(degree_cap)
     _check_resolution(grid, L)
-    plm = _cached_table(grid, L)
+    plm = legendre_table(grid.theta_nodes, L)
     n = grid.n_phi
     ring = np.fft.rfft(field.values, axis=1) / n
     w = grid.theta_weights
@@ -141,7 +132,7 @@ def sht_inverse(coeffs, grid):
     """Synthesize the harmonic series pointwise on the grid."""
     L = coeffs.degree_cap
     _check_resolution(grid, L)
-    plm = _cached_table(grid, L)
+    plm = legendre_table(grid.theta_nodes, L)
     n = grid.n_phi
     ring = np.zeros((grid.n_theta, n // 2 + 1), dtype=complex)
     ring[:, 0] = plm[:, 0].T @ coeffs.coeffs[:, L]
@@ -209,23 +200,48 @@ def _fd_theta_tables(theta):
     return b0, ghost
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorHandle:
     """An assembled realization of the Laplace-Beltrami operator.
 
-    ``realization`` is "spectral" or "finite-difference".  For the latter,
-    the banded colatitude stencil and the pole ghost couplings are stored,
-    with the m^2 / sin^2(theta) term added per longitudinal Fourier mode at
-    application time (the operator is block-diagonal over m).  Immutable
-    and shareable across threads.
+    ``realization`` is "spectral" or "finite-difference".  ``blocks[m]`` is
+    the real n_theta x n_theta colatitude block acting on longitudinal
+    Fourier mode m = 0 .. n_phi // 2; the operator is block-diagonal over m
+    in both realizations.  ``degree_cap`` bounds the spectral blocks, which
+    are zero for m above it.  Immutable (``blocks`` is read-only) and
+    shareable across threads.
     """
 
     grid: object
     realization: str
     degree_cap: int
-    fd_theta: np.ndarray = None
-    fd_ghost: np.ndarray = None
-    inv_sin_sq: np.ndarray = None
+    blocks: np.ndarray
+
+
+def _spectral_blocks(grid, degree_cap):
+    """2*pi * P_m^T diag(-l(l+1)) P_m W per mode, with P_m the rows m..L of
+    the Legendre table at order m and W the quadrature weights."""
+    n_theta = grid.n_theta
+    blocks = np.zeros((grid.n_phi // 2 + 1, n_theta, n_theta))
+    plm = legendre_table(grid.theta_nodes, degree_cap)
+    l = np.arange(degree_cap + 1, dtype=float)
+    eig = -l * (l + 1.0)
+    w = TWO_PI * grid.theta_weights
+    for m in range(degree_cap + 1):
+        p = plm[m:, m]
+        blocks[m] = (p.T * eig[m:]) @ (p * w)
+    return blocks
+
+
+def _fd_blocks(grid):
+    """B0 + (-1)^m G - m^2 diag(1/sin^2 theta) per mode."""
+    b0, ghost = _fd_theta_tables(grid.theta_nodes)
+    m = np.arange(grid.n_phi // 2 + 1)
+    parity = 1.0 - 2.0 * (m % 2)
+    blocks = b0 + parity[:, None, None] * ghost
+    ring = np.arange(grid.n_theta)
+    blocks[:, ring, ring] -= np.outer(m * m, 1.0 / np.sin(grid.theta_nodes) ** 2)
+    return blocks
 
 
 def make_operator(grid, realization="spectral", degree_cap=None):
@@ -240,53 +256,24 @@ def make_operator(grid, realization="spectral", degree_cap=None):
         degree_cap = max_degree(grid)
     _check_resolution(grid, degree_cap)
     if realization == "spectral":
-        _cached_table(grid, degree_cap)  # warm the Legendre table
-        return OperatorHandle(grid, realization, degree_cap)
-    b0, ghost = _fd_theta_tables(grid.theta_nodes)
-    return OperatorHandle(
-        grid,
-        realization,
-        degree_cap,
-        fd_theta=b0,
-        fd_ghost=ghost,
-        inv_sin_sq=1.0 / np.sin(grid.theta_nodes) ** 2,
-    )
+        blocks = _spectral_blocks(grid, degree_cap)
+    else:
+        blocks = _fd_blocks(grid)
+    blocks.setflags(write=False)
+    return OperatorHandle(grid, realization, degree_cap, blocks)
 
 
-def _apply_spectral(op, values):
-    grid = op.grid
-    field = ScalarField(grid, values)
-    coeffs = sht_forward(field, op.degree_cap)
-    l = np.arange(op.degree_cap + 1, dtype=float)
-    scaled = SpectralCoeffs(op.degree_cap, coeffs.coeffs * (-l * (l + 1.0))[:, None])
-    return sht_inverse(scaled, grid).values
-
-
-def _apply_fd(op, values):
-    grid = op.grid
-    n = grid.n_phi
-    modes = np.fft.rfft(values, axis=1)
-    m = np.arange(modes.shape[1], dtype=float)
-    parity = 1.0 - 2.0 * (np.arange(modes.shape[1]) % 2)
-    out = op.fd_theta @ modes
-    out += (op.fd_ghost @ modes) * parity[None, :]
-    out -= op.inv_sin_sq[:, None] * (m * m)[None, :] * modes
-    return np.fft.irfft(out, n, axis=1)
-
-
-def fd_mode_block(op, m):
-    """Dense colatitude block of the finite-difference realization for the
-    longitudinal Fourier mode m (used for eigenvalue cross-checks)."""
-    if op.realization != "finite-difference":
-        raise ParameterError("mode blocks exist only for the finite-difference realization")
-    parity = -1.0 if m % 2 else 1.0
-    return op.fd_theta + parity * op.fd_ghost - np.diag(m * m * op.inv_sin_sq)
+def apply_mode_blocks(blocks, values):
+    """Apply one real colatitude block per longitudinal Fourier mode to
+    grid values of shape (n_theta, n_phi): ring rfft, one batched product
+    on the stacked real and imaginary parts, irfft."""
+    modes = np.fft.rfft(values, axis=1).T
+    out = blocks @ np.stack((modes.real, modes.imag), axis=-1)
+    return np.fft.irfft((out[..., 0] + 1j * out[..., 1]).T, values.shape[1], axis=1)
 
 
 def apply_laplacian(op, field):
     """Apply the operator realization to a field on its grid."""
     if field.grid != op.grid:
         raise ParameterError("field grid does not match operator grid")
-    if op.realization == "spectral":
-        return ScalarField(op.grid, _apply_spectral(op, field.values))
-    return ScalarField(op.grid, _apply_fd(op, field.values))
+    return ScalarField(op.grid, apply_mode_blocks(op.blocks, field.values))

@@ -1,5 +1,5 @@
 """Equilibrium computation: matrix-free Newton-Krylov iteration, a
-semi-implicit gradient-flow relaxer used as globalizer and cross-check,
+semi-implicit gradient-flow relaxer used as a cross-check,
 trivial-branch bifurcation detection, eigenmode branch switching, and
 natural-parameter continuation.  Also hosts the independent one-dimensional
 circle solver used as an oracle for the sphere code.
@@ -21,7 +21,7 @@ from .errors import (
     ParameterError,
 )
 from .grid import ScalarField, TWO_PI
-from .harmonics import apply_laplacian, harmonic_mode, max_degree, sht_forward, sht_inverse, SpectralCoeffs
+from .harmonics import apply_laplacian, apply_mode_blocks, harmonic_mode
 from .problems import linearization_coefficients, residual
 
 
@@ -73,34 +73,27 @@ class Branch:
         return np.array([p.amplitude for p in self.points])
 
 
-def _spectral_solve_factory(op):
-    """Closures mapping fields to/from harmonic coefficients for the
-    preconditioner, independent of the operator realization."""
-    grid = op.grid
-    cap = min(max_degree(grid), op.degree_cap)
-    l = np.arange(cap + 1, dtype=float)
-    eig = -l * (l + 1.0)
-
-    def precondition(vec, coeff_u, coeff_q):
-        f = ScalarField(grid, vec.reshape(grid.n_theta, grid.n_phi))
-        coeffs = sht_forward(f, cap)
-        diag = coeff_u + coeff_q * eig
+def _mean_mode_inverse(op, coeff_u, coeff_q):
+    """Per-mode inverse of the mean-coefficient operator coeff_u + coeff_q *
+    Lap, as blocks for apply_mode_blocks.  When a mode block is singular
+    (coeff_u == 0 meets a zero block, such as the spectral Nyquist mode),
+    the diagonal is shifted by a small floor; the inverse only
+    preconditions."""
+    ring = np.arange(op.grid.n_theta)
+    a = coeff_q * op.blocks
+    a[:, ring, ring] += coeff_u
+    try:
+        return np.linalg.inv(a)
+    except np.linalg.LinAlgError:
         floor = 1e-6 * max(1.0, abs(coeff_u) + abs(coeff_q))
-        diag = np.where(np.abs(diag) < floor, np.copysign(floor, diag + (diag == 0)), diag)
-        resolved = sht_inverse(
-            SpectralCoeffs(cap, coeffs.coeffs / diag[:, None]), grid
-        )
-        # unresolved remainder is treated as a zero-eigenvalue mode of Lap
-        denom = coeff_u if abs(coeff_u) > floor else math.copysign(floor, coeff_u or 1.0)
-        remainder = f.values - sht_inverse(coeffs, grid).values
-        return (resolved.values + remainder / denom).ravel()
-
-    return precondition
+        a[:, ring, ring] += math.copysign(floor, coeff_u or 1.0)
+        return np.linalg.inv(a)
 
 
-def _krylov_solve(op, fu, fq, rhs, rtol, restart, maxiter):
+def _krylov_solve(op, fu, fq, rhs, rtol, atol, restart, maxiter):
     """Solve (fu + fq * Lap) s = rhs matrix-free with GMRES, preconditioned
-    by the harmonic-space diagonal of the mean-coefficient operator."""
+    by the exact per-mode inverse of the operator with fu and fq replaced
+    by their sphere means."""
     grid = op.grid
     shape = (grid.n_theta, grid.n_phi)
     size = shape[0] * shape[1]
@@ -114,14 +107,15 @@ def _krylov_solve(op, fu, fq, rhs, rtol, restart, maxiter):
     mean_w = w / np.sum(w)
     coeff_u = float(mean_w @ fu.mean(axis=1))
     coeff_q = float(mean_w @ fq.mean(axis=1))
-    precondition = _spectral_solve_factory(op)
+    inverse = _mean_mode_inverse(op, coeff_u, coeff_q)
 
     a = LinearOperator((size, size), matvec=matvec)
     m = LinearOperator(
-        (size, size), matvec=lambda v: precondition(v, coeff_u, coeff_q)
+        (size, size),
+        matvec=lambda v: apply_mode_blocks(inverse, v.reshape(shape)).ravel(),
     )
     sol, info = gmres(
-        a, rhs.ravel(), rtol=rtol, atol=0.0, restart=restart, maxiter=maxiter, M=m
+        a, rhs.ravel(), rtol=rtol, atol=atol, restart=restart, maxiter=maxiter, M=m
     )
     if info != 0:
         raise LinearSolveError("GMRES stagnated (info=%d)" % info)
@@ -132,9 +126,11 @@ def newton_solve(problem, op, guess, tol=1e-9, max_iter=30, krylov_rtol=1e-10,
                  restart=40, max_krylov_restarts=50):
     """Newton iteration on F(u, Lap u) = 0 from ``guess``.
 
-    Each step solves the linearized system with restarted GMRES
-    (harmonic-diagonal preconditioning), then applies a damped update with
-    a halving line search on the residual sup-norm.  Raises
+    Each step solves the linearized system with restarted GMRES,
+    preconditioned by the exact per-mode inverse of the mean-coefficient
+    operator, to an absolute residual of tol / 100 (or ``krylov_rtol``
+    relative, whichever is looser), then applies a damped update with a
+    halving line search on the residual sup-norm.  Raises
     ConvergenceError carrying the last iterate when the budget runs out.
     """
     if tol <= 0:
@@ -161,7 +157,8 @@ def newton_solve(problem, op, guess, tol=1e-9, max_iter=30, krylov_rtol=1e-10,
             )
         fu, fq = linearization_coefficients(problem, op, u)
         step = _krylov_solve(
-            op, fu, fq, -r.values, krylov_rtol, restart, max_krylov_restarts
+            op, fu, fq, -r.values, krylov_rtol, 0.01 * tol, restart,
+            max_krylov_restarts,
         )
         alpha = 1.0
         while True:
@@ -189,8 +186,8 @@ def gradient_flow_relax(problem, op, u0, dt, steps, krylov_rtol=1e-10,
 
         (I - dt F_q Lap) u_{n+1} = u_n + dt (F(u_n, Lap u_n) - F_q Lap u_n)
 
-    Intended as a globalizer and as an independent check that Newton fixed
-    points attract the flow, not as a time-accurate integrator.
+    A cross-check only, that Newton fixed points attract the flow; Newton
+    never calls it, and it is not a time-accurate integrator.
     """
     if dt <= 0:
         raise ParameterError("dt must be positive")
@@ -201,7 +198,7 @@ def gradient_flow_relax(problem, op, u0, dt, steps, krylov_rtol=1e-10,
         fu, fq = linearization_coefficients(problem, op, u)
         rhs = u.values + dt * (f.values - fq * q.values)
         new_vals = _krylov_solve(
-            op, np.ones_like(fq), -dt * fq, rhs, krylov_rtol, 40, 50
+            op, np.ones_like(fq), -dt * fq, rhs, krylov_rtol, 0.0, 40, 50
         )
         u = ScalarField(u.grid, new_vals)
         if u.sup_norm > blowup:

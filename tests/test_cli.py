@@ -137,6 +137,33 @@ def test_branch_emits_csv_and_sphf(capsys, tmp_path):
         assert field.sup_norm > 0.05
 
 
+@pytest.mark.parametrize("realization", ["spectral", "finite-difference"])
+def test_branch_readme_command_returns_all_points(capsys, tmp_path, realization):
+    """`branch --l 2 --m 2 --steps 6` at the default grid keeps every step."""
+    code, out, _ = run_cli(
+        ["branch", "--l", "2", "--m", "2", "--steps", "6", "--realization",
+         realization, "--outdir", str(tmp_path)],
+        capsys,
+    )
+    assert code == 0
+    assert "points 7" in out
+    rows = (tmp_path / "branch_2_2.csv").read_text().strip().splitlines()
+    assert len(rows) == 8
+
+
+@pytest.mark.parametrize("realization", ["spectral", "finite-difference"])
+def test_solve_at_zero_lambda_fails_cleanly(realization):
+    """At lam = 0 a mode block of the preconditioner is singular; the
+    command either solves or exits 2 with a message, never a traceback."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "sphereq.cli", "solve", "--lam", "0",
+         "--realization", realization],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode in (0, 2)
+    assert "Traceback" not in proc.stderr
+
+
 def test_circle_subcommand(capsys, tmp_path):
     out_csv = tmp_path / "profile.csv"
     code, out, _ = run_cli(

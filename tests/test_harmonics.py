@@ -8,6 +8,7 @@ import pytest
 from sphereq import (
     ParameterError,
     ResolutionError,
+    ScalarField,
     SpectralCoeffs,
     apply_laplacian,
     d_phi,
@@ -249,13 +250,35 @@ def test_mode_table_multiplicities():
     assert [row[2] for row in table] == [2 * l + 1 for l in range(9)]
 
 
-def test_fd_mode_blocks_diagonalize_near_exact(fd32):
-    """Eigenvalues of the per-mode colatitude blocks of the FD realization
-    sit close to -l(l+1); the blocks feed eigenvalue cross-checks."""
-    from sphereq.harmonics import fd_mode_block
-
+def test_mode_blocks_diagonalize_near_exact(op32, fd32):
+    """Eigenvalues of the per-mode colatitude blocks: the FD ones sit close
+    to -l(l+1); the spectral ones are -l(l+1) for m <= l <= L and 0 on the
+    n_theta - (L + 1 - m) unresolved directions."""
     for m, targets in ((0, (-2.0, -6.0, -12.0)), (2, (-6.0, -12.0))):
-        eigs = np.sort(np.linalg.eigvals(fd_mode_block(fd32, m)).real)[::-1]
+        eigs = np.sort(np.linalg.eigvals(fd32.blocks[m]).real)[::-1]
         for target in targets:
             nearest = eigs[np.argmin(np.abs(eigs - target))]
             assert abs(nearest - target) < 2e-3 * max(1.0, abs(target))
+    n_theta, L = op32.grid.n_theta, op32.degree_cap
+    for m in range(op32.grid.n_phi // 2 + 1):
+        eigs = np.sort(np.linalg.eigvals(op32.blocks[m]).real)
+        l = np.arange(m, L + 1, dtype=float)
+        zeros = n_theta - l.size
+        expected = np.sort(np.concatenate((-l * (l + 1.0), np.zeros(zeros))))
+        assert np.max(np.abs(eigs - expected)) < 1e-10
+
+
+@pytest.mark.parametrize("shape", [(48, 96), (128, 256)])
+def test_spectral_apply_matches_transform_composition(shape):
+    """Per-mode blocks equal sht_forward, scaling by -l(l+1), sht_inverse,
+    on values that are not band-limited and carry a Nyquist column."""
+    grid = make_grid(*shape)
+    op = make_operator(grid, "spectral")
+    u = ScalarField(grid, np.random.default_rng(14).standard_normal(shape))
+    assert np.max(np.abs(np.fft.rfft(u.values, axis=1)[:, -1])) > 1.0  # Nyquist
+    coeffs = sht_forward(u, op.degree_cap)
+    l = np.arange(op.degree_cap + 1, dtype=float)
+    scaled = SpectralCoeffs(op.degree_cap, coeffs.coeffs * (-l * (l + 1.0))[:, None])
+    reference = sht_inverse(scaled, grid).values
+    lap = apply_laplacian(op, u).values
+    assert np.max(np.abs(lap - reference)) <= 1e-13 * np.max(np.abs(reference))
