@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,34 +38,6 @@ from .symmetry import (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run parameters shared by the solve/audit subcommands."""
-
-    n_theta: int
-    n_phi: int
-    realization: str
-    problem: str
-    lam: float
-    solve_tol: float
-    thresholds: AuditThresholds
-    outdir: str = "."
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.solve_tol <= 0:
-            raise SphereqError("solve tolerance must be positive")
-
-    def grid(self):
-        return make_grid(self.n_theta, self.n_phi)
-
-    def operator(self, grid):
-        return make_operator(grid, self.realization)
-
-    def make_problem(self):
-        return problem_from_name(self.problem, self.lam)
-
-
 def _read_config_file(path):
     values = {}
     with open(path) as fh:
@@ -83,18 +54,37 @@ def _read_config_file(path):
     return values
 
 
-def _apply_config(parser, values):
-    converted = {}
-    for action in parser._actions:
-        if action.dest in values and action.dest != "help":
+def _apply_config(parsers, values):
+    """Make the config values the subcommand defaults.  A key that no
+    subcommand accepts, or a value its flag rejects, is an error."""
+    unknown = set(values)
+    for parser in parsers:
+        converted = {}
+        for action in parser._actions:
+            if action.dest not in values or action.dest == "help":
+                continue
+            unknown.discard(action.dest)
             raw = values[action.dest]
-            if action.type is not None:
-                converted[action.dest] = action.type(raw)
-            elif isinstance(action.const, bool) or isinstance(action.default, bool):
-                converted[action.dest] = raw.lower() in ("1", "true", "yes", "on")
-            else:
-                converted[action.dest] = raw
-    parser.set_defaults(**converted)
+            try:
+                if action.type is not None:
+                    value = action.type(raw)
+                elif isinstance(action.const, bool) or isinstance(action.default, bool):
+                    value = raw.lower() in ("1", "true", "yes", "on")
+                else:
+                    value = raw
+                if action.choices is not None and value not in action.choices:
+                    raise ValueError
+            except ValueError:
+                raise SphereqError(
+                    "config key '%s': invalid value '%s'" % (action.dest, raw)
+                ) from None
+            converted[action.dest] = value
+        parser.set_defaults(**converted)
+    if unknown:
+        raise SphereqError(
+            "unknown config key%s: %s"
+            % ("s" if len(unknown) > 1 else "", ", ".join(sorted(unknown)))
+        )
 
 
 def _add_grid_flags(sp, ntheta=48, nphi=96):
@@ -277,18 +267,11 @@ def _cmd_bifurcate(args):
 
 
 def _cmd_solve(args):
-    cfg = RunConfig(
-        n_theta=args.ntheta,
-        n_phi=args.nphi,
-        realization=args.realization,
-        problem=args.problem,
-        lam=args.lam,
-        solve_tol=args.tol,
-        thresholds=AuditThresholds(),
-    )
-    grid = cfg.grid()
-    op = cfg.operator(grid)
-    problem = cfg.make_problem()
+    if args.tol <= 0:
+        raise SphereqError("solve tolerance must be positive")
+    grid = make_grid(args.ntheta, args.nphi)
+    op = make_operator(grid, args.realization)
+    problem = problem_from_name(args.problem, args.lam)
     if args.seed == "zero":
         guess = eval_on_grid(grid, lambda t, p: np.zeros_like(t))
     elif args.seed == "constant":
@@ -455,15 +438,10 @@ def main(argv=None):
     known, _ = pre.parse_known_args(argv)
     if known.config:
         try:
-            values = _read_config_file(known.config)
-        except OSError as exc:
+            _apply_config(parsers.values(), _read_config_file(known.config))
+        except (OSError, SphereqError) as exc:
             print("sphereq: %s" % exc, file=sys.stderr)
             return 2
-        except SphereqError as exc:
-            print("sphereq: %s" % exc, file=sys.stderr)
-            return 2
-        for sp in parsers.values():
-            _apply_config(sp, values)
 
     args = parser.parse_args(argv)
     if args.command is None:

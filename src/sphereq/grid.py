@@ -239,32 +239,51 @@ def rotate_phi(field, delta):
     return ScalarField(field.grid, np.fft.ifft(coeffs, axis=1).real)
 
 
+def reflect_coeffs(coeffs, centres):
+    """Ring coefficients of the field mirrored across one or many meridians.
+
+    ``coeffs`` are the ``rfft`` coefficients of u along longitude (last
+    axis).  The mirror image u(2*c - phi) has coefficients
+    conj(coeffs) * exp(-2i m c), so a real field is reflected by one
+    conjugation and one phase multiply.  A scalar centre returns an array
+    shaped like ``coeffs``; an array of centres adds its shape in front.
+    """
+    m = np.arange(coeffs.shape[-1])
+    phase = np.exp(-2j * np.multiply.outer(np.asarray(centres, dtype=float), m))
+    return np.conj(coeffs) * phase[..., None, :]
+
+
 def reflect_phi(field, phi_c):
     """Mirror the field across the meridian at longitude ``phi_c``.
 
     Returns v with v(theta, phi) = u(theta, 2*phi_c - phi), computed per
-    ring in Fourier space (conjugate-reverse plus phase), hence exact for
+    ring in Fourier space by ``reflect_coeffs``, hence exact for
     band-limited rings and valid for arbitrary, off-grid phi_c.
     """
     n = field.grid.n_phi
-    coeffs = np.fft.fft(field.values, axis=1)
-    reversed_coeffs = coeffs[:, (-np.arange(n)) % n]
-    m = np.fft.fftfreq(n, d=1.0 / n)
-    reversed_coeffs *= np.exp(-2j * m * phi_c)
-    return ScalarField(field.grid, np.fft.ifft(reversed_coeffs, axis=1).real)
+    coeffs = reflect_coeffs(np.fft.rfft(field.values, axis=1), phi_c)
+    return ScalarField(field.grid, np.fft.irfft(coeffs, n, axis=1))
 
 
 def interp_phi(field, phis):
     """Trigonometric interpolation of every ring at arbitrary longitudes.
 
     Returns an array of shape (n_theta, len(phis)).
+
+    Each ring is the real cosine/sine series of its ``rfft`` coefficients,
+    summed by ``einsum``, which runs on the calling thread.  A matrix
+    product would go to BLAS, which threads these products although the
+    second thread saves no time and keeps spinning between the many small
+    calls of the extremum bisection.
     """
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
     n = field.grid.n_phi
-    coeffs = np.fft.fft(field.values, axis=1) / n
-    m = np.fft.fftfreq(n, d=1.0 / n)
-    basis = np.exp(1j * np.outer(m, phis))
-    return (coeffs @ basis).real
+    coeffs = np.fft.rfft(field.values, axis=1) * (2.0 / n)
+    coeffs[:, 0] *= 0.5
+    coeffs[:, n // 2] *= 0.5
+    mphi = np.multiply.outer(np.arange(n // 2 + 1), phis)
+    return (np.einsum("tm,mk->tk", coeffs.real, np.cos(mphi))
+            - np.einsum("tm,mk->tk", coeffs.imag, np.sin(mphi)))
 
 
 def oversample_phi(field, factor):

@@ -1,25 +1,29 @@
 """Reflectional-symmetry auditing of fields on the sphere.
 
 The pipeline detects meridians along which the longitudinal derivative
-vanishes at every colatitude (axial extrema), classifies whether all maxima
-(resp. minima) share one colatitude profile (leveled), and then checks the
-structure a nonconstant equilibrium with leveled axial extrema must have:
-extrema evenly spaced, the field mirror-symmetric about each extremal
-meridian, and the swept-sector difference field u - u o R_eps one-signed up
-to the next extremum.  The linearized-annihilation check confirms that the
-difference of a solution and its reflection satisfies the averaged linear
-equation a * Lap w + b * w = 0.
+vanishes at every colatitude (axial extrema), labels each a maximum, a
+minimum or a saddle (longitudinal curvature of both signs along it),
+classifies whether all maxima (resp. minima) share one colatitude profile
+(leveled), and then checks the structure a nonconstant equilibrium with
+leveled axial extrema must have: extrema evenly spaced, the field
+mirror-symmetric about each extremal meridian, and the swept-sector
+difference field u - u o R_eps one-signed up to the next extremum.  The
+linearized-annihilation check confirms that the difference of a solution
+and its reflection satisfies the averaged linear equation
+a * Lap w + b * w = 0.
+
+Everything runs as batched numpy over angles: the extremum bisection
+advances all candidates in lockstep, and each moving-arc sweep evaluates
+all its reflections from one set of ring Fourier coefficients.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import worker_count
 from .errors import ContractError, DegenerateFieldError, ParameterError
 from .grid import (
     TWO_PI,
@@ -28,14 +32,21 @@ from .grid import (
     interp_phi,
     oversample_phi,
     quadrature_mean,
+    reflect_coeffs,
     reflect_phi,
-    rotate_phi,
     sector_mask,
 )
 from .problems import hadamard_coeffs, residual
 from .harmonics import apply_laplacian
 
 _REFINE_FACTOR = 16
+# Reflections per batched inverse FFT in a moving-arc sweep.  Each batch
+# array holds _SWEEP_CHUNK copies of the field (2 MB at 128x256); larger
+# batches add memory and are no faster.
+_SWEEP_CHUNK = 8
+# Rings whose |u_phi| or |u_phiphi| is below this fraction of its maximum
+# carry no sign information.
+_SIGNIFICANT = 1e-3
 
 
 @dataclass(frozen=True)
@@ -70,10 +81,13 @@ class AxialExtremumSet:
     """Detected extremal meridians of a field.
 
     ``angles`` are sorted longitudes in [0, 2*pi); ``kinds`` label each as
-    "max" or "min"; ``axiality_defects`` give max over colatitude of
-    |u_phi| at the axis, normalized by sup|u_phi|.  ``axis_profiles[i]``
-    samples u along axis i at the grid colatitudes.  Candidates that were
-    critical on some rings but not all are reported separately in
+    "max", "min" or "saddle" (u_phiphi takes both signs across the rings
+    where it is significant, so the meridian is a maximum in some
+    colatitudes and a minimum in others); ``axiality_defects`` give max
+    over colatitude of |u_phi| at the axis, normalized by sup|u_phi|.
+    ``axis_profiles[i]`` samples u along axis i at the grid colatitudes,
+    and ``level_defect`` compares them within each kind.  Candidates that
+    were critical on some rings but not all are reported separately in
     ``non_axial_critical`` and never count as extrema.
     """
 
@@ -101,38 +115,23 @@ class AxialExtremumSet:
 
     @property
     def kinds_alternate(self):
-        if self.n < 2:
+        """Maxima and minima alternate around the circle (no saddles)."""
+        if self.n < 2 or "saddle" in self.kinds:
             return False
         return all(
             self.kinds[i] != self.kinds[(i + 1) % self.n] for i in range(self.n)
         )
 
-    def _group_profiles(self, indices):
-        if not indices:
-            return None
-        return self.axis_profiles[indices]
-
-    @property
-    def level_M(self):
-        """Mean colatitude profile over the axial maxima (None if none)."""
-        profs = self._group_profiles(self.maxima_indices)
-        return None if profs is None else profs.mean(axis=0)
-
-    @property
-    def level_m(self):
-        profs = self._group_profiles(self.minima_indices)
-        return None if profs is None else profs.mean(axis=0)
-
     @property
     def level_defect(self):
-        """Largest pointwise deviation of any axis profile from its group
-        mean, normalized by the field span."""
+        """Largest pointwise deviation of any axis profile from the mean
+        profile of its kind (maxima, minima), normalized by the field span."""
         worst = 0.0
-        for idx in (self.maxima_indices, self.minima_indices):
-            profs = self._group_profiles(idx)
-            if profs is None or len(profs) < 2:
+        for indices in (self.maxima_indices, self.minima_indices):
+            if len(indices) < 2:
                 continue
-            worst = max(worst, float(np.max(np.abs(profs - profs.mean(axis=0)))))
+            group = self.axis_profiles[indices]
+            worst = max(worst, float(np.max(np.abs(group - group.mean(axis=0)))))
         return worst / self.field_span if self.field_span > 0 else 0.0
 
 
@@ -157,9 +156,14 @@ def detect_axial_extrema(u, tol_ax=1e-6):
     average of u_phi, then kept as axial extrema when the normalized
     defect max_theta |u_phi| / sup|u_phi| falls below ``tol_ax``.  Kinds
     come from the sign of the ring-integrated second longitudinal
-    derivative.  Candidates closer than one coarse cell are merged (and
-    flagged); a longitude where only some rings are critical is reported
-    as non-axial instead of as an extremum.
+    derivative, except that a meridian whose u_phiphi takes both signs
+    across the significant rings (|u_phiphi| >= 1e-3 of its maximum along
+    the meridian) is a "saddle".  Candidates closer than one coarse cell
+    are merged (and flagged); a longitude where only some rings are
+    critical is reported as non-axial instead of as an extremum.
+
+    All candidates are refined together: each bisection step is one
+    ``interp_phi`` call on the vector of midpoints.
     """
     grid = u.grid
     mean = quadrature_mean(u)
@@ -191,55 +195,51 @@ def detect_axial_extrema(u, tol_ax=1e-6):
 
     w = grid.theta_weights
     ring_sup = abs_fine.max(axis=1)
-    significant = ring_sup >= 1e-3 * u_phi_sup
+    significant = ring_sup >= _SIGNIFICANT * u_phi_sup
 
-    def aligned_average(phi, reference):
-        vals = interp_phi(du, phi)[:, 0]
-        return float(np.dot(w, vals * reference))
-
-    candidates = []
-    non_axial = []
+    # every local minimum of g is bracketed by its two refined neighbours;
+    # all brackets are evaluated, bisected and tested together
     h_fine = TWO_PI / n_fine
-    for r in _local_minima(g):
-        left = phis_fine[r] - h_fine
-        right = phis_fine[r] + h_fine
-        ref = interp_phi(du, left)[:, 0]
-        norm = float(np.max(np.abs(ref)))
-        if norm > 0:
-            ref = ref / norm
-        ca = aligned_average(left, ref)
-        cb = aligned_average(right, ref)
-        if ca * cb < 0.0:
-            a, b = left, right
-            fa = ca
-            for _ in range(60):
-                mid = 0.5 * (a + b)
-                fm = aligned_average(mid, ref)
-                if fm == 0.0:
-                    a = b = mid
-                    break
-                if fa * fm < 0.0:
-                    b = mid
-                else:
-                    a, fa = mid, fm
-            phi_star = 0.5 * (a + b)
-        else:
-            # parabolic vertex through the three refined samples of g
-            gm, g0, gp = g[r - 1], g[r], g[(r + 1) % n_fine]
-            denom = gm - 2.0 * g0 + gp
-            shift = 0.5 * (gm - gp) / denom if denom != 0 else 0.0
-            phi_star = phis_fine[r] + shift * h_fine
-        phi_star %= TWO_PI
-        du_star = interp_phi(du, phi_star)[:, 0]
-        defect = float(np.max(np.abs(du_star))) / u_phi_sup
-        if defect <= tol_ax:
-            candidates.append((phi_star, defect))
-        else:
-            du_l = interp_phi(du, left)[:, 0]
-            du_r = interp_phi(du, right)[:, 0]
-            crossing = (du_l * du_r < 0.0) & significant
-            if np.any(crossing):
-                non_axial.append(phi_star)
+    rows = _local_minima(g)
+    left = phis_fine[rows] - h_fine
+    right = phis_fine[rows] + h_fine
+    du_l = interp_phi(du, left)
+    du_r = interp_phi(du, right)
+    norm = np.max(np.abs(du_l), axis=0)
+    ref = du_l / np.where(norm > 0, norm, 1.0)
+    ca = w @ (du_l * ref)
+    cb = w @ (du_r * ref)
+
+    # bisection on the sign change of the alignment-weighted ring average
+    # of u_phi; a bracket that hits an exact zero stops there
+    bisect = ca * cb < 0.0
+    a, b, fa = left[bisect], right[bisect], ca[bisect]
+    ref_b = ref[:, bisect]
+    active = np.ones(a.size, dtype=bool)
+    for _ in range(60):
+        mid = 0.5 * (a + b)
+        fm = w @ (interp_phi(du, mid) * ref_b)
+        hit = active & (fm == 0.0)
+        a[hit] = b[hit] = mid[hit]
+        active &= ~hit
+        lower = active & (fa * fm < 0.0)
+        upper = active & ~lower
+        b[lower] = mid[lower]
+        a[upper], fa[upper] = mid[upper], fm[upper]
+
+    # otherwise the parabolic vertex through the three refined samples of g
+    gm, g0, gp = g[rows - 1], g[rows], g[(rows + 1) % n_fine]
+    denom = gm - 2.0 * g0 + gp
+    shift = 0.5 * (gm - gp) / np.where(denom != 0, denom, 1.0)
+    phi_star = phis_fine[rows] + np.where(denom != 0, shift, 0.0) * h_fine
+    phi_star[bisect] = 0.5 * (a + b)
+    phi_star %= TWO_PI
+
+    defect = np.max(np.abs(interp_phi(du, phi_star)), axis=0) / u_phi_sup
+    axial = defect <= tol_ax
+    candidates = list(zip(phi_star[axial].tolist(), defect[axial].tolist()))
+    crossing = np.any((du_l * du_r < 0.0) & significant[:, None], axis=0)
+    non_axial = phi_star[~axial & crossing].tolist()
 
     if not candidates:
         return AxialExtremumSet(
@@ -281,8 +281,12 @@ def detect_axial_extrema(u, tol_ax=1e-6):
     merged = np.array(merged, dtype=bool)[order]
 
     curvature = interp_phi(d2u, angles)
+    mag = np.abs(curvature)
+    signed = np.where(mag >= _SIGNIFICANT * mag.max(axis=0), np.sign(curvature), 0.0)
+    saddle = (signed.max(axis=0) > 0) & (signed.min(axis=0) < 0)
+    ring_integral = w @ curvature
     kinds = tuple(
-        "max" if float(np.dot(w, curvature[:, i])) < 0.0 else "min"
+        "saddle" if saddle[i] else "max" if ring_integral[i] < 0.0 else "min"
         for i in range(len(angles))
     )
     profiles = interp_phi(u, angles).T
@@ -307,22 +311,15 @@ class LeveledCheck:
     applicable: bool
 
 
-def check_leveled(ext, u, tol_lvl=1e-5):
+def check_leveled(ext, tol_lvl=1e-5):
     """Do all axial maxima share one colatitude profile (and likewise the
-    minima)?  The defect is the largest pointwise deviation from the group
-    mean profile, normalized by the field span.  Needs at least two
-    extrema; otherwise the check is reported as not applicable."""
+    minima)?  The defect is ``ext.level_defect``: the largest pointwise
+    deviation of a stored axis profile from the mean profile of its kind,
+    normalized by the field span.  Needs at least two extrema; otherwise
+    the check is reported as not applicable."""
     if ext.n < 2:
         return LeveledCheck(defect=float("nan"), passed=False, applicable=False)
-    profiles = interp_phi(u, ext.angles).T
-    span = u.span
-    worst = 0.0
-    for indices in (ext.maxima_indices, ext.minima_indices):
-        if len(indices) < 2:
-            continue
-        group = profiles[indices]
-        worst = max(worst, float(np.max(np.abs(group - group.mean(axis=0)))))
-    defect = worst / span if span > 0 else 0.0
+    defect = ext.level_defect
     return LeveledCheck(defect=defect, passed=defect <= tol_lvl, applicable=True)
 
 
@@ -403,10 +400,13 @@ def moving_arc_sweep(u, ext, seed_index, direction, n_eps=100, tol_w=1e-7):
     sector between the seed meridian and the arc.
 
     Coordinates are shifted so the seed sits at longitude 0 with the sweep
-    running counterclockwise; reflections are evaluated by trigonometric
-    interpolation, so arbitrary off-grid eps are exact for band-limited
-    fields.  The seed must be a minimum and its neighbor in the sweep
-    direction a maximum."""
+    running counterclockwise: one ``rfft`` of u, a phase multiply for the
+    shift and a conjugation for the clockwise direction.  Every reflection
+    is then a phase multiply of those coefficients (``reflect_coeffs``),
+    inverted in batches of ``_SWEEP_CHUNK`` arcs, and the sector masks are
+    applied by broadcasting.  Evaluation is trigonometric interpolation, so
+    arbitrary off-grid eps are exact for band-limited fields.  The seed
+    must be a minimum and its neighbor in the sweep direction a maximum."""
     if ext.n < 2:
         raise ContractError("need at least two extrema to sweep")
     if direction not in (1, -1):
@@ -427,27 +427,27 @@ def moving_arc_sweep(u, ext, seed_index, direction, n_eps=100, tol_w=1e-7):
         beyond = _circular_gap(ext.angles[(target_index - 1) % n], target)
     phi_star = min(gap, beyond)
 
-    shifted = rotate_phi(u, seed)
+    n_phi = u.grid.n_phi
+    coeffs = np.fft.rfft(u.values, axis=1)
+    coeffs *= np.exp(1j * np.arange(coeffs.shape[1]) * seed)
+    # sampling the shifted field on the grid keeps only the real part of
+    # its Nyquist coefficient
+    coeffs[:, -1] = coeffs[:, -1].real
     if direction == -1:
-        shifted = reflect_phi(shifted, 0.0)
+        coeffs = np.conj(coeffs)
+    shifted = np.fft.irfft(coeffs, n_phi, axis=1)
 
     span = u.span
     eps = gap * np.arange(1, n_eps + 1) / n_eps
     phi_cols = u.grid.phi_nodes
-
-    def w_max_at(e):
-        w = shifted.values - reflect_phi(shifted, e).values
-        cols = (phi_cols > 0.0) & (phi_cols < e)
-        if not np.any(cols):
-            return 0.0
-        return float(w[:, cols].max())
-
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            w_max = np.array(list(pool.map(w_max_at, eps)))
-    else:
-        w_max = np.array([w_max_at(e) for e in eps])
+    w_max = np.empty(n_eps)
+    for lo in range(0, n_eps, _SWEEP_CHUNK):
+        chunk = eps[lo : lo + _SWEEP_CHUNK]
+        w = np.fft.irfft(reflect_coeffs(coeffs, chunk), n_phi, axis=-1)
+        np.subtract(shifted, w, out=w)
+        cols = (phi_cols > 0.0) & (phi_cols < chunk[:, None])
+        col_max = np.where(cols, w.max(axis=1), -np.inf).max(axis=1)
+        w_max[lo : lo + chunk.size] = np.where(cols.any(axis=1), col_max, 0.0)
 
     bound = tol_w * span
     bad = np.nonzero(w_max > bound)[0]
@@ -458,7 +458,7 @@ def moving_arc_sweep(u, ext, seed_index, direction, n_eps=100, tol_w=1e-7):
     else:
         eps_star = float(eps[bad[0] - 1])
 
-    w_target = shifted.values - reflect_phi(shifted, gap).values
+    w_target = shifted - np.fft.irfft(reflect_coeffs(coeffs, gap), n_phi, axis=1)
     cols = (phi_cols > 0.0) & (phi_cols < gap)
     target_sup = float(np.abs(w_target[:, cols]).max()) / span if np.any(cols) else 0.0
 
@@ -512,8 +512,9 @@ class SymmetryReport:
     """Full audit outcome for one field.
 
     ``verdict`` is "pass" when both the hypotheses (axial, alternating,
-    leveled extrema) and the conclusions (even spacing, mirror symmetry,
-    one-signed arc sweeps) hold within thresholds;
+    leveled extrema; a saddle meridian breaks the alternation) and the
+    conclusions (even spacing, mirror symmetry, one-signed arc sweeps) hold
+    within thresholds;
     "hypotheses-not-met" when the field is outside the audited class (the
     conclusion checks are still reported for information); and
     "not-theorem-compatible" when the hypotheses hold but a conclusion
@@ -568,7 +569,7 @@ def theorem_audit(problem, op, u, thresholds=None):
             verdict=VERDICT_HYPOTHESES,
         )
 
-    leveled = check_leveled(ext, u, tol_lvl=thresholds.tol_lvl)
+    leveled = check_leveled(ext, tol_lvl=thresholds.tol_lvl)
 
     n = ext.n
     reflection_defects = np.empty(n)

@@ -358,7 +358,7 @@ def test_criterion_8_biradial_negative_control(tmp_path):
     grid = make_grid(48, 128)
     u = biradial_field(grid)
     ext = detect_axial_extrema(u)
-    leveled = check_leveled(ext, u)
+    leveled = check_leveled(ext)
     midpoint = check_midpoint(ext)
     path = tmp_path / "biradial.sphf"
     write_field(path, u)

@@ -200,6 +200,33 @@ def test_config_file_defaults_and_override(capsys, tmp_path):
     assert len(sweep.read_text().strip().splitlines()) == 13  # flag wins
 
 
+def test_config_unknown_key_exits_2(capsys, tmp_path):
+    """A key no subcommand accepts is an error, not silently dropped."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n_theta = 1000\n")
+    out = tmp_path / "y22.sphf"
+    code, _, err = run_cli(
+        ["--config", str(cfg), "gen", "harmonic", "--out", str(out)], capsys
+    )
+    assert code == 2
+    assert "n_theta" in err
+    assert not out.exists()
+
+
+def test_config_bad_value_exits_2(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("ntheta = abc\n")
+    code, _, err = run_cli(["--config", str(cfg), "gen", "harmonic"], capsys)
+    assert code == 2
+    assert "ntheta" in err and "abc" in err
+
+
+def test_solve_nonpositive_tolerance_exits_2(capsys):
+    code, _, err = run_cli(["solve", "--tol", "0"], capsys)
+    assert code == 2
+    assert "tolerance" in err
+
+
 def test_audit_reports_are_deterministic(capsys, tmp_path):
     field = tmp_path / "y22.sphf"
     run_cli(

@@ -194,6 +194,20 @@ def test_interp_phi_reproduces_grid_and_offgrid(grid32):
     assert abs(direct[5, 0] - fine[5, nearest]) < 0.05
 
 
+def test_interp_phi_matches_full_fourier_synthesis(grid32):
+    # arbitrary node values carry a Nyquist column, whose cosine weight the
+    # real series must get right to reproduce the nodes
+    rng = np.random.default_rng(10)
+    u = ScalarField(grid32, rng.standard_normal((grid32.n_theta, grid32.n_phi)))
+    assert np.max(np.abs(interp_phi(u, grid32.phi_nodes) - u.values)) < 1e-12
+    phis = rng.uniform(-1.0, 8.0, 7)
+    n = grid32.n_phi
+    m = np.fft.fftfreq(n, d=1.0 / n)
+    dense = (np.fft.fft(u.values, axis=1) / n) @ np.exp(1j * np.outer(m, phis))
+    assert np.max(np.abs(interp_phi(u, phis) - dense.real)) < 1e-13
+    assert interp_phi(u, 0.3).shape == (grid32.n_theta, 1)
+
+
 # ---------------------------------------------------------------------------
 # sector masks
 # ---------------------------------------------------------------------------

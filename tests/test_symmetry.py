@@ -10,6 +10,7 @@ from sphereq import (
     DegenerateFieldError,
     biradial_angles,
     biradial_field,
+    branch_switch,
     chafee_infante,
     check_leveled,
     check_midpoint,
@@ -22,6 +23,7 @@ from sphereq import (
     make_operator,
     moving_arc_sweep,
     newton_solve,
+    reflect_phi,
     rotate_phi,
     theorem_audit,
 )
@@ -133,7 +135,7 @@ def test_detect_phase_covariance(grid32):
 def test_leveled_exact(grid32):
     u = _cos2_field(grid32)
     ext = detect_axial_extrema(u)
-    result = check_leveled(ext, u)
+    result = check_leveled(ext)
     assert result.applicable and result.passed
     assert result.defect < 1e-12
 
@@ -143,7 +145,7 @@ def test_leveled_detects_broken_levels(grid32):
         grid32, lambda t, p: np.sin(t) * np.cos(2 * p) + 0.05 * np.sin(t) * np.cos(p)
     )
     ext = detect_axial_extrema(u)
-    result = check_leveled(ext, u, tol_lvl=1e-5)
+    result = check_leveled(ext, tol_lvl=1e-5)
     assert result.applicable and not result.passed
     # oracle: the maxima sit exactly at 0 and pi with peak factors 1.05/0.95,
     # so each deviates from the mean profile by 0.05 sin(theta); the minima
@@ -159,7 +161,7 @@ def test_leveled_detects_broken_levels(grid32):
 
 def test_leveled_not_applicable_single_extremum(grid32):
     ext = _manual_extrema([0.3], ["max"], n_theta=grid32.n_theta)
-    result = check_leveled(ext, _cos2_field(grid32))
+    result = check_leveled(ext)
     assert not result.applicable
 
 
@@ -167,7 +169,7 @@ def test_biradial_field_is_leveled():
     grid = make_grid(48, 128)
     u = biradial_field(grid)
     ext = detect_axial_extrema(u)
-    result = check_leveled(ext, u)
+    result = check_leveled(ext)
     assert result.passed and result.defect < 1e-10
 
 
@@ -402,13 +404,79 @@ def test_biradial_pi_periodicity():
     assert np.max(np.abs(u.values - np.roll(u.values, half, axis=1))) < 1e-12
 
 
-def test_sweep_thread_pool_matches_serial(grid32, monkeypatch):
-    """SPHERE_EQ_THREADS > 1 runs the sweep through a pool with identical
-    results in identical order."""
-    u = _cos2_field(grid32)
+def _reference_sweep(u, ext, seed_index, direction, n_eps):
+    """Signed sector maxima of w = u - u o R_eps and the normalized sup|w|
+    at the full gap, one full-field reflection per eps in the frame shifted
+    to the seed (the scalar algorithm)."""
+    seed = ext.angles[seed_index]
+    target = ext.angles[(seed_index + direction) % ext.n]
+    gap = (direction * (target - seed)) % TWO_PI
+    shifted = rotate_phi(u, seed)
+    if direction == -1:
+        shifted = reflect_phi(shifted, 0.0)
+    phi = u.grid.phi_nodes
+    out = []
+    for e in gap * np.arange(1, n_eps + 1) / n_eps:
+        w = shifted.values - reflect_phi(shifted, e).values
+        cols = (phi > 0.0) & (phi < e)
+        out.append(float(w[:, cols].max()) if np.any(cols) else 0.0)
+    w = shifted.values - reflect_phi(shifted, gap).values
+    target_sup = float(np.abs(w[:, (phi > 0.0) & (phi < gap)]).max()) / u.span
+    return np.array(out), target_sup
+
+
+def _cos2_nyquist_field(grid):
+    """Off-grid extrema plus a Nyquist column pattern, which the sweep must
+    carry into the seed frame exactly as a grid-sampled rotation does."""
+    n = grid.n_phi // 2
+    return eval_on_grid(
+        grid,
+        lambda t, p: np.sin(t) * np.cos(2 * (p - 0.3)) + 0.01 * np.sin(t) * np.cos(n * p),
+    )
+
+
+@pytest.mark.parametrize(
+    "shape, field, n_eps",
+    [
+        ((32, 64), _cos2_field, 40),
+        ((32, 64), _cos2_nyquist_field, 40),
+        ((128, 256), biradial_field, 100),
+    ],
+    ids=["cos2-32x64", "nyquist-32x64", "biradial-128x256"],
+)
+@pytest.mark.parametrize("direction", [1, -1])
+def test_batched_sweep_matches_per_eps_reflections(shape, field, n_eps, direction):
+    """The batched sweep (one FFT, chunked inverse FFTs) reproduces the
+    per-eps rotate-and-reflect sweep; n_eps=100 spans several chunks."""
+    u = field(make_grid(*shape))
     ext = detect_axial_extrema(u)
-    serial = moving_arc_sweep(u, ext, 1, 1, n_eps=40)
-    monkeypatch.setenv("SPHERE_EQ_THREADS", "3")
-    pooled = moving_arc_sweep(u, ext, 1, 1, n_eps=40)
-    assert np.array_equal(serial.w_max, pooled.w_max)
-    assert serial.eps_star == pooled.eps_star
+    seed = ext.minima_indices[0]
+    report = moving_arc_sweep(u, ext, seed, direction, n_eps=n_eps)
+    expected, target_sup = _reference_sweep(u, ext, seed, direction, n_eps)
+    assert np.max(np.abs(report.w_max - expected)) <= 1e-13 * u.span
+
+    bound = report.tol_w * report.span
+    bad = np.nonzero(expected > bound)[0]
+    eps = report.epsilons
+    eps_star = eps[-1] if bad.size == 0 else (0.0 if bad[0] == 0 else eps[bad[0] - 1])
+    assert report.eps_star == eps_star
+    gap = eps[-1]
+    assert report.reaches_target == (eps_star >= gap * (1.0 - 1.0 / n_eps) - 1e-12)
+    assert abs(report.target_reflection_sup - target_sup) <= 1e-13
+    assert report.equality_ok == (target_sup <= report.tol_w)
+
+
+@pytest.mark.parametrize("shape", [(48, 96), (96, 192)], ids=["48x96", "96x192"])
+@pytest.mark.parametrize("l, m", [(2, 1), (3, 1), (3, 2)])
+def test_tesseral_equilibria_have_saddle_meridians(shape, l, m):
+    """Along the extremal meridians of a tesseral (0 < m < l) equilibrium
+    u_phiphi changes sign across the rings: they are saddles, so the field
+    is outside the audited class rather than certified non-equilibrium."""
+    grid = make_grid(*shape)
+    op = make_operator(grid)
+    lam, guess = branch_switch(grid, float(l * (l + 1)), l, m, dlam0=0.8)
+    eq = newton_solve(chafee_infante(lam), op, guess, tol=1e-9)
+    report = theorem_audit(chafee_infante(lam), op, eq.u)
+    assert "saddle" in report.extrema.kinds
+    assert not report.hypotheses_met and report.arc_reports == ()
+    assert report.verdict == "hypotheses-not-met"
