@@ -265,23 +265,34 @@ def reflect_phi(field, phi_c):
     return ScalarField(field.grid, np.fft.irfft(coeffs, n, axis=1))
 
 
+def ring_series(field):
+    """Real Fourier series of every ring along longitude.
+
+    Returns complex coefficients c of shape (n_theta, n_phi // 2 + 1) with
+    u(theta_j, phi) = sum_m Re(c[j, m]) cos(m phi) - Im(c[j, m]) sin(m phi):
+    the ``rfft`` coefficients scaled by 2 / n_phi, with the constant and
+    Nyquist terms halved.
+    """
+    n = field.grid.n_phi
+    coeffs = np.fft.rfft(field.values, axis=1) * (2.0 / n)
+    coeffs[:, 0] *= 0.5
+    coeffs[:, n // 2] *= 0.5
+    return coeffs
+
+
 def interp_phi(field, phis):
     """Trigonometric interpolation of every ring at arbitrary longitudes.
 
     Returns an array of shape (n_theta, len(phis)).
 
-    Each ring is the real cosine/sine series of its ``rfft`` coefficients,
-    summed by ``einsum``, which runs on the calling thread.  A matrix
-    product would go to BLAS, which threads these products although the
-    second thread saves no time and keeps spinning between the many small
-    calls of the extremum bisection.
+    Each ring is the real cosine/sine series of ``ring_series``, summed by
+    ``einsum``, which runs on the calling thread.  A matrix product would
+    go to BLAS, which threads these small products although the second
+    thread saves no time and keeps spinning between calls.
     """
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
-    n = field.grid.n_phi
-    coeffs = np.fft.rfft(field.values, axis=1) * (2.0 / n)
-    coeffs[:, 0] *= 0.5
-    coeffs[:, n // 2] *= 0.5
-    mphi = np.multiply.outer(np.arange(n // 2 + 1), phis)
+    coeffs = ring_series(field)
+    mphi = np.multiply.outer(np.arange(coeffs.shape[1]), phis)
     return (np.einsum("tm,mk->tk", coeffs.real, np.cos(mphi))
             - np.einsum("tm,mk->tk", coeffs.imag, np.sin(mphi)))
 

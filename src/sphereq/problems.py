@@ -149,20 +149,37 @@ def hadamard_coeffs(problem, op, u, u_ref, n_tau=8):
     Laplacian along the homotopy is formed by linearity as
     tau * Lap u + (1 - tau) * Lap u_ref.
     """
-    if n_tau < 2:
-        raise ParameterError("n_tau must be at least 2")
     if u_ref.grid != u.grid:
         raise ContractError("u and u_ref must share a grid")
+    a, b, tau = _averaged_coefficients(
+        problem,
+        u.values,
+        apply_laplacian(op, u).values,
+        u_ref.values,
+        apply_laplacian(op, u_ref).values,
+        n_tau,
+    )
+    return HadamardCoeffs(
+        a=ScalarField(u.grid, a), b=ScalarField(u.grid, b), tau_nodes=tau
+    )
+
+
+def _averaged_coefficients(problem, u, q_u, u_ref, q_ref, n_tau):
+    """The tau-quadrature behind ``hadamard_coeffs`` on plain arrays.
+
+    ``u``/``q_u`` and ``u_ref``/``q_ref`` are the values of the two fields
+    and of their Laplacians.  Returns (a, b, tau_nodes).
+    """
+    if n_tau < 2:
+        raise ParameterError("n_tau must be at least 2")
     x, wts = gauss_legendre(int(n_tau))
     tau = 0.5 * (x + 1.0)
     wtau = 0.5 * wts
-    q_u = apply_laplacian(op, u).values
-    q_ref = apply_laplacian(op, u_ref).values
-    shape = u.values.shape
+    shape = np.shape(u)
     a = np.zeros(shape)
     b = np.zeros(shape)
     for t, wt in zip(tau, wtau):
-        u_tau = t * u.values + (1.0 - t) * u_ref.values
+        u_tau = t * u + (1.0 - t) * u_ref
         q_tau = t * q_u + (1.0 - t) * q_ref
         a += wt * np.broadcast_to(
             np.asarray(problem.eval_Fq(u_tau, q_tau), dtype=float), shape
@@ -170,9 +187,7 @@ def hadamard_coeffs(problem, op, u, u_ref, n_tau=8):
         b += wt * np.broadcast_to(
             np.asarray(problem.eval_Fu(u_tau, q_tau), dtype=float), shape
         )
-    return HadamardCoeffs(
-        a=ScalarField(u.grid, a), b=ScalarField(u.grid, b), tau_nodes=tau
-    )
+    return a, b, tau
 
 
 def verify_partial_derivatives(problem, rng=None, n_samples=64, h=1e-6, scale=2.0):

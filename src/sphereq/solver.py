@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import (
     ContractError,
@@ -73,6 +72,21 @@ class Branch:
         return np.array([p.amplitude for p in self.points])
 
 
+def gmres(*args, **kwargs):
+    """``scipy.sparse.linalg.gmres``, imported on first use: importing
+    ``scipy.sparse.linalg`` takes about half a second, which commands that
+    never solve a linear system (``gen``, ``audit``) should not pay."""
+    from scipy.sparse.linalg import gmres as scipy_gmres
+
+    return scipy_gmres(*args, **kwargs)
+
+
+def _sphere_mean(grid, values):
+    """Area-weighted mean of grid values (quadrature weights per ring)."""
+    w = grid.theta_weights
+    return float((w / np.sum(w)) @ values.mean(axis=1))
+
+
 def _mean_mode_inverse(op, coeff_u, coeff_q):
     """Per-mode inverse of the mean-coefficient operator coeff_u + coeff_q *
     Lap, as blocks for apply_mode_blocks.  When a mode block is singular
@@ -90,29 +104,28 @@ def _mean_mode_inverse(op, coeff_u, coeff_q):
         return np.linalg.inv(a)
 
 
-def _krylov_solve(op, fu, fq, rhs, rtol, atol, restart, maxiter):
+def _krylov_solve(op, fu, fq, inverse, rhs, rtol, atol, restart, maxiter):
     """Solve (fu + fq * Lap) s = rhs matrix-free with GMRES, preconditioned
-    by the exact per-mode inverse of the operator with fu and fq replaced
-    by their sphere means."""
+    by ``inverse``, per-mode blocks from ``_mean_mode_inverse`` that the
+    caller forms once and reuses across its solves."""
+    from scipy.sparse.linalg import LinearOperator
+
     grid = op.grid
     shape = (grid.n_theta, grid.n_phi)
     size = shape[0] * shape[1]
-    w = grid.theta_weights
 
     def matvec(vec):
         f = ScalarField(grid, vec.reshape(shape))
         lap = apply_laplacian(op, f)
         return (fu * f.values + fq * lap.values).ravel()
 
-    mean_w = w / np.sum(w)
-    coeff_u = float(mean_w @ fu.mean(axis=1))
-    coeff_q = float(mean_w @ fq.mean(axis=1))
-    inverse = _mean_mode_inverse(op, coeff_u, coeff_q)
-
-    a = LinearOperator((size, size), matvec=matvec)
+    # an explicit dtype keeps scipy from probing each operator with a zero
+    # vector to infer one
+    a = LinearOperator((size, size), matvec=matvec, dtype=float)
     m = LinearOperator(
         (size, size),
         matvec=lambda v: apply_mode_blocks(inverse, v.reshape(shape)).ravel(),
+        dtype=float,
     )
     sol, info = gmres(
         a, rhs.ravel(), rtol=rtol, atol=atol, restart=restart, maxiter=maxiter, M=m
@@ -126,18 +139,22 @@ def newton_solve(problem, op, guess, tol=1e-9, max_iter=30, krylov_rtol=1e-10,
                  restart=40, max_krylov_restarts=50):
     """Newton iteration on F(u, Lap u) = 0 from ``guess``.
 
-    Each step solves the linearized system with restarted GMRES,
-    preconditioned by the exact per-mode inverse of the mean-coefficient
-    operator, to an absolute residual of tol / 100 (or ``krylov_rtol``
-    relative, whichever is looser), then applies a damped update with a
-    halving line search on the residual sup-norm.  Raises
-    ConvergenceError carrying the last iterate when the budget runs out.
+    Each step solves the linearized system with restarted GMRES to an
+    absolute residual of tol / 100 (or ``krylov_rtol`` relative, whichever
+    is looser), then applies a damped update with a halving line search on
+    the residual sup-norm.  The preconditioner is the exact per-mode
+    inverse of the mean-coefficient operator at the starting iterate
+    (F_u and F_q replaced by their sphere means), formed once per solve at
+    the first step and reused by every later one; a guess that already
+    meets ``tol`` forms none.  Raises ConvergenceError carrying the last
+    iterate when the budget runs out.
     """
     if tol <= 0:
         raise ParameterError("tol must be positive")
     u = guess
     r = residual(problem, op, u)
     r_norm = r.sup_norm
+    inverse = None
     for it in range(max_iter + 1):
         if r_norm <= tol:
             return Equilibrium(
@@ -156,8 +173,12 @@ def newton_solve(problem, op, guess, tol=1e-9, max_iter=30, krylov_rtol=1e-10,
                 residual_norm=r_norm,
             )
         fu, fq = linearization_coefficients(problem, op, u)
+        if inverse is None:
+            inverse = _mean_mode_inverse(
+                op, _sphere_mean(u.grid, fu), _sphere_mean(u.grid, fq)
+            )
         step = _krylov_solve(
-            op, fu, fq, -r.values, krylov_rtol, 0.01 * tol, restart,
+            op, fu, fq, inverse, -r.values, krylov_rtol, 0.01 * tol, restart,
             max_krylov_restarts,
         )
         alpha = 1.0
@@ -186,19 +207,27 @@ def gradient_flow_relax(problem, op, u0, dt, steps, krylov_rtol=1e-10,
 
         (I - dt F_q Lap) u_{n+1} = u_n + dt (F(u_n, Lap u_n) - F_q Lap u_n)
 
-    A cross-check only, that Newton fixed points attract the flow; Newton
-    never calls it, and it is not a time-accurate integrator.
+    Like Newton, it preconditions every step with the per-mode inverse of
+    the mean-coefficient operator at the first step.  A cross-check only,
+    that Newton fixed points attract the flow; Newton never calls it, and
+    it is not a time-accurate integrator.
     """
     if dt <= 0:
         raise ParameterError("dt must be positive")
     u = u0
+    inverse = None
     for _ in range(int(steps)):
         q = apply_laplacian(op, u)
         f = residual(problem, op, u)
         fu, fq = linearization_coefficients(problem, op, u)
         rhs = u.values + dt * (f.values - fq * q.values)
+        ones, implicit = np.ones_like(fq), -dt * fq
+        if inverse is None:
+            inverse = _mean_mode_inverse(
+                op, _sphere_mean(u.grid, ones), _sphere_mean(u.grid, implicit)
+            )
         new_vals = _krylov_solve(
-            op, np.ones_like(fq), -dt * fq, rhs, krylov_rtol, 0.0, 40, 50
+            op, ones, implicit, inverse, rhs, krylov_rtol, 0.0, 40, 50
         )
         u = ScalarField(u.grid, new_vals)
         if u.sup_norm > blowup:

@@ -13,8 +13,9 @@ and its reflection satisfies the averaged linear equation
 a * Lap w + b * w = 0.
 
 Everything runs as batched numpy over angles: the extremum bisection
-advances all candidates in lockstep, and each moving-arc sweep evaluates
-all its reflections from one set of ring Fourier coefficients.
+advances all candidates in lockstep, each moving-arc sweep evaluates all
+its reflections from one set of ring Fourier coefficients, and the
+annihilation check reflects u and Lap u from one transform each.
 """
 
 from __future__ import annotations
@@ -34,9 +35,10 @@ from .grid import (
     quadrature_mean,
     reflect_coeffs,
     reflect_phi,
+    ring_series,
     sector_mask,
 )
-from .problems import hadamard_coeffs, residual
+from .problems import _averaged_coefficients, residual
 from .harmonics import apply_laplacian
 
 _REFINE_FACTOR = 16
@@ -162,8 +164,9 @@ def detect_axial_extrema(u, tol_ax=1e-6):
     are merged (and flagged); a longitude where only some rings are
     critical is reported as non-axial instead of as an extremum.
 
-    All candidates are refined together: each bisection step is one
-    ``interp_phi`` call on the vector of midpoints.
+    All candidates are refined together: u_phi is transformed once, and
+    each bisection step sums one short trigonometric series per candidate
+    at its midpoint.
     """
     grid = u.grid
     mean = quadrature_mean(u)
@@ -211,14 +214,19 @@ def detect_axial_extrema(u, tol_ax=1e-6):
     cb = w @ (du_r * ref)
 
     # bisection on the sign change of the alignment-weighted ring average
-    # of u_phi; a bracket that hits an exact zero stops there
+    # of u_phi; a bracket that hits an exact zero stops there.  That average
+    # is one trigonometric series per candidate, whose coefficients are the
+    # ring series of u_phi contracted with the weights once.
     bisect = ca * cb < 0.0
     a, b, fa = left[bisect], right[bisect], ca[bisect]
-    ref_b = ref[:, bisect]
+    series = np.einsum("tk,tm->km", w[:, None] * ref[:, bisect], ring_series(du))
+    modes = np.arange(series.shape[1])
     active = np.ones(a.size, dtype=bool)
     for _ in range(60):
         mid = 0.5 * (a + b)
-        fm = w @ (interp_phi(du, mid) * ref_b)
+        mphi = np.multiply.outer(mid, modes)
+        fm = (np.einsum("km,km->k", series.real, np.cos(mphi))
+              - np.einsum("km,km->k", series.imag, np.sin(mphi)))
         hit = active & (fm == 0.0)
         a[hit] = b[hit] = mid[hit]
         active &= ~hit
@@ -481,25 +489,40 @@ def moving_arc_sweep(u, ext, seed_index, direction, n_eps=100, tol_w=1e-7):
 def linearized_annihilation(problem, op, u, eps, n_tau=8):
     """Residual of the averaged linear equation on the reflection difference.
 
-    Builds w = u - u o R_eps and the homotopy-averaged coefficients (a, b);
+    For a mirror meridian ``eps`` (one longitude, or an array of them),
+    builds w = u - u o R_eps and the homotopy-averaged coefficients (a, b);
     returns sup|a * Lap w + b * w| normalized by
-    ||a|| * ||Lap w|| + ||b|| * ||w|| (sup norms).  Near zero for an
+    ||a|| * ||Lap w|| + ||b|| * ||w|| (sup norms), as a float for one
+    longitude and an array shaped like ``eps`` for many.  Near zero for an
     equilibrium, because the reflected field is then also an equilibrium
     and the averaged equation reproduces the difference of the two
-    residuals exactly."""
-    u_ref = reflect_phi(u, eps)
-    w = u - u_ref
-    if w.sup_norm <= 1e-13 * max(1.0, u.sup_norm):
-        return 0.0  # reflection is a symmetry to machine precision
-    coeffs = hadamard_coeffs(problem, op, u, u_ref, n_tau=n_tau)
-    lap_w = apply_laplacian(op, w)
-    resid = coeffs.a.values * lap_w.values + coeffs.b.values * w.values
-    scale = (
-        coeffs.a.sup_norm * lap_w.sup_norm + coeffs.b.sup_norm * w.sup_norm
-    )
-    if scale == 0.0:
-        return 0.0
-    return float(np.max(np.abs(resid))) / scale
+    residuals exactly.
+
+    Both Laplacian realizations commute with longitude reflection, so
+    Lap u is applied once and reflected alongside u:
+    Lap w = Lap u - (Lap u) o R_eps."""
+    centres = np.asarray(eps, dtype=float)
+    n_phi = u.grid.n_phi
+    q = apply_laplacian(op, u).values
+    coeffs_u = np.fft.rfft(u.values, axis=1)
+    coeffs_q = np.fft.rfft(q, axis=1)
+    floor = 1e-13 * max(1.0, u.sup_norm)
+    out = np.zeros(centres.size)
+    # one meridian at a time: a stack of reflections would hold about
+    # eight field copies per meridian through the tau quadrature
+    for i, centre in enumerate(centres.ravel()):
+        u_ref = np.fft.irfft(reflect_coeffs(coeffs_u, centre), n_phi, axis=1)
+        w = u.values - u_ref
+        w_sup = np.max(np.abs(w))
+        if w_sup <= floor:
+            continue  # reflection is a symmetry to machine precision
+        q_ref = np.fft.irfft(reflect_coeffs(coeffs_q, centre), n_phi, axis=1)
+        lap_w = q - q_ref
+        a, b, _ = _averaged_coefficients(problem, u.values, q, u_ref, q_ref, n_tau)
+        scale = np.max(np.abs(a)) * np.max(np.abs(lap_w)) + np.max(np.abs(b)) * w_sup
+        if scale > 0.0:
+            out[i] = np.max(np.abs(a * lap_w + b * w)) / scale
+    return float(out[0]) if centres.ndim == 0 else out.reshape(centres.shape)
 
 
 VERDICT_PASS = "pass"
@@ -595,11 +618,8 @@ def theorem_audit(problem, op, u, thresholds=None):
                     )
                 )
 
-    annihilation = np.array(
-        [
-            linearized_annihilation(problem, op, u, ang, n_tau=thresholds.n_tau)
-            for ang in ext.angles
-        ]
+    annihilation = linearized_annihilation(
+        problem, op, u, ext.angles, n_tau=thresholds.n_tau
     )
 
     hypotheses_met = (

@@ -1,8 +1,15 @@
 """Newton-Krylov equilibria, gradient-flow relaxation, bifurcation
 detection, branch switching and continuation."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import sphereq
+from sphereq import solver
 
 from sphereq import (
     ContractError,
@@ -84,6 +91,62 @@ def test_newton_preserves_mirror_symmetry(grid32, op32):
     eq = newton_solve(chafee_infante(6.5), op32, guess)
     mirrored = reflect_phi(eq.u, 0.0)
     assert np.max(np.abs(eq.u.values - mirrored.values)) < 1e-10 * eq.u.span
+
+
+def test_newton_forms_the_preconditioner_once_per_solve(grid32, op32, monkeypatch):
+    """One per-mode factorization per solve, however many Newton steps it
+    takes, and none from a guess that already meets the tolerance."""
+    calls = []
+    factorize = solver._mean_mode_inverse
+
+    def counted(*args):
+        calls.append(args)
+        return factorize(*args)
+
+    monkeypatch.setattr(solver, "_mean_mode_inverse", counted)
+    mode = harmonic_mode(grid32, 2, 2)
+    eq = newton_solve(chafee_infante(6.5), op32, mode * (0.3 / mode.sup_norm))
+    assert eq.newton_iters >= 3
+    assert len(calls) == 1
+    calls.clear()
+    again = newton_solve(chafee_infante(6.5), op32, eq.u)
+    assert again.newton_iters == 0
+    assert calls == []
+
+
+@pytest.mark.parametrize("realization", ["spectral", "finite-difference"])
+@pytest.mark.parametrize("l, m", [(2, 2), (3, 1)])
+@pytest.mark.parametrize("scale", [0.2, 2.5])
+def test_newton_converges_from_scaled_guesses(realization, l, m, scale):
+    """Starts well off the normal-form amplitude still converge with the
+    preconditioner frozen at the first iterate; a 2.5x start lands on the
+    branch, a 0.2x start falls to the trivial state."""
+    grid = make_grid(48, 96)
+    op = make_operator(grid, realization)
+    lam, guess = branch_switch(grid, l * (l + 1), l, m, dlam0=0.8)
+    eq = newton_solve(chafee_infante(lam), op, guess * scale, tol=1e-9)
+    assert eq.residual_norm <= 1e-9
+    if scale > 1:
+        assert eq.amplitude > 0.1
+    else:
+        assert eq.amplitude < 1e-6
+
+
+def test_package_import_leaves_out_sparse_linalg():
+    """scipy.sparse.linalg is imported by the first linear solve, not by
+    importing the package or its command line."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sphereq.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    code = (
+        "import sys, sphereq, sphereq.cli\n"
+        "assert 'scipy.sparse.linalg' not in sys.modules, 'loaded on import'\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_newton_nonconvergence_carries_iterate(grid32, op32):

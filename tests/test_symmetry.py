@@ -7,6 +7,7 @@ import pytest
 from sphereq import (
     AxialExtremumSet,
     ContractError,
+    apply_laplacian,
     DegenerateFieldError,
     biradial_angles,
     biradial_field,
@@ -17,6 +18,7 @@ from sphereq import (
     check_reflection,
     detect_axial_extrema,
     eval_on_grid,
+    hadamard_coeffs,
     harmonic_mode,
     linearized_annihilation,
     make_grid,
@@ -328,6 +330,32 @@ def test_annihilation_small_on_equilibrium():
     eq = newton_solve(chafee_infante(6.5), op, mode * (0.3 / mode.sup_norm))
     for eps in (0.37, 1.1, 2.9):
         assert linearized_annihilation(chafee_infante(6.5), op, eq.u, eps) <= 1e-7
+
+
+@pytest.mark.parametrize("realization", ["spectral", "finite-difference"])
+def test_annihilation_over_many_meridians_matches_per_meridian_reference(realization):
+    """One call over an array of meridians equals one call per meridian,
+    and both equal the residual built from hadamard_coeffs and Lap w
+    applied directly, although Lap u is now applied once and reflected."""
+    grid = make_grid(48, 96)
+    op = make_operator(grid, realization)
+    problem = chafee_infante(6.5)
+    u = harmonic_mode(grid, 2, 2) + harmonic_mode(grid, 3, 1) * 0.1
+    angles = np.array([0.0, 0.37, 1.1, 2.9, 4.4])
+    batch = linearized_annihilation(problem, op, u, angles)
+    assert batch.shape == angles.shape
+    single = [linearized_annihilation(problem, op, u, c) for c in angles]
+    assert batch.tolist() == single
+    assert batch[0] == 0.0  # u is even about phi = 0
+    for c, got in zip(angles[1:], batch[1:]):
+        u_ref = reflect_phi(u, c)
+        w = u - u_ref
+        coeffs = hadamard_coeffs(problem, op, u, u_ref)
+        lap_w = apply_laplacian(op, w)
+        resid = coeffs.a.values * lap_w.values + coeffs.b.values * w.values
+        scale = coeffs.a.sup_norm * lap_w.sup_norm + coeffs.b.sup_norm * w.sup_norm
+        assert got > 1e-3
+        assert abs(got - np.max(np.abs(resid)) / scale) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
