@@ -21,6 +21,7 @@ from .grid import eval_on_grid, make_grid
 from .harmonics import harmonic_mode, make_operator, trivial_branch_eigenvalues
 from .problems import ellipticity_audit, problem_from_name, PROBLEM_REGISTRY
 from .solver import (
+    TRIVIAL_AMPLITUDE,
     branch_switch,
     continue_branch,
     detect_bifurcations,
@@ -286,6 +287,13 @@ def _cmd_solve(args):
     print("newton_iters %d" % eq.newton_iters)
     print("amplitude %.12g" % eq.amplitude)
     print("min_Fq %.6g (%s)" % (audit.min_fq, "ok" if audit.passed else "VIOLATED"))
+    if eq.amplitude < TRIVIAL_AMPLITUDE:
+        print(
+            "sphereq: warning: amplitude %.3g (sup over grid nodes) is below the "
+            "trivial-state floor %g; the solve fell to u = 0"
+            % (eq.amplitude, TRIVIAL_AMPLITUDE),
+            file=sys.stderr,
+        )
     if args.out is not None:
         fieldio.write_field(_out_handle(args.out), eq.u)
     return 0

@@ -205,6 +205,8 @@ def write_arc_csv(path_or_file, arc_report):
 
 
 def write_branch_csv(path_or_file, branch):
+    """One row per branch point; ``amplitude`` is sup|u| over the grid
+    nodes, so it depends on the grid."""
     with _opened(path_or_file, "w") as fh:
         fh.write("lambda,amplitude,residual_norm,newton_iters\n")
         for p in branch:

@@ -76,33 +76,36 @@ def problem_from_name(name, lam):
     return factory(lam)
 
 
-def residual(problem, op, u):
-    """Pointwise F(u, Lap u) on the grid."""
-    q = apply_laplacian(op, u)
-    vals = np.asarray(problem.eval_F(u.values, q.values), dtype=float)
+def evaluate(problem, name, u, q):
+    """The problem's ``name`` evaluator ("F", "F_u" or "F_q") at the grid
+    arrays (u, q), broadcast to their shape; callers apply the Laplacian to
+    a state once and pass it in as q.  A non-finite value raises
+    EvaluationError naming its grid node."""
+    fn = {"F": problem.eval_F, "F_u": problem.eval_Fu, "F_q": problem.eval_Fq}[name]
+    vals = np.broadcast_to(np.asarray(fn(u, q), dtype=float), np.shape(u))
     if not np.all(np.isfinite(vals)):
         j, k = np.argwhere(~np.isfinite(vals))[0]
         raise EvaluationError(
-            "F produced a non-finite value at ring %d, column %d" % (j, k)
+            "%s produced a non-finite value at ring %d, column %d" % (name, j, k)
         )
-    return ScalarField(u.grid, vals)
+    return vals
 
 
-def linearization_coefficients(problem, op, u):
-    """Pointwise F_u and F_q evaluated at (u, Lap u), as plain arrays."""
-    q = apply_laplacian(op, u)
-    fu = np.broadcast_to(
-        np.asarray(problem.eval_Fu(u.values, q.values), dtype=float), u.values.shape
-    ).copy()
-    fq = np.broadcast_to(
-        np.asarray(problem.eval_Fq(u.values, q.values), dtype=float), u.values.shape
-    ).copy()
-    return fu, fq
+def residual(problem, op, u):
+    """Pointwise F(u, Lap u) on the grid."""
+    return ScalarField(
+        u.grid, evaluate(problem, "F", u.values, apply_laplacian(op, u).values)
+    )
+
+
+def linearization_coefficients(problem, u, q):
+    """Pointwise F_u and F_q at the state (u, q), q = Lap u, as plain arrays."""
+    return tuple(evaluate(problem, name, u.values, q.values) for name in ("F_u", "F_q"))
 
 
 def jacobian_apply(problem, op, u, w):
     """Action of the linearization at u on w: F_u(u, Lap u) w + F_q(u, Lap u) Lap w."""
-    fu, fq = linearization_coefficients(problem, op, u)
+    fu, fq = linearization_coefficients(problem, u, apply_laplacian(op, u))
     lap_w = apply_laplacian(op, w)
     return ScalarField(u.grid, fu * w.values + fq * lap_w.values)
 
@@ -118,7 +121,7 @@ def ellipticity_audit(problem, op, u):
     Failure is a reported outcome, not an exception: audits must be able to
     describe problems that lose ellipticity on a given state.
     """
-    _, fq = linearization_coefficients(problem, op, u)
+    fq = evaluate(problem, "F_q", u.values, apply_laplacian(op, u).values)
     min_fq = float(np.min(fq))
     return EllipticityAudit(min_fq, min_fq >= problem.delta_floor)
 
@@ -181,12 +184,8 @@ def _averaged_coefficients(problem, u, q_u, u_ref, q_ref, n_tau):
     for t, wt in zip(tau, wtau):
         u_tau = t * u + (1.0 - t) * u_ref
         q_tau = t * q_u + (1.0 - t) * q_ref
-        a += wt * np.broadcast_to(
-            np.asarray(problem.eval_Fq(u_tau, q_tau), dtype=float), shape
-        )
-        b += wt * np.broadcast_to(
-            np.asarray(problem.eval_Fu(u_tau, q_tau), dtype=float), shape
-        )
+        a += wt * evaluate(problem, "F_q", u_tau, q_tau)
+        b += wt * evaluate(problem, "F_u", u_tau, q_tau)
     return a, b, tau
 
 

@@ -21,7 +21,7 @@ from .errors import (
 )
 from .grid import ScalarField, TWO_PI
 from .harmonics import apply_laplacian, apply_mode_blocks, harmonic_mode
-from .problems import linearization_coefficients, residual
+from .problems import evaluate, linearization_coefficients
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,8 @@ class Equilibrium:
     """A converged solution at fixed lambda.
 
     ``residual_norm`` is the sup-norm of F(u, Lap u), guaranteed to be at
-    most the recorded solve tolerance ``tol``.
+    most the recorded solve tolerance ``tol``.  ``amplitude`` is sup|u| over
+    the grid nodes, so it depends on the grid.
     """
 
     lam: float
@@ -70,6 +71,11 @@ class Branch:
     @property
     def amplitudes(self):
         return np.array([p.amplitude for p in self.points])
+
+
+#: Amplitude (sup|u| over the grid nodes) below which a solve has landed on
+#: the trivial state u == 0.
+TRIVIAL_AMPLITUDE = 1e-7
 
 
 def gmres(*args, **kwargs):
@@ -146,56 +152,60 @@ def newton_solve(problem, op, guess, tol=1e-9, max_iter=30, krylov_rtol=1e-10,
     inverse of the mean-coefficient operator at the starting iterate
     (F_u and F_q replaced by their sphere means), formed once per solve at
     the first step and reused by every later one; a guess that already
-    meets ``tol`` forms none.  Raises ConvergenceError carrying the last
-    iterate when the budget runs out.
+    meets ``tol`` forms none.  Each trial's one Lap u gives its residual
+    and, once accepted, the next step's F_u and F_q.  Raises
+    ConvergenceError carrying the last iterate when the budget runs out.
     """
     if tol <= 0:
         raise ParameterError("tol must be positive")
-    u = guess
-    r = residual(problem, op, u)
-    r_norm = r.sup_norm
+    if max_iter < 0:
+        raise ParameterError("max_iter must be non-negative")
+
+    def state(u):
+        q = apply_laplacian(op, u)
+        r = evaluate(problem, "F", u.values, q.values)
+        return u, q, r, float(np.max(np.abs(r)))
+
+    u, q, r, r_norm = state(guess)
     inverse = None
-    for it in range(max_iter + 1):
-        if r_norm <= tol:
-            return Equilibrium(
-                lam=problem.lam,
-                u=u,
-                residual_norm=r_norm,
-                newton_iters=it,
-                amplitude=u.sup_norm,
-                tol=tol,
-            )
-        if it == max_iter:
+    iters = 0
+    while r_norm > tol:
+        if iters == max_iter:
             raise ConvergenceError(
                 "Newton did not reach tol=%g in %d iterations (residual %g)"
                 % (tol, max_iter, r_norm),
                 last_iterate=u,
                 residual_norm=r_norm,
             )
-        fu, fq = linearization_coefficients(problem, op, u)
+        fu, fq = linearization_coefficients(problem, u, q)
         if inverse is None:
             inverse = _mean_mode_inverse(
                 op, _sphere_mean(u.grid, fu), _sphere_mean(u.grid, fq)
             )
         step = _krylov_solve(
-            op, fu, fq, inverse, -r.values, krylov_rtol, 0.01 * tol, restart,
+            op, fu, fq, inverse, -r, krylov_rtol, 0.01 * tol, restart,
             max_krylov_restarts,
         )
-        alpha = 1.0
-        while True:
-            u_try = ScalarField(u.grid, u.values + alpha * step)
-            r_try = residual(problem, op, u_try)
-            if r_try.sup_norm < r_norm:
-                u, r, r_norm = u_try, r_try, r_try.sup_norm
+        for alpha in 0.5 ** np.arange(12.0):  # 1, 1/2, ..., 2**-11
+            trial = state(ScalarField(u.grid, u.values + alpha * step))
+            if trial[3] < r_norm:
                 break
-            alpha *= 0.5
-            if alpha < 2.0**-11:
-                raise ConvergenceError(
-                    "line search failed at residual %g" % r_norm,
-                    last_iterate=u,
-                    residual_norm=r_norm,
-                )
-    raise AssertionError("unreachable")
+        else:
+            raise ConvergenceError(
+                "line search failed at residual %g" % r_norm,
+                last_iterate=u,
+                residual_norm=r_norm,
+            )
+        u, q, r, r_norm = trial
+        iters += 1
+    return Equilibrium(
+        lam=problem.lam,
+        u=u,
+        residual_norm=r_norm,
+        newton_iters=iters,
+        amplitude=u.sup_norm,
+        tol=tol,
+    )
 
 
 def gradient_flow_relax(problem, op, u0, dt, steps, krylov_rtol=1e-10,
@@ -218,9 +228,9 @@ def gradient_flow_relax(problem, op, u0, dt, steps, krylov_rtol=1e-10,
     inverse = None
     for _ in range(int(steps)):
         q = apply_laplacian(op, u)
-        f = residual(problem, op, u)
-        fu, fq = linearization_coefficients(problem, op, u)
-        rhs = u.values + dt * (f.values - fq * q.values)
+        f = evaluate(problem, "F", u.values, q.values)
+        fq = evaluate(problem, "F_q", u.values, q.values)
+        rhs = u.values + dt * (f - fq * q.values)
         ones, implicit = np.ones_like(fq), -dt * fq
         if inverse is None:
             inverse = _mean_mode_inverse(
@@ -321,16 +331,19 @@ def branch_switch(grid, lam_star, l, m, amplitude=None, side=1, dlam0=0.25):
 
 
 def continue_branch(problem_family, op, start, dlam, n_steps, tol=1e-9,
-                    min_amplitude=1e-7, provenance=(None, None), **newton_kw):
+                    min_amplitude=TRIVIAL_AMPLITUDE, provenance=(None, None),
+                    **newton_kw):
     """Natural-parameter continuation with a secant predictor in u.
 
     Marches from a converged ``start`` in steps of ``dlam``; each new point
     is corrected by Newton.  Stops early (returning the partial branch) on
-    non-convergence after the first step, or when the corrected point falls
-    below ``min_amplitude`` -- the branch has collapsed onto the trivial
-    state, which happens when continuation runs back into the bifurcation
-    point.
+    non-convergence after the first step, or when the corrected point's
+    amplitude (sup|u| over the grid nodes) falls below ``min_amplitude`` --
+    the branch has collapsed onto the trivial state, which happens when
+    continuation runs back into the bifurcation point.
     """
+    if n_steps < 0:
+        raise ParameterError("n_steps must be non-negative")
     if dlam == 0 and n_steps > 0:
         raise ParameterError("dlam must be nonzero for a nontrivial continuation")
     if start.residual_norm > start.tol:
@@ -365,7 +378,7 @@ def jacobian_matrix(problem, op, u):
     Columns are jacobian_apply on unit basis fields, so the matrix exercises
     exactly the operator code path.  Desk-scale only (O(N^2) memory)."""
     grid = u.grid
-    fu, fq = linearization_coefficients(problem, op, u)
+    fu, fq = linearization_coefficients(problem, u, apply_laplacian(op, u))
     n = grid.n_theta * grid.n_phi
     out = np.empty((n, n))
     basis = np.zeros((grid.n_theta, grid.n_phi))

@@ -38,7 +38,7 @@ from .grid import (
     ring_series,
     sector_mask,
 )
-from .problems import _averaged_coefficients, residual
+from .problems import _averaged_coefficients, evaluate
 from .harmonics import apply_laplacian
 
 _REFINE_FACTOR = 16
@@ -419,6 +419,8 @@ def moving_arc_sweep(u, ext, seed_index, direction, n_eps=100, tol_w=1e-7):
         raise ContractError("need at least two extrema to sweep")
     if direction not in (1, -1):
         raise ParameterError("direction must be +1 or -1")
+    if n_eps < 2:
+        raise ParameterError("n_eps must be at least 2")
     if ext.kinds[seed_index] != "min":
         raise ContractError("moving-arc seed must be an axial minimum")
     n = ext.n
@@ -486,7 +488,7 @@ def moving_arc_sweep(u, ext, seed_index, direction, n_eps=100, tol_w=1e-7):
     )
 
 
-def linearized_annihilation(problem, op, u, eps, n_tau=8):
+def linearized_annihilation(problem, u, lap_u, eps, n_tau=8):
     """Residual of the averaged linear equation on the reflection difference.
 
     For a mirror meridian ``eps`` (one longitude, or an array of them),
@@ -498,12 +500,12 @@ def linearized_annihilation(problem, op, u, eps, n_tau=8):
     and the averaged equation reproduces the difference of the two
     residuals exactly.
 
-    Both Laplacian realizations commute with longitude reflection, so
-    Lap u is applied once and reflected alongside u:
-    Lap w = Lap u - (Lap u) o R_eps."""
+    ``lap_u`` is Lap u, applied by the caller.  Both Laplacian
+    realizations commute with longitude reflection, so it is reflected
+    alongside u: Lap w = Lap u - (Lap u) o R_eps."""
     centres = np.asarray(eps, dtype=float)
     n_phi = u.grid.n_phi
-    q = apply_laplacian(op, u).values
+    q = lap_u.values
     coeffs_u = np.fft.rfft(u.values, axis=1)
     coeffs_q = np.fft.rfft(q, axis=1)
     floor = 1e-13 * max(1.0, u.sup_norm)
@@ -565,7 +567,8 @@ def theorem_audit(problem, op, u, thresholds=None):
     the preceding gap -> check_midpoint -> moving-arc sweeps from every
     minimum in both orientations, plus the linearized-annihilation residual
     at every extremal meridian and the equation residual of u itself (both
-    informational).  Requires a nonconstant field."""
+    informational, and both from one application of Lap to u).  Requires a
+    nonconstant field."""
     if thresholds is None:
         thresholds = AuditThresholds()
     midpoint_tol = (
@@ -574,23 +577,10 @@ def theorem_audit(problem, op, u, thresholds=None):
         else u.grid.phi_cell
     )
     ext = detect_axial_extrema(u, tol_ax=thresholds.tol_ax)
-    eq_residual = residual(problem, op, u).sup_norm
-
-    if ext.all_longitudes_critical or ext.n == 0:
-        return SymmetryReport(
-            extrema=ext,
-            leveled=LeveledCheck(float("nan"), False, False),
-            reflection_defects=np.empty(0),
-            midpoint=MidpointCheck(np.empty(0), float("nan"), False),
-            arc_reports=(),
-            annihilation_residuals=np.empty(0),
-            equilibrium_residual=eq_residual,
-            thresholds=thresholds,
-            midpoint_tol=midpoint_tol,
-            hypotheses_met=False,
-            conclusions_ok=False,
-            verdict=VERDICT_HYPOTHESES,
-        )
+    lap_u = apply_laplacian(op, u)
+    eq_residual = float(
+        np.max(np.abs(evaluate(problem, "F", u.values, lap_u.values)))
+    )
 
     leveled = check_leveled(ext, tol_lvl=thresholds.tol_lvl)
 
@@ -603,23 +593,16 @@ def theorem_audit(problem, op, u, thresholds=None):
 
     midpoint = check_midpoint(ext)
 
-    arc_reports = []
-    if ext.kinds_alternate:
-        for i in ext.minima_indices:
-            for direction in (1, -1):
-                arc_reports.append(
-                    moving_arc_sweep(
-                        u,
-                        ext,
-                        i,
-                        direction,
-                        n_eps=thresholds.n_eps,
-                        tol_w=thresholds.tol_w,
-                    )
-                )
+    arc_reports = tuple(
+        moving_arc_sweep(
+            u, ext, i, direction, n_eps=thresholds.n_eps, tol_w=thresholds.tol_w
+        )
+        for i in (ext.minima_indices if ext.kinds_alternate else ())
+        for direction in (1, -1)
+    )
 
     annihilation = linearized_annihilation(
-        problem, op, u, ext.angles, n_tau=thresholds.n_tau
+        problem, u, lap_u, ext.angles, n_tau=thresholds.n_tau
     )
 
     hypotheses_met = (
@@ -629,7 +612,7 @@ def theorem_audit(problem, op, u, thresholds=None):
         and leveled.applicable
         and leveled.passed
     )
-    conclusion_parts = [bool(np.all(reflection_defects <= thresholds.tol_w))]
+    conclusion_parts = [n > 0, bool(np.all(reflection_defects <= thresholds.tol_w))]
     if midpoint.applicable:
         conclusion_parts.append(midpoint.max_defect <= midpoint_tol)
     if arc_reports:
@@ -650,7 +633,7 @@ def theorem_audit(problem, op, u, thresholds=None):
         leveled=leveled,
         reflection_defects=reflection_defects,
         midpoint=midpoint,
-        arc_reports=tuple(arc_reports),
+        arc_reports=arc_reports,
         annihilation_residuals=annihilation,
         equilibrium_residual=eq_residual,
         thresholds=thresholds,

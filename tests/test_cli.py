@@ -227,6 +227,43 @@ def test_solve_nonpositive_tolerance_exits_2(capsys):
     assert "tolerance" in err
 
 
+def test_negative_iteration_counts_exit_2(capsys, tmp_path):
+    code, _, err = run_cli(["solve", "--max-iter", "-1"], capsys)
+    assert code == 2
+    assert "max_iter must be non-negative" in err
+    code, _, err = run_cli(
+        ["branch", "--l", "2", "--m", "2", "--steps", "-2", "--ntheta", "24",
+         "--nphi", "48", "--outdir", str(tmp_path)],
+        capsys,
+    )
+    assert code == 2
+    assert "n_steps must be non-negative" in err
+    assert list(tmp_path.iterdir()) == []  # no one-point branch written
+
+
+@pytest.mark.parametrize("neps", ["0", "1"])
+def test_arc_sweep_too_few_arcs_exits_2(capsys, tmp_path, neps):
+    field = tmp_path / "y22.sphf"
+    run_cli(
+        ["gen", "harmonic", "--l", "2", "--m", "2", "--ntheta", "32",
+         "--nphi", "64", "--out", str(field)],
+        capsys,
+    )
+    code, _, err = run_cli(["arc-sweep", str(field), "--neps", neps], capsys)
+    assert code == 2
+    assert "n_eps must be at least 2" in err
+
+
+def test_solve_warns_when_it_falls_to_the_trivial_state(capsys):
+    code, out, err = run_cli(["solve", "--amplitude", "1e-6"], capsys)
+    assert code == 0
+    assert "amplitude" in out
+    assert "warning" in err and "trivial-state floor" in err
+    code, out, err = run_cli(["solve"], capsys)  # the README default
+    assert code == 0
+    assert "warning" not in err
+
+
 def test_audit_reports_are_deterministic(capsys, tmp_path):
     field = tmp_path / "y22.sphf"
     run_cli(

@@ -1,6 +1,7 @@
 """Newton-Krylov equilibria, gradient-flow relaxation, bifurcation
 detection, branch switching and continuation."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from sphereq import solver
 from sphereq import (
     ContractError,
     ConvergenceError,
+    ParameterError,
     branch_switch,
     chafee_infante,
     continue_branch,
@@ -114,6 +116,36 @@ def test_newton_forms_the_preconditioner_once_per_solve(grid32, op32, monkeypatc
     assert calls == []
 
 
+def test_newton_applies_one_laplacian_per_state(grid32, op32, laplacian_calls):
+    """Outside GMRES, Newton applies Lap once to the guess and once to each
+    line-search trial, and evaluates F once on each of those states."""
+    base = chafee_infante(6.5)
+    f_states = []
+
+    def eval_f(u, q):
+        f_states.append(u)
+        return base.eval_F(u, q)
+
+    mode = harmonic_mode(grid32, 2, 2)
+    problem = dataclasses.replace(base, eval_F=eval_f)
+    eq = newton_solve(problem, op32, mode * (0.3 / mode.sup_norm))
+    assert eq.newton_iters >= 3
+    # this start backtracks once, so trials outnumber Newton steps
+    assert len(f_states) > eq.newton_iters + 1
+    assert len(laplacian_calls) == len(f_states)
+
+
+def test_newton_iteration_budget(grid32, op32):
+    """A zero budget returns a guess that already meets tol and gives up on
+    any other; a negative budget is rejected."""
+    eq = newton_solve(chafee_infante(3.0), op32, _zero(grid32), max_iter=0)
+    assert eq.newton_iters == 0
+    with pytest.raises(ConvergenceError):
+        newton_solve(chafee_infante(3.0), op32, _const(grid32, 0.9), max_iter=0)
+    with pytest.raises(ParameterError, match="max_iter"):
+        newton_solve(chafee_infante(3.0), op32, _const(grid32, 0.9), max_iter=-1)
+
+
 @pytest.mark.parametrize("realization", ["spectral", "finite-difference"])
 @pytest.mark.parametrize("l, m", [(2, 2), (3, 1)])
 @pytest.mark.parametrize("scale", [0.2, 2.5])
@@ -165,6 +197,12 @@ def test_newton_nonconvergence_carries_iterate(grid32, op32):
 def test_flow_keeps_equilibrium(grid32, op32):
     out = gradient_flow_relax(chafee_infante(3.0), op32, _zero(grid32), 0.1, 10)
     assert out.sup_norm < 1e-12
+
+
+def test_flow_applies_one_laplacian_per_step(grid32, op32, laplacian_calls):
+    mode = harmonic_mode(grid32, 2, 2)
+    gradient_flow_relax(chafee_infante(6.5), op32, mode * 0.3, 0.05, 5)
+    assert len(laplacian_calls) == 5
 
 
 def test_flow_approaches_stable_constant(grid32, op32):
@@ -281,6 +319,8 @@ def test_zero_length_continuation(grid32, op32):
     eq = newton_solve(chafee_infante(3.0), op32, _const(grid32, 0.9))
     branch = continue_branch(chafee_infante, op32, eq, 0.25, 0)
     assert len(branch) == 1 and branch[0] is eq
+    with pytest.raises(ParameterError, match="n_steps"):
+        continue_branch(chafee_infante, op32, eq, 0.25, -2)
 
 
 def test_branch_amplitude_grows_supercritically():

@@ -315,12 +315,14 @@ def test_sweep_both_directions_agree_for_symmetric_field(grid32):
 
 def test_annihilation_zero_for_exact_axis(grid32, op32):
     u = _cos2_field(grid32)
-    assert linearized_annihilation(chafee_infante(3.0), op32, u, np.pi / 2) == 0.0
+    lap_u = apply_laplacian(op32, u)
+    assert linearized_annihilation(chafee_infante(3.0), u, lap_u, np.pi / 2) == 0.0
 
 
 def test_annihilation_zero_for_trivial_state(grid32, op32):
     zero = eval_on_grid(grid32, lambda t, p: np.zeros_like(t))
-    assert linearized_annihilation(chafee_infante(3.0), op32, zero, 1.0) == 0.0
+    lap_zero = apply_laplacian(op32, zero)
+    assert linearized_annihilation(chafee_infante(3.0), zero, lap_zero, 1.0) == 0.0
 
 
 def test_annihilation_small_on_equilibrium():
@@ -328,8 +330,9 @@ def test_annihilation_small_on_equilibrium():
     op = make_operator(grid)
     mode = harmonic_mode(grid, 2, 2)
     eq = newton_solve(chafee_infante(6.5), op, mode * (0.3 / mode.sup_norm))
+    lap_u = apply_laplacian(op, eq.u)
     for eps in (0.37, 1.1, 2.9):
-        assert linearized_annihilation(chafee_infante(6.5), op, eq.u, eps) <= 1e-7
+        assert linearized_annihilation(chafee_infante(6.5), eq.u, lap_u, eps) <= 1e-7
 
 
 @pytest.mark.parametrize("realization", ["spectral", "finite-difference"])
@@ -342,9 +345,10 @@ def test_annihilation_over_many_meridians_matches_per_meridian_reference(realiza
     problem = chafee_infante(6.5)
     u = harmonic_mode(grid, 2, 2) + harmonic_mode(grid, 3, 1) * 0.1
     angles = np.array([0.0, 0.37, 1.1, 2.9, 4.4])
-    batch = linearized_annihilation(problem, op, u, angles)
+    lap_u = apply_laplacian(op, u)
+    batch = linearized_annihilation(problem, u, lap_u, angles)
     assert batch.shape == angles.shape
-    single = [linearized_annihilation(problem, op, u, c) for c in angles]
+    single = [linearized_annihilation(problem, u, lap_u, c) for c in angles]
     assert batch.tolist() == single
     assert batch[0] == 0.0  # u is even about phi = 0
     for c, got in zip(angles[1:], batch[1:]):
@@ -384,6 +388,23 @@ def test_audit_axisymmetric_hypotheses_not_met(grid32, op32):
     u = eval_on_grid(grid32, lambda t, p: np.cos(t) + 0.0 * p)
     report = theorem_audit(chafee_infante(2.0), op32, u)
     assert report.verdict == "hypotheses-not-met"
+    # no extrema: nothing checked, nothing concluded
+    assert report.extrema.all_longitudes_critical and report.extrema.n == 0
+    assert not report.hypotheses_met and not report.conclusions_ok
+    assert not report.leveled.applicable and not report.midpoint.applicable
+    assert report.arc_reports == () and report.annihilation_residuals.size == 0
+    assert report.reflection_defects.size == 0
+
+
+def test_audit_applies_one_laplacian_per_field(grid32, op32, laplacian_calls):
+    """The equation residual and the annihilation check share one Lap u,
+    with or without extrema to check."""
+    u = harmonic_mode(grid32, 2, 2)
+    assert theorem_audit(chafee_infante(6.0), op32, u).verdict == "pass"
+    assert len(laplacian_calls) == 1 and laplacian_calls[0] is u
+    axisymmetric = eval_on_grid(grid32, lambda t, p: np.cos(t) + 0.0 * p)
+    theorem_audit(chafee_infante(2.0), op32, axisymmetric)
+    assert len(laplacian_calls) == 2
 
 
 def test_audit_constant_raises(grid32, op32):
