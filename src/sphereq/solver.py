@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,74 +88,108 @@ def gmres(*args, **kwargs):
     return scipy_gmres(*args, **kwargs)
 
 
-def _sphere_mean(grid, values):
-    """Area-weighted mean of grid values (quadrature weights per ring)."""
-    w = grid.theta_weights
-    return float((w / np.sum(w)) @ values.mean(axis=1))
+def _mean_coefficients(problem, grid, fu, fq):
+    """Area-weighted sphere means (c_u, c_q) of the linearization
+    coefficients fu and fq (quadrature weights per ring).  A zero c_q
+    (to rounding) raises ContractError: the state is outside the uniformly
+    elliptic class, and the Krylov split divides by c_q."""
+    w = grid.theta_weights / np.sum(grid.theta_weights)
+    coeff_u, coeff_q = (float(w @ c.mean(axis=1)) for c in (fu, fq))
+    if abs(coeff_q) <= 1e-12 * np.max(np.abs(fq)):
+        raise ContractError(
+            "problem %r: F_q has zero mean over the sphere at this state, so "
+            "it is not uniformly elliptic (F_q >= delta > 0) there" % problem.name
+        )
+    return coeff_u, coeff_q
+
+
+class MeanModeInverse(NamedTuple):
+    """Per-mode blocks of the inverse of M = coeff_u + coeff_q * Lap, for
+    apply_mode_blocks, with the coefficients of the M they invert."""
+
+    blocks: np.ndarray
+    coeff_u: float
+    coeff_q: float
 
 
 def _mean_mode_inverse(op, coeff_u, coeff_q):
-    """Per-mode inverse of the mean-coefficient operator coeff_u + coeff_q *
-    Lap, as blocks for apply_mode_blocks.  When a mode block is singular
-    (coeff_u == 0 meets a zero block, such as the spectral Nyquist mode),
-    the diagonal is shifted by a small floor; the inverse only
-    preconditions."""
+    """The MeanModeInverse of the mean-coefficient operator coeff_u +
+    coeff_q * Lap.  When a mode block is singular (coeff_u == 0 meets a zero
+    block, such as the spectral Nyquist mode), the diagonal is shifted by a
+    small floor, and the returned coeff_u includes that shift, so the
+    blocks invert the M that the returned coefficients describe."""
     ring = np.arange(op.grid.n_theta)
     a = coeff_q * op.blocks
     a[:, ring, ring] += coeff_u
     try:
-        return np.linalg.inv(a)
+        return MeanModeInverse(np.linalg.inv(a), coeff_u, coeff_q)
     except np.linalg.LinAlgError:
         floor = 1e-6 * max(1.0, abs(coeff_u) + abs(coeff_q))
-        a[:, ring, ring] += math.copysign(floor, coeff_u or 1.0)
-        return np.linalg.inv(a)
+        shift = math.copysign(floor, coeff_u or 1.0)
+        a[:, ring, ring] += shift
+        return MeanModeInverse(np.linalg.inv(a), coeff_u + shift, coeff_q)
 
 
-def _krylov_solve(op, fu, fq, inverse, rhs, rtol, atol, restart, maxiter):
-    """Solve (fu + fq * Lap) s = rhs matrix-free with GMRES, preconditioned
-    by ``inverse``, per-mode blocks from ``_mean_mode_inverse`` that the
-    caller forms once and reuses across its solves."""
+def _krylov_solve(fu, fq, precond, rhs, rtol, atol, restart, maxiter):
+    """Solve (fu + fq * Lap) s = rhs matrix-free with GMRES,
+    right-preconditioned by ``precond``, a MeanModeInverse that the caller
+    forms once and reuses across its solves.
+
+    With M = c_u + c_q * Lap the operator ``precond`` inverts, the system
+    operator splits exactly as
+
+        fu + fq * Lap = (fq / c_q) M + (fu - c_u fq / c_q),
+
+    so GMRES runs on A M^-1 y = (fq / c_q) y + (fu - c_u fq / c_q) M^-1 y and
+    returns s = M^-1 y.  Each iteration is one mode-block application and
+    two pointwise products, with no Laplacian.  GMRES's residual is then the
+    true linear residual, so the returned s meets
+    |(fu + fq * Lap) s - rhs| <= max(atol, rtol |rhs|) in the 2-norm over
+    grid values, up to the rounding of the inverse blocks (about 1e-8
+    relative when they carry the singular-block floor); otherwise
+    LinearSolveError is raised.
+    """
     from scipy.sparse.linalg import LinearOperator
 
-    grid = op.grid
-    shape = (grid.n_theta, grid.n_phi)
-    size = shape[0] * shape[1]
+    shape = rhs.shape
+    scale = (fq / precond.coeff_q).ravel()
+    shift = fu.ravel() - precond.coeff_u * scale
 
-    def matvec(vec):
-        f = ScalarField(grid, vec.reshape(shape))
-        lap = apply_laplacian(op, f)
-        return (fu * f.values + fq * lap.values).ravel()
+    def inverse(y):
+        return apply_mode_blocks(precond.blocks, y.reshape(shape))
 
-    # an explicit dtype keeps scipy from probing each operator with a zero
+    # an explicit dtype keeps scipy from probing the operator with a zero
     # vector to infer one
-    a = LinearOperator((size, size), matvec=matvec, dtype=float)
-    m = LinearOperator(
-        (size, size),
-        matvec=lambda v: apply_mode_blocks(inverse, v.reshape(shape)).ravel(),
+    a = LinearOperator(
+        (rhs.size, rhs.size),
+        matvec=lambda y: scale * y + shift * inverse(y).ravel(),
         dtype=float,
     )
-    sol, info = gmres(
-        a, rhs.ravel(), rtol=rtol, atol=atol, restart=restart, maxiter=maxiter, M=m
+    y, info = gmres(
+        a, rhs.ravel(), rtol=rtol, atol=atol, restart=restart, maxiter=maxiter
     )
     if info != 0:
         raise LinearSolveError("GMRES stagnated (info=%d)" % info)
-    return sol.reshape(shape)
+    return inverse(y)
 
 
 def newton_solve(problem, op, guess, tol=1e-9, max_iter=30, krylov_rtol=1e-10,
                  restart=40, max_krylov_restarts=50):
     """Newton iteration on F(u, Lap u) = 0 from ``guess``.
 
-    Each step solves the linearized system with restarted GMRES to an
-    absolute residual of tol / 100 (or ``krylov_rtol`` relative, whichever
-    is looser), then applies a damped update with a halving line search on
-    the residual sup-norm.  The preconditioner is the exact per-mode
-    inverse of the mean-coefficient operator at the starting iterate
-    (F_u and F_q replaced by their sphere means), formed once per solve at
-    the first step and reused by every later one; a guess that already
-    meets ``tol`` forms none.  Each trial's one Lap u gives its residual
-    and, once accepted, the next step's F_u and F_q.  Raises
-    ConvergenceError carrying the last iterate when the budget runs out.
+    Each step solves the linearized system F_u s + F_q Lap s = -F with
+    restarted GMRES to a true linear residual (2-norm over grid values) of
+    tol / 100 or ``krylov_rtol`` relative, whichever is looser, then applies
+    a damped update with a halving line search on the residual sup-norm.
+    GMRES is right-preconditioned by the exact per-mode inverse of the
+    mean-coefficient operator at the starting iterate (F_u and F_q replaced
+    by their sphere means), formed once per solve at the first step and
+    reused by every later one; a guess that already meets ``tol`` forms
+    none.  Each GMRES iteration applies that inverse once and no Laplacian
+    (see ``_krylov_solve``).  Each trial's one Lap u gives its residual and,
+    once accepted, the next step's F_u and F_q.  Raises ContractError when
+    F_q has zero sphere mean at the starting iterate, and ConvergenceError
+    carrying the last iterate when the budget runs out.
     """
     if tol <= 0:
         raise ParameterError("tol must be positive")
@@ -167,7 +202,7 @@ def newton_solve(problem, op, guess, tol=1e-9, max_iter=30, krylov_rtol=1e-10,
         return u, q, r, float(np.max(np.abs(r)))
 
     u, q, r, r_norm = state(guess)
-    inverse = None
+    precond = None
     iters = 0
     while r_norm > tol:
         if iters == max_iter:
@@ -178,12 +213,12 @@ def newton_solve(problem, op, guess, tol=1e-9, max_iter=30, krylov_rtol=1e-10,
                 residual_norm=r_norm,
             )
         fu, fq = linearization_coefficients(problem, u, q)
-        if inverse is None:
-            inverse = _mean_mode_inverse(
-                op, _sphere_mean(u.grid, fu), _sphere_mean(u.grid, fq)
+        if precond is None:
+            precond = _mean_mode_inverse(
+                op, *_mean_coefficients(problem, u.grid, fu, fq)
             )
         step = _krylov_solve(
-            op, fu, fq, inverse, -r, krylov_rtol, 0.01 * tol, restart,
+            fu, fq, precond, -r, krylov_rtol, 0.01 * tol, restart,
             max_krylov_restarts,
         )
         for alpha in 0.5 ** np.arange(12.0):  # 1, 1/2, ..., 2**-11
@@ -217,27 +252,33 @@ def gradient_flow_relax(problem, op, u0, dt, steps, krylov_rtol=1e-10,
 
         (I - dt F_q Lap) u_{n+1} = u_n + dt (F(u_n, Lap u_n) - F_q Lap u_n)
 
-    Like Newton, it preconditions every step with the per-mode inverse of
-    the mean-coefficient operator at the first step.  A cross-check only,
-    that Newton fixed points attract the flow; Newton never calls it, and
-    it is not a time-accurate integrator.
+    Each linear solve goes through the same right-preconditioned GMRES as
+    Newton's steps, with the per-mode inverse of the mean-coefficient
+    operator formed at the first step; when F_q is constant over the state,
+    as for the built-in cubic problem, the preconditioned operator is the
+    identity.  A cross-check only, that Newton fixed points attract the flow
+    and that the Krylov path solves the system it is given; Newton never
+    calls it, and it is not a time-accurate integrator.  ``steps`` must be
+    a non-negative integer.
     """
     if dt <= 0:
         raise ParameterError("dt must be positive")
+    if not (float(steps).is_integer() and steps >= 0):
+        raise ParameterError("steps must be a non-negative integer, got %r" % (steps,))
     u = u0
-    inverse = None
+    precond = None
     for _ in range(int(steps)):
         q = apply_laplacian(op, u)
         f = evaluate(problem, "F", u.values, q.values)
         fq = evaluate(problem, "F_q", u.values, q.values)
         rhs = u.values + dt * (f - fq * q.values)
         ones, implicit = np.ones_like(fq), -dt * fq
-        if inverse is None:
-            inverse = _mean_mode_inverse(
-                op, _sphere_mean(u.grid, ones), _sphere_mean(u.grid, implicit)
+        if precond is None:
+            precond = _mean_mode_inverse(
+                op, *_mean_coefficients(problem, u.grid, ones, implicit)
             )
         new_vals = _krylov_solve(
-            op, ones, implicit, inverse, rhs, krylov_rtol, 0.0, 40, 50
+            ones, implicit, precond, rhs, krylov_rtol, 0.0, 40, 50
         )
         u = ScalarField(u.grid, new_vals)
         if u.sup_norm > blowup:

@@ -31,27 +31,17 @@ def random_band_limited(grid, degree_cap, rng, scale=1.0):
 @pytest.fixture
 def laplacian_calls(monkeypatch):
     """Record the fields that solver, problems and symmetry pass to
-    apply_laplacian outside GMRES matvecs; the returned list grows by one
-    per such call."""
+    apply_laplacian; the returned list grows by one per call.  GMRES
+    iterations apply none (see test_krylov_iteration_applies_no_laplacian),
+    so every call is one a state or an audit pays for."""
     from sphereq import harmonics, problems, solver, symmetry
 
     calls = []
-    in_krylov = []
-    krylov_solve = solver._krylov_solve
-
-    def krylov_marked(*args, **kwargs):
-        in_krylov.append(True)
-        try:
-            return krylov_solve(*args, **kwargs)
-        finally:
-            in_krylov.pop()
 
     def counted(op, field):
-        if not in_krylov:
-            calls.append(field)
+        calls.append(field)
         return harmonics.apply_laplacian(op, field)
 
-    monkeypatch.setattr(solver, "_krylov_solve", krylov_marked)
     for module in (solver, problems, symmetry):
         monkeypatch.setattr(module, "apply_laplacian", counted)
     return calls

@@ -15,7 +15,10 @@ from sphereq import solver
 from sphereq import (
     ContractError,
     ConvergenceError,
+    NonlinearProblem,
     ParameterError,
+    ScalarField,
+    apply_laplacian,
     branch_switch,
     chafee_infante,
     continue_branch,
@@ -31,6 +34,8 @@ from sphereq import (
     quadrature_weight_vector,
     reflect_phi,
 )
+from sphereq.grid import TWO_PI
+from sphereq.harmonics import apply_mode_blocks
 
 
 def _zero(grid):
@@ -117,8 +122,9 @@ def test_newton_forms_the_preconditioner_once_per_solve(grid32, op32, monkeypatc
 
 
 def test_newton_applies_one_laplacian_per_state(grid32, op32, laplacian_calls):
-    """Outside GMRES, Newton applies Lap once to the guess and once to each
-    line-search trial, and evaluates F once on each of those states."""
+    """Newton applies Lap once to the guess and once to each line-search
+    trial, none inside GMRES, and evaluates F once on each of those
+    states."""
     base = chafee_infante(6.5)
     f_states = []
 
@@ -133,6 +139,148 @@ def test_newton_applies_one_laplacian_per_state(grid32, op32, laplacian_calls):
     # this start backtracks once, so trials outnumber Newton steps
     assert len(f_states) > eq.newton_iters + 1
     assert len(laplacian_calls) == len(f_states)
+
+
+def _atan_elliptic(lam):
+    """F = 3q - atan q + lam u (1 - u^2): F_q = 3 - 1/(1 + q^2) lies in
+    [2, 3), so it varies with the state; the trivial branch bifurcates
+    supercritically at lam* = 2 l(l+1)."""
+
+    def f(u, q):
+        return 3.0 * q - np.arctan(q) + lam * u * (1.0 - u * u)
+
+    def fu(u, q):
+        return lam * (1.0 - 3.0 * u * u) + 0.0 * q
+
+    def fq(u, q):
+        return 3.0 - 1.0 / (1.0 + q * q) + 0.0 * u
+
+    return NonlinearProblem("atan-elliptic", f, fu, fq, delta_floor=2.0, lam=lam)
+
+
+@pytest.mark.parametrize("realization", ["spectral", "finite-difference"])
+def test_newton_converges_with_variable_fq(realization):
+    """The Krylov split divides by the sphere mean of F_q and scales by
+    F_q / c_q; a problem whose F_q varies over the state exercises both,
+    which the cubic problem (F_q == 1) never does."""
+    grid = make_grid(48, 96)
+    op = make_operator(grid, realization)
+    lam, guess = branch_switch(grid, 12.0, 2, 2, dlam0=1.0)
+    problem = _atan_elliptic(lam)
+    eq = newton_solve(problem, op, guess, tol=1e-9)
+    assert eq.residual_norm <= 1e-9
+    assert eq.amplitude > 0.1
+    fq = problem.eval_Fq(eq.u.values, apply_laplacian(op, eq.u).values)
+    assert np.ptp(fq) > 0.1  # F_q is not constant on the equilibrium
+
+
+def _krylov_data(grid):
+    """Non-constant F_q > 0 and an F_u of both signs on the grid."""
+    theta = grid.theta_nodes[:, None]
+    phi = TWO_PI * np.arange(grid.n_phi)[None, :] / grid.n_phi
+    fq = 2.0 + np.cos(theta) * np.sin(2.0 * phi) + 0.5 * np.sin(theta) ** 2
+    y22 = harmonic_mode(grid, 2, 2).values
+    fu = 3.0 * (1.0 - 3.0 * (0.7 * y22 / np.max(np.abs(y22))) ** 2)
+    return fu, fq
+
+
+@pytest.mark.parametrize("realization", ["spectral", "finite-difference"])
+def test_krylov_solve_meets_the_true_residual(grid32, realization):
+    """The solution GMRES returns meets the tolerance on the true residual
+    fu s + fq Lap s - rhs, with Lap applied directly."""
+    op = make_operator(grid32, realization)
+    fu, fq = _krylov_data(grid32)
+    assert fu.min() < 0 < fu.max()
+    rhs = np.random.default_rng(5).standard_normal(fu.shape)
+    precond = solver._mean_mode_inverse(
+        op, *solver._mean_coefficients(chafee_infante(0.0), grid32, fu, fq)
+    )
+    rtol, atol = 1e-10, 1e-12
+    s = solver._krylov_solve(fu, fq, precond, rhs, rtol, atol, 40, 50)
+    lap = apply_laplacian(op, ScalarField(grid32, s)).values
+    bound = max(atol, rtol * np.linalg.norm(rhs))
+    assert np.linalg.norm(fu * s + fq * lap - rhs) <= bound
+
+
+def test_krylov_solve_through_the_singular_floor(grid32, op32):
+    """At c_u = 0 the spectral blocks are singular, so the inverse is formed
+    with a floor shift; the MeanModeInverse records the shifted c_u it
+    inverts, which keeps the split exact.  With F_u == 0 (lambda = 0 for
+    the cubic problem) and a right-hand side in the operator's range, the
+    solve meets the true residual."""
+    _, fq = _krylov_data(grid32)
+    c_u, c_q = solver._mean_coefficients(chafee_infante(0.0), grid32, 0.0 * fq, fq)
+    assert c_u == 0.0
+    precond = solver._mean_mode_inverse(op32, c_u, c_q)
+    assert precond.coeff_u > 0.0
+    v = np.random.default_rng(6).standard_normal(fq.shape)
+
+    def lap(values):
+        return apply_laplacian(op32, ScalarField(grid32, values)).values
+
+    # the blocks are a right inverse of coeff_u + coeff_q Lap, null space
+    # included, which is what the split relies on
+    z = apply_mode_blocks(precond.blocks, v)
+    back = precond.coeff_u * z + precond.coeff_q * lap(z)
+    assert np.max(np.abs(back - v)) <= 1e-5 * np.max(np.abs(v))
+    rhs = fq * lap(v)
+    rtol = 1e-6
+    s = solver._krylov_solve(0.0 * fq, fq, precond, rhs, rtol, 0.0, 40, 50)
+    assert np.linalg.norm(fq * lap(s) - rhs) <= rtol * np.linalg.norm(rhs)
+
+
+def test_krylov_iteration_applies_no_laplacian(grid32, op32, monkeypatch):
+    """Each GMRES iteration applies the preconditioner's mode blocks once and
+    no Laplacian; one more block application recovers the step."""
+    counts = {"laplacian": 0, "blocks": 0, "matvecs": 0}
+    from scipy.sparse.linalg import LinearOperator
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    real_gmres = solver.gmres
+
+    def gmres(a, b, **kwargs):
+        matvec = counting("matvecs", a.matvec)
+        return real_gmres(LinearOperator(a.shape, matvec, dtype=float), b, **kwargs)
+
+    for name, key in (("apply_laplacian", "laplacian"), ("apply_mode_blocks", "blocks")):
+        monkeypatch.setattr(solver, name, counting(key, getattr(solver, name)))
+    monkeypatch.setattr(solver, "gmres", gmres)
+    fu, fq = _krylov_data(grid32)
+    precond = solver._mean_mode_inverse(
+        op32, *solver._mean_coefficients(chafee_infante(0.0), grid32, fu, fq)
+    )
+    rhs = np.random.default_rng(7).standard_normal(fu.shape)
+    solver._krylov_solve(fu, fq, precond, rhs, 1e-10, 0.0, 40, 50)
+    assert counts["matvecs"] > 5
+    assert counts["laplacian"] == 0
+    assert counts["blocks"] == counts["matvecs"] + 1
+
+
+def test_zero_mean_fq_is_outside_the_elliptic_class(grid32, op32):
+    """A problem that does not depend on q has F_q == 0, so no mean
+    coefficient operator exists to split the Jacobian by; Newton and the
+    relaxation refuse it with a message naming the problem."""
+    cubic = chafee_infante(6.5)
+    no_q = NonlinearProblem(
+        "no-laplacian",
+        lambda u, q: 6.5 * u * (1.0 - u * u),
+        cubic.eval_Fu,
+        lambda u, q: 0.0 * (u + q),
+        delta_floor=1.0,
+        lam=6.5,
+    )
+    mode = harmonic_mode(grid32, 2, 2)
+    guess = mode * (0.3 / mode.sup_norm)
+    with pytest.raises(ContractError, match="'no-laplacian'.*F_q has zero mean"):
+        newton_solve(no_q, op32, guess)
+    with pytest.raises(ContractError, match="'no-laplacian'.*F_q has zero mean"):
+        gradient_flow_relax(no_q, op32, guess, 0.1, 2)
 
 
 def test_newton_iteration_budget(grid32, op32):
@@ -197,6 +345,12 @@ def test_newton_nonconvergence_carries_iterate(grid32, op32):
 def test_flow_keeps_equilibrium(grid32, op32):
     out = gradient_flow_relax(chafee_infante(3.0), op32, _zero(grid32), 0.1, 10)
     assert out.sup_norm < 1e-12
+
+
+@pytest.mark.parametrize("steps", [-3, 2.7])
+def test_flow_rejects_a_step_count_that_is_not_a_count(grid32, op32, steps):
+    with pytest.raises(ParameterError, match="steps"):
+        gradient_flow_relax(chafee_infante(3.0), op32, _zero(grid32), 0.1, steps)
 
 
 def test_flow_applies_one_laplacian_per_step(grid32, op32, laplacian_calls):
