@@ -16,7 +16,6 @@ from .errors import (
 from .grid import (
     GridSpec,
     ScalarField,
-    SectorMask,
     d_phi,
     eval_on_grid,
     gauss_legendre,
@@ -27,7 +26,6 @@ from .grid import (
     quadrature_mean,
     reflect_phi,
     rotate_phi,
-    sector_mask,
 )
 from .harmonics import (
     OperatorHandle,
@@ -86,11 +84,9 @@ from .symmetry import (
     theorem_audit,
 )
 from .fieldio import (
-    emit_plot_data,
     read_field,
     report_to_dict,
     write_branch_csv,
-    write_coeffs_csv,
     write_field,
     write_report_json,
 )

@@ -1,6 +1,6 @@
 """File formats: SPHF v1 text fields, JSON symmetry reports, and the CSV
 tables used for plotting (branch diagrams, arc sweeps, extremum tables,
-spectral coefficients).
+circle profiles).
 
 SPHF v1 is deliberately plain text so fields stay inspectable at desk
 scale: a two-line header, one line of colatitudes, then one line per
@@ -18,8 +18,6 @@ import numpy as np
 
 from .errors import FieldFormatError
 from .grid import ScalarField, make_grid
-from .solver import Branch, CircleProfile
-from .symmetry import MovingArcReport, SymmetryReport
 
 SPHF_MAGIC = "sphf"
 SPHF_VERSION = 1
@@ -217,12 +215,13 @@ def write_branch_csv(path_or_file, branch):
 
 
 def write_extrema_csv(path_or_file, report):
-    """Angles, kinds and peak levels of the detected extremal meridians."""
-    ext = report.extrema if isinstance(report, SymmetryReport) else report
+    """Angles, kinds and peak levels of the extremal meridians of a
+    SymmetryReport."""
+    ext = report.extrema
     with _opened(path_or_file, "w") as fh:
         fh.write("index,angle,kind,axiality_defect,peak_level\n")
         for i in range(ext.n):
-            peak = float(np.max(np.abs(ext.axis_profiles[i]))) if ext.n else 0.0
+            peak = float(np.max(np.abs(ext.axis_profiles[i])))
             fh.write(
                 "%d,%.17g,%s,%.17g,%.17g\n"
                 % (i, ext.angles[i], ext.kinds[i], ext.axiality_defects[i], peak)
@@ -235,26 +234,3 @@ def write_circle_csv(path_or_file, profile):
         phis = 2.0 * math.pi * np.arange(profile.n) / profile.n
         for p, v in zip(phis, profile.values):
             fh.write("%.17g,%.17g\n" % (p, v))
-
-
-def write_coeffs_csv(path_or_file, coeffs):
-    with _opened(path_or_file, "w") as fh:
-        fh.write("l,m,coeff\n")
-        for l, m, c in coeffs.items():
-            fh.write("%d,%d,%.17g\n" % (l, m, c))
-
-
-def emit_plot_data(report, path_or_file):
-    """Write the CSV table matching the report type: extremum angles/levels
-    for a SymmetryReport, lambda versus amplitude for a Branch, eps versus
-    w_max for a MovingArcReport."""
-    if isinstance(report, SymmetryReport):
-        write_extrema_csv(path_or_file, report)
-    elif isinstance(report, Branch):
-        write_branch_csv(path_or_file, report)
-    elif isinstance(report, MovingArcReport):
-        write_arc_csv(path_or_file, report)
-    elif isinstance(report, CircleProfile):
-        write_circle_csv(path_or_file, report)
-    else:
-        raise TypeError("no plot-data emitter for %r" % type(report).__name__)

@@ -1,6 +1,6 @@
 """Pole-free colatitude/longitude grids on the unit sphere and the field
 primitives built on them: sampling, quadrature, longitudinal spectral
-calculus, rotations, reflections, and sector masks.
+calculus, rotations and reflections.
 
 Colatitudes are Gauss-Legendre roots mapped through arccos, so no node ever
 touches a pole and ring quadrature integrates band-limited integrands
@@ -18,6 +18,10 @@ import numpy as np
 from .errors import EvaluationError, ParameterError
 
 TWO_PI = 2.0 * math.pi
+#: Newton polishing of the Gauss-Legendre roots stops once every update
+#: falls below this, or after this many iterations.
+_GL_TOL = 1e-14
+_GL_MAX_ITER = 100
 
 
 def _legendre_and_derivative(n, x):
@@ -30,12 +34,12 @@ def _legendre_and_derivative(n, x):
     return p, dp
 
 
-def gauss_legendre(n, tol=1e-14, max_iter=100):
+def gauss_legendre(n):
     """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
 
     Roots of the degree-n Legendre polynomial, started from the Chebyshev
     guess and polished by Newton iteration until every update falls below
-    ``tol``.  Weights are 2 / ((1 - x^2) P_n'(x)^2).
+    1e-14.  Weights are 2 / ((1 - x^2) P_n'(x)^2).
     """
     if n < 1:
         raise ParameterError("quadrature rule needs at least one node")
@@ -43,11 +47,11 @@ def gauss_legendre(n, tol=1e-14, max_iter=100):
         return np.zeros(1), np.full(1, 2.0)
     k = np.arange(n, dtype=float)
     x = np.cos(math.pi * (4.0 * k + 3.0) / (4.0 * n + 2.0))
-    for _ in range(max_iter):
+    for _ in range(_GL_MAX_ITER):
         p, dp = _legendre_and_derivative(n, x)
         dx = p / dp
         x -= dx
-        if np.max(np.abs(dx)) < tol:
+        if np.max(np.abs(dx)) < _GL_TOL:
             break
     p, dp = _legendre_and_derivative(n, x)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
@@ -312,54 +316,3 @@ def oversample_phi(field, factor):
     padded[:, : n // 2] = coeffs[:, : n // 2] * factor
     padded[:, n // 2] = coeffs[:, n // 2] * (0.5 * factor)
     return np.fft.irfft(padded, fine_n, axis=1)
-
-
-@dataclass(frozen=True)
-class SectorMask:
-    """Open longitude sector (phi_lo, phi_hi) over the full colatitude range.
-
-    ``columns[k]`` is True when grid longitude phi_k lies strictly inside
-    the arc (wrapping across 2*pi allowed).  The sector area is 2 * width
-    steradians; colatitude always spans the full [0, pi].
-    """
-
-    phi_lo: float
-    phi_hi: float
-    width: float
-    area: float
-    columns: np.ndarray
-
-    @property
-    def indices(self):
-        return np.nonzero(self.columns)[0]
-
-    @property
-    def n_columns(self):
-        return int(np.count_nonzero(self.columns))
-
-
-def sector_mask(grid, phi_lo, phi_hi):
-    """Mask of grid longitudes strictly inside the arc from phi_lo to phi_hi.
-
-    The width phi_hi - phi_lo must lie in [0, 2*pi]; endpoints are excluded
-    (open interval), so a boundary meridian that coincides with a grid
-    column is never selected.  Width 2*pi selects every column.
-    """
-    width = float(phi_hi) - float(phi_lo)
-    if width < 0.0:
-        raise ParameterError("sector width is negative (phi_hi < phi_lo)")
-    if width > TWO_PI + 1e-12:
-        raise ParameterError("sector width exceeds 2*pi")
-    if width >= TWO_PI - 1e-12:
-        cols = np.ones(grid.n_phi, dtype=bool)
-        width = TWO_PI
-    else:
-        rel = np.mod(grid.phi_nodes - phi_lo, TWO_PI)
-        cols = (rel > 0.0) & (rel < width)
-    return SectorMask(
-        phi_lo=float(phi_lo) % TWO_PI,
-        phi_hi=float(phi_hi) % TWO_PI,
-        width=width,
-        area=2.0 * width,
-        columns=cols,
-    )

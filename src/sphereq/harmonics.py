@@ -82,11 +82,6 @@ class SpectralCoeffs:
             raise ParameterError("no coefficient (l=%d, m=%d)" % (l, m))
         return float(self.coeffs[l, self.degree_cap + m])
 
-    def items(self):
-        for l in range(self.degree_cap + 1):
-            for m in range(-l, l + 1):
-                yield l, m, float(self.coeffs[l, self.degree_cap + m])
-
     def power(self):
         """Sum of squared coefficients (equals integral of u^2 by Parseval)."""
         return float(np.sum(self.coeffs**2))
@@ -244,17 +239,15 @@ def _fd_blocks(grid):
     return blocks
 
 
-def make_operator(grid, realization="spectral", degree_cap=None):
+def make_operator(grid, realization="spectral"):
     """Assemble an OperatorHandle for the grid.
 
-    ``degree_cap`` (spectral only) defaults to the largest alias-free
-    degree the grid supports.
+    The spectral blocks run up to the largest alias-free degree the grid
+    supports, ``max_degree(grid)``.
     """
     if realization not in ("spectral", "finite-difference"):
         raise ParameterError("unknown realization %r" % (realization,))
-    if degree_cap is None:
-        degree_cap = max_degree(grid)
-    _check_resolution(grid, degree_cap)
+    degree_cap = max_degree(grid)
     if realization == "spectral":
         blocks = _spectral_blocks(grid, degree_cap)
     else:

@@ -141,12 +141,21 @@ class HadamardCoeffs:
 
     a: ScalarField
     b: ScalarField
-    tau_nodes: np.ndarray
 
 
-def hadamard_coeffs(problem, op, u, u_ref, n_tau=8):
-    """Compute the averaged coefficients by n_tau-point Gauss-Legendre
-    quadrature in tau (exact for polynomial F up to degree 2*n_tau - 1).
+def _tau_rule():
+    x, w = gauss_legendre(8)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
+#: Nodes and weights of the 8-point Gauss-Legendre rule on [0, 1] behind
+#: every homotopy average: exact for F polynomial up to degree 15 in tau.
+_TAU_NODES, _TAU_WEIGHTS = _tau_rule()
+
+
+def hadamard_coeffs(problem, op, u, u_ref):
+    """Compute the averaged coefficients by 8-point Gauss-Legendre
+    quadrature in tau (exact for polynomial F up to degree 15).
 
     ``u_ref`` is typically a reflection of u supplied by the caller; the
     Laplacian along the homotopy is formed by linearity as
@@ -154,48 +163,48 @@ def hadamard_coeffs(problem, op, u, u_ref, n_tau=8):
     """
     if u_ref.grid != u.grid:
         raise ContractError("u and u_ref must share a grid")
-    a, b, tau = _averaged_coefficients(
+    a, b = _averaged_coefficients(
         problem,
         u.values,
         apply_laplacian(op, u).values,
         u_ref.values,
         apply_laplacian(op, u_ref).values,
-        n_tau,
     )
-    return HadamardCoeffs(
-        a=ScalarField(u.grid, a), b=ScalarField(u.grid, b), tau_nodes=tau
-    )
+    return HadamardCoeffs(a=ScalarField(u.grid, a), b=ScalarField(u.grid, b))
 
 
-def _averaged_coefficients(problem, u, q_u, u_ref, q_ref, n_tau):
+def _averaged_coefficients(problem, u, q_u, u_ref, q_ref):
     """The tau-quadrature behind ``hadamard_coeffs`` on plain arrays.
 
     ``u``/``q_u`` and ``u_ref``/``q_ref`` are the values of the two fields
-    and of their Laplacians.  Returns (a, b, tau_nodes).
+    and of their Laplacians.  Returns (a, b).
     """
-    if n_tau < 2:
-        raise ParameterError("n_tau must be at least 2")
-    x, wts = gauss_legendre(int(n_tau))
-    tau = 0.5 * (x + 1.0)
-    wtau = 0.5 * wts
     shape = np.shape(u)
     a = np.zeros(shape)
     b = np.zeros(shape)
-    for t, wt in zip(tau, wtau):
+    for t, wt in zip(_TAU_NODES, _TAU_WEIGHTS):
         u_tau = t * u + (1.0 - t) * u_ref
         q_tau = t * q_u + (1.0 - t) * q_ref
         a += wt * evaluate(problem, "F_q", u_tau, q_tau)
         b += wt * evaluate(problem, "F_u", u_tau, q_tau)
-    return a, b, tau
+    return a, b
 
 
-def verify_partial_derivatives(problem, rng=None, n_samples=64, h=1e-6, scale=2.0):
+#: verify_partial_derivatives draws this many (u, q) samples, normal with
+#: this standard deviation, and differences F with this step.
+_FD_SAMPLES = 64
+_FD_SCALE = 2.0
+_FD_STEP = 1e-6
+
+
+def verify_partial_derivatives(problem, rng=None):
     """Largest relative mismatch of (F_u, F_q) against centered differences
-    of F on random (u, q) samples.  A quick contract check for user-supplied
-    problems."""
+    (step 1e-6) of F on 64 random (u, q) samples of standard deviation 2.
+    A quick contract check for user-supplied problems."""
     rng = np.random.default_rng(rng)
-    u = scale * rng.standard_normal(n_samples)
-    q = scale * rng.standard_normal(n_samples)
+    h = _FD_STEP
+    u = _FD_SCALE * rng.standard_normal(_FD_SAMPLES)
+    q = _FD_SCALE * rng.standard_normal(_FD_SAMPLES)
     fu = np.asarray(problem.eval_Fu(u, q), dtype=float)
     fq = np.asarray(problem.eval_Fq(u, q), dtype=float)
     fu_fd = (problem.eval_F(u + h, q) - problem.eval_F(u - h, q)) / (2.0 * h)

@@ -78,6 +78,25 @@ class Branch:
 #: the trivial state u == 0.
 TRIVIAL_AMPLITUDE = 1e-7
 
+#: GMRES budget of every Krylov solve in Newton and relaxation: relative
+#: tolerance, Krylov vectors per restart cycle, and restart cycles.
+_KRYLOV_RTOL = 1e-10
+_KRYLOV_RESTART = 40
+_KRYLOV_MAX_RESTARTS = 50
+
+#: A mean-coefficient block whose largest entry times the largest entry of
+#: its inverse exceeds this is singular to rounding: |M M^-1 - I| grows as
+#: about 3e-16 times that product, so past 1e8 the inverse keeps less than
+#: half the digits.  Newton's starting states read at most about 1e5 (FD,
+#: 128x256), singular blocks at least about 4e14.
+_SINGULAR_BLOCK = 1e8
+
+#: Evenly spaced lambda values detect_bifurcations scans for sign changes.
+_SCAN_POINTS = 512
+#: Bracket width at which the bisections of detect_bifurcations (in lambda)
+#: and circle_extrema (in longitude) stop.
+_BISECT_WIDTH = 1e-12
+
 
 def gmres(*args, **kwargs):
     """``scipy.sparse.linalg.gmres``, imported on first use: importing
@@ -114,24 +133,34 @@ class MeanModeInverse(NamedTuple):
 
 def _mean_mode_inverse(op, coeff_u, coeff_q):
     """The MeanModeInverse of the mean-coefficient operator coeff_u +
-    coeff_q * Lap.  When a mode block is singular (coeff_u == 0 meets a zero
-    block, such as the spectral Nyquist mode), the diagonal is shifted by a
-    small floor, and the returned coeff_u includes that shift, so the
-    blocks invert the M that the returned coefficients describe."""
+    coeff_q * Lap.
+
+    When a mode block is singular, exactly or to rounding (coeff_u == 0
+    meets the constant mode or the zero spectral Nyquist block, or
+    coeff_u == l(l+1) coeff_q meets degree l), the diagonal of every block
+    is shifted by one small floor, and the returned coeff_u includes that
+    shift, so the blocks invert the M that the returned coefficients
+    describe.  A block counts as singular when its largest entry times the
+    largest entry of its inverse exceeds ``_SINGULAR_BLOCK``."""
     ring = np.arange(op.grid.n_theta)
     a = coeff_q * op.blocks
     a[:, ring, ring] += coeff_u
     try:
-        return MeanModeInverse(np.linalg.inv(a), coeff_u, coeff_q)
+        inv = np.linalg.inv(a)
+        sup = np.abs(a).max(axis=(1, 2)) * np.abs(inv).max(axis=(1, 2))
+        singular = np.max(sup) > _SINGULAR_BLOCK
     except np.linalg.LinAlgError:
-        floor = 1e-6 * max(1.0, abs(coeff_u) + abs(coeff_q))
-        shift = math.copysign(floor, coeff_u or 1.0)
-        a[:, ring, ring] += shift
-        return MeanModeInverse(np.linalg.inv(a), coeff_u + shift, coeff_q)
+        singular = True
+    if not singular:
+        return MeanModeInverse(inv, coeff_u, coeff_q)
+    floor = 1e-6 * max(1.0, abs(coeff_u) + abs(coeff_q))
+    shift = math.copysign(floor, coeff_u or 1.0)
+    a[:, ring, ring] += shift
+    return MeanModeInverse(np.linalg.inv(a), coeff_u + shift, coeff_q)
 
 
-def _krylov_solve(fu, fq, precond, rhs, rtol, atol, restart, maxiter):
-    """Solve (fu + fq * Lap) s = rhs matrix-free with GMRES,
+def _krylov_solve(fu, fq, precond, rhs, rtol, atol):
+    """Solve (fu + fq * Lap) s = rhs matrix-free with restarted GMRES,
     right-preconditioned by ``precond``, a MeanModeInverse that the caller
     forms once and reuses across its solves.
 
@@ -145,9 +174,9 @@ def _krylov_solve(fu, fq, precond, rhs, rtol, atol, restart, maxiter):
     two pointwise products, with no Laplacian.  GMRES's residual is then the
     true linear residual, so the returned s meets
     |(fu + fq * Lap) s - rhs| <= max(atol, rtol |rhs|) in the 2-norm over
-    grid values, up to the rounding of the inverse blocks (about 1e-8
-    relative when they carry the singular-block floor); otherwise
-    LinearSolveError is raised.
+    grid values, up to the rounding of the inverse blocks (1e-9 to 3e-6
+    relative from 32x64 to 128x256 when they carry the singular-block
+    floor); otherwise LinearSolveError is raised.
     """
     from scipy.sparse.linalg import LinearOperator
 
@@ -166,20 +195,20 @@ def _krylov_solve(fu, fq, precond, rhs, rtol, atol, restart, maxiter):
         dtype=float,
     )
     y, info = gmres(
-        a, rhs.ravel(), rtol=rtol, atol=atol, restart=restart, maxiter=maxiter
+        a, rhs.ravel(), rtol=rtol, atol=atol, restart=_KRYLOV_RESTART,
+        maxiter=_KRYLOV_MAX_RESTARTS,
     )
     if info != 0:
         raise LinearSolveError("GMRES stagnated (info=%d)" % info)
     return inverse(y)
 
 
-def newton_solve(problem, op, guess, tol=1e-9, max_iter=30, krylov_rtol=1e-10,
-                 restart=40, max_krylov_restarts=50):
+def newton_solve(problem, op, guess, tol=1e-9, max_iter=30):
     """Newton iteration on F(u, Lap u) = 0 from ``guess``.
 
     Each step solves the linearized system F_u s + F_q Lap s = -F with
     restarted GMRES to a true linear residual (2-norm over grid values) of
-    tol / 100 or ``krylov_rtol`` relative, whichever is looser, then applies
+    tol / 100 or 1e-10 relative, whichever is looser, then applies
     a damped update with a halving line search on the residual sup-norm.
     GMRES is right-preconditioned by the exact per-mode inverse of the
     mean-coefficient operator at the starting iterate (F_u and F_q replaced
@@ -217,10 +246,7 @@ def newton_solve(problem, op, guess, tol=1e-9, max_iter=30, krylov_rtol=1e-10,
             precond = _mean_mode_inverse(
                 op, *_mean_coefficients(problem, u.grid, fu, fq)
             )
-        step = _krylov_solve(
-            fu, fq, precond, -r, krylov_rtol, 0.01 * tol, restart,
-            max_krylov_restarts,
-        )
+        step = _krylov_solve(fu, fq, precond, -r, _KRYLOV_RTOL, 0.01 * tol)
         for alpha in 0.5 ** np.arange(12.0):  # 1, 1/2, ..., 2**-11
             trial = state(ScalarField(u.grid, u.values + alpha * step))
             if trial[3] < r_norm:
@@ -243,8 +269,7 @@ def newton_solve(problem, op, guess, tol=1e-9, max_iter=30, krylov_rtol=1e-10,
     )
 
 
-def gradient_flow_relax(problem, op, u0, dt, steps, krylov_rtol=1e-10,
-                        blowup=1e6):
+def gradient_flow_relax(problem, op, u0, dt, steps, blowup=1e6):
     """Semi-implicit relaxation of u_t = F(u, Lap u).
 
     The Laplacian slot is advanced implicitly through a linear solve with
@@ -277,22 +302,21 @@ def gradient_flow_relax(problem, op, u0, dt, steps, krylov_rtol=1e-10,
             precond = _mean_mode_inverse(
                 op, *_mean_coefficients(problem, u.grid, ones, implicit)
             )
-        new_vals = _krylov_solve(
-            ones, implicit, precond, rhs, krylov_rtol, 0.0, 40, 50
-        )
+        new_vals = _krylov_solve(ones, implicit, precond, rhs, _KRYLOV_RTOL, 0.0)
         u = ScalarField(u.grid, new_vals)
         if u.sup_norm > blowup:
             raise DivergenceError("gradient flow exceeded norm %g" % blowup)
     return u
 
 
-def detect_bifurcations(problem_family, lam_range, l_max, n_scan=512, xtol=1e-12):
+def detect_bifurcations(problem_family, lam_range, l_max):
     """Parameter values where the linearization at the trivial state u == 0
     crosses zero on a degree-l harmonic.
 
     The trivial state must satisfy F(0, 0) = 0 across the range (verified).
     Crossings are roots of g_l(lam) = F_u(0,0; lam) - l(l+1) F_q(0,0; lam),
-    located by scanning for sign changes and bisecting to ``xtol``.
+    located by scanning 512 evenly spaced values for sign changes and
+    bisecting to a bracket of 1e-12.
     Returns a list of (lam_star, l) sorted by lam_star.
     """
     lo, hi = float(lam_range[0]), float(lam_range[1])
@@ -307,7 +331,7 @@ def detect_bifurcations(problem_family, lam_range, l_max, n_scan=512, xtol=1e-12
             )
 
     found = []
-    grid = np.linspace(lo, hi, int(n_scan))
+    grid = np.linspace(lo, hi, _SCAN_POINTS)
     for l in range(int(l_max) + 1):
         ll1 = float(l * (l + 1))
 
@@ -326,7 +350,7 @@ def detect_bifurcations(problem_family, lam_range, l_max, n_scan=512, xtol=1e-12
                     found.append((float(a), l))
                 continue
             if fa * fb < 0.0:
-                while b - a > xtol:
+                while b - a > _BISECT_WIDTH:
                     mid = 0.5 * (a + b)
                     fm = g(mid)
                     if fm == 0.0:
@@ -372,19 +396,21 @@ def branch_switch(grid, lam_star, l, m, amplitude=None, side=1, dlam0=0.25):
 
 
 def continue_branch(problem_family, op, start, dlam, n_steps, tol=1e-9,
-                    min_amplitude=TRIVIAL_AMPLITUDE, provenance=(None, None),
-                    **newton_kw):
+                    provenance=(None, None)):
     """Natural-parameter continuation with a secant predictor in u.
 
-    Marches from a converged ``start`` in steps of ``dlam``; each new point
-    is corrected by Newton.  Stops early (returning the partial branch) on
-    non-convergence after the first step, or when the corrected point's
-    amplitude (sup|u| over the grid nodes) falls below ``min_amplitude`` --
-    the branch has collapsed onto the trivial state, which happens when
-    continuation runs back into the bifurcation point.
+    Marches from a converged ``start`` in ``n_steps`` steps (a non-negative
+    integer) of ``dlam``; each new point is corrected by Newton to ``tol``.
+    Stops early (returning the partial branch) on non-convergence after the
+    first step, or when the corrected point's amplitude (sup|u| over the
+    grid nodes) falls below TRIVIAL_AMPLITUDE -- the branch has collapsed
+    onto the trivial state, which happens when continuation runs back into
+    the bifurcation point.
     """
-    if n_steps < 0:
-        raise ParameterError("n_steps must be non-negative")
+    if not (float(n_steps).is_integer() and n_steps >= 0):
+        raise ParameterError(
+            "n_steps must be non-negative and an integer, got %r" % (n_steps,)
+        )
     if dlam == 0 and n_steps > 0:
         raise ParameterError("dlam must be nonzero for a nontrivial continuation")
     if start.residual_norm > start.tol:
@@ -401,12 +427,12 @@ def continue_branch(problem_family, op, start, dlam, n_steps, tol=1e-9,
             )
         problem = problem_family(lam_next)
         try:
-            eq = newton_solve(problem, op, guess, tol=tol, **newton_kw)
+            eq = newton_solve(problem, op, guess, tol=tol)
         except (ConvergenceError, LinearSolveError):
             if k == 0:
                 raise
             break
-        if eq.amplitude < min_amplitude:
+        if eq.amplitude < TRIVIAL_AMPLITUDE:
             break
         prev_u = points[-1].u
         points.append(eq)
@@ -441,6 +467,11 @@ def quadrature_weight_vector(grid):
 # one-dimensional circle oracle
 # ---------------------------------------------------------------------------
 
+#: circle_solve's Newton stops once the projected residual is at most
+#: _CIRCLE_TOL, and fails after _CIRCLE_MAX_ITER iterations.
+_CIRCLE_TOL = 1e-12
+_CIRCLE_MAX_ITER = 60
+
 
 @dataclass(frozen=True)
 class CircleProfile:
@@ -471,14 +502,15 @@ def circle_normal_form_amplitude(lam, k):
     return math.sqrt(4.0 * (lam - k * k) / (3.0 * lam))
 
 
-def circle_solve(lam, k, n=256, tol=1e-12, max_iter=60):
+def circle_solve(lam, k, n=256):
     """Nontrivial periodic equilibrium on the circle by cosine-Galerkin
     Newton iteration, independent of all sphere machinery.
 
     Expands u(phi) = sum_j c_j cos(j*k*phi) (which enforces the phase fix
     structurally), collocates the residual on n uniform points, projects it
     back onto the cosine modes via FFT, and Newton-solves the coefficient
-    system with a dense Jacobian.  For lam <= k^2 the trivial profile is
+    system with a dense Jacobian until the projected residual is at most
+    1e-12 (at most 60 iterations).  For lam <= k^2 the trivial profile is
     returned with ``trivial=True``.
     """
     lam = float(lam)
@@ -501,11 +533,11 @@ def circle_solve(lam, k, n=256, tol=1e-12, max_iter=60):
 
     c = np.zeros(n_modes)
     c[1] = circle_normal_form_amplitude(lam, k)
-    for _ in range(max_iter):
+    for _ in range(_CIRCLE_MAX_ITER):
         u = synth @ c
         r = synth @ (d2 * c) + lam * u * (1.0 - u * u)
         rc = proj @ r
-        if np.max(np.abs(rc)) <= tol:
+        if np.max(np.abs(rc)) <= _CIRCLE_TOL:
             break
         jac = (proj * (lam * (1.0 - 3.0 * u * u))) @ synth + np.diag(d2)
         c -= np.linalg.solve(jac, rc)
@@ -528,9 +560,9 @@ def circle_solve(lam, k, n=256, tol=1e-12, max_iter=60):
     return CircleProfile(n, u, lam, k, res_norm, trivial)
 
 
-def circle_extrema(profile, refine_tol=1e-12):
+def circle_extrema(profile):
     """Longitudes of the extrema of a circle profile, by sign changes of the
-    cosine-series derivative plus bisection."""
+    cosine-series derivative plus bisection to a bracket of 1e-12."""
     n_modes = profile.n // (2 * profile.k_mode)
     k = profile.k_mode
     # recover coefficients by projection (profile stores only samples)
@@ -553,7 +585,7 @@ def circle_extrema(profile, refine_tol=1e-12):
         if fa == 0.0:
             roots.append(a)
         elif fa * fb < 0.0:
-            while b - a > refine_tol:
+            while b - a > _BISECT_WIDTH:
                 mid = 0.5 * (a + b)
                 fm = du(mid)
                 if fa * fm <= 0.0:

@@ -13,9 +13,10 @@ and its reflection satisfies the averaged linear equation
 a * Lap w + b * w = 0.
 
 Everything runs as batched numpy over angles: the extremum bisection
-advances all candidates in lockstep, each moving-arc sweep evaluates all
-its reflections from one set of ring Fourier coefficients, and the
-annihilation check reflects u and Lap u from one transform each.
+advances all candidates in lockstep, the reflection check and each
+moving-arc sweep evaluate all their reflections from one set of ring
+Fourier coefficients, and the annihilation check reflects u and Lap u from
+one transform each.
 """
 
 from __future__ import annotations
@@ -34,9 +35,7 @@ from .grid import (
     oversample_phi,
     quadrature_mean,
     reflect_coeffs,
-    reflect_phi,
     ring_series,
-    sector_mask,
 )
 from .problems import _averaged_coefficients, evaluate
 from .harmonics import apply_laplacian
@@ -66,7 +65,6 @@ class AuditThresholds:
     tol_w: float = 1e-7
     midpoint_tol: float = None
     n_eps: int = 100
-    n_tau: int = 8
 
     def __post_init__(self):
         for name in ("tol_ax", "tol_lvl", "tol_w"):
@@ -331,17 +329,42 @@ def check_leveled(ext, tol_lvl=1e-5):
     return LeveledCheck(defect=defect, passed=defect <= tol_lvl, applicable=True)
 
 
-def check_reflection(u, phi_i, interval):
-    """Normalized sup of |u - u o R_{phi_i}| over grid longitudes strictly
-    inside ``interval`` (a (lo, hi) pair with hi - lo in [0, 2*pi])."""
-    mirrored = reflect_phi(u, phi_i)
-    mask = sector_mask(u.grid, interval[0], interval[1])
-    cols = mask.indices
-    if cols.size == 0:
-        return 0.0
-    diff = np.abs(u.values[:, cols] - mirrored.values[:, cols])
+def check_reflection(u, centres, widths):
+    """Sup of |u - u o R_c| over the grid longitudes strictly inside the
+    sector (c - width, c) that ends at the mirror meridian c, divided by
+    the field span when it is positive.
+
+    ``centres`` is one longitude or an array of them, and ``widths``, each
+    in [0, 2*pi], broadcasts against it.  A width of 2*pi takes every grid
+    longitude; an empty sector reads 0.  Returns a float when both are
+    scalars and an array of their broadcast shape otherwise.  Every
+    reflection comes from one ``rfft`` of u, inverted in batches of
+    ``_SWEEP_CHUNK``."""
+    centres, widths = np.broadcast_arrays(
+        np.asarray(centres, dtype=float), np.asarray(widths, dtype=float)
+    )
+    if np.any(widths < 0.0):
+        raise ParameterError("sector width is negative")
+    if np.any(widths > TWO_PI + 1e-12):
+        raise ParameterError("sector width exceeds 2*pi")
+    c, lo = centres.ravel(), (centres - widths).ravel()
+    # offsets from the lower edge, bounded by c - lo rather than the width,
+    # so a column on the mirror meridian stays outside whatever the
+    # rounding of c - width
+    rel = np.mod(u.grid.phi_nodes - lo[:, None], TWO_PI)
+    cols = (rel > 0.0) & (rel < (c - lo)[:, None])
+    cols[widths.ravel() >= TWO_PI - 1e-12] = True
+    coeffs = np.fft.rfft(u.values, axis=1)
+    out = np.empty(c.size)
+    for k in range(0, c.size, _SWEEP_CHUNK):
+        chunk = slice(k, k + _SWEEP_CHUNK)
+        mirrored = np.fft.irfft(reflect_coeffs(coeffs, c[chunk]), u.grid.n_phi, axis=-1)
+        col_max = np.abs(u.values - mirrored).max(axis=1)
+        out[chunk] = np.where(cols[chunk], col_max, 0.0).max(axis=1)
     span = u.span
-    return float(diff.max()) / span if span > 0 else float(diff.max())
+    if span > 0:
+        out /= span
+    return float(out[0]) if centres.ndim == 0 else out.reshape(centres.shape)
 
 
 @dataclass(frozen=True)
@@ -488,11 +511,12 @@ def moving_arc_sweep(u, ext, seed_index, direction, n_eps=100, tol_w=1e-7):
     )
 
 
-def linearized_annihilation(problem, u, lap_u, eps, n_tau=8):
+def linearized_annihilation(problem, u, lap_u, eps):
     """Residual of the averaged linear equation on the reflection difference.
 
     For a mirror meridian ``eps`` (one longitude, or an array of them),
-    builds w = u - u o R_eps and the homotopy-averaged coefficients (a, b);
+    builds w = u - u o R_eps and the homotopy-averaged coefficients (a, b)
+    (8-point Gauss-Legendre rule in tau, as ``hadamard_coeffs``);
     returns sup|a * Lap w + b * w| normalized by
     ||a|| * ||Lap w|| + ||b|| * ||w|| (sup norms), as a float for one
     longitude and an array shaped like ``eps`` for many.  Near zero for an
@@ -520,7 +544,7 @@ def linearized_annihilation(problem, u, lap_u, eps, n_tau=8):
             continue  # reflection is a symmetry to machine precision
         q_ref = np.fft.irfft(reflect_coeffs(coeffs_q, centre), n_phi, axis=1)
         lap_w = q - q_ref
-        a, b, _ = _averaged_coefficients(problem, u.values, q, u_ref, q_ref, n_tau)
+        a, b = _averaged_coefficients(problem, u.values, q, u_ref, q_ref)
         scale = np.max(np.abs(a)) * np.max(np.abs(lap_w)) + np.max(np.abs(b)) * w_sup
         if scale > 0.0:
             out[i] = np.max(np.abs(a * lap_w + b * w)) / scale
@@ -585,11 +609,8 @@ def theorem_audit(problem, op, u, thresholds=None):
     leveled = check_leveled(ext, tol_lvl=thresholds.tol_lvl)
 
     n = ext.n
-    reflection_defects = np.empty(n)
-    for i in range(n):
-        hi = ext.angles[i]
-        lo = hi - _circular_gap(ext.angles[(i - 1) % n], hi)
-        reflection_defects[i] = check_reflection(u, hi, (lo, hi))
+    gaps = [_circular_gap(ext.angles[i - 1], a) for i, a in enumerate(ext.angles)]
+    reflection_defects = check_reflection(u, ext.angles, gaps)
 
     midpoint = check_midpoint(ext)
 
@@ -601,9 +622,7 @@ def theorem_audit(problem, op, u, thresholds=None):
         for direction in (1, -1)
     )
 
-    annihilation = linearized_annihilation(
-        problem, u, lap_u, ext.angles, n_tau=thresholds.n_tau
-    )
+    annihilation = linearized_annihilation(problem, u, lap_u, ext.angles)
 
     hypotheses_met = (
         n >= 2

@@ -1,5 +1,4 @@
-"""Grid construction, quadrature, longitudinal calculus, reflections,
-sector masks."""
+"""Grid construction, quadrature, longitudinal calculus, reflections."""
 
 import numpy as np
 import pytest
@@ -18,7 +17,6 @@ from sphereq import (
     oversample_phi,
     reflect_phi,
     rotate_phi,
-    sector_mask,
 )
 from conftest import random_band_limited
 
@@ -206,45 +204,6 @@ def test_interp_phi_matches_full_fourier_synthesis(grid32):
     dense = (np.fft.fft(u.values, axis=1) / n) @ np.exp(1j * np.outer(m, phis))
     assert np.max(np.abs(interp_phi(u, phis) - dense.real)) < 1e-13
     assert interp_phi(u, 0.3).shape == (grid32.n_theta, 1)
-
-
-# ---------------------------------------------------------------------------
-# sector masks
-# ---------------------------------------------------------------------------
-
-
-def test_sector_full_circle(grid32):
-    mask = sector_mask(grid32, 0.0, 2.0 * np.pi)
-    assert mask.n_columns == grid32.n_phi
-    assert abs(mask.area - FOUR_PI) < 1e-12
-
-
-def test_sector_empty(grid32):
-    mask = sector_mask(grid32, 1.0, 1.0)
-    assert mask.n_columns == 0
-    assert mask.area == 0.0
-
-
-def test_sector_half_circle_open_endpoints():
-    g = make_grid(8, 32)
-    mask = sector_mask(g, 0.0, np.pi)
-    # strict inequalities exclude the boundary columns at 0 and pi
-    assert mask.n_columns == 15
-    assert abs(mask.area - 2.0 * np.pi) < 1e-12
-
-
-def test_sector_wrapping():
-    g = make_grid(8, 32)
-    mask = sector_mask(g, 5.9, 5.9 + 1.0)
-    inside = g.phi_nodes[mask.columns]
-    rel = np.mod(inside - 5.9, 2 * np.pi)
-    assert np.all((rel > 0) & (rel < 1.0))
-    assert mask.n_columns > 0
-
-
-def test_sector_negative_width_rejected(grid32):
-    with pytest.raises(ParameterError):
-        sector_mask(grid32, 1.0, 0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -9,16 +9,13 @@ import pytest
 from sphereq import (
     FieldFormatError,
     chafee_infante,
-    emit_plot_data,
     eval_on_grid,
     harmonic_mode,
     make_grid,
     make_operator,
     read_field,
     report_to_dict,
-    sht_forward,
     theorem_audit,
-    write_coeffs_csv,
     write_field,
     write_report_json,
 )
@@ -190,24 +187,3 @@ def test_extrema_csv_header_only_when_empty(grid32):
     buf = io.StringIO()
     write_extrema_csv(buf, report)
     assert buf.getvalue().strip() == "index,angle,kind,axiality_defect,peak_level"
-
-
-def test_coeffs_csv(grid32):
-    u = harmonic_mode(grid32, 2, 2)
-    coeffs = sht_forward(u, 4)
-    buf = io.StringIO()
-    write_coeffs_csv(buf, coeffs)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "l,m,coeff"
-    assert len(lines) == 1 + 5 * 5  # (L+1)^2 coefficient rows
-    row = [l for l in lines[1:] if l.startswith("2,2,")]
-    assert len(row) == 1 and float(row[0].split(",")[2]) == pytest.approx(1.0)
-
-
-def test_emit_plot_data_dispatch(grid32, tmp_path):
-    report = _small_report()
-    out = tmp_path / "extrema.csv"
-    emit_plot_data(report, out)
-    assert out.read_text().startswith("index,angle")
-    with pytest.raises(TypeError):
-        emit_plot_data(object(), tmp_path / "nope.csv")

@@ -196,7 +196,7 @@ def test_krylov_solve_meets_the_true_residual(grid32, realization):
         op, *solver._mean_coefficients(chafee_infante(0.0), grid32, fu, fq)
     )
     rtol, atol = 1e-10, 1e-12
-    s = solver._krylov_solve(fu, fq, precond, rhs, rtol, atol, 40, 50)
+    s = solver._krylov_solve(fu, fq, precond, rhs, rtol, atol)
     lap = apply_laplacian(op, ScalarField(grid32, s)).values
     bound = max(atol, rtol * np.linalg.norm(rhs))
     assert np.linalg.norm(fu * s + fq * lap - rhs) <= bound
@@ -225,8 +225,29 @@ def test_krylov_solve_through_the_singular_floor(grid32, op32):
     assert np.max(np.abs(back - v)) <= 1e-5 * np.max(np.abs(v))
     rhs = fq * lap(v)
     rtol = 1e-6
-    s = solver._krylov_solve(0.0 * fq, fq, precond, rhs, rtol, 0.0, 40, 50)
+    s = solver._krylov_solve(0.0 * fq, fq, precond, rhs, rtol, 0.0)
     assert np.linalg.norm(fq * lap(s) - rhs) <= rtol * np.linalg.norm(rhs)
+
+
+@pytest.mark.parametrize(
+    "realization, coeff_u",
+    [("finite-difference", 0.0), ("spectral", 2.0)],
+)
+def test_mean_mode_inverse_floors_blocks_singular_to_rounding(grid32, realization,
+                                                              coeff_u):
+    """FD at c_u = 0 (the constants) and spectral at c_u = 2 c_q (degree 1)
+    leave a block singular only to rounding: np.linalg.inv returns, but
+    without the floor its inverse is off by order one.  With the floor the
+    blocks invert the M that the returned coefficients describe; a
+    coefficient pair between two eigenvalues gets no shift."""
+    op = make_operator(grid32, realization)
+    precond = solver._mean_mode_inverse(op, coeff_u, 1.0)
+    assert precond.coeff_u != coeff_u
+    ring = np.arange(grid32.n_theta)
+    m = precond.coeff_q * op.blocks
+    m[:, ring, ring] += precond.coeff_u
+    assert np.max(np.abs(m @ precond.blocks - np.eye(grid32.n_theta))) <= 1e-5
+    assert solver._mean_mode_inverse(op, 3.0, 1.0).coeff_u == 3.0
 
 
 def test_krylov_iteration_applies_no_laplacian(grid32, op32, monkeypatch):
@@ -256,7 +277,7 @@ def test_krylov_iteration_applies_no_laplacian(grid32, op32, monkeypatch):
         op32, *solver._mean_coefficients(chafee_infante(0.0), grid32, fu, fq)
     )
     rhs = np.random.default_rng(7).standard_normal(fu.shape)
-    solver._krylov_solve(fu, fq, precond, rhs, 1e-10, 0.0, 40, 50)
+    solver._krylov_solve(fu, fq, precond, rhs, 1e-10, 0.0)
     assert counts["matvecs"] > 5
     assert counts["laplacian"] == 0
     assert counts["blocks"] == counts["matvecs"] + 1
@@ -475,6 +496,16 @@ def test_zero_length_continuation(grid32, op32):
     assert len(branch) == 1 and branch[0] is eq
     with pytest.raises(ParameterError, match="n_steps"):
         continue_branch(chafee_infante, op32, eq, 0.25, -2)
+
+
+def test_fractional_continuation_length_rejected():
+    g = make_grid(16, 32)
+    op = make_operator(g, "spectral")
+    lam_start, guess = branch_switch(g, 6.0, 2, 2)
+    start = newton_solve(chafee_infante(lam_start), op, guess)
+    with pytest.raises(ParameterError, match="n_steps.*integer"):
+        continue_branch(chafee_infante, op, start, 0.25, 2.7)
+    assert len(continue_branch(chafee_infante, op, start, 0.25, 2.0)) == 3
 
 
 def test_branch_amplitude_grows_supercritically():

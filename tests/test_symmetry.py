@@ -9,6 +9,7 @@ from sphereq import (
     ContractError,
     apply_laplacian,
     DegenerateFieldError,
+    ParameterError,
     biradial_angles,
     biradial_field,
     branch_switch,
@@ -182,12 +183,12 @@ def test_biradial_field_is_leveled():
 
 def test_reflection_even_field(grid32):
     u = _cos2_field(grid32)
-    assert check_reflection(u, 0.0, (-np.pi / 2, 0.0)) < 1e-12
+    assert check_reflection(u, 0.0, np.pi / 2) < 1e-12
 
 
 def test_reflection_odd_field(grid32):
     u = eval_on_grid(grid32, lambda t, p: np.sin(t) * np.sin(2 * p))
-    defect = check_reflection(u, 0.0, (-np.pi / 2, 0.0))
+    defect = check_reflection(u, 0.0, np.pi / 2)
     assert defect == pytest.approx(1.0, abs=1e-10)
 
 
@@ -197,9 +198,80 @@ def test_reflection_of_equilibrium():
     mode = harmonic_mode(grid, 2, 2)
     eq = newton_solve(chafee_infante(6.5), op, mode * (0.3 / mode.sup_norm))
     ext = detect_axial_extrema(eq.u)
-    for i, hi in enumerate(ext.angles):
-        lo = hi - np.pi / 2
-        assert check_reflection(eq.u, hi, (lo, hi)) <= 1e-7
+    for hi in ext.angles:
+        assert check_reflection(eq.u, hi, np.pi / 2) <= 1e-7
+
+
+def _lopsided_field(grid):
+    return eval_on_grid(
+        grid, lambda t, p: np.sin(t) * (np.sin(p) + 0.5 * np.cos(2 * p) + 0.2 * np.sin(3 * p))
+    )
+
+
+def _reference_reflection(u, centre, columns):
+    diff = np.abs(u.values - reflect_phi(u, centre).values)[:, columns]
+    return diff.max() / u.span
+
+
+def test_reflection_full_circle_takes_every_column(grid32):
+    u = _lopsided_field(grid32)
+    every = np.ones(grid32.n_phi, dtype=bool)
+    assert check_reflection(u, 0.4, TWO_PI) == pytest.approx(
+        _reference_reflection(u, 0.4, every), rel=1e-13
+    )
+
+
+def test_reflection_empty_sector_reads_zero(grid32):
+    u = _lopsided_field(grid32)
+    assert check_reflection(u, 1.0, 0.0) == 0.0
+    assert np.all(check_reflection(u, [1.0, 2.0], 0.0) == 0.0)
+
+
+def test_reflection_sector_excludes_its_endpoints():
+    """For sin(theta) cos(phi) mirrored about pi/2 the difference
+    2 sin(theta) cos(phi) peaks on column phi = 0, the lower edge of the
+    sector (0, pi/2); the open sector stops at the next column, pi/16."""
+    g = make_grid(8, 32)
+    u = eval_on_grid(g, lambda t, p: np.sin(t) * np.cos(p))
+    assert check_reflection(u, np.pi / 2, np.pi / 2) == pytest.approx(
+        np.cos(np.pi / 16), rel=1e-12
+    )
+    assert check_reflection(u, np.pi / 2, np.pi / 2 + 0.01) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_reflection_sector_wraps_across_two_pi():
+    g = make_grid(8, 32)
+    u = _lopsided_field(g)
+    rel = np.mod(g.phi_nodes - 5.9, TWO_PI)
+    columns = (rel > 0.0) & (rel < 1.0)
+    assert columns[0] and columns[-1]
+    expected = _reference_reflection(u, 6.9, columns)
+    assert expected > 0.01
+    for centre in (6.9, 6.9 - TWO_PI):
+        assert check_reflection(u, centre, 1.0) == pytest.approx(expected, rel=1e-12)
+
+
+def test_reflection_rejects_bad_widths(grid32):
+    u = _lopsided_field(grid32)
+    with pytest.raises(ParameterError, match="negative"):
+        check_reflection(u, 1.0, -0.5)
+    with pytest.raises(ParameterError, match="negative"):
+        check_reflection(u, [1.0, 2.0], [0.5, -0.5])
+    with pytest.raises(ParameterError, match="2\\*pi"):
+        check_reflection(u, 1.0, 7.0)
+
+
+def test_reflection_batch_matches_single_centres(grid32):
+    """More centres than one reflection batch, each with its own width."""
+    u = _lopsided_field(grid32)
+    centres = np.linspace(0.1, 6.0, 19)
+    widths = 0.3 + centres / 4.0
+    batch = check_reflection(u, centres, widths)
+    assert batch.shape == centres.shape
+    assert batch == pytest.approx(
+        [check_reflection(u, c, w) for c, w in zip(centres, widths)], rel=1e-14
+    )
+    assert np.all(batch > 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +361,7 @@ def test_sweep_equal_profile_perturbation_caught_by_reflection(grid32):
         for direction in (1, -1):
             report = moving_arc_sweep(u, clean_ext, seed, direction, n_eps=60)
             assert np.max(report.w_max) <= report.tol_w * report.span
-    assert check_reflection(u, np.pi / 2, (0.0, np.pi / 2)) > 0.05
+    assert check_reflection(u, np.pi / 2, np.pi / 2) > 0.05
 
 
 def test_sweep_rejects_wrong_seed_kind(grid32):
@@ -419,7 +491,7 @@ def test_reflection_defect_matches_arc_target_sup(grid32):
     u = _cos2_field(grid32)
     ext = detect_axial_extrema(u)
     report = moving_arc_sweep(u, ext, 1, 1, n_eps=20)
-    refl = check_reflection(u, np.pi, (np.pi / 2, np.pi))
+    refl = check_reflection(u, np.pi, np.pi / 2)
     assert report.target_reflection_sup <= 1e-12 and refl <= 1e-12
 
     broken = u + eval_on_grid(
@@ -427,7 +499,7 @@ def test_reflection_defect_matches_arc_target_sup(grid32):
     )
     ext_b = detect_axial_extrema(_cos2_field(grid32))
     rep_b = moving_arc_sweep(broken, ext_b, 1, 1, n_eps=20)
-    refl_b = check_reflection(broken, np.pi, (np.pi / 2, np.pi))
+    refl_b = check_reflection(broken, np.pi, np.pi / 2)
     assert rep_b.target_reflection_sup > 1e-3 and refl_b > 1e-3
     assert rep_b.target_reflection_sup == pytest.approx(refl_b, rel=0.3)
 
