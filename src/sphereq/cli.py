@@ -10,6 +10,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -109,6 +110,18 @@ def _add_problem_flags(sp, lam_default=6.5):
     sp.add_argument("--lam", type=float, default=lam_default, help="parameter lambda")
 
 
+def _audit_thresholds(args):
+    """One AuditThresholds from the threshold flags the subcommand has.  The
+    flags default to None, which keeps the dataclass default; the dataclass
+    alone validates what is given."""
+    given = {}
+    for field in dataclasses.fields(AuditThresholds):
+        value = getattr(args, "neps" if field.name == "n_eps" else field.name, None)
+        if value is not None:
+            given[field.name] = value
+    return AuditThresholds(**given)
+
+
 def _out_handle(path, default=None):
     if path in (None, "-"):
         return default if default is not None else sys.stdout
@@ -188,11 +201,12 @@ def build_parser():
         choices=("spectral", "finite-difference"),
         default="spectral",
     )
-    sp.add_argument("--tol-ax", type=float, default=1e-6)
-    sp.add_argument("--tol-lvl", type=float, default=1e-5)
-    sp.add_argument("--tol-w", type=float, default=1e-7)
+    # audit thresholds: None keeps the AuditThresholds default
+    sp.add_argument("--tol-ax", type=float, default=None)
+    sp.add_argument("--tol-lvl", type=float, default=None)
+    sp.add_argument("--tol-w", type=float, default=None)
     sp.add_argument("--midpoint-tol", type=float, default=None)
-    sp.add_argument("--neps", type=int, default=100)
+    sp.add_argument("--neps", type=int, default=None)
     sp.add_argument("--json", dest="json_out", default=None, help="JSON report path")
     sp.add_argument("--extrema-csv", default=None, help="extremum table CSV path")
     sp.add_argument(
@@ -206,9 +220,9 @@ def build_parser():
     sp.add_argument("input", nargs="?", default="-", help="SPHF path or '-' (stdin)")
     sp.add_argument("--min-index", type=int, default=0, help="index among detected minima")
     sp.add_argument("--direction", type=int, choices=(1, -1), default=1)
-    sp.add_argument("--neps", type=int, default=100)
-    sp.add_argument("--tol-w", type=float, default=1e-7)
-    sp.add_argument("--tol-ax", type=float, default=1e-6)
+    sp.add_argument("--neps", type=int, default=None)
+    sp.add_argument("--tol-w", type=float, default=None)
+    sp.add_argument("--tol-ax", type=float, default=None)
     sp.add_argument("--out", default=None, help="CSV output path ('-' = stdout)")
     parsers["arc-sweep"] = sp
 
@@ -349,16 +363,10 @@ def _cmd_branch(args):
 
 
 def _cmd_audit(args):
+    thresholds = _audit_thresholds(args)
     u = _read_input_field(args.input)
     op = make_operator(u.grid, args.realization)
     problem = problem_from_name(args.problem, args.lam)
-    thresholds = AuditThresholds(
-        tol_ax=args.tol_ax,
-        tol_lvl=args.tol_lvl,
-        tol_w=args.tol_w,
-        midpoint_tol=args.midpoint_tol,
-        n_eps=args.neps,
-    )
     report = theorem_audit(problem, op, u, thresholds)
     if args.json_out:
         fieldio.write_report_json(args.json_out, report)
@@ -373,8 +381,9 @@ def _cmd_audit(args):
 
 
 def _cmd_arc_sweep(args):
+    thresholds = _audit_thresholds(args)
     u = _read_input_field(args.input)
-    ext = detect_axial_extrema(u, tol_ax=args.tol_ax)
+    ext = detect_axial_extrema(u, thresholds)
     minima = ext.minima_indices
     if not minima:
         raise SphereqError("no axial minima detected; nothing to sweep from")
@@ -383,12 +392,7 @@ def _cmd_arc_sweep(args):
             "--min-index %d out of range (%d minima)" % (args.min_index, len(minima))
         )
     report = moving_arc_sweep(
-        u,
-        ext,
-        minima[args.min_index],
-        args.direction,
-        n_eps=args.neps,
-        tol_w=args.tol_w,
+        u, ext, minima[args.min_index], args.direction, thresholds
     )
     if args.out is not None:
         fieldio.write_arc_csv(_out_handle(args.out), report)

@@ -58,6 +58,17 @@ class AuditThresholds:
     thresholds, all scaled by the field span (or the sup of u_phi) so they
     are resolution- and amplitude-aware.  ``midpoint_tol`` defaults to one
     coarse longitude cell of the audited grid.
+
+    This class alone states each default and each valid range; the audit
+    stages and the command line take their thresholds from it.  Every
+    value must be finite:
+
+    - ``tol_ax``, ``tol_lvl`` and ``tol_w`` lie in (0, 1);
+    - ``midpoint_tol`` is None or a number > 0;
+    - ``n_eps``, the number of arcs in a moving-arc sweep, is an integer
+      >= 2.
+
+    A value outside its range raises ``ParameterError`` naming the field.
     """
 
     tol_ax: float = 1e-6
@@ -68,12 +79,18 @@ class AuditThresholds:
 
     def __post_init__(self):
         for name in ("tol_ax", "tol_lvl", "tol_w"):
-            if not 0.0 < getattr(self, name) < 1.0:
-                raise ParameterError("%s must lie in (0, 1)" % name)
-        if self.midpoint_tol is not None and self.midpoint_tol <= 0:
-            raise ParameterError("midpoint_tol must be positive")
-        if self.n_eps < 2:
-            raise ParameterError("n_eps must be at least 2")
+            value = getattr(self, name)
+            if not 0.0 < value < 1.0:
+                raise ParameterError("%s must lie in (0, 1), got %r" % (name, value))
+        mid = self.midpoint_tol
+        if mid is not None and not (math.isfinite(mid) and mid > 0.0):
+            raise ParameterError(
+                "midpoint_tol must be None or a finite number > 0, got %r" % (mid,)
+            )
+        if not isinstance(self.n_eps, (int, np.integer)) or self.n_eps < 2:
+            raise ParameterError(
+                "n_eps must be at least 2 and an integer, got %r" % (self.n_eps,)
+            )
 
 
 @dataclass(frozen=True)
@@ -134,11 +151,12 @@ class AxialExtremumSet:
             worst = max(worst, float(np.max(np.abs(group - group.mean(axis=0)))))
         return worst / self.field_span if self.field_span > 0 else 0.0
 
-
-def _circular_gap(a, b):
-    """Arc length from a to b going counterclockwise, in (0, 2*pi]."""
-    d = (b - a) % TWO_PI
-    return d if d > 0 else TWO_PI
+    @property
+    def gaps(self):
+        """``gaps[i]`` is the counterclockwise arc from extremum i - 1 to
+        extremum i, in (0, 2*pi]; a lone extremum's gap is the full turn."""
+        d = (self.angles - np.roll(self.angles, 1)) % TWO_PI
+        return np.where(d > 0, d, TWO_PI)
 
 
 def _local_minima(values):
@@ -147,15 +165,15 @@ def _local_minima(values):
     return np.nonzero((values < left) & (values <= right))[0]
 
 
-def detect_axial_extrema(u, tol_ax=1e-6):
+def detect_axial_extrema(u, thresholds=AuditThresholds()):
     """Find meridians where u_phi vanishes at every colatitude.
 
     The scan evaluates g(phi) = max over rings of |u_phi| on a 16x refined
     longitude grid (trigonometric interpolation); local minima of g are
     refined by bisection on the sign change of the alignment-weighted ring
     average of u_phi, then kept as axial extrema when the normalized
-    defect max_theta |u_phi| / sup|u_phi| falls below ``tol_ax``.  Kinds
-    come from the sign of the ring-integrated second longitudinal
+    defect max_theta |u_phi| / sup|u_phi| falls below ``thresholds.tol_ax``.
+    Kinds come from the sign of the ring-integrated second longitudinal
     derivative, except that a meridian whose u_phiphi takes both signs
     across the significant rings (|u_phiphi| >= 1e-3 of its maximum along
     the meridian) is a "saddle".  Candidates closer than one coarse cell
@@ -180,19 +198,8 @@ def detect_axial_extrema(u, tol_ax=1e-6):
     abs_fine = np.abs(fine)
     g = abs_fine.max(axis=0)
     u_phi_sup = float(g.max())
-
-    if u_phi_sup <= 1e-12 * span:
-        return AxialExtremumSet(
-            angles=np.empty(0),
-            kinds=(),
-            axiality_defects=np.empty(0),
-            merged=np.zeros(0, dtype=bool),
-            axis_profiles=np.empty((0, grid.n_theta)),
-            non_axial_critical=np.empty(0),
-            all_longitudes_critical=True,
-            u_phi_sup=u_phi_sup,
-            field_span=span,
-        )
+    # u_phi vanishes everywhere: no meridian is singled out
+    all_critical = u_phi_sup <= 1e-12 * span
 
     w = grid.theta_weights
     ring_sup = abs_fine.max(axis=1)
@@ -201,7 +208,7 @@ def detect_axial_extrema(u, tol_ax=1e-6):
     # every local minimum of g is bracketed by its two refined neighbours;
     # all brackets are evaluated, bisected and tested together
     h_fine = TWO_PI / n_fine
-    rows = _local_minima(g)
+    rows = np.empty(0, dtype=int) if all_critical else _local_minima(g)
     left = phis_fine[rows] - h_fine
     right = phis_fine[rows] + h_fine
     du_l = interp_phi(du, left)
@@ -242,30 +249,17 @@ def detect_axial_extrema(u, tol_ax=1e-6):
     phi_star %= TWO_PI
 
     defect = np.max(np.abs(interp_phi(du, phi_star)), axis=0) / u_phi_sup
-    axial = defect <= tol_ax
+    axial = defect <= thresholds.tol_ax
     candidates = list(zip(phi_star[axial].tolist(), defect[axial].tolist()))
     crossing = np.any((du_l * du_r < 0.0) & significant[:, None], axis=0)
     non_axial = phi_star[~axial & crossing].tolist()
 
-    if not candidates:
-        return AxialExtremumSet(
-            angles=np.empty(0),
-            kinds=(),
-            axiality_defects=np.empty(0),
-            merged=np.zeros(0, dtype=bool),
-            axis_profiles=np.empty((0, grid.n_theta)),
-            non_axial_critical=np.array(sorted(non_axial)),
-            all_longitudes_critical=False,
-            u_phi_sup=u_phi_sup,
-            field_span=span,
-        )
-
     # merge candidates closer than one coarse cell (circularly)
     candidates.sort()
     cell = grid.phi_cell
-    groups = [[candidates[0]]]
-    for cand in candidates[1:]:
-        if cand[0] - groups[-1][-1][0] < cell:
+    groups = []
+    for cand in candidates:
+        if groups and cand[0] - groups[-1][-1][0] < cell:
             groups[-1].append(cand)
         else:
             groups.append([cand])
@@ -304,7 +298,7 @@ def detect_axial_extrema(u, tol_ax=1e-6):
         merged=merged,
         axis_profiles=profiles,
         non_axial_critical=np.array(sorted(non_axial)),
-        all_longitudes_critical=False,
+        all_longitudes_critical=all_critical,
         u_phi_sup=u_phi_sup,
         field_span=span,
     )
@@ -317,16 +311,19 @@ class LeveledCheck:
     applicable: bool
 
 
-def check_leveled(ext, tol_lvl=1e-5):
+def check_leveled(ext, thresholds=AuditThresholds()):
     """Do all axial maxima share one colatitude profile (and likewise the
     minima)?  The defect is ``ext.level_defect``: the largest pointwise
     deviation of a stored axis profile from the mean profile of its kind,
-    normalized by the field span.  Needs at least two extrema; otherwise
-    the check is reported as not applicable."""
+    normalized by the field span, and passes up to ``thresholds.tol_lvl``.
+    Needs at least two extrema; otherwise the check is reported as not
+    applicable."""
     if ext.n < 2:
         return LeveledCheck(defect=float("nan"), passed=False, applicable=False)
     defect = ext.level_defect
-    return LeveledCheck(defect=defect, passed=defect <= tol_lvl, applicable=True)
+    return LeveledCheck(
+        defect=defect, passed=defect <= thresholds.tol_lvl, applicable=True
+    )
 
 
 def check_reflection(u, centres, widths):
@@ -386,13 +383,8 @@ def check_midpoint(ext):
         return MidpointCheck(
             defects=np.empty(0), max_defect=float("nan"), applicable=False
         )
-    angles = ext.angles
-    n = ext.n
-    defects = np.empty(n)
-    for i in range(n):
-        before = _circular_gap(angles[(i - 1) % n], angles[i])
-        after = _circular_gap(angles[i], angles[(i + 1) % n])
-        defects[i] = abs(after - before)
+    gaps = ext.gaps
+    defects = np.abs(np.roll(gaps, -1) - gaps)
     return MidpointCheck(defects=defects, max_defect=float(defects.max()), applicable=True)
 
 
@@ -424,11 +416,12 @@ class MovingArcReport:
     equality_ok: bool
 
 
-def moving_arc_sweep(u, ext, seed_index, direction, n_eps=100, tol_w=1e-7):
+def moving_arc_sweep(u, ext, seed_index, direction, thresholds=AuditThresholds()):
     """Sweep the reflection arc from the axial minimum ``seed_index`` in
     ``direction`` (+1 counterclockwise, -1 clockwise) up to the adjacent
     maximum, recording the signed maximum of w = u - u o R_eps on the open
-    sector between the seed meridian and the arc.
+    sector between the seed meridian and the arc, at ``thresholds.n_eps``
+    evenly spaced arcs and judged against ``thresholds.tol_w``.
 
     Coordinates are shifted so the seed sits at longitude 0 with the sweep
     running counterclockwise: one ``rfft`` of u, a phase multiply for the
@@ -442,8 +435,6 @@ def moving_arc_sweep(u, ext, seed_index, direction, n_eps=100, tol_w=1e-7):
         raise ContractError("need at least two extrema to sweep")
     if direction not in (1, -1):
         raise ParameterError("direction must be +1 or -1")
-    if n_eps < 2:
-        raise ParameterError("n_eps must be at least 2")
     if ext.kinds[seed_index] != "min":
         raise ContractError("moving-arc seed must be an axial minimum")
     n = ext.n
@@ -452,13 +443,13 @@ def moving_arc_sweep(u, ext, seed_index, direction, n_eps=100, tol_w=1e-7):
         raise ContractError("extremum adjacent to the seed is not a maximum")
     seed = float(ext.angles[seed_index])
     target = float(ext.angles[target_index])
+    gaps = ext.gaps.tolist()
     if direction == 1:
-        gap = _circular_gap(seed, target)
-        beyond = _circular_gap(target, ext.angles[(target_index + 1) % n])
+        gap, beyond = gaps[target_index], gaps[(target_index + 1) % n]
     else:
-        gap = _circular_gap(target, seed)
-        beyond = _circular_gap(ext.angles[(target_index - 1) % n], target)
+        gap, beyond = gaps[seed_index], gaps[target_index]
     phi_star = min(gap, beyond)
+    n_eps, tol_w = thresholds.n_eps, thresholds.tol_w
 
     n_phi = u.grid.n_phi
     coeffs = np.fft.rfft(u.values, axis=1)
@@ -584,7 +575,7 @@ class SymmetryReport:
     verdict: str
 
 
-def theorem_audit(problem, op, u, thresholds=None):
+def theorem_audit(problem, op, u, thresholds=AuditThresholds()):
     """Run the full symmetry audit pipeline on a field.
 
     detect_axial_extrema -> check_leveled -> per-extremum reflection over
@@ -593,31 +584,26 @@ def theorem_audit(problem, op, u, thresholds=None):
     at every extremal meridian and the equation residual of u itself (both
     informational, and both from one application of Lap to u).  Requires a
     nonconstant field."""
-    if thresholds is None:
-        thresholds = AuditThresholds()
     midpoint_tol = (
         thresholds.midpoint_tol
         if thresholds.midpoint_tol is not None
         else u.grid.phi_cell
     )
-    ext = detect_axial_extrema(u, tol_ax=thresholds.tol_ax)
+    ext = detect_axial_extrema(u, thresholds)
     lap_u = apply_laplacian(op, u)
     eq_residual = float(
         np.max(np.abs(evaluate(problem, "F", u.values, lap_u.values)))
     )
 
-    leveled = check_leveled(ext, tol_lvl=thresholds.tol_lvl)
+    leveled = check_leveled(ext, thresholds)
 
     n = ext.n
-    gaps = [_circular_gap(ext.angles[i - 1], a) for i, a in enumerate(ext.angles)]
-    reflection_defects = check_reflection(u, ext.angles, gaps)
+    reflection_defects = check_reflection(u, ext.angles, ext.gaps)
 
     midpoint = check_midpoint(ext)
 
     arc_reports = tuple(
-        moving_arc_sweep(
-            u, ext, i, direction, n_eps=thresholds.n_eps, tol_w=thresholds.tol_w
-        )
+        moving_arc_sweep(u, ext, i, direction, thresholds)
         for i in (ext.minima_indices if ext.kinds_alternate else ())
         for direction in (1, -1)
     )

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from sphereq import (
+    AuditThresholds,
     apply_laplacian,
     branch_switch,
     chafee_infante,
@@ -198,10 +199,11 @@ def test_criterion_4_moving_arc_inequality():
     grid, op, eq = _equilibrium_48x96()
     ext = detect_axial_extrema(eq.u)
     span = eq.u.span
+    thresholds = AuditThresholds(n_eps=100, tol_w=1e-7)
     worst = 0.0
     for i in ext.minima_indices:
         for direction in (1, -1):
-            rep = moving_arc_sweep(eq.u, ext, i, direction, n_eps=100, tol_w=1e-7)
+            rep = moving_arc_sweep(eq.u, ext, i, direction, thresholds)
             worst = max(worst, float(np.max(rep.w_max)) / span)
 
     clean = harmonic_mode(grid, 2, 2)
@@ -210,7 +212,7 @@ def test_criterion_4_moving_arc_inequality():
     violated = 0.0
     for i in ext_c.minima_indices:
         for direction in (1, -1):
-            rep = moving_arc_sweep(broken, ext_c, i, direction, n_eps=100, tol_w=1e-7)
+            rep = moving_arc_sweep(broken, ext_c, i, direction, thresholds)
             violated = max(violated, float(np.max(rep.w_max)) / broken.span)
     elapsed = time.perf_counter() - t0
     _report(

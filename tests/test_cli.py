@@ -254,6 +254,53 @@ def test_arc_sweep_too_few_arcs_exits_2(capsys, tmp_path, neps):
     assert "n_eps must be at least 2" in err
 
 
+def test_audit_nan_midpoint_tolerance_exits_2(capsys, tmp_path):
+    """A NaN midpoint tolerance fails every comparison, so it would certify
+    the README's Y_2^2 equilibrium not-theorem-compatible; it is refused."""
+    eq = tmp_path / "eq.sphf"
+    code, _, _ = run_cli(
+        ["solve", "--lam", "6.5", "--seed", "harmonic", "--l", "2", "--m", "2",
+         "--out", str(eq)],
+        capsys,
+    )
+    assert code == 0
+    code, _, err = run_cli(["audit", str(eq), "--lam", "6.5"], capsys)
+    assert code == 0 and "verdict pass" in err
+    code, out, err = run_cli(
+        ["audit", str(eq), "--lam", "6.5", "--midpoint-tol", "nan"], capsys
+    )
+    assert code == 2
+    assert "midpoint_tol" in err and "verdict" not in err and out == ""
+
+
+@pytest.mark.parametrize("command", ["audit", "arc-sweep"])
+@pytest.mark.parametrize(
+    "flag, value, name",
+    [("--tol-w", "nan", "tol_w"), ("--tol-w", "-1", "tol_w"),
+     ("--tol-ax", "5", "tol_ax")],
+)
+def test_bad_threshold_flag_exits_2(capsys, tmp_path, command, flag, value, name):
+    """Both subcommands validate their threshold flags by one rule.  On
+    figure1 an unchecked arc-sweep printed ``reaches_target True`` for
+    --tol-w nan (False at the default) and ``eps_star 0`` for --tol-w -1."""
+    field = tmp_path / "figure1.sphf"
+    run_cli(["gen", "figure1", "--out", str(field)], capsys)
+    code, out, err = run_cli([command, str(field), flag, value], capsys)
+    assert code == 2
+    assert name in err
+    assert "eps_star" not in err and "verdict" not in err and out == ""
+
+
+def test_config_bad_threshold_exits_2(capsys, tmp_path):
+    field = tmp_path / "figure1.sphf"
+    run_cli(["gen", "figure1", "--out", str(field)], capsys)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("midpoint-tol = inf\n")
+    code, _, err = run_cli(["--config", str(cfg), "audit", str(field)], capsys)
+    assert code == 2
+    assert "midpoint_tol" in err
+
+
 def test_solve_warns_when_it_falls_to_the_trivial_state(capsys):
     code, out, err = run_cli(["solve", "--amplitude", "1e-6"], capsys)
     assert code == 0

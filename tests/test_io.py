@@ -21,7 +21,7 @@ from sphereq import (
 )
 from sphereq.fieldio import write_arc_csv, write_branch_csv, write_extrema_csv
 from sphereq.solver import Branch, Equilibrium
-from sphereq.symmetry import detect_axial_extrema, moving_arc_sweep
+from sphereq.symmetry import AuditThresholds, detect_axial_extrema, moving_arc_sweep
 from conftest import random_band_limited
 
 
@@ -152,7 +152,7 @@ def test_report_json_handles_non_applicable():
 def test_arc_csv_row_count(grid32):
     u = eval_on_grid(grid32, lambda t, p: np.sin(t) * np.cos(2 * p))
     ext = detect_axial_extrema(u)
-    report = moving_arc_sweep(u, ext, 1, 1, n_eps=50)
+    report = moving_arc_sweep(u, ext, 1, 1, AuditThresholds(n_eps=50))
     buf = io.StringIO()
     write_arc_csv(buf, report)
     lines = buf.getvalue().strip().splitlines()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sphereq import (
+    AuditThresholds,
     AxialExtremumSet,
     ContractError,
     apply_laplacian,
@@ -148,7 +149,7 @@ def test_leveled_detects_broken_levels(grid32):
         grid32, lambda t, p: np.sin(t) * np.cos(2 * p) + 0.05 * np.sin(t) * np.cos(p)
     )
     ext = detect_axial_extrema(u)
-    result = check_leveled(ext, tol_lvl=1e-5)
+    result = check_leveled(ext, AuditThresholds(tol_lvl=1e-5))
     assert result.applicable and not result.passed
     # oracle: the maxima sit exactly at 0 and pi with peak factors 1.05/0.95,
     # so each deviates from the mean profile by 0.05 sin(theta); the minima
@@ -318,7 +319,7 @@ def test_midpoint_biradial_fails_at_pi_over_16():
 def test_sweep_symmetric_field_reaches_target(grid32):
     u = _cos2_field(grid32)
     ext = detect_axial_extrema(u)
-    report = moving_arc_sweep(u, ext, 1, 1, n_eps=50)
+    report = moving_arc_sweep(u, ext, 1, 1, AuditThresholds(n_eps=50))
     assert report.start_angle == pytest.approx(np.pi / 2)
     assert report.target_angle == pytest.approx(np.pi)
     assert np.max(report.w_max) <= 1e-12
@@ -330,7 +331,7 @@ def test_sweep_symmetric_field_reaches_target(grid32):
 def test_sweep_small_eps_empty_sector_reports_zero(grid32):
     u = _cos2_field(grid32)
     ext = detect_axial_extrema(u)
-    report = moving_arc_sweep(u, ext, 1, 1, n_eps=400)
+    report = moving_arc_sweep(u, ext, 1, 1, AuditThresholds(n_eps=400))
     # sectors narrower than one longitude cell hold no grid column
     n_empty = int(np.count_nonzero(report.epsilons < grid32.phi_cell))
     assert n_empty > 0
@@ -343,7 +344,7 @@ def test_sweep_positive_control_harmonic_mix(grid32):
     clean = harmonic_mode(grid32, 2, 2)
     broken = clean + harmonic_mode(grid32, 1, 1) * 0.1
     ext = detect_axial_extrema(clean)
-    report = moving_arc_sweep(broken, ext, 1, 1, n_eps=100)
+    report = moving_arc_sweep(broken, ext, 1, 1, AuditThresholds(n_eps=100))
     assert np.max(report.w_max) > report.tol_w * report.span
     assert report.eps_star < report.epsilons[-1]
     assert not report.reaches_target
@@ -359,7 +360,9 @@ def test_sweep_equal_profile_perturbation_caught_by_reflection(grid32):
     clean_ext = detect_axial_extrema(_cos2_field(grid32))
     for seed in (1, 3):
         for direction in (1, -1):
-            report = moving_arc_sweep(u, clean_ext, seed, direction, n_eps=60)
+            report = moving_arc_sweep(
+                u, clean_ext, seed, direction, AuditThresholds(n_eps=60)
+            )
             assert np.max(report.w_max) <= report.tol_w * report.span
     assert check_reflection(u, np.pi / 2, np.pi / 2) > 0.05
 
@@ -374,8 +377,8 @@ def test_sweep_rejects_wrong_seed_kind(grid32):
 def test_sweep_both_directions_agree_for_symmetric_field(grid32):
     u = _cos2_field(grid32)
     ext = detect_axial_extrema(u)
-    fwd = moving_arc_sweep(u, ext, 1, 1, n_eps=40)
-    bwd = moving_arc_sweep(u, ext, 1, -1, n_eps=40)
+    fwd = moving_arc_sweep(u, ext, 1, 1, AuditThresholds(n_eps=40))
+    bwd = moving_arc_sweep(u, ext, 1, -1, AuditThresholds(n_eps=40))
     assert fwd.reaches_target and bwd.reaches_target
     assert bwd.target_angle == pytest.approx(0.0, abs=1e-10)
 
@@ -485,12 +488,57 @@ def test_audit_constant_raises(grid32, op32):
         theorem_audit(chafee_infante(2.0), op32, u)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("tol_ax", float("nan")),
+        ("tol_ax", 5.0),
+        ("tol_lvl", 0.0),
+        ("tol_w", 1.0),
+        ("tol_w", -1.0),
+        ("tol_w", float("inf")),
+        ("midpoint_tol", float("nan")),
+        ("midpoint_tol", float("inf")),
+        ("midpoint_tol", 0.0),
+        ("n_eps", 1),
+        ("n_eps", 2.5),
+        ("n_eps", 100.0),
+    ],
+)
+def test_thresholds_reject_values_outside_their_range(field, value):
+    with pytest.raises(ParameterError, match=field):
+        AuditThresholds(**{field: value})
+
+
+def test_thresholds_accept_their_range_edges():
+    t = AuditThresholds(tol_ax=1e-300, midpoint_tol=1e-300, n_eps=np.int64(2))
+    assert t.n_eps == 2 and t.midpoint_tol == 1e-300
+
+
+def test_audit_rejects_fractional_arc_count(grid32, op32):
+    """A fractional n_eps is refused as a parameter before the audit runs,
+    not handed on to numpy's array constructors."""
+    with pytest.raises(ParameterError, match="n_eps"):
+        theorem_audit(
+            chafee_infante(6.0), op32, harmonic_mode(grid32, 2, 2),
+            AuditThresholds(n_eps=2.5),
+        )
+
+
+def test_stages_take_their_defaults_from_audit_thresholds(grid32):
+    u = harmonic_mode(grid32, 2, 2)
+    ext = detect_axial_extrema(u)
+    report = moving_arc_sweep(u, ext, 1, 1)
+    assert report.epsilons.size == AuditThresholds().n_eps
+    assert report.tol_w == AuditThresholds().tol_w
+
+
 def test_reflection_defect_matches_arc_target_sup(grid32):
     """check_reflection over a gap and the sweep's end-of-gap w measure the
     same quantity on different sample sets."""
     u = _cos2_field(grid32)
     ext = detect_axial_extrema(u)
-    report = moving_arc_sweep(u, ext, 1, 1, n_eps=20)
+    report = moving_arc_sweep(u, ext, 1, 1, AuditThresholds(n_eps=20))
     refl = check_reflection(u, np.pi, np.pi / 2)
     assert report.target_reflection_sup <= 1e-12 and refl <= 1e-12
 
@@ -498,7 +546,7 @@ def test_reflection_defect_matches_arc_target_sup(grid32):
         grid32, lambda t, p: 0.08 * np.sin(t) ** 3 * np.sin(3 * p)
     )
     ext_b = detect_axial_extrema(_cos2_field(grid32))
-    rep_b = moving_arc_sweep(broken, ext_b, 1, 1, n_eps=20)
+    rep_b = moving_arc_sweep(broken, ext_b, 1, 1, AuditThresholds(n_eps=20))
     refl_b = check_reflection(broken, np.pi, np.pi / 2)
     assert rep_b.target_reflection_sup > 1e-3 and refl_b > 1e-3
     assert rep_b.target_reflection_sup == pytest.approx(refl_b, rel=0.3)
@@ -572,7 +620,7 @@ def test_batched_sweep_matches_per_eps_reflections(shape, field, n_eps, directio
     u = field(make_grid(*shape))
     ext = detect_axial_extrema(u)
     seed = ext.minima_indices[0]
-    report = moving_arc_sweep(u, ext, seed, direction, n_eps=n_eps)
+    report = moving_arc_sweep(u, ext, seed, direction, AuditThresholds(n_eps=n_eps))
     expected, target_sup = _reference_sweep(u, ext, seed, direction, n_eps)
     assert np.max(np.abs(report.w_max - expected)) <= 1e-13 * u.span
 
