@@ -89,9 +89,9 @@ def _apply_config(parsers, values):
         )
 
 
-def _add_grid_flags(sp, ntheta=48, nphi=96):
-    sp.add_argument("--ntheta", type=int, default=ntheta, help="colatitude rings")
-    sp.add_argument("--nphi", type=int, default=nphi, help="longitudes (even)")
+def _add_grid_flags(sp):
+    sp.add_argument("--ntheta", type=int, default=48, help="colatitude rings")
+    sp.add_argument("--nphi", type=int, default=96, help="longitudes (even)")
     sp.add_argument(
         "--realization",
         choices=("spectral", "finite-difference"),
@@ -122,10 +122,8 @@ def _audit_thresholds(args):
     return AuditThresholds(**given)
 
 
-def _out_handle(path, default=None):
-    if path in (None, "-"):
-        return default if default is not None else sys.stdout
-    return path
+def _out_handle(path):
+    return sys.stdout if path in (None, "-") else path
 
 
 def build_parser():
@@ -259,8 +257,9 @@ def _read_input_field(path):
 
 
 def _cmd_eigen(args):
+    table = trivial_branch_eigenvalues(args.lmax)
     print("l eigenvalue multiplicity")
-    for l, eig, mult in trivial_branch_eigenvalues(args.lmax):
+    for l, eig, mult in table:
         print("%d %d %d" % (l, eig, mult))
     return 0
 
@@ -282,8 +281,6 @@ def _cmd_bifurcate(args):
 
 
 def _cmd_solve(args):
-    if args.tol <= 0:
-        raise SphereqError("solve tolerance must be positive")
     grid = make_grid(args.ntheta, args.nphi)
     op = make_operator(grid, args.realization)
     problem = problem_from_name(args.problem, args.lam)

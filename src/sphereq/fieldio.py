@@ -114,13 +114,13 @@ def read_field(path_or_file):
     return ScalarField(grid, values)
 
 
-def _num(x, digits=12):
-    """Round to ``digits`` significant figures; map non-finite to None so
-    reports stay strict JSON."""
+def _num(x):
+    """Round to 12 significant figures; map non-finite to None so reports
+    stay strict JSON."""
     x = float(x)
     if not math.isfinite(x):
         return None
-    return float(("%." + str(digits) + "g") % x)
+    return float("%.12g" % x)
 
 
 def report_to_dict(report):

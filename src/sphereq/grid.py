@@ -1,6 +1,6 @@
 """Pole-free colatitude/longitude grids on the unit sphere and the field
 primitives built on them: sampling, quadrature, longitudinal spectral
-calculus, rotations and reflections.
+calculus, rotations and reflections, and the one root refiner.
 
 Colatitudes are Gauss-Legendre roots mapped through arccos, so no node ever
 touches a pole and ring quadrature integrates band-limited integrands
@@ -22,6 +22,9 @@ TWO_PI = 2.0 * math.pi
 #: falls below this, or after this many iterations.
 _GL_TOL = 1e-14
 _GL_MAX_ITER = 100
+#: Halvings bisect_roots gives every bracket; 60 take a bracket of width
+#: 2*pi below 1e-17, past the resolution of a double.
+_BISECT_STEPS = 60
 
 
 def _legendre_and_derivative(n, x):
@@ -316,3 +319,27 @@ def oversample_phi(field, factor):
     padded[:, : n // 2] = coeffs[:, : n // 2] * factor
     padded[:, n // 2] = coeffs[:, n // 2] * (0.5 * factor)
     return np.fft.irfft(padded, fine_n, axis=1)
+
+
+def bisect_roots(f, a, b):
+    """Roots of f refined by bisection in every bracket [a[i], b[i]] at once.
+
+    ``f`` maps an array of points, one per bracket in bracket order, to the
+    values there, so each bracket may carry its own function; it is called
+    once at ``a`` and once per step.  Each bracket must hold a strict sign
+    change, f(a[i]) * f(b[i]) < 0.  Every bracket is halved together, 60
+    times, keeping the half whose ends differ in sign; a midpoint where f is
+    exactly 0 ends its bracket there.  Returns the final midpoints.
+    """
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+    fa = np.array(f(a), dtype=float)
+    for _ in range(_BISECT_STEPS):
+        mid = 0.5 * (a + b)
+        fm = f(mid)
+        # an exact zero moves both ends to it; a bracket with a == b has
+        # mid == a and never moves again
+        lower = fa * fm < 0.0
+        shrink = lower | (fm == 0.0)
+        b[shrink] = mid[shrink]
+        a[~lower], fa[~lower] = mid[~lower], fm[~lower]
+    return 0.5 * (a + b)

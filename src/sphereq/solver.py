@@ -20,7 +20,7 @@ from .errors import (
     LinearSolveError,
     ParameterError,
 )
-from .grid import ScalarField, TWO_PI
+from .grid import ScalarField, TWO_PI, bisect_roots
 from .harmonics import apply_laplacian, apply_mode_blocks, harmonic_mode
 from .problems import evaluate, linearization_coefficients
 
@@ -93,9 +93,6 @@ _SINGULAR_BLOCK = 1e8
 
 #: Evenly spaced lambda values detect_bifurcations scans for sign changes.
 _SCAN_POINTS = 512
-#: Bracket width at which the bisections of detect_bifurcations (in lambda)
-#: and circle_extrema (in longitude) stop.
-_BISECT_WIDTH = 1e-12
 
 
 def gmres(*args, **kwargs):
@@ -218,10 +215,11 @@ def newton_solve(problem, op, guess, tol=1e-9, max_iter=30):
     (see ``_krylov_solve``).  Each trial's one Lap u gives its residual and,
     once accepted, the next step's F_u and F_q.  Raises ContractError when
     F_q has zero sphere mean at the starting iterate, and ConvergenceError
-    carrying the last iterate when the budget runs out.
+    carrying the last iterate when the budget runs out.  ``tol`` must be
+    finite and positive.
     """
-    if tol <= 0:
-        raise ParameterError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ParameterError("tolerance must be finite and positive, got %r" % (tol,))
     if max_iter < 0:
         raise ParameterError("max_iter must be non-negative")
 
@@ -311,17 +309,23 @@ def gradient_flow_relax(problem, op, u0, dt, steps, blowup=1e6):
 
 def detect_bifurcations(problem_family, lam_range, l_max):
     """Parameter values where the linearization at the trivial state u == 0
-    crosses zero on a degree-l harmonic.
+    crosses zero on a harmonic of degree l = 0..l_max.
 
     The trivial state must satisfy F(0, 0) = 0 across the range (verified).
     Crossings are roots of g_l(lam) = F_u(0,0; lam) - l(l+1) F_q(0,0; lam),
-    located by scanning 512 evenly spaced values for sign changes and
-    bisecting to a bracket of 1e-12.
+    scanned for every degree at 512 evenly spaced values (one problem per
+    value).  The first of a run of exact zeros is a root, and each sign
+    change is refined by one ``bisect_roots`` call.  ``lam_range`` must be
+    finite and ``l_max`` a non-negative integer.
     Returns a list of (lam_star, l) sorted by lam_star.
     """
     lo, hi = float(lam_range[0]), float(lam_range[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ParameterError("lambda range must be finite, got (%r, %r)" % (lo, hi))
     if not hi > lo:
         raise ParameterError("empty lambda range")
+    if not (float(l_max).is_integer() and l_max >= 0):
+        raise ParameterError("l_max must be a non-negative integer, got %r" % (l_max,))
     for lam in np.linspace(lo, hi, 9):
         p = problem_family(lam)
         if abs(float(np.asarray(p.eval_F(0.0, 0.0)))) > 1e-12:
@@ -330,40 +334,24 @@ def detect_bifurcations(problem_family, lam_range, l_max):
                 "trivial-branch bifurcation detection does not apply" % lam
             )
 
-    found = []
-    grid = np.linspace(lo, hi, _SCAN_POINTS)
-    for l in range(int(l_max) + 1):
-        ll1 = float(l * (l + 1))
+    def g(lams, ll1):
+        """g_l at each lambda, for l(l+1) = ll1 broadcast against lams."""
+        coeffs = [(p.eval_Fu(0.0, 0.0), p.eval_Fq(0.0, 0.0))
+                  for p in map(problem_family, lams)]
+        fu, fq = np.array(coeffs, dtype=float).reshape(-1, 2).T  # also for no lams
+        return fu - ll1 * fq
 
-        def g(lam, ll1=ll1):
-            p = problem_family(lam)
-            return float(np.asarray(p.eval_Fu(0.0, 0.0))) - ll1 * float(
-                np.asarray(p.eval_Fq(0.0, 0.0))
-            )
-
-        vals = np.array([g(x) for x in grid])
-        for i in range(len(grid) - 1):
-            a, b = grid[i], grid[i + 1]
-            fa, fb = vals[i], vals[i + 1]
-            if fa == 0.0:
-                if i == 0 or vals[i - 1] != 0.0:
-                    found.append((float(a), l))
-                continue
-            if fa * fb < 0.0:
-                while b - a > _BISECT_WIDTH:
-                    mid = 0.5 * (a + b)
-                    fm = g(mid)
-                    if fm == 0.0:
-                        a = b = mid
-                        break
-                    if fa * fm < 0.0:
-                        b, fb = mid, fm
-                    else:
-                        a, fa = mid, fm
-                found.append((0.5 * (a + b), l))
-        if vals[-1] == 0.0:
-            found.append((float(grid[-1]), l))
-    return sorted(found)
+    scan = np.linspace(lo, hi, _SCAN_POINTS)
+    l = np.arange(int(l_max) + 1.0)
+    vals = g(scan, (l * (l + 1))[:, None])  # (degree, scan value)
+    zero = vals == 0.0
+    zero[:, 1:] &= ~zero[:, :-1]  # the first of a run of exact zeros
+    zero_l, zero_i = np.nonzero(zero)
+    brk_l, brk_i = np.nonzero(vals[:, :-1] * vals[:, 1:] < 0.0)
+    ll1 = brk_l * (brk_l + 1.0)
+    roots = bisect_roots(lambda lams: g(lams, ll1), scan[brk_i], scan[brk_i + 1])
+    return sorted(zip(np.append(scan[zero_i], roots).tolist(),
+                      np.append(zero_l, brk_l).tolist()))
 
 
 def branch_switch(grid, lam_star, l, m, amplitude=None, side=1, dlam0=0.25):
@@ -442,8 +430,9 @@ def continue_branch(problem_family, op, start, dlam, n_steps, tol=1e-9,
 def jacobian_matrix(problem, op, u):
     """Dense matrix of the linearization at u acting on grid values.
 
-    Columns are jacobian_apply on unit basis fields, so the matrix exercises
-    exactly the operator code path.  Desk-scale only (O(N^2) memory)."""
+    Column j is F_u e_j + F_q Lap e_j at u for the unit basis field e_j,
+    through apply_laplacian, so the matrix exercises exactly the operator
+    code path.  Desk-scale only (O(N^2) memory)."""
     grid = u.grid
     fu, fq = linearization_coefficients(problem, u, apply_laplacian(op, u))
     n = grid.n_theta * grid.n_phi
@@ -504,7 +493,9 @@ def circle_normal_form_amplitude(lam, k):
 
 def circle_solve(lam, k, n=256):
     """Nontrivial periodic equilibrium on the circle by cosine-Galerkin
-    Newton iteration, independent of all sphere machinery.
+    Newton iteration, independent of all sphere machinery: it shares no
+    grid, operator or transform with the sphere code, and ``circle_extrema``
+    refines its extrema with ``bisect_roots``, which takes plain arrays.
 
     Expands u(phi) = sum_j c_j cos(j*k*phi) (which enforces the phase fix
     structurally), collocates the residual on n uniform points, projects it
@@ -561,8 +552,10 @@ def circle_solve(lam, k, n=256):
 
 
 def circle_extrema(profile):
-    """Longitudes of the extrema of a circle profile, by sign changes of the
-    cosine-series derivative plus bisection to a bracket of 1e-12."""
+    """Longitudes in [0, 2*pi) of the extrema of a circle profile: exact
+    zeros of the cosine-series derivative on 4096 uniform longitudes (one
+    array product), and its sign changes between neighbouring samples, the
+    one across 2*pi included, refined by one ``bisect_roots`` call."""
     n_modes = profile.n // (2 * profile.k_mode)
     k = profile.k_mode
     # recover coefficients by projection (profile stores only samples)
@@ -571,26 +564,14 @@ def circle_extrema(profile):
     proj = synth.T * (2.0 / profile.n)
     proj[0] *= 0.5
     c = proj @ profile.values
+    freqs = k * np.arange(n_modes, dtype=float)
 
     def du(x):
-        j = np.arange(n_modes, dtype=float)
-        return float(-np.sum(c * k * j * np.sin(k * j * x)))
+        return -(np.sin(np.outer(x, freqs)) @ (c * freqs))
 
     fine = np.linspace(0.0, TWO_PI, 4096, endpoint=False)
-    vals = np.array([du(x) for x in fine])
-    roots = []
-    for i in range(len(fine)):
-        a, b = fine[i], fine[(i + 1) % len(fine)] + (TWO_PI if i + 1 == len(fine) else 0)
-        fa, fb = vals[i], vals[(i + 1) % len(fine)]
-        if fa == 0.0:
-            roots.append(a)
-        elif fa * fb < 0.0:
-            while b - a > _BISECT_WIDTH:
-                mid = 0.5 * (a + b)
-                fm = du(mid)
-                if fa * fm <= 0.0:
-                    b, fb = mid, fm
-                else:
-                    a, fa = mid, fm
-            roots.append(0.5 * (a + b))
-    return np.array(sorted(r % TWO_PI for r in roots))
+    vals = du(fine)
+    ends = np.append(fine[1:], TWO_PI)
+    brk = vals * np.roll(vals, -1) < 0.0
+    roots = np.concatenate([fine[vals == 0.0], bisect_roots(du, fine[brk], ends[brk])])
+    return np.sort(roots % TWO_PI)

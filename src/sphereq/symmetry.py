@@ -29,6 +29,7 @@ import numpy as np
 from .errors import ContractError, DegenerateFieldError, ParameterError
 from .grid import (
     TWO_PI,
+    bisect_roots,
     d_phi,
     eval_on_grid,
     interp_phi,
@@ -180,9 +181,9 @@ def detect_axial_extrema(u, thresholds=AuditThresholds()):
     are merged (and flagged); a longitude where only some rings are
     critical is reported as non-axial instead of as an extremum.
 
-    All candidates are refined together: u_phi is transformed once, and
-    each bisection step sums one short trigonometric series per candidate
-    at its midpoint.
+    All candidates are refined together by ``bisect_roots``: u_phi is
+    transformed once, and each bisection step sums one short trigonometric
+    series per candidate at its midpoint.
     """
     grid = u.grid
     mean = quadrature_mean(u)
@@ -219,33 +220,24 @@ def detect_axial_extrema(u, thresholds=AuditThresholds()):
     cb = w @ (du_r * ref)
 
     # bisection on the sign change of the alignment-weighted ring average
-    # of u_phi; a bracket that hits an exact zero stops there.  That average
-    # is one trigonometric series per candidate, whose coefficients are the
-    # ring series of u_phi contracted with the weights once.
+    # of u_phi.  That average is one trigonometric series per candidate,
+    # whose coefficients are the ring series of u_phi contracted with the
+    # weights once.
     bisect = ca * cb < 0.0
-    a, b, fa = left[bisect], right[bisect], ca[bisect]
     series = np.einsum("tk,tm->km", w[:, None] * ref[:, bisect], ring_series(du))
     modes = np.arange(series.shape[1])
-    active = np.ones(a.size, dtype=bool)
-    for _ in range(60):
-        mid = 0.5 * (a + b)
-        mphi = np.multiply.outer(mid, modes)
-        fm = (np.einsum("km,km->k", series.real, np.cos(mphi))
-              - np.einsum("km,km->k", series.imag, np.sin(mphi)))
-        hit = active & (fm == 0.0)
-        a[hit] = b[hit] = mid[hit]
-        active &= ~hit
-        lower = active & (fa * fm < 0.0)
-        upper = active & ~lower
-        b[lower] = mid[lower]
-        a[upper], fa[upper] = mid[upper], fm[upper]
+
+    def aligned_average(phis):
+        mphi = np.multiply.outer(phis, modes)
+        return (np.einsum("km,km->k", series.real, np.cos(mphi))
+                - np.einsum("km,km->k", series.imag, np.sin(mphi)))
 
     # otherwise the parabolic vertex through the three refined samples of g
     gm, g0, gp = g[rows - 1], g[rows], g[(rows + 1) % n_fine]
     denom = gm - 2.0 * g0 + gp
     shift = 0.5 * (gm - gp) / np.where(denom != 0, denom, 1.0)
     phi_star = phis_fine[rows] + np.where(denom != 0, shift, 0.0) * h_fine
-    phi_star[bisect] = 0.5 * (a + b)
+    phi_star[bisect] = bisect_roots(aligned_average, left[bisect], right[bisect])
     phi_star %= TWO_PI
 
     defect = np.max(np.abs(interp_phi(du, phi_star)), axis=0) / u_phi_sup

@@ -43,6 +43,14 @@ def test_extrema_evenly_spaced(lam, k):
     assert np.max(np.abs(gaps - np.pi / k)) < 1e-8
 
 
+@pytest.mark.parametrize("lam,k", [(1.2, 1), (3.0, 1), (30.0, 3), (10.0, 2)])
+def test_extrema_at_multiples_of_half_the_period(lam, k):
+    """The profile is even with period 2*pi/k, so its extrema sit exactly at
+    j*pi/k; the refined roots find them to within 1e-12."""
+    ext = circle_extrema(circle_solve(lam, k, 256))
+    assert np.max(np.abs(ext - np.pi * np.arange(2 * k) / k)) < 1e-12
+
+
 def test_profile_periodicity_and_phase():
     prof = circle_solve(5.0, 2, 256)
     quarter = prof.n // 2  # one fundamental period of k = 2

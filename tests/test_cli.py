@@ -227,6 +227,30 @@ def test_solve_nonpositive_tolerance_exits_2(capsys):
     assert "tolerance" in err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["solve", "--lam", "6.5", "--tol", "nan"], ["solve", "--lam", "6.5", "--tol", "inf"],
+     ["branch", "--l", "2", "--m", "2", "--tol", "nan"]],
+)
+def test_non_finite_tolerance_exits_2(capsys, args):
+    """A NaN or infinite tolerance would let Newton return the unsolved guess."""
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert "tolerance" in err and out == ""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["bifurcate", "--lambda-min", "0.5", "--lambda-max", "13", "--lmax", "-1"],
+     ["bifurcate", "--lambda-min", "0.5", "--lambda-max", "inf"],
+     ["eigen", "--lmax", "-1"]],
+)
+def test_bad_degree_or_range_exits_2_before_any_output(capsys, args):
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert out == "" and err.startswith("sphereq: ")
+
+
 def test_negative_iteration_counts_exit_2(capsys, tmp_path):
     code, _, err = run_cli(["solve", "--max-iter", "-1"], capsys)
     assert code == 2

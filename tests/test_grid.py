@@ -18,6 +18,7 @@ from sphereq import (
     reflect_phi,
     rotate_phi,
 )
+from sphereq.grid import bisect_roots
 from conftest import random_band_limited
 
 FOUR_PI = 4.0 * np.pi
@@ -204,6 +205,50 @@ def test_interp_phi_matches_full_fourier_synthesis(grid32):
     dense = (np.fft.fft(u.values, axis=1) / n) @ np.exp(1j * np.outer(m, phis))
     assert np.max(np.abs(interp_phi(u, phis) - dense.real)) < 1e-13
     assert interp_phi(u, 0.3).shape == (grid32.n_theta, 1)
+
+
+# ---------------------------------------------------------------------------
+# root refinement
+# ---------------------------------------------------------------------------
+
+
+def _scalar_bisection(f, a, b, steps=60):
+    fa = f(a)
+    for _ in range(steps):
+        mid = 0.5 * (a + b)
+        fm = f(mid)
+        if fm == 0.0:
+            return mid
+        if fa * fm < 0.0:
+            b = mid
+        else:
+            a, fa = mid, fm
+    return 0.5 * (a + b)
+
+
+def test_bisect_roots_refines_every_bracket_like_a_scalar_bisection():
+    """Each bracket carries its own function (x^2 - c for its own c, or its
+    negative), and all are refined together to what a scalar bisection of
+    that one function gives."""
+    c = np.array([2.0, 3.0, 0.5, 7.0])
+    sign = np.array([1.0, -1.0, 1.0, -1.0])
+    a = np.array([1.0, 1.5, 0.0, 2.0])
+    b = np.array([2.0, 2.0, 1.0, 3.0])
+    roots = bisect_roots(lambda x: sign * (x * x - c), a, b)
+    assert roots.shape == (4,)
+    for i in range(4):
+        expected = _scalar_bisection(
+            lambda x: sign[i] * (x * x - c[i]), a[i], b[i]
+        )
+        assert roots[i] == expected
+    assert np.max(np.abs(roots - np.sqrt(c))) < 1e-15
+
+
+def test_bisect_roots_stops_at_an_exact_zero():
+    roots = bisect_roots(lambda x: x - np.array([0.0, 0.3]), [-1.0, -1.0], [1.0, 1.0])
+    assert roots[0] == 0.0
+    assert abs(roots[1] - 0.3) < 1e-15
+    assert bisect_roots(lambda x: x, np.array([-1.0]), np.array([1.0]))[0] == 0.0
 
 
 # ---------------------------------------------------------------------------

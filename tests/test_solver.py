@@ -315,6 +315,15 @@ def test_newton_iteration_budget(grid32, op32):
         newton_solve(chafee_infante(3.0), op32, _const(grid32, 0.9), max_iter=-1)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-9])
+def test_newton_rejects_a_tolerance_that_is_not_finite_and_positive(grid32, op32, tol):
+    """With a NaN or infinite tol the loop never runs, so the unsolved guess
+    would come back as an Equilibrium whose residual exceeds any finite
+    tolerance."""
+    with pytest.raises(ParameterError, match="tolerance"):
+        newton_solve(chafee_infante(6.5), op32, _const(grid32, 0.3), tol=tol)
+
+
 @pytest.mark.parametrize("realization", ["spectral", "finite-difference"])
 @pytest.mark.parametrize("l, m", [(2, 2), (3, 1)])
 @pytest.mark.parametrize("scale", [0.2, 2.5])
@@ -444,6 +453,34 @@ def test_detect_requires_trivial_root():
 
     with pytest.raises(ContractError):
         detect_bifurcations(family, (0.5, 3.0), 1)
+
+
+@pytest.mark.parametrize(
+    "lam_range, l_max, match",
+    [((0.5, 13.0), -1, "l_max"), ((0.5, 13.0), 2.7, "l_max"),
+     ((0.5, 13.0), float("nan"), "l_max"), ((0.5, float("inf")), 3, "finite"),
+     ((float("-inf"), 13.0), 3, "finite"), ((float("nan"), 13.0), 3, "finite")],
+)
+def test_detect_rejects_bad_degree_or_range(lam_range, l_max, match):
+    with pytest.raises(ParameterError, match=match):
+        detect_bifurcations(chafee_infante, lam_range, l_max)
+
+
+def test_detect_first_of_a_run_of_exact_zeros_is_the_root():
+    """g_0 = F_u(0, 0) is exactly 0 on [-1, 0] here: the scan's first zero
+    sample is the one root of degree 0, and the degree-1 root at lambda = 2
+    is still refined."""
+    def family(lam):
+        p = chafee_infante(lam)
+        slope = max(lam, 0.0)
+        return dataclasses.replace(
+            p, eval_Fu=lambda u, q: slope * (1.0 - 3.0 * u * u)
+        )
+
+    points = detect_bifurcations(family, (-1.0, 3.0), 1)
+    assert [l for _, l in points] == [0, 1]
+    assert points[0][0] == -1.0
+    assert abs(points[1][0] - 2.0) < 1e-12
 
 
 def test_discrete_eigenvalues_mesh_independent():
