@@ -89,27 +89,6 @@ def _apply_config(parsers, values):
         )
 
 
-def _add_grid_flags(sp):
-    sp.add_argument("--ntheta", type=int, default=48, help="colatitude rings")
-    sp.add_argument("--nphi", type=int, default=96, help="longitudes (even)")
-    sp.add_argument(
-        "--realization",
-        choices=("spectral", "finite-difference"),
-        default="spectral",
-        help="Laplace-Beltrami realization",
-    )
-
-
-def _add_problem_flags(sp, lam_default=6.5):
-    sp.add_argument(
-        "--problem",
-        default="chafee-infante",
-        choices=sorted(PROBLEM_REGISTRY),
-        help="built-in problem name",
-    )
-    sp.add_argument("--lam", type=float, default=lam_default, help="parameter lambda")
-
-
 def _audit_thresholds(args):
     """One AuditThresholds from the threshold flags the subcommand has.  The
     flags default to None, which keeps the dataclass default; the dataclass
@@ -145,7 +124,6 @@ def build_parser():
     parsers["eigen"] = sp
 
     sp = sub.add_parser("bifurcate", help="detect trivial-branch bifurcation points")
-    _add_problem_flags(sp, lam_default=0.0)
     sp.add_argument("--lambda-min", type=float, required=True)
     sp.add_argument("--lambda-max", type=float, required=True)
     sp.add_argument("--lmax", type=int, default=3, help="largest harmonic degree")
@@ -153,8 +131,6 @@ def build_parser():
     parsers["bifurcate"] = sp
 
     sp = sub.add_parser("solve", help="single Newton solve from a named seed")
-    _add_problem_flags(sp)
-    _add_grid_flags(sp)
     sp.add_argument(
         "--seed",
         choices=("zero", "constant", "harmonic"),
@@ -171,10 +147,6 @@ def build_parser():
     parsers["solve"] = sp
 
     sp = sub.add_parser("branch", help="switch onto a bifurcating branch and continue")
-    sp.add_argument(
-        "--problem", default="chafee-infante", choices=sorted(PROBLEM_REGISTRY)
-    )
-    _add_grid_flags(sp)
     sp.add_argument("--l", type=int, required=True)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument(
@@ -184,7 +156,7 @@ def build_parser():
         help="bifurcation point (auto-detected when omitted)",
     )
     sp.add_argument("--side", type=int, choices=(1, -1), default=1)
-    sp.add_argument("--dlam", type=float, default=0.25)
+    sp.add_argument("--dlam", type=float, default=0.25, help="lambda step (> 0)")
     sp.add_argument("--steps", type=int, default=6)
     sp.add_argument("--amplitude", type=float, default=None)
     sp.add_argument("--tol", type=float, default=1e-9)
@@ -193,12 +165,6 @@ def build_parser():
 
     sp = sub.add_parser("audit", help="run the symmetry audit on an SPHF field")
     sp.add_argument("input", nargs="?", default="-", help="SPHF path or '-' (stdin)")
-    _add_problem_flags(sp)
-    sp.add_argument(
-        "--realization",
-        choices=("spectral", "finite-difference"),
-        default="spectral",
-    )
     # audit thresholds: None keeps the AuditThresholds default
     sp.add_argument("--tol-ax", type=float, default=None)
     sp.add_argument("--tol-lvl", type=float, default=None)
@@ -230,7 +196,6 @@ def build_parser():
         choices=("harmonic", "figure1", "perturbed"),
         help="harmonic Y_l^m, the biradial demo field, or a symmetry-broken mix",
     )
-    _add_grid_flags(sp)
     sp.add_argument("--l", type=int, default=2)
     sp.add_argument("--m", type=int, default=2)
     sp.add_argument("--amplitude", type=float, default=1.0)
@@ -247,6 +212,26 @@ def build_parser():
     sp.add_argument("--out", default=None, help="profile CSV path")
     parsers["circle"] = sp
 
+    # flags that several subcommands take, each stated once
+    for sp in [parsers[n] for n in ("solve", "branch", "gen")]:
+        sp.add_argument("--ntheta", type=int, default=48, help="colatitude rings")
+        sp.add_argument("--nphi", type=int, default=96, help="longitudes (even)")
+    for sp in [parsers[n] for n in ("solve", "branch", "audit")]:
+        sp.add_argument(
+            "--realization",
+            choices=("spectral", "finite-difference"),
+            default="spectral",
+            help="Laplace-Beltrami realization",
+        )
+    for sp in [parsers[n] for n in ("bifurcate", "solve", "branch", "audit")]:
+        sp.add_argument(
+            "--problem",
+            default="chafee-infante",
+            choices=sorted(PROBLEM_REGISTRY),
+            help="built-in problem name",
+        )
+    for sp in [parsers[n] for n in ("solve", "audit")]:
+        sp.add_argument("--lam", type=float, default=6.5, help="parameter lambda")
     return parser, parsers
 
 
@@ -311,13 +296,15 @@ def _cmd_solve(args):
 
 
 def _cmd_branch(args):
+    if not 0.0 < args.dlam < np.inf:  # refuses NaN as well
+        raise SphereqError("--dlam must be finite and > 0; --side sets the direction")
     grid = make_grid(args.ntheta, args.nphi)
     op = make_operator(grid, args.realization)
     family = lambda lam: problem_from_name(args.problem, lam)
     lam_star = args.lambda_star
     if lam_star is None:
         ll1 = args.l * (args.l + 1)
-        window = max(1.0, abs(args.dlam) * 4)
+        window = max(1.0, args.dlam * 4)
         points = detect_bifurcations(
             family, (ll1 - window, ll1 + window), args.l
         )
@@ -329,7 +316,7 @@ def _cmd_branch(args):
         lam_star = points[0][0]
     lam_start, guess = branch_switch(
         grid, lam_star, args.l, args.m, amplitude=args.amplitude, side=args.side,
-        dlam0=abs(args.dlam),
+        dlam0=args.dlam,
     )
     start = newton_solve(family(lam_start), op, guess, tol=args.tol)
     if start.amplitude < (args.amplitude or guess.sup_norm) / 2.0:
@@ -340,7 +327,7 @@ def _cmd_branch(args):
         family,
         op,
         start,
-        args.side * abs(args.dlam),
+        args.side * args.dlam,
         args.steps,
         tol=args.tol,
         provenance=(args.l, args.m),

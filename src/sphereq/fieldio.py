@@ -125,7 +125,8 @@ def _num(x):
 
 def report_to_dict(report):
     """JSON-ready dictionary for a SymmetryReport (angles at 12 significant
-    digits, deterministic layout)."""
+    digits, deterministic layout).  Formats only: every pass flag and the
+    verdict come from the report."""
     ext = report.extrema
     return {
         "extrema": {
@@ -147,19 +148,14 @@ def report_to_dict(report):
         "reflection": {
             "defects": [_num(d) for d in report.reflection_defects],
             "tol": _num(report.thresholds.tol_w),
-            "passed": bool(np.all(report.reflection_defects <= report.thresholds.tol_w))
-            if report.reflection_defects.size
-            else False,
+            "passed": report.reflection_passed,
         },
         "midpoint": {
             "defects": [_num(d) for d in report.midpoint.defects],
             "max_defect": _num(report.midpoint.max_defect),
             "tol": _num(report.midpoint_tol),
             "applicable": bool(report.midpoint.applicable),
-            "passed": bool(
-                report.midpoint.applicable
-                and report.midpoint.max_defect <= report.midpoint_tol
-            ),
+            "passed": report.midpoint_passed,
         },
         "moving_arc": [
             {

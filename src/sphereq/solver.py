@@ -555,7 +555,8 @@ def circle_extrema(profile):
     """Longitudes in [0, 2*pi) of the extrema of a circle profile: exact
     zeros of the cosine-series derivative on 4096 uniform longitudes (one
     array product), and its sign changes between neighbouring samples, the
-    one across 2*pi included, refined by one ``bisect_roots`` call."""
+    one across 2*pi included, refined by one ``bisect_roots`` call.  Empty
+    when the derivative series is identically zero (the trivial profile)."""
     n_modes = profile.n // (2 * profile.k_mode)
     k = profile.k_mode
     # recover coefficients by projection (profile stores only samples)
@@ -565,6 +566,8 @@ def circle_extrema(profile):
     proj[0] *= 0.5
     c = proj @ profile.values
     freqs = k * np.arange(n_modes, dtype=float)
+    if not np.any(c * freqs):
+        return np.empty(0)  # a constant profile has no isolated extrema
 
     def du(x):
         return -(np.sin(np.outer(x, freqs)) @ (c * freqs))

@@ -262,9 +262,7 @@ def detect_axial_extrema(u, thresholds=AuditThresholds()):
     angles, defects, merged = [], [], []
     for grp in groups:
         ang = float(np.mean([a for a, _ in grp])) % TWO_PI
-        if ang >= TWO_PI - 1e-9:  # wrap values within roundoff of 2*pi to 0
-            ang -= TWO_PI
-        angles.append(max(ang, 0.0) if abs(ang) < 1e-12 else ang)
+        angles.append(0.0 if ang >= TWO_PI - 1e-12 else ang)  # roundoff of 2*pi
         defects.append(max(d for _, d in grp))
         merged.append(len(grp) > 1)
     order = np.argsort(angles)
@@ -318,6 +316,19 @@ def check_leveled(ext, thresholds=AuditThresholds()):
     )
 
 
+def _sector_columns(phi, centres, widths):
+    """Mask, one row per sector, of the longitudes ``phi`` strictly inside
+    (centres - widths, centres); a width of 2*pi takes every longitude."""
+    lo = centres - widths
+    # offsets from the lower edge, bounded by c - lo rather than the width,
+    # so a column on the mirror meridian stays outside whatever the
+    # rounding of c - width
+    rel = np.mod(phi - lo[:, None], TWO_PI)
+    cols = (rel > 0.0) & (rel < (centres - lo)[:, None])
+    cols[widths >= TWO_PI - 1e-12] = True
+    return cols
+
+
 def check_reflection(u, centres, widths):
     """Sup of |u - u o R_c| over the grid longitudes strictly inside the
     sector (c - width, c) that ends at the mirror meridian c, divided by
@@ -336,13 +347,8 @@ def check_reflection(u, centres, widths):
         raise ParameterError("sector width is negative")
     if np.any(widths > TWO_PI + 1e-12):
         raise ParameterError("sector width exceeds 2*pi")
-    c, lo = centres.ravel(), (centres - widths).ravel()
-    # offsets from the lower edge, bounded by c - lo rather than the width,
-    # so a column on the mirror meridian stays outside whatever the
-    # rounding of c - width
-    rel = np.mod(u.grid.phi_nodes - lo[:, None], TWO_PI)
-    cols = (rel > 0.0) & (rel < (c - lo)[:, None])
-    cols[widths.ravel() >= TWO_PI - 1e-12] = True
+    c = centres.ravel()
+    cols = _sector_columns(u.grid.phi_nodes, c, widths.ravel())
     coeffs = np.fft.rfft(u.values, axis=1)
     out = np.empty(c.size)
     for k in range(0, c.size, _SWEEP_CHUNK):
@@ -461,7 +467,7 @@ def moving_arc_sweep(u, ext, seed_index, direction, thresholds=AuditThresholds()
         chunk = eps[lo : lo + _SWEEP_CHUNK]
         w = np.fft.irfft(reflect_coeffs(coeffs, chunk), n_phi, axis=-1)
         np.subtract(shifted, w, out=w)
-        cols = (phi_cols > 0.0) & (phi_cols < chunk[:, None])
+        cols = _sector_columns(phi_cols, chunk, chunk)
         col_max = np.where(cols, w.max(axis=1), -np.inf).max(axis=1)
         w_max[lo : lo + chunk.size] = np.where(cols.any(axis=1), col_max, 0.0)
 
@@ -475,7 +481,7 @@ def moving_arc_sweep(u, ext, seed_index, direction, thresholds=AuditThresholds()
         eps_star = float(eps[bad[0] - 1])
 
     w_target = shifted - np.fft.irfft(reflect_coeffs(coeffs, gap), n_phi, axis=1)
-    cols = (phi_cols > 0.0) & (phi_cols < gap)
+    cols = _sector_columns(phi_cols, np.array([gap]), np.array([gap]))[0]
     target_sup = float(np.abs(w_target[:, cols]).max()) / span if np.any(cols) else 0.0
 
     return MovingArcReport(
@@ -541,12 +547,13 @@ VERDICT_FAIL = "not-theorem-compatible"
 
 @dataclass(frozen=True)
 class SymmetryReport:
-    """Full audit outcome for one field.
+    """Full audit outcome for one field: the measurements, and as
+    properties the decisions derived from them, each a Python ``bool``.
 
     ``verdict`` is "pass" when both the hypotheses (axial, alternating,
     leveled extrema; a saddle meridian breaks the alternation) and the
-    conclusions (even spacing, mirror symmetry, one-signed arc sweeps) hold
-    within thresholds;
+    conclusions (mirror symmetry, even spacing where the midpoint check
+    applies, one-signed arc sweeps) hold within thresholds;
     "hypotheses-not-met" when the field is outside the audited class (the
     conclusion checks are still reported for information); and
     "not-theorem-compatible" when the hypotheses hold but a conclusion
@@ -562,9 +569,34 @@ class SymmetryReport:
     equilibrium_residual: float
     thresholds: AuditThresholds
     midpoint_tol: float
-    hypotheses_met: bool
-    conclusions_ok: bool
-    verdict: str
+
+    @property
+    def reflection_passed(self):
+        d = self.reflection_defects
+        return bool(d.size) and bool(np.all(d <= self.thresholds.tol_w))
+
+    @property
+    def midpoint_passed(self):
+        mid = self.midpoint
+        return bool(mid.applicable and mid.max_defect <= self.midpoint_tol)
+
+    @property
+    def hypotheses_met(self):
+        ext = self.extrema
+        axial = ext.non_axial_critical.size == 0
+        return bool(ext.kinds_alternate and axial and self.leveled.passed)
+
+    @property
+    def conclusions_ok(self):
+        spacing_ok = self.midpoint_passed or not self.midpoint.applicable
+        arcs_ok = all(r.reaches_target and r.equality_ok for r in self.arc_reports)
+        return self.reflection_passed and spacing_ok and arcs_ok
+
+    @property
+    def verdict(self):
+        if not self.hypotheses_met:
+            return VERDICT_HYPOTHESES
+        return VERDICT_PASS if self.conclusions_ok else VERDICT_FAIL
 
 
 def theorem_audit(problem, op, u, thresholds=AuditThresholds()):
@@ -575,7 +607,7 @@ def theorem_audit(problem, op, u, thresholds=AuditThresholds()):
     minimum in both orientations, plus the linearized-annihilation residual
     at every extremal meridian and the equation residual of u itself (both
     informational, and both from one application of Lap to u).  Requires a
-    nonconstant field."""
+    nonconstant field.  Only measures: the report derives the verdict."""
     midpoint_tol = (
         thresholds.midpoint_tol
         if thresholds.midpoint_tol is not None
@@ -588,10 +620,7 @@ def theorem_audit(problem, op, u, thresholds=AuditThresholds()):
     )
 
     leveled = check_leveled(ext, thresholds)
-
-    n = ext.n
     reflection_defects = check_reflection(u, ext.angles, ext.gaps)
-
     midpoint = check_midpoint(ext)
 
     arc_reports = tuple(
@@ -601,29 +630,6 @@ def theorem_audit(problem, op, u, thresholds=AuditThresholds()):
     )
 
     annihilation = linearized_annihilation(problem, u, lap_u, ext.angles)
-
-    hypotheses_met = (
-        n >= 2
-        and ext.kinds_alternate
-        and ext.non_axial_critical.size == 0
-        and leveled.applicable
-        and leveled.passed
-    )
-    conclusion_parts = [n > 0, bool(np.all(reflection_defects <= thresholds.tol_w))]
-    if midpoint.applicable:
-        conclusion_parts.append(midpoint.max_defect <= midpoint_tol)
-    if arc_reports:
-        conclusion_parts.append(
-            all(r.reaches_target and r.equality_ok for r in arc_reports)
-        )
-    conclusions_ok = all(conclusion_parts)
-
-    if not hypotheses_met:
-        verdict = VERDICT_HYPOTHESES
-    elif conclusions_ok:
-        verdict = VERDICT_PASS
-    else:
-        verdict = VERDICT_FAIL
 
     return SymmetryReport(
         extrema=ext,
@@ -635,9 +641,6 @@ def theorem_audit(problem, op, u, thresholds=AuditThresholds()):
         equilibrium_residual=eq_residual,
         thresholds=thresholds,
         midpoint_tol=midpoint_tol,
-        hypotheses_met=hypotheses_met,
-        conclusions_ok=conclusions_ok,
-        verdict=verdict,
     )
 
 

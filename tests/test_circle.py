@@ -68,3 +68,10 @@ def test_parameter_validation():
         circle_solve(2.0, 1, 63)
     with pytest.raises(ParameterError):
         circle_solve(2.0, 1, 8)
+
+
+def test_trivial_profile_has_no_extrema():
+    """The derivative series of u = 0 vanishes identically, so no scan
+    sample is an extremum."""
+    ext = circle_extrema(circle_solve(1.0, 1, 64))
+    assert ext.shape == (0,)

@@ -381,3 +381,46 @@ def test_gen_perturbed_fails_strict_audit(capsys, tmp_path):
     )
     assert code == 1
     assert "verdict" in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["gen", "figure1", "--realization", "spectral"],
+     ["gen", "harmonic", "--realization", "finite-difference"],
+     ["bifurcate", "--lambda-min", "0.5", "--lambda-max", "13", "--lmax", "3",
+      "--lam", "99"]],
+)
+def test_flag_the_subcommand_would_ignore_exits_2(capsys, args):
+    """gen builds no operator and bifurcate scans lambda, so neither takes
+    --realization or --lam."""
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("dlam", ["-0.25", "0", "nan"])
+def test_branch_step_that_is_not_positive_exits_2(capsys, tmp_path, dlam):
+    """--side sets the direction; a negative --dlam used to be taken as its
+    absolute value."""
+    code, out, err = run_cli(
+        ["branch", "--l", "2", "--m", "2", "--dlam", dlam, "--outdir", str(tmp_path)],
+        capsys,
+    )
+    assert code == 2 and out == ""
+    assert "--dlam" in err and "--side" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_realization_and_lam_stay_config_keys(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("realization = finite-difference\nlam = 6.5\n")
+    field = tmp_path / "y22.sphf"
+    code, _, _ = run_cli(
+        ["--config", str(cfg), "gen", "harmonic", "--ntheta", "32", "--nphi", "64",
+         "--out", str(field)],
+        capsys,
+    )
+    assert code == 0
+    code, _, err = run_cli(["--config", str(cfg), "audit", str(field)], capsys)
+    assert code == 0 and "verdict pass" in err

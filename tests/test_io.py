@@ -8,11 +8,14 @@ import pytest
 
 from sphereq import (
     FieldFormatError,
+    biradial_field,
+    branch_switch,
     chafee_infante,
     eval_on_grid,
     harmonic_mode,
     make_grid,
     make_operator,
+    newton_solve,
     read_field,
     report_to_dict,
     theorem_audit,
@@ -142,6 +145,30 @@ def test_report_json_handles_non_applicable():
     parsed = json.loads(buf.getvalue())
     assert parsed["verdict"] == "hypotheses-not-met"
     assert parsed["leveled"]["defect"] is None
+
+
+def test_report_json_flags_are_the_reports_own():
+    """The JSON pass flags and verdict are the report's derived properties,
+    each a Python bool, on the biradial field, a perturbed field and an
+    equilibrium."""
+    grid = make_grid(32, 64)
+    op = make_operator(grid)
+    lam, guess = branch_switch(grid, 6.0, 2, 2, dlam0=0.5)
+    fields = {
+        "figure1": (biradial_field(grid), "not-theorem-compatible"),
+        "perturbed": (harmonic_mode(grid, 2, 2) + harmonic_mode(grid, 1, 1) * 0.1,
+                      "hypotheses-not-met"),
+        "equilibrium": (newton_solve(chafee_infante(lam), op, guess).u, "pass"),
+    }
+    for name, (u, verdict) in fields.items():
+        report = theorem_audit(chafee_infante(lam), op, u)
+        payload = report_to_dict(report)
+        flags = (report.reflection_passed, report.midpoint_passed,
+                 report.hypotheses_met, report.conclusions_ok)
+        assert all(type(f) is bool for f in flags), name
+        assert payload["reflection"]["passed"] is report.reflection_passed, name
+        assert payload["midpoint"]["passed"] is report.midpoint_passed, name
+        assert payload["verdict"] == report.verdict == verdict, name
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,20 @@ def test_detect_phase_covariance(grid32):
     assert abs(moved.level_defect - base.level_defect) < 1e-10
 
 
+def test_extremum_just_below_two_pi_is_listed_last_in_range(grid32):
+    """A maximum 5e-10 or 2e-9 below 2*pi is reported there, after the
+    others, for both rotations; only roundoff of 2*pi maps to 0."""
+    found = []
+    for shift in (5e-10, 2e-9):
+        u = eval_on_grid(grid32, lambda t, p: np.sin(t) ** 2 * np.cos(2 * (p + shift)))
+        ext = detect_axial_extrema(u)
+        assert np.all((ext.angles >= 0.0) & (ext.angles < TWO_PI))
+        assert ext.kinds == ("min", "max", "min", "max")
+        assert abs(ext.angles[-1] - (TWO_PI - shift)) < 1e-12
+        found.append(ext.angles)
+    assert np.max(np.abs(found[0] - found[1])) < 1e-8
+
+
 # ---------------------------------------------------------------------------
 # leveled check
 # ---------------------------------------------------------------------------
