@@ -69,14 +69,10 @@ from .solver import (
 from .symmetry import (
     AuditThresholds,
     AxialExtremumSet,
-    LeveledCheck,
-    MidpointCheck,
     MovingArcReport,
     SymmetryReport,
     biradial_angles,
     biradial_field,
-    check_leveled,
-    check_midpoint,
     check_reflection,
     detect_axial_extrema,
     linearized_annihilation,

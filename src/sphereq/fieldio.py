@@ -140,9 +140,9 @@ def report_to_dict(report):
             "tol_ax": _num(report.thresholds.tol_ax),
         },
         "leveled": {
-            "defect": _num(report.leveled.defect),
-            "passed": bool(report.leveled.passed),
-            "applicable": bool(report.leveled.applicable),
+            "defect": _num(ext.level_defect),
+            "passed": report.leveled_passed,
+            "applicable": report.leveled_applicable,
             "tol_lvl": _num(report.thresholds.tol_lvl),
         },
         "reflection": {
@@ -151,10 +151,10 @@ def report_to_dict(report):
             "passed": report.reflection_passed,
         },
         "midpoint": {
-            "defects": [_num(d) for d in report.midpoint.defects],
-            "max_defect": _num(report.midpoint.max_defect),
+            "defects": [_num(d) for d in ext.midpoint_defects],
+            "max_defect": _num(max(ext.midpoint_defects, default=math.nan)),
             "tol": _num(report.midpoint_tol),
-            "applicable": bool(report.midpoint.applicable),
+            "applicable": report.midpoint_applicable,
             "passed": report.midpoint_passed,
         },
         "moving_arc": [

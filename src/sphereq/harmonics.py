@@ -37,7 +37,8 @@ def legendre_table(theta, degree_cap):
     ``plm[l, m]`` the colatitude profile of the orthonormal harmonic,
     normalized so that  2*pi * integral Q_l^m(x)^2 dx = 1.  Computed with
     the standard stable forward recurrences on the normalized functions
-    (no overflow up to l of a few hundred).
+    (no overflow up to l of a few hundred), one degree at a time with every
+    order m < l advanced together.
     """
     theta = np.asarray(theta, dtype=float)
     L = int(degree_cap)
@@ -47,15 +48,14 @@ def legendre_table(theta, degree_cap):
     plm[0, 0] = 1.0 / math.sqrt(4.0 * math.pi)
     for m in range(1, L + 1):
         plm[m, m] = math.sqrt((2.0 * m + 1.0) / (2.0 * m)) * s * plm[m - 1, m - 1]
-    for m in range(L + 1):
-        for l in range(m + 1, L + 1):
-            a = math.sqrt((2.0 * l - 1.0) * (2.0 * l + 1.0) / ((l - m) * (l + m)))
-            plm[l, m] = a * x * plm[l - 1, m]
-            if l - m >= 2:
-                b = math.sqrt(
-                    (l - 1.0 - m) * (l - 1.0 + m) / ((2.0 * l - 3.0) * (2.0 * l - 1.0))
-                )
-                plm[l, m] -= a * b * plm[l - 2, m]
+    for l in range(1, L + 1):
+        m = np.arange(l)
+        a = np.sqrt((2.0 * l - 1.0) * (2.0 * l + 1.0) / ((l - m) * (l + m)))
+        plm[l, :l] = a[:, None] * x * plm[l - 1, :l]
+        # the second term starts two degrees above the diagonal
+        m = m[:-1]
+        b = np.sqrt((l - 1.0 - m) * (l - 1.0 + m) / ((2.0 * l - 3.0) * (2.0 * l - 1.0)))
+        plm[l, : l - 1] -= (a[:-1] * b)[:, None] * plm[l - 2, : l - 1]
     return plm
 
 

@@ -13,10 +13,9 @@ and its reflection satisfies the averaged linear equation
 a * Lap w + b * w = 0.
 
 Everything runs as batched numpy over angles: the extremum bisection
-advances all candidates in lockstep, the reflection check and each
-moving-arc sweep evaluate all their reflections from one set of ring
-Fourier coefficients, and the annihilation check reflects u and Lap u from
-one transform each.
+advances all candidates in lockstep, the reflection check and every
+moving-arc sweep reflect through one kernel (``_sector_sup``), and the
+annihilation check reflects u and Lap u from one transform each.
 """
 
 from __future__ import annotations
@@ -34,15 +33,15 @@ from .grid import (
     eval_on_grid,
     interp_phi,
     oversample_phi,
-    quadrature_mean,
     reflect_coeffs,
     ring_series,
 )
 from .problems import _averaged_coefficients, evaluate
 from .harmonics import apply_laplacian
+from .solver import TRIVIAL_AMPLITUDE
 
 _REFINE_FACTOR = 16
-# Reflections per batched inverse FFT in a moving-arc sweep.  Each batch
+# Reflections per batched inverse FFT in ``_sector_sup``.  Each batch
 # array holds _SWEEP_CHUNK copies of the field (2 MB at 128x256); larger
 # batches add memory and are no faster.
 _SWEEP_CHUNK = 8
@@ -104,8 +103,9 @@ class AxialExtremumSet:
     colatitudes and a minimum in others); ``axiality_defects`` give max
     over colatitude of |u_phi| at the axis, normalized by sup|u_phi|.
     ``axis_profiles[i]`` samples u along axis i at the grid colatitudes,
-    and ``level_defect`` compares them within each kind.  Candidates that
-    were critical on some rings but not all are reported separately in
+    and ``level_defect`` compares them within each kind; ``gaps`` and
+    ``midpoint_defects`` measure the spacing.  Candidates that were
+    critical on some rings but not all are reported separately in
     ``non_axial_critical`` and never count as extrema.
     """
 
@@ -116,7 +116,6 @@ class AxialExtremumSet:
     axis_profiles: np.ndarray
     non_axial_critical: np.ndarray
     all_longitudes_critical: bool
-    u_phi_sup: float
     field_span: float
 
     @property
@@ -143,7 +142,10 @@ class AxialExtremumSet:
     @property
     def level_defect(self):
         """Largest pointwise deviation of any axis profile from the mean
-        profile of its kind (maxima, minima), normalized by the field span."""
+        profile of its kind (maxima, minima), normalized by the field span;
+        NaN with fewer than two extrema, where levels are undefined."""
+        if self.n < 2:
+            return float("nan")
         worst = 0.0
         for indices in (self.maxima_indices, self.minima_indices):
             if len(indices) < 2:
@@ -158,6 +160,16 @@ class AxialExtremumSet:
         extremum i, in (0, 2*pi]; a lone extremum's gap is the full turn."""
         d = (self.angles - np.roll(self.angles, 1)) % TWO_PI
         return np.where(d > 0, d, TWO_PI)
+
+    @property
+    def midpoint_defects(self):
+        """|gap_after - gap_before| at each extremum: the circular distance
+        from R_{phi_i}(phi_{i-1}) to phi_{i+1}, zero exactly when phi_i is
+        the midpoint of its neighbors.  Empty with fewer than three extrema."""
+        if self.n < 3:
+            return np.empty(0)
+        gaps = self.gaps
+        return np.abs(np.roll(gaps, -1) - gaps)
 
 
 def _local_minima(values):
@@ -184,12 +196,19 @@ def detect_axial_extrema(u, thresholds=AuditThresholds()):
     All candidates are refined together by ``bisect_roots``: u_phi is
     transformed once, and each bisection step sums one short trigonometric
     series per candidate at its midpoint.
+
+    A field whose span is at most max(TRIVIAL_AMPLITUDE, 1e-12 * sup|u|)
+    is a constant, or the trivial state a solve fell to, whose "extrema"
+    are rounding noise: it raises ``DegenerateFieldError``.
     """
     grid = u.grid
-    mean = quadrature_mean(u)
-    if np.max(np.abs(u.values - mean)) <= 1e-12 * max(u.sup_norm, 1e-300):
-        raise DegenerateFieldError("field is constant; axial extrema undefined")
     span = u.span
+    floor = max(TRIVIAL_AMPLITUDE, 1e-12 * u.sup_norm)
+    if span <= floor:
+        raise DegenerateFieldError(
+            "field span %.3g is at or below the floor %.3g of a constant or "
+            "trivial state; axial extrema undefined" % (span, floor)
+        )
 
     du = d_phi(u)
     d2u = d_phi(du)
@@ -289,30 +308,7 @@ def detect_axial_extrema(u, thresholds=AuditThresholds()):
         axis_profiles=profiles,
         non_axial_critical=np.array(sorted(non_axial)),
         all_longitudes_critical=all_critical,
-        u_phi_sup=u_phi_sup,
         field_span=span,
-    )
-
-
-@dataclass(frozen=True)
-class LeveledCheck:
-    defect: float
-    passed: bool
-    applicable: bool
-
-
-def check_leveled(ext, thresholds=AuditThresholds()):
-    """Do all axial maxima share one colatitude profile (and likewise the
-    minima)?  The defect is ``ext.level_defect``: the largest pointwise
-    deviation of a stored axis profile from the mean profile of its kind,
-    normalized by the field span, and passes up to ``thresholds.tol_lvl``.
-    Needs at least two extrema; otherwise the check is reported as not
-    applicable."""
-    if ext.n < 2:
-        return LeveledCheck(defect=float("nan"), passed=False, applicable=False)
-    defect = ext.level_defect
-    return LeveledCheck(
-        defect=defect, passed=defect <= thresholds.tol_lvl, applicable=True
     )
 
 
@@ -329,6 +325,29 @@ def _sector_columns(phi, centres, widths):
     return cols
 
 
+def _sector_sup(values, centres, widths, absolute):
+    """Max of w = u - u o R_c (of |w| when ``absolute``) over the grid
+    longitudes strictly inside each sector (c - width, c); an empty sector
+    reads 0.  ``values`` samples u at 2*pi*j/n_phi; ``centres`` and
+    ``widths`` are flat.  One ``rfft`` of u; the reflections
+    (``reflect_coeffs``) are inverted in batches of ``_SWEEP_CHUNK`` with
+    their sector masks, so memory does not grow with the sector count."""
+    n_phi = values.shape[1]
+    phi = TWO_PI * np.arange(n_phi) / n_phi
+    coeffs = np.fft.rfft(values, axis=1)
+    out = np.empty(centres.size)
+    for k in range(0, centres.size, _SWEEP_CHUNK):
+        chunk = slice(k, k + _SWEEP_CHUNK)
+        w = np.fft.irfft(reflect_coeffs(coeffs, centres[chunk]), n_phi, axis=-1)
+        np.subtract(values, w, out=w)
+        if absolute:
+            np.abs(w, out=w)
+        cols = _sector_columns(phi, centres[chunk], widths[chunk])
+        col_max = np.where(cols, w.max(axis=1), -np.inf).max(axis=1)
+        out[chunk] = np.where(cols.any(axis=1), col_max, 0.0)
+    return out
+
+
 def check_reflection(u, centres, widths):
     """Sup of |u - u o R_c| over the grid longitudes strictly inside the
     sector (c - width, c) that ends at the mirror meridian c, divided by
@@ -337,9 +356,8 @@ def check_reflection(u, centres, widths):
     ``centres`` is one longitude or an array of them, and ``widths``, each
     in [0, 2*pi], broadcasts against it.  A width of 2*pi takes every grid
     longitude; an empty sector reads 0.  Returns a float when both are
-    scalars and an array of their broadcast shape otherwise.  Every
-    reflection comes from one ``rfft`` of u, inverted in batches of
-    ``_SWEEP_CHUNK``."""
+    scalars and an array of their broadcast shape otherwise.  The sups
+    come from ``_sector_sup``, the kernel the moving-arc sweeps use."""
     centres, widths = np.broadcast_arrays(
         np.asarray(centres, dtype=float), np.asarray(widths, dtype=float)
     )
@@ -347,43 +365,11 @@ def check_reflection(u, centres, widths):
         raise ParameterError("sector width is negative")
     if np.any(widths > TWO_PI + 1e-12):
         raise ParameterError("sector width exceeds 2*pi")
-    c = centres.ravel()
-    cols = _sector_columns(u.grid.phi_nodes, c, widths.ravel())
-    coeffs = np.fft.rfft(u.values, axis=1)
-    out = np.empty(c.size)
-    for k in range(0, c.size, _SWEEP_CHUNK):
-        chunk = slice(k, k + _SWEEP_CHUNK)
-        mirrored = np.fft.irfft(reflect_coeffs(coeffs, c[chunk]), u.grid.n_phi, axis=-1)
-        col_max = np.abs(u.values - mirrored).max(axis=1)
-        out[chunk] = np.where(cols[chunk], col_max, 0.0).max(axis=1)
+    out = _sector_sup(u.values, centres.ravel(), widths.ravel(), absolute=True)
     span = u.span
     if span > 0:
         out /= span
     return float(out[0]) if centres.ndim == 0 else out.reshape(centres.shape)
-
-
-@dataclass(frozen=True)
-class MidpointCheck:
-    defects: np.ndarray
-    max_defect: float
-    applicable: bool
-
-
-def check_midpoint(ext):
-    """Even-spacing check: each extremum should reflect its predecessor onto
-    its successor.
-
-    The per-extremum defect is the circular distance between the reflected
-    neighbor R_{phi_i}(phi_{i-1}) and phi_{i+1}, i.e. |gap_after -
-    gap_before|; it vanishes exactly when phi_i is the circular midpoint of
-    its neighbors.  Needs at least three extrema."""
-    if ext.n < 3:
-        return MidpointCheck(
-            defects=np.empty(0), max_defect=float("nan"), applicable=False
-        )
-    gaps = ext.gaps
-    defects = np.abs(np.roll(gaps, -1) - gaps)
-    return MidpointCheck(defects=defects, max_defect=float(defects.max()), applicable=True)
 
 
 @dataclass(frozen=True)
@@ -421,14 +407,13 @@ def moving_arc_sweep(u, ext, seed_index, direction, thresholds=AuditThresholds()
     sector between the seed meridian and the arc, at ``thresholds.n_eps``
     evenly spaced arcs and judged against ``thresholds.tol_w``.
 
-    Coordinates are shifted so the seed sits at longitude 0 with the sweep
-    running counterclockwise: one ``rfft`` of u, a phase multiply for the
-    shift and a conjugation for the clockwise direction.  Every reflection
-    is then a phase multiply of those coefficients (``reflect_coeffs``),
-    inverted in batches of ``_SWEEP_CHUNK`` arcs, and the sector masks are
-    applied by broadcasting.  Evaluation is trigonometric interpolation, so
-    arbitrary off-grid eps are exact for band-limited fields.  The seed
-    must be a minimum and its neighbor in the sweep direction a maximum."""
+    The sweep samples v(phi_j) = u(seed + direction * phi_j) at the grid
+    longitudes (a phase multiply and an inverse FFT, then a column
+    permutation for direction -1) and takes both the sector maxima over
+    (0, eps) and the end-of-gap sup|w| from ``_sector_sup``, the kernel of
+    ``check_reflection``.  Reflections are trigonometric interpolation, so
+    off-grid eps are exact for band-limited fields.  The seed must be a
+    minimum and its neighbor in the sweep direction a maximum."""
     if ext.n < 2:
         raise ContractError("need at least two extrema to sweep")
     if direction not in (1, -1):
@@ -452,37 +437,22 @@ def moving_arc_sweep(u, ext, seed_index, direction, thresholds=AuditThresholds()
     n_phi = u.grid.n_phi
     coeffs = np.fft.rfft(u.values, axis=1)
     coeffs *= np.exp(1j * np.arange(coeffs.shape[1]) * seed)
-    # sampling the shifted field on the grid keeps only the real part of
-    # its Nyquist coefficient
-    coeffs[:, -1] = coeffs[:, -1].real
+    v = np.fft.irfft(coeffs, n_phi, axis=1)
     if direction == -1:
-        coeffs = np.conj(coeffs)
-    shifted = np.fft.irfft(coeffs, n_phi, axis=1)
+        # take: v[:, idx] would be column-major, and FFTs of it run 2x slower
+        v = np.take(v, -np.arange(n_phi) % n_phi, axis=1)
 
     span = u.span
     eps = gap * np.arange(1, n_eps + 1) / n_eps
-    phi_cols = u.grid.phi_nodes
-    w_max = np.empty(n_eps)
-    for lo in range(0, n_eps, _SWEEP_CHUNK):
-        chunk = eps[lo : lo + _SWEEP_CHUNK]
-        w = np.fft.irfft(reflect_coeffs(coeffs, chunk), n_phi, axis=-1)
-        np.subtract(shifted, w, out=w)
-        cols = _sector_columns(phi_cols, chunk, chunk)
-        col_max = np.where(cols, w.max(axis=1), -np.inf).max(axis=1)
-        w_max[lo : lo + chunk.size] = np.where(cols.any(axis=1), col_max, 0.0)
+    w_max = _sector_sup(v, eps, eps, absolute=False)
 
-    bound = tol_w * span
-    bad = np.nonzero(w_max > bound)[0]
-    if bad.size == 0:
-        eps_star = float(eps[-1])
-    elif bad[0] == 0:
-        eps_star = 0.0
-    else:
-        eps_star = float(eps[bad[0] - 1])
+    # eps_star: the last arc before the first one over the bound
+    over = np.nonzero(w_max > tol_w * span)[0]
+    first_over = over[0] if over.size else n_eps
+    eps_star = float(eps[first_over - 1]) if first_over else 0.0
 
-    w_target = shifted - np.fft.irfft(reflect_coeffs(coeffs, gap), n_phi, axis=1)
-    cols = _sector_columns(phi_cols, np.array([gap]), np.array([gap]))[0]
-    target_sup = float(np.abs(w_target[:, cols]).max()) / span if np.any(cols) else 0.0
+    end = np.array([gap])
+    target_sup = float(_sector_sup(v, end, end, absolute=True)[0]) / span
 
     return MovingArcReport(
         start_angle=seed,
@@ -558,12 +528,11 @@ class SymmetryReport:
     conclusion checks are still reported for information); and
     "not-theorem-compatible" when the hypotheses hold but a conclusion
     fails, which certifies the field cannot be an equilibrium of any
-    uniformly elliptic problem of the audited form."""
+    uniformly elliptic problem of the audited form.  The leveled check
+    needs two extrema and the midpoint (even-spacing) check three."""
 
     extrema: AxialExtremumSet
-    leveled: LeveledCheck
     reflection_defects: np.ndarray
-    midpoint: MidpointCheck
     arc_reports: tuple
     annihilation_residuals: np.ndarray
     equilibrium_residual: float
@@ -571,24 +540,37 @@ class SymmetryReport:
     midpoint_tol: float
 
     @property
+    def leveled_applicable(self):
+        return self.extrema.n >= 2
+
+    @property
+    def leveled_passed(self):
+        defect = self.extrema.level_defect
+        return self.leveled_applicable and bool(defect <= self.thresholds.tol_lvl)
+
+    @property
     def reflection_passed(self):
         d = self.reflection_defects
         return bool(d.size) and bool(np.all(d <= self.thresholds.tol_w))
 
     @property
+    def midpoint_applicable(self):
+        return self.extrema.n >= 3
+
+    @property
     def midpoint_passed(self):
-        mid = self.midpoint
-        return bool(mid.applicable and mid.max_defect <= self.midpoint_tol)
+        d = self.extrema.midpoint_defects
+        return self.midpoint_applicable and bool(np.all(d <= self.midpoint_tol))
 
     @property
     def hypotheses_met(self):
         ext = self.extrema
         axial = ext.non_axial_critical.size == 0
-        return bool(ext.kinds_alternate and axial and self.leveled.passed)
+        return bool(ext.kinds_alternate and axial and self.leveled_passed)
 
     @property
     def conclusions_ok(self):
-        spacing_ok = self.midpoint_passed or not self.midpoint.applicable
+        spacing_ok = self.midpoint_passed or not self.midpoint_applicable
         arcs_ok = all(r.reaches_target and r.equality_ok for r in self.arc_reports)
         return self.reflection_passed and spacing_ok and arcs_ok
 
@@ -602,26 +584,22 @@ class SymmetryReport:
 def theorem_audit(problem, op, u, thresholds=AuditThresholds()):
     """Run the full symmetry audit pipeline on a field.
 
-    detect_axial_extrema -> check_leveled -> per-extremum reflection over
-    the preceding gap -> check_midpoint -> moving-arc sweeps from every
-    minimum in both orientations, plus the linearized-annihilation residual
-    at every extremal meridian and the equation residual of u itself (both
-    informational, and both from one application of Lap to u).  Requires a
-    nonconstant field.  Only measures: the report derives the verdict."""
-    midpoint_tol = (
-        thresholds.midpoint_tol
-        if thresholds.midpoint_tol is not None
-        else u.grid.phi_cell
-    )
+    detect_axial_extrema (whose set carries the level and midpoint
+    defects) -> per-extremum reflection over the preceding gap ->
+    moving-arc sweeps from every minimum in both orientations, plus the
+    linearized-annihilation residual at every extremal meridian and the
+    equation residual of u itself (both informational, and both from one
+    application of Lap to u).  Requires a nonconstant, nontrivial field.
+    Only measures: the report derives every pass flag and the verdict."""
+    mid = thresholds.midpoint_tol
+    midpoint_tol = u.grid.phi_cell if mid is None else mid
     ext = detect_axial_extrema(u, thresholds)
     lap_u = apply_laplacian(op, u)
     eq_residual = float(
         np.max(np.abs(evaluate(problem, "F", u.values, lap_u.values)))
     )
 
-    leveled = check_leveled(ext, thresholds)
     reflection_defects = check_reflection(u, ext.angles, ext.gaps)
-    midpoint = check_midpoint(ext)
 
     arc_reports = tuple(
         moving_arc_sweep(u, ext, i, direction, thresholds)
@@ -633,9 +611,7 @@ def theorem_audit(problem, op, u, thresholds=AuditThresholds()):
 
     return SymmetryReport(
         extrema=ext,
-        leveled=leveled,
         reflection_defects=reflection_defects,
-        midpoint=midpoint,
         arc_reports=arc_reports,
         annihilation_residuals=annihilation,
         equilibrium_residual=eq_residual,

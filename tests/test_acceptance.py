@@ -15,8 +15,6 @@ from sphereq import (
     apply_laplacian,
     branch_switch,
     chafee_infante,
-    check_leveled,
-    check_midpoint,
     circle_extrema,
     circle_normal_form_amplitude,
     circle_solve,
@@ -176,8 +174,8 @@ def test_criterion_3_theorem_end_to_end():
                 "axiality defect %.2e <= 1e-6" % float(np.max(ext.axiality_defects)),
             ),
             (
-                report.leveled.defect <= 1e-5,
-                "level defect %.2e <= 1e-5" % report.leveled.defect,
+                ext.level_defect <= 1e-5,
+                "level defect %.2e <= 1e-5" % ext.level_defect,
             ),
             (
                 float(np.max(report.reflection_defects)) <= 1e-7,
@@ -185,8 +183,8 @@ def test_criterion_3_theorem_end_to_end():
                 % float(np.max(report.reflection_defects)),
             ),
             (
-                report.midpoint.max_defect <= 2 * np.pi / 96,
-                "midpoint defect %.2e <= 2pi/96" % report.midpoint.max_defect,
+                np.max(ext.midpoint_defects) <= 2 * np.pi / 96,
+                "midpoint defect %.2e <= 2pi/96" % np.max(ext.midpoint_defects),
             ),
             (sweep_ok, "all %d arc sweeps reach the target" % len(report.arc_reports)),
             (report.verdict == "pass", "verdict %s" % report.verdict),
@@ -359,9 +357,8 @@ def test_criterion_8_biradial_negative_control(tmp_path):
     t0 = time.perf_counter()
     grid = make_grid(48, 128)
     u = biradial_field(grid)
-    ext = detect_axial_extrema(u)
-    leveled = check_leveled(ext)
-    midpoint = check_midpoint(ext)
+    report = theorem_audit(chafee_infante(6.5), make_operator(grid), u)
+    ext = report.extrema
     path = tmp_path / "biradial.sphf"
     write_field(path, u)
     exit_code = cli_main(
@@ -379,12 +376,12 @@ def test_criterion_8_biradial_negative_control(tmp_path):
                 "axiality defect %.2e <= 1e-10" % float(np.max(ext.axiality_defects)),
             ),
             (
-                leveled.passed and leveled.defect <= 1e-10,
-                "level defect %.2e <= 1e-10" % leveled.defect,
+                report.leveled_passed and ext.level_defect <= 1e-10,
+                "level defect %.2e <= 1e-10" % ext.level_defect,
             ),
             (
-                midpoint.max_defect >= np.pi / 16 - 1e-8,
-                "midpoint defect %.6f >= pi/16" % midpoint.max_defect,
+                np.max(ext.midpoint_defects) >= np.pi / 16 - 1e-8,
+                "midpoint defect %.6f >= pi/16" % np.max(ext.midpoint_defects),
             ),
             (exit_code != 0, "strict audit exits nonzero (%d)" % exit_code),
         ],

@@ -335,6 +335,24 @@ def test_solve_warns_when_it_falls_to_the_trivial_state(capsys):
     assert "warning" not in err
 
 
+@pytest.mark.parametrize("realization", ["spectral", "finite-difference"])
+def test_audit_refuses_the_trivial_state(capsys, tmp_path, realization):
+    """A solve fallen to u = 0 leaves noise whose 'extrema' would pass."""
+    triv = tmp_path / "triv.sphf"
+    code, _, err = run_cli(
+        ["solve", "--lam", "5", "--seed", "harmonic", "--l", "2", "--m", "2",
+         "--amplitude", "1e-3", "--realization", realization, "--out", str(triv)],
+        capsys,
+    )
+    assert code == 0 and "trivial-state floor" in err
+    code, out, err = run_cli(
+        ["audit", str(triv), "--lam", "5", "--realization", realization, "--strict"],
+        capsys,
+    )
+    assert code == 2
+    assert "trivial state" in err and "verdict" not in err and out == ""
+
+
 def test_audit_reports_are_deterministic(capsys, tmp_path):
     field = tmp_path / "y22.sphf"
     run_cli(

@@ -15,8 +15,6 @@ from sphereq import (
     biradial_field,
     branch_switch,
     chafee_infante,
-    check_leveled,
-    check_midpoint,
     check_reflection,
     detect_axial_extrema,
     eval_on_grid,
@@ -29,6 +27,7 @@ from sphereq import (
     newton_solve,
     reflect_phi,
     rotate_phi,
+    SymmetryReport,
     theorem_audit,
 )
 
@@ -50,9 +49,15 @@ def _manual_extrema(angles, kinds, n_theta=8):
         axis_profiles=np.zeros((len(angles), n_theta)),
         non_axial_critical=np.empty(0),
         all_longitudes_critical=False,
-        u_phi_sup=1.0,
         field_span=2.0,
     )
+
+
+def _report_on(ext, thresholds=AuditThresholds()):
+    """A report on the extremum set alone, for the decisions it derives
+    from that set: no reflections, sweeps or residuals."""
+    empty = np.empty(0)
+    return SymmetryReport(ext, empty, (), empty, 0.0, thresholds, TWO_PI / 64)
 
 
 # ---------------------------------------------------------------------------
@@ -153,9 +158,9 @@ def test_extremum_just_below_two_pi_is_listed_last_in_range(grid32):
 def test_leveled_exact(grid32):
     u = _cos2_field(grid32)
     ext = detect_axial_extrema(u)
-    result = check_leveled(ext)
-    assert result.applicable and result.passed
-    assert result.defect < 1e-12
+    report = _report_on(ext)
+    assert report.leveled_applicable and report.leveled_passed
+    assert ext.level_defect < 1e-12
 
 
 def test_leveled_detects_broken_levels(grid32):
@@ -163,8 +168,8 @@ def test_leveled_detects_broken_levels(grid32):
         grid32, lambda t, p: np.sin(t) * np.cos(2 * p) + 0.05 * np.sin(t) * np.cos(p)
     )
     ext = detect_axial_extrema(u)
-    result = check_leveled(ext, AuditThresholds(tol_lvl=1e-5))
-    assert result.applicable and not result.passed
+    report = _report_on(ext, AuditThresholds(tol_lvl=1e-5))
+    assert report.leveled_applicable and not report.leveled_passed
     # oracle: the maxima sit exactly at 0 and pi with peak factors 1.05/0.95,
     # so each deviates from the mean profile by 0.05 sin(theta); the minima
     # levels are found by dense sampling of the longitude profile
@@ -174,21 +179,19 @@ def test_leveled_detects_broken_levels(grid32):
     smax = np.max(np.sin(grid32.theta_nodes))
     span = (h.max() - hmin) * smax
     expected = 0.05 * smax / span
-    assert result.defect == pytest.approx(expected, rel=1e-3)
+    assert ext.level_defect == pytest.approx(expected, rel=1e-3)
 
 
 def test_leveled_not_applicable_single_extremum(grid32):
     ext = _manual_extrema([0.3], ["max"], n_theta=grid32.n_theta)
-    result = check_leveled(ext)
-    assert not result.applicable
+    assert not _report_on(ext).leveled_applicable
 
 
 def test_biradial_field_is_leveled():
     grid = make_grid(48, 128)
     u = biradial_field(grid)
     ext = detect_axial_extrema(u)
-    result = check_leveled(ext)
-    assert result.passed and result.defect < 1e-10
+    assert _report_on(ext).leveled_passed and ext.level_defect < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -298,31 +301,29 @@ def test_midpoint_equally_spaced():
     ext = _manual_extrema(
         [0, np.pi / 2, np.pi, 3 * np.pi / 2], ["max", "min", "max", "min"]
     )
-    result = check_midpoint(ext)
-    assert result.applicable
-    assert np.max(result.defects) < 1e-14
+    assert _report_on(ext).midpoint_applicable
+    assert np.max(ext.midpoint_defects) < 1e-14
 
 
 def test_midpoint_uneven_spacing():
     ext = _manual_extrema(
         [0.0, np.pi / 3, np.pi, 4 * np.pi / 3], ["max", "min", "max", "min"]
     )
-    result = check_midpoint(ext)
     # gaps are pi/3, 2pi/3, pi/3, 2pi/3: every joint mismatches by pi/3
-    assert np.allclose(result.defects, np.pi / 3, atol=1e-12)
+    assert np.allclose(ext.midpoint_defects, np.pi / 3, atol=1e-12)
 
 
 def test_midpoint_not_applicable(grid32):
     ext = _manual_extrema([0.1, 2.0], ["max", "min"])
-    assert not check_midpoint(ext).applicable
+    assert not _report_on(ext).midpoint_applicable
 
 
 def test_midpoint_biradial_fails_at_pi_over_16():
     grid = make_grid(48, 128)
     ext = detect_axial_extrema(biradial_field(grid))
-    result = check_midpoint(ext)
-    assert result.max_defect >= np.pi / 16 - 1e-8
-    assert result.max_defect > grid.phi_cell  # fails the one-cell tolerance
+    max_defect = np.max(ext.midpoint_defects)
+    assert max_defect >= np.pi / 16 - 1e-8
+    assert max_defect > grid.phi_cell  # fails the one-cell tolerance
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +471,7 @@ def test_audit_biradial_fails_conclusions_only():
     assert report.hypotheses_met  # axial, alternating, leveled
     assert not report.conclusions_ok
     assert report.verdict == "not-theorem-compatible"
-    assert report.midpoint.max_defect > report.midpoint_tol
+    assert np.max(report.extrema.midpoint_defects) > report.midpoint_tol
 
 
 def test_audit_axisymmetric_hypotheses_not_met(grid32, op32):
@@ -480,7 +481,7 @@ def test_audit_axisymmetric_hypotheses_not_met(grid32, op32):
     # no extrema: nothing checked, nothing concluded
     assert report.extrema.all_longitudes_critical and report.extrema.n == 0
     assert not report.hypotheses_met and not report.conclusions_ok
-    assert not report.leveled.applicable and not report.midpoint.applicable
+    assert not report.leveled_applicable and not report.midpoint_applicable
     assert report.arc_reports == () and report.annihilation_residuals.size == 0
     assert report.reflection_defects.size == 0
 
