@@ -5,7 +5,6 @@ from .errors import (
     ContractError,
     ConvergenceError,
     DegenerateFieldError,
-    DivergenceError,
     EvaluationError,
     FieldFormatError,
     LinearSolveError,
@@ -23,9 +22,6 @@ from .grid import (
     interp_phi,
     make_grid,
     oversample_phi,
-    quadrature_mean,
-    reflect_phi,
-    rotate_phi,
 )
 from .harmonics import (
     OperatorHandle,
@@ -40,13 +36,11 @@ from .harmonics import (
 )
 from .problems import (
     EllipticityAudit,
-    HadamardCoeffs,
     NonlinearProblem,
     PROBLEM_REGISTRY,
+    averaged_coefficients,
     chafee_infante,
     ellipticity_audit,
-    hadamard_coeffs,
-    jacobian_apply,
     problem_from_name,
     residual,
     verify_partial_derivatives,
@@ -61,10 +55,7 @@ from .solver import (
     circle_solve,
     continue_branch,
     detect_bifurcations,
-    gradient_flow_relax,
-    jacobian_matrix,
     newton_solve,
-    quadrature_weight_vector,
 )
 from .symmetry import (
     AuditThresholds,

@@ -324,13 +324,7 @@ def _cmd_branch(args):
             "Newton fell back to the trivial branch (amplitude %g)" % start.amplitude
         )
     branch = continue_branch(
-        family,
-        op,
-        start,
-        args.side * args.dlam,
-        args.steps,
-        tol=args.tol,
-        provenance=(args.l, args.m),
+        family, op, start, args.side * args.dlam, args.steps, tol=args.tol
     )
     os.makedirs(args.outdir, exist_ok=True)
     csv_path = os.path.join(args.outdir, "branch_%d_%d.csv" % (args.l, args.m))

@@ -53,7 +53,3 @@ class ConvergenceError(SphereqError, RuntimeError):
 
 class LinearSolveError(SphereqError, RuntimeError):
     """The inner Krylov solve stagnated or broke down."""
-
-
-class DivergenceError(SphereqError, RuntimeError):
-    """A time-stepping iteration blew up."""

@@ -50,7 +50,9 @@ def write_field(path_or_file, field):
 
 def read_field(path_or_file):
     """Read an SPHF v1 field, validating header, counts, finiteness, and
-    that the stored colatitudes match the canonical grid family."""
+    that the stored colatitudes match the canonical grid family.  Every
+    colatitude and value row passes one row rule: the expected number of
+    tokens, each a number, each finite."""
     with _opened(path_or_file, "r") as fh:
         lines = fh.read().splitlines()
 
@@ -77,37 +79,35 @@ def read_field(path_or_file):
     except Exception as exc:
         raise FieldFormatError(str(exc), line=2) from None
 
-    theta_toks = tokens(2, "colatitude row")
-    if len(theta_toks) != n_theta:
-        raise FieldFormatError(
-            "expected %d colatitudes, found %d" % (n_theta, len(theta_toks)), line=3
-        )
-    theta = np.array([float(t) for t in theta_toks])
+    def row(idx, count, what):
+        """Line idx + 1 as ``count`` finite floats."""
+        toks = tokens(idx, what)
+        if len(toks) != count:
+            raise FieldFormatError(
+                "%s has %d entries, expected %d" % (what, len(toks), count),
+                line=idx + 1,
+            )
+        try:
+            vals = np.array(toks, dtype=float)
+        except ValueError:
+            raise FieldFormatError(
+                "%s contains a non-numeric token" % what, line=idx + 1
+            ) from None
+        if not np.all(np.isfinite(vals)):
+            raise FieldFormatError(
+                "%s contains a non-finite entry" % what, line=idx + 1
+            )
+        return vals
+
+    theta = row(2, n_theta, "colatitude row")
     if np.max(np.abs(theta - grid.theta_nodes)) > 1e-12:
         raise FieldFormatError(
             "colatitudes do not match the Gauss-Legendre grid family", line=3
         )
-
-    values = np.empty((n_theta, n_phi))
-    for j in range(n_theta):
-        idx = 3 + j
-        toks = tokens(idx, "value row %d of %d" % (j + 1, n_theta))
-        if len(toks) != n_phi:
-            raise FieldFormatError(
-                "value row %d has %d entries, expected %d" % (j + 1, len(toks), n_phi),
-                line=idx + 1,
-            )
-        try:
-            row = np.array([float(t) for t in toks])
-        except ValueError:
-            raise FieldFormatError(
-                "value row %d contains a non-numeric token" % (j + 1), line=idx + 1
-            ) from None
-        if not np.all(np.isfinite(row)):
-            raise FieldFormatError(
-                "value row %d contains a non-finite entry" % (j + 1), line=idx + 1
-            )
-        values[j] = row
+    values = np.array([
+        row(3 + j, n_phi, "value row %d of %d" % (j + 1, n_theta))
+        for j in range(n_theta)
+    ])
     for idx in range(3 + n_theta, len(lines)):
         if lines[idx].strip():
             raise FieldFormatError("unexpected trailing data", line=idx + 1)

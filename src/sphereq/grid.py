@@ -1,6 +1,7 @@
 """Pole-free colatitude/longitude grids on the unit sphere and the field
 primitives built on them: sampling, quadrature, longitudinal spectral
-calculus, rotations and reflections, and the one root refiner.
+calculus and interpolation, reflection coefficients, and the one root
+refiner.
 
 Colatitudes are Gauss-Legendre roots mapped through arccos, so no node ever
 touches a pole and ring quadrature integrates band-limited integrands
@@ -218,11 +219,6 @@ def integrate(field):
     return float(np.dot(g.theta_weights, ring_sums) * g.phi_cell)
 
 
-def quadrature_mean(field):
-    """Area-weighted mean of the field, integrate(u) / (4*pi)."""
-    return integrate(field) / (4.0 * math.pi)
-
-
 def d_phi(field):
     """Longitudinal derivative, computed spectrally per ring.
 
@@ -237,15 +233,6 @@ def d_phi(field):
     return ScalarField(field.grid, np.fft.irfft(coeffs, n, axis=1))
 
 
-def rotate_phi(field, delta):
-    """Field v(theta, phi) = u(theta, phi + delta), by Fourier phase shift."""
-    n = field.grid.n_phi
-    coeffs = np.fft.fft(field.values, axis=1)
-    m = np.fft.fftfreq(n, d=1.0 / n)
-    coeffs *= np.exp(1j * m * delta)
-    return ScalarField(field.grid, np.fft.ifft(coeffs, axis=1).real)
-
-
 def reflect_coeffs(coeffs, centres):
     """Ring coefficients of the field mirrored across one or many meridians.
 
@@ -258,18 +245,6 @@ def reflect_coeffs(coeffs, centres):
     m = np.arange(coeffs.shape[-1])
     phase = np.exp(-2j * np.multiply.outer(np.asarray(centres, dtype=float), m))
     return np.conj(coeffs) * phase[..., None, :]
-
-
-def reflect_phi(field, phi_c):
-    """Mirror the field across the meridian at longitude ``phi_c``.
-
-    Returns v with v(theta, phi) = u(theta, 2*phi_c - phi), computed per
-    ring in Fourier space by ``reflect_coeffs``, hence exact for
-    band-limited rings and valid for arbitrary, off-grid phi_c.
-    """
-    n = field.grid.n_phi
-    coeffs = reflect_coeffs(np.fft.rfft(field.values, axis=1), phi_c)
-    return ScalarField(field.grid, np.fft.irfft(coeffs, n, axis=1))
 
 
 def ring_series(field):

@@ -1,7 +1,7 @@
 """Nonlinear problem definitions F(u, q) with q the Laplace-Beltrami of u,
-their partial derivatives, ellipticity auditing, residual and Jacobian
-assembly, and the averaged linearization coefficients along the straight
-homotopy between a field and a reference field.
+their partial derivatives, ellipticity auditing, the residual, and the
+averaged linearization coefficients along the straight homotopy between a
+field and a reference field.
 
 A problem is a bundle of three pointwise evaluators (F, F_u, F_q) plus an
 ellipticity floor delta and a scalar parameter lambda.  Keeping the
@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ContractError, EvaluationError, ParameterError
+from .errors import EvaluationError, ParameterError
 from .grid import ScalarField, gauss_legendre
 from .harmonics import apply_laplacian
 
@@ -103,13 +103,6 @@ def linearization_coefficients(problem, u, q):
     return tuple(evaluate(problem, name, u.values, q.values) for name in ("F_u", "F_q"))
 
 
-def jacobian_apply(problem, op, u, w):
-    """Action of the linearization at u on w: F_u(u, Lap u) w + F_q(u, Lap u) Lap w."""
-    fu, fq = linearization_coefficients(problem, u, apply_laplacian(op, u))
-    lap_w = apply_laplacian(op, w)
-    return ScalarField(u.grid, fu * w.values + fq * lap_w.values)
-
-
 class EllipticityAudit(NamedTuple):
     min_fq: float
     passed: bool
@@ -126,23 +119,6 @@ def ellipticity_audit(problem, op, u):
     return EllipticityAudit(min_fq, min_fq >= problem.delta_floor)
 
 
-@dataclass(frozen=True)
-class HadamardCoeffs:
-    """Averaged linearization coefficients along the straight homotopy
-    u^tau = tau * u + (1 - tau) * u_ref:
-
-        a = integral_0^1 F_q(u^tau, Lap u^tau) dtau
-        b = integral_0^1 F_u(u^tau, Lap u^tau) dtau
-
-    With w = u - u_ref, the fundamental theorem of calculus gives
-    a * Lap w + b * w = F(u, Lap u) - F(u_ref, Lap u_ref) exactly, which is
-    what makes reflection differences satisfy a linear elliptic equation.
-    """
-
-    a: ScalarField
-    b: ScalarField
-
-
 def _tau_rule():
     x, w = gauss_legendre(8)
     return 0.5 * (x + 1.0), 0.5 * w
@@ -153,31 +129,23 @@ def _tau_rule():
 _TAU_NODES, _TAU_WEIGHTS = _tau_rule()
 
 
-def hadamard_coeffs(problem, op, u, u_ref):
-    """Compute the averaged coefficients by 8-point Gauss-Legendre
-    quadrature in tau (exact for polynomial F up to degree 15).
+def averaged_coefficients(problem, u, q_u, u_ref, q_ref):
+    """Averaged linearization coefficients along the straight homotopy
+    u^tau = tau * u + (1 - tau) * u_ref:
 
-    ``u_ref`` is typically a reflection of u supplied by the caller; the
-    Laplacian along the homotopy is formed by linearity as
-    tau * Lap u + (1 - tau) * Lap u_ref.
-    """
-    if u_ref.grid != u.grid:
-        raise ContractError("u and u_ref must share a grid")
-    a, b = _averaged_coefficients(
-        problem,
-        u.values,
-        apply_laplacian(op, u).values,
-        u_ref.values,
-        apply_laplacian(op, u_ref).values,
-    )
-    return HadamardCoeffs(a=ScalarField(u.grid, a), b=ScalarField(u.grid, b))
+        a = integral_0^1 F_q(u^tau, Lap u^tau) dtau
+        b = integral_0^1 F_u(u^tau, Lap u^tau) dtau
 
+    With w = u - u_ref, the fundamental theorem of calculus gives
+    a * Lap w + b * w = F(u, Lap u) - F(u_ref, Lap u_ref) exactly, which is
+    what makes reflection differences satisfy a linear elliptic equation.
 
-def _averaged_coefficients(problem, u, q_u, u_ref, q_ref):
-    """The tau-quadrature behind ``hadamard_coeffs`` on plain arrays.
-
-    ``u``/``q_u`` and ``u_ref``/``q_ref`` are the values of the two fields
-    and of their Laplacians.  Returns (a, b).
+    ``u``/``q_u`` and ``u_ref``/``q_ref`` are the grid arrays of the two
+    fields and of their Laplacians, applied by the caller; the Laplacian
+    along the homotopy is formed by linearity as
+    tau * Lap u + (1 - tau) * Lap u_ref.  The integrals use the 8-point
+    Gauss-Legendre rule in tau (exact for polynomial F up to degree 15).
+    Returns the arrays (a, b).
     """
     shape = np.shape(u)
     a = np.zeros(shape)

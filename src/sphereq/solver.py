@@ -1,5 +1,4 @@
-"""Equilibrium computation: matrix-free Newton-Krylov iteration, a
-semi-implicit gradient-flow relaxer used as a cross-check,
+"""Equilibrium computation: matrix-free Newton-Krylov iteration,
 trivial-branch bifurcation detection, eigenmode branch switching, and
 natural-parameter continuation.  Also hosts the independent one-dimensional
 circle solver used as an oracle for the sphere code.
@@ -16,7 +15,6 @@ import numpy as np
 from .errors import (
     ContractError,
     ConvergenceError,
-    DivergenceError,
     LinearSolveError,
     ParameterError,
 )
@@ -44,11 +42,9 @@ class Equilibrium:
 
 @dataclass(frozen=True)
 class Branch:
-    """Equilibria ordered strictly monotonically in lambda, with the (l, m)
-    of the eigenmode that seeded the branch as provenance."""
+    """Equilibria ordered strictly monotonically in lambda."""
 
     points: tuple
-    provenance: tuple = (None, None)
 
     def __post_init__(self):
         lams = [p.lam for p in self.points]
@@ -78,8 +74,8 @@ class Branch:
 #: the trivial state u == 0.
 TRIVIAL_AMPLITUDE = 1e-7
 
-#: GMRES budget of every Krylov solve in Newton and relaxation: relative
-#: tolerance, Krylov vectors per restart cycle, and restart cycles.
+#: GMRES budget of every Newton step's Krylov solve: relative tolerance,
+#: Krylov vectors per restart cycle, and restart cycles.
 _KRYLOV_RTOL = 1e-10
 _KRYLOV_RESTART = 40
 _KRYLOV_MAX_RESTARTS = 50
@@ -267,46 +263,6 @@ def newton_solve(problem, op, guess, tol=1e-9, max_iter=30):
     )
 
 
-def gradient_flow_relax(problem, op, u0, dt, steps, blowup=1e6):
-    """Semi-implicit relaxation of u_t = F(u, Lap u).
-
-    The Laplacian slot is advanced implicitly through a linear solve with
-    the frozen coefficient F_q(u_n, Lap u_n); everything else is explicit:
-
-        (I - dt F_q Lap) u_{n+1} = u_n + dt (F(u_n, Lap u_n) - F_q Lap u_n)
-
-    Each linear solve goes through the same right-preconditioned GMRES as
-    Newton's steps, with the per-mode inverse of the mean-coefficient
-    operator formed at the first step; when F_q is constant over the state,
-    as for the built-in cubic problem, the preconditioned operator is the
-    identity.  A cross-check only, that Newton fixed points attract the flow
-    and that the Krylov path solves the system it is given; Newton never
-    calls it, and it is not a time-accurate integrator.  ``steps`` must be
-    a non-negative integer.
-    """
-    if dt <= 0:
-        raise ParameterError("dt must be positive")
-    if not (float(steps).is_integer() and steps >= 0):
-        raise ParameterError("steps must be a non-negative integer, got %r" % (steps,))
-    u = u0
-    precond = None
-    for _ in range(int(steps)):
-        q = apply_laplacian(op, u)
-        f = evaluate(problem, "F", u.values, q.values)
-        fq = evaluate(problem, "F_q", u.values, q.values)
-        rhs = u.values + dt * (f - fq * q.values)
-        ones, implicit = np.ones_like(fq), -dt * fq
-        if precond is None:
-            precond = _mean_mode_inverse(
-                op, *_mean_coefficients(problem, u.grid, ones, implicit)
-            )
-        new_vals = _krylov_solve(ones, implicit, precond, rhs, _KRYLOV_RTOL, 0.0)
-        u = ScalarField(u.grid, new_vals)
-        if u.sup_norm > blowup:
-            raise DivergenceError("gradient flow exceeded norm %g" % blowup)
-    return u
-
-
 def detect_bifurcations(problem_family, lam_range, l_max):
     """Parameter values where the linearization at the trivial state u == 0
     crosses zero on a harmonic of degree l = 0..l_max.
@@ -362,13 +318,17 @@ def branch_switch(grid, lam_star, l, m, amplitude=None, side=1, dlam0=0.25):
     cubic normal-form estimate sqrt(4 |lam_start - lam_star| / (3 lam_start)),
     which is exact to leading order for the built-in cubic problem.  Using
     the cosine-type harmonic (m >= 0) pins the rotational phase of the
-    branch at phi = 0.
+    branch at phi = 0.  ``lam_star`` and ``dlam0`` must be finite.
     """
     if abs(m) > l:
         raise ParameterError("order |m|=%d exceeds degree l=%d" % (abs(m), l))
     if side not in (1, -1):
         raise ParameterError("side must be +1 or -1")
     lam_start = lam_star + side * dlam0
+    if not math.isfinite(lam_start):
+        raise ParameterError(
+            "lambda_star and dlam0 must be finite, got %r and %r" % (lam_star, dlam0)
+        )
     if amplitude is None:
         denom = 3.0 * lam_start
         if denom <= 0:
@@ -383,8 +343,7 @@ def branch_switch(grid, lam_star, l, m, amplitude=None, side=1, dlam0=0.25):
     return lam_start, guess
 
 
-def continue_branch(problem_family, op, start, dlam, n_steps, tol=1e-9,
-                    provenance=(None, None)):
+def continue_branch(problem_family, op, start, dlam, n_steps, tol=1e-9):
     """Natural-parameter continuation with a secant predictor in u.
 
     Marches from a converged ``start`` in ``n_steps`` steps (a non-negative
@@ -424,32 +383,7 @@ def continue_branch(problem_family, op, start, dlam, n_steps, tol=1e-9,
             break
         prev_u = points[-1].u
         points.append(eq)
-    return Branch(tuple(points), provenance=tuple(provenance))
-
-
-def jacobian_matrix(problem, op, u):
-    """Dense matrix of the linearization at u acting on grid values.
-
-    Column j is F_u e_j + F_q Lap e_j at u for the unit basis field e_j,
-    through apply_laplacian, so the matrix exercises exactly the operator
-    code path.  Desk-scale only (O(N^2) memory)."""
-    grid = u.grid
-    fu, fq = linearization_coefficients(problem, u, apply_laplacian(op, u))
-    n = grid.n_theta * grid.n_phi
-    out = np.empty((n, n))
-    basis = np.zeros((grid.n_theta, grid.n_phi))
-    for idx in range(n):
-        basis.flat[idx] = 1.0
-        lap = apply_laplacian(op, ScalarField(grid, basis))
-        out[:, idx] = (fu * basis + fq * lap.values).ravel()
-        basis.flat[idx] = 0.0
-    return out
-
-
-def quadrature_weight_vector(grid):
-    """Flattened quadrature weights matching jacobian_matrix's ordering."""
-    w = np.repeat(grid.theta_weights[:, None], grid.n_phi, axis=1) * grid.phi_cell
-    return w.ravel()
+    return Branch(tuple(points))
 
 
 # ---------------------------------------------------------------------------
@@ -502,9 +436,11 @@ def circle_solve(lam, k, n=256):
     back onto the cosine modes via FFT, and Newton-solves the coefficient
     system with a dense Jacobian until the projected residual is at most
     1e-12 (at most 60 iterations).  For lam <= k^2 the trivial profile is
-    returned with ``trivial=True``.
+    returned with ``trivial=True``; ``lam`` must be finite.
     """
     lam = float(lam)
+    if not math.isfinite(lam):
+        raise ParameterError("lambda must be finite, got %r" % (lam,))
     k = int(k)
     if k < 1:
         raise ParameterError("k must be a positive integer")

@@ -36,7 +36,7 @@ from .grid import (
     reflect_coeffs,
     ring_series,
 )
-from .problems import _averaged_coefficients, evaluate
+from .problems import averaged_coefficients, evaluate
 from .harmonics import apply_laplacian
 from .solver import TRIVIAL_AMPLITUDE
 
@@ -475,7 +475,7 @@ def linearized_annihilation(problem, u, lap_u, eps):
 
     For a mirror meridian ``eps`` (one longitude, or an array of them),
     builds w = u - u o R_eps and the homotopy-averaged coefficients (a, b)
-    (8-point Gauss-Legendre rule in tau, as ``hadamard_coeffs``);
+    of ``averaged_coefficients`` (8-point Gauss-Legendre rule in tau);
     returns sup|a * Lap w + b * w| normalized by
     ||a|| * ||Lap w|| + ||b|| * ||w|| (sup norms), as a float for one
     longitude and an array shaped like ``eps`` for many.  Near zero for an
@@ -503,7 +503,7 @@ def linearized_annihilation(problem, u, lap_u, eps):
             continue  # reflection is a symmetry to machine precision
         q_ref = np.fft.irfft(reflect_coeffs(coeffs_q, centre), n_phi, axis=1)
         lap_w = q - q_ref
-        a, b = _averaged_coefficients(problem, u.values, q, u_ref, q_ref)
+        a, b = averaged_coefficients(problem, u.values, q, u_ref, q_ref)
         scale = np.max(np.abs(a)) * np.max(np.abs(lap_w)) + np.max(np.abs(b)) * w_sup
         if scale > 0.0:
             out[i] = np.max(np.abs(a * lap_w + b * w)) / scale

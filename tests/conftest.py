@@ -30,10 +30,12 @@ def random_band_limited(grid, degree_cap, rng, scale=1.0):
 
 @pytest.fixture
 def laplacian_calls(monkeypatch):
-    """Record the fields that solver, problems and symmetry pass to
-    apply_laplacian; the returned list grows by one per call.  GMRES
-    iterations apply none (see test_krylov_iteration_applies_no_laplacian),
-    so every call is one a state or an audit pays for."""
+    """Record the fields that solver, problems, symmetry and the test
+    oracles pass to apply_laplacian; the returned list grows by one per
+    call.  GMRES iterations apply none (see
+    test_krylov_iteration_applies_no_laplacian), so every call is one a
+    state or an audit pays for."""
+    import oracles
     from sphereq import harmonics, problems, solver, symmetry
 
     calls = []
@@ -42,6 +44,6 @@ def laplacian_calls(monkeypatch):
         calls.append(field)
         return harmonics.apply_laplacian(op, field)
 
-    for module in (solver, problems, symmetry):
+    for module in (solver, problems, symmetry, oracles):
         monkeypatch.setattr(module, "apply_laplacian", counted)
     return calls

@@ -68,6 +68,11 @@ def test_parameter_validation():
         circle_solve(2.0, 1, 63)
     with pytest.raises(ParameterError):
         circle_solve(2.0, 1, 8)
+    # a NaN lambda is not <= k^2, so unchecked it would reach Newton and
+    # fail only after the whole iteration budget
+    for lam in (float("nan"), float("inf")):
+        with pytest.raises(ParameterError, match="lambda must be finite"):
+            circle_solve(lam, 1, 64)
 
 
 def test_trivial_profile_has_no_extrema():

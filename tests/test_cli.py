@@ -430,6 +430,42 @@ def test_branch_step_that_is_not_positive_exits_2(capsys, tmp_path, dlam):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["circle", "--lam", "nan"], ["circle", "--lam", "inf"],
+     ["branch", "--l", "2", "--m", "2", "--lambda-star", "nan"]],
+)
+def test_non_finite_lambda_exits_2(capsys, tmp_path, args):
+    """Unchecked, a NaN lambda runs the circle Newton out of iterations, and
+    the branch command fails on a NaN field value; the message names
+    lambda instead."""
+    if args[0] == "branch":
+        args = args + ["--outdir", str(tmp_path)]
+    code, out, err = run_cli(args, capsys)
+    assert code == 2 and out == ""
+    assert "lambda" in err and "must be finite" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("token", ["nan", "abc"])
+def test_audit_of_a_bad_colatitude_exits_2(capsys, tmp_path, token):
+    """Unchecked, a NaN first colatitude audits to a pass, and a
+    non-numeric one ends in a traceback with exit 1, the code of a failed
+    --strict verdict."""
+    field = tmp_path / "y22.sphf"
+    code, _, _ = run_cli(
+        ["gen", "harmonic", "--ntheta", "8", "--nphi", "16", "--out", str(field)],
+        capsys,
+    )
+    assert code == 0
+    lines = field.read_text().splitlines()
+    lines[2] = " ".join([token] + lines[2].split()[1:])
+    field.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(["audit", str(field)], capsys)
+    assert code == 2 and out == ""
+    assert "line 3: colatitude row" in err and "verdict" not in err
+
+
 def test_realization_and_lam_stay_config_keys(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("realization = finite-difference\nlam = 6.5\n")

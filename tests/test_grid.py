@@ -15,11 +15,10 @@ from sphereq import (
     interp_phi,
     make_grid,
     oversample_phi,
-    reflect_phi,
-    rotate_phi,
 )
 from sphereq.grid import bisect_roots
 from conftest import random_band_limited
+from oracles import reflect_phi, rotate_phi
 
 FOUR_PI = 4.0 * np.pi
 

@@ -17,12 +17,12 @@ from sphereq import (
     integrate,
     make_grid,
     make_operator,
-    reflect_phi,
     sht_forward,
     sht_inverse,
     trivial_branch_eigenvalues,
 )
 from conftest import random_band_limited
+from oracles import reflect_phi
 
 FOUR_PI = 4.0 * np.pi
 

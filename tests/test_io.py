@@ -95,6 +95,22 @@ def test_wrong_colatitudes_rejected(grid32):
         read_field(io.StringIO("\n".join(lines)))
 
 
+@pytest.mark.parametrize("token", ["nan", "abc"])
+def test_bad_colatitude_rejected_at_line_3(grid32, token):
+    """The colatitude row passes the same row rule as the value rows.  A
+    NaN would slip through the grid-family check (a NaN difference is never
+    above its bound), and a non-numeric token would escape as a bare
+    ValueError."""
+    u = random_band_limited(grid32, 5, np.random.default_rng(9))
+    lines = _sphf_text(u).splitlines()
+    theta = lines[2].split()
+    theta[0] = token
+    lines[2] = " ".join(theta)
+    with pytest.raises(FieldFormatError, match="colatitude row") as info:
+        read_field(io.StringIO("\n".join(lines)))
+    assert info.value.line == 3
+
+
 def test_trailing_garbage_rejected(grid32):
     u = random_band_limited(grid32, 5, np.random.default_rng(6))
     with pytest.raises(FieldFormatError, match="trailing"):
@@ -199,7 +215,7 @@ def test_branch_csv_row_count(grid32):
         )
         for k in range(7)
     )
-    branch = Branch(points, provenance=(2, 2))
+    branch = Branch(points)
     buf = io.StringIO()
     write_branch_csv(buf, branch)
     lines = buf.getvalue().strip().splitlines()

