@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 
 import numpy as np
 
 from . import fieldio
-from .errors import SphereqError
+from .errors import ParameterError, SphereqError
 from .grid import eval_on_grid, make_grid
 from .harmonics import harmonic_mode, make_operator, trivial_branch_eigenvalues
 from .problems import ellipticity_audit, problem_from_name, PROBLEM_REGISTRY
@@ -99,6 +100,15 @@ def _audit_thresholds(args):
         if value is not None:
             given[field.name] = value
     return AuditThresholds(**given)
+
+
+def _require_finite(args, *names):
+    """A non-finite value of a float flag is a usage error naming the flag,
+    not a field value that fails later at some grid node."""
+    for name in names:
+        value = getattr(args, name)
+        if not math.isfinite(value):
+            raise ParameterError("--%s must be finite, got %r" % (name, value))
 
 
 def _out_handle(path):
@@ -266,6 +276,7 @@ def _cmd_bifurcate(args):
 
 
 def _cmd_solve(args):
+    _require_finite(args, "amplitude", "value")
     grid = make_grid(args.ntheta, args.nphi)
     op = make_operator(grid, args.realization)
     problem = problem_from_name(args.problem, args.lam)
@@ -381,6 +392,7 @@ def _cmd_arc_sweep(args):
 
 
 def _cmd_gen(args):
+    _require_finite(args, "amplitude", "eps")
     grid = make_grid(args.ntheta, args.nphi)
     if args.kind == "harmonic":
         field = harmonic_mode(grid, args.l, args.m) * args.amplitude

@@ -247,16 +247,17 @@ def reflect_coeffs(coeffs, centres):
     return np.conj(coeffs) * phase[..., None, :]
 
 
-def ring_series(field):
-    """Real Fourier series of every ring along longitude.
+def ring_series(values):
+    """Real Fourier series of every ring of grid values along longitude.
 
-    Returns complex coefficients c of shape (n_theta, n_phi // 2 + 1) with
+    ``values`` has shape (n_theta, n_phi).  Returns complex coefficients c
+    of shape (n_theta, n_phi // 2 + 1) with
     u(theta_j, phi) = sum_m Re(c[j, m]) cos(m phi) - Im(c[j, m]) sin(m phi):
     the ``rfft`` coefficients scaled by 2 / n_phi, with the constant and
     Nyquist terms halved.
     """
-    n = field.grid.n_phi
-    coeffs = np.fft.rfft(field.values, axis=1) * (2.0 / n)
+    n = values.shape[1]
+    coeffs = np.fft.rfft(values, axis=1) * (2.0 / n)
     coeffs[:, 0] *= 0.5
     coeffs[:, n // 2] *= 0.5
     return coeffs
@@ -273,7 +274,7 @@ def interp_phi(field, phis):
     thread saves no time and keeps spinning between calls.
     """
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
-    coeffs = ring_series(field)
+    coeffs = ring_series(field.values)
     mphi = np.multiply.outer(np.arange(coeffs.shape[1]), phis)
     return (np.einsum("tm,mk->tk", coeffs.real, np.cos(mphi))
             - np.einsum("tm,mk->tk", coeffs.imag, np.sin(mphi)))

@@ -11,6 +11,7 @@ the partial derivatives explicit, which every audit downstream needs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -43,9 +44,11 @@ def chafee_infante(lam):
 
     Constant equilibria are 0 and +-1; the trivial branch loses stability
     on degree-l harmonics at lam = l*(l+1).  F_q is identically 1, so the
-    ellipticity floor is 1.
+    ellipticity floor is 1.  ``lam`` must be finite.
     """
     lam = float(lam)
+    if not math.isfinite(lam):
+        raise ParameterError("lambda must be finite, got %r" % (lam,))
 
     def f(u, q):
         return q + lam * u * (1.0 - u * u)

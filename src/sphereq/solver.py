@@ -318,7 +318,8 @@ def branch_switch(grid, lam_star, l, m, amplitude=None, side=1, dlam0=0.25):
     cubic normal-form estimate sqrt(4 |lam_start - lam_star| / (3 lam_start)),
     which is exact to leading order for the built-in cubic problem.  Using
     the cosine-type harmonic (m >= 0) pins the rotational phase of the
-    branch at phi = 0.  ``lam_star`` and ``dlam0`` must be finite.
+    branch at phi = 0.  ``lam_star``, ``dlam0`` and a given ``amplitude``
+    must be finite, and the amplitude positive.
     """
     if abs(m) > l:
         raise ParameterError("order |m|=%d exceeds degree l=%d" % (abs(m), l))
@@ -336,8 +337,8 @@ def branch_switch(grid, lam_star, l, m, amplitude=None, side=1, dlam0=0.25):
                 "default amplitude undefined at lam_start=%g; pass amplitude" % lam_start
             )
         amplitude = math.sqrt(4.0 * abs(lam_start - lam_star) / denom)
-    if amplitude <= 0:
-        raise ParameterError("amplitude must be positive")
+    if not (math.isfinite(amplitude) and amplitude > 0):
+        raise ParameterError("amplitude must be finite and > 0, got %r" % (amplitude,))
     mode = harmonic_mode(grid, l, m)
     guess = mode * (amplitude / mode.sup_norm)
     return lam_start, guess

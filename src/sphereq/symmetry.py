@@ -15,7 +15,10 @@ a * Lap w + b * w = 0.
 Everything runs as batched numpy over angles: the extremum bisection
 advances all candidates in lockstep, the reflection check and every
 moving-arc sweep reflect through one kernel (``_sector_sup``), and the
-annihilation check reflects u and Lap u from one transform each.
+annihilation check reflects u and Lap u from one transform each.  The
+kernel evaluates the reflected field only at the grid longitudes inside
+each sector, as products small enough that BLAS runs them on the calling
+thread.
 """
 
 from __future__ import annotations
@@ -41,10 +44,14 @@ from .harmonics import apply_laplacian
 from .solver import TRIVIAL_AMPLITUDE
 
 _REFINE_FACTOR = 16
-# Reflections per batched inverse FFT in ``_sector_sup``.  Each batch
-# array holds _SWEEP_CHUNK copies of the field (2 MB at 128x256); larger
-# batches add memory and are no faster.
-_SWEEP_CHUNK = 8
+# Multiply-adds per slice of the stacked product in ``_sector_sup``.
+# OpenBLAS runs a product this small on the calling thread; with one
+# product per pair block, a 48x96 biradial sweep took 16 ms against 1.4 ms.
+_SLICE_MADDS = 2 ** 18
+# (sector, column) pairs per block in ``_sector_sup``, which bounds its
+# tables to about 1 MB each at 128x256; with all pairs in one block, the
+# audit benchmark's peak RSS rose from 106 to 119 MB.
+_PAIR_BLOCK = 512
 # Rings whose |u_phi| or |u_phiphi| is below this fraction of its maximum
 # carry no sign information.
 _SIGNIFICANT = 1e-3
@@ -243,7 +250,7 @@ def detect_axial_extrema(u, thresholds=AuditThresholds()):
     # whose coefficients are the ring series of u_phi contracted with the
     # weights once.
     bisect = ca * cb < 0.0
-    series = np.einsum("tk,tm->km", w[:, None] * ref[:, bisect], ring_series(du))
+    series = np.einsum("tk,tm->km", w[:, None] * ref[:, bisect], ring_series(du.values))
     modes = np.arange(series.shape[1])
 
     def aligned_average(phis):
@@ -328,23 +335,53 @@ def _sector_columns(phi, centres, widths):
 def _sector_sup(values, centres, widths, absolute):
     """Max of w = u - u o R_c (of |w| when ``absolute``) over the grid
     longitudes strictly inside each sector (c - width, c); an empty sector
-    reads 0.  ``values`` samples u at 2*pi*j/n_phi; ``centres`` and
-    ``widths`` are flat.  One ``rfft`` of u; the reflections
-    (``reflect_coeffs``) are inverted in batches of ``_SWEEP_CHUNK`` with
-    their sector masks, so memory does not grow with the sector count."""
-    n_phi = values.shape[1]
+    reads 0.  ``values`` samples u at phi_j = 2*pi*j/n_phi; ``centres`` and
+    ``widths`` are flat.
+
+    Only the (sector, column) pairs that ``_sector_columns`` selects are
+    evaluated.  The reflected value at a pair is the ring series of u
+    (``ring_series``) at x = 2c - phi_j, whose basis e^{imx} is the product
+    of a table of e^{2imc} per centre and one of e^{-im phi_j} per column.
+    Pairs go in blocks of ``_PAIR_BLOCK``, each one stacked ``matmul``
+    whose slices stay within ``_SLICE_MADDS`` multiply-adds, so memory does
+    not grow with the sector count and BLAS stays on the calling thread."""
+    n_theta, n_phi = values.shape
     phi = TWO_PI * np.arange(n_phi) / n_phi
-    coeffs = np.fft.rfft(values, axis=1)
-    out = np.empty(centres.size)
-    for k in range(0, centres.size, _SWEEP_CHUNK):
-        chunk = slice(k, k + _SWEEP_CHUNK)
-        w = np.fft.irfft(reflect_coeffs(coeffs, centres[chunk]), n_phi, axis=-1)
-        np.subtract(values, w, out=w)
+    sector, column = np.nonzero(_sector_columns(phi, centres, widths))
+    out = np.zeros(centres.size)
+    if sector.size == 0:
+        return out
+
+    # interleaved [Re s_m, -Im s_m] against [cos mx, sin mx]: the real
+    # view of conj(s) dotted with the real view of e^{imx}
+    series = ring_series(values)
+    coef = np.ascontiguousarray(np.conj(series).view(float).T)
+    m = np.arange(series.shape[1])
+    at_centre = np.exp(2j * np.multiply.outer(centres, m))
+    roots = np.exp(-1j * phi)  # e^{-im phi_j} = roots[m * j mod n_phi]
+    at_column = roots[np.multiply.outer(np.arange(n_phi), m) % n_phi]
+    by_column = np.ascontiguousarray(values.T)
+
+    per_slice = min(_PAIR_BLOCK, max(1, _SLICE_MADDS // coef.size))
+    block = per_slice * max(1, _PAIR_BLOCK // per_slice)
+    pair_sup = np.empty(sector.size)
+    for start in range(0, sector.size, block):
+        k = sector[start:start + block]
+        j = column[start:start + block]
+        n_slices = -(-k.size // per_slice)
+        basis = np.empty((n_slices * per_slice, m.size), dtype=complex)
+        np.multiply(at_centre[k], at_column[j], out=basis[:k.size])
+        basis[k.size:] = 0.0
+        stack = basis.view(float).reshape(n_slices, per_slice, 2 * m.size)
+        reflected = np.matmul(stack, coef).reshape(-1, n_theta)[:k.size]
+        w = np.subtract(by_column[j], reflected, out=reflected)
         if absolute:
             np.abs(w, out=w)
-        cols = _sector_columns(phi, centres[chunk], widths[chunk])
-        col_max = np.where(cols, w.max(axis=1), -np.inf).max(axis=1)
-        out[chunk] = np.where(cols.any(axis=1), col_max, 0.0)
+        pair_sup[start:start + k.size] = w.max(axis=1)
+
+    # pairs come sector by sector, so each sector's pairs are one run
+    first = np.flatnonzero(np.diff(sector, prepend=-1))
+    out[sector[first]] = np.maximum.reduceat(pair_sup, first)
     return out
 
 

@@ -433,18 +433,44 @@ def test_branch_step_that_is_not_positive_exits_2(capsys, tmp_path, dlam):
 @pytest.mark.parametrize(
     "args",
     [["circle", "--lam", "nan"], ["circle", "--lam", "inf"],
-     ["branch", "--l", "2", "--m", "2", "--lambda-star", "nan"]],
+     ["branch", "--l", "2", "--m", "2", "--lambda-star", "nan"],
+     ["solve", "--lam", "nan"], ["solve", "--lam", "inf"]],
 )
 def test_non_finite_lambda_exits_2(capsys, tmp_path, args):
     """Unchecked, a NaN lambda runs the circle Newton out of iterations, and
-    the branch command fails on a NaN field value; the message names
-    lambda instead."""
+    the branch and solve commands fail on a NaN value at some grid node;
+    the message names lambda instead."""
     if args[0] == "branch":
         args = args + ["--outdir", str(tmp_path)]
     code, out, err = run_cli(args, capsys)
     assert code == 2 and out == ""
     assert "lambda" in err and "must be finite" in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "args, name",
+    [(["audit", "FIELD", "--lam", "nan"], "lambda"),
+     (["solve", "--amplitude", "nan"], "amplitude"),
+     (["solve", "--seed", "constant", "--value", "inf"], "value"),
+     (["branch", "--l", "2", "--m", "2", "--lambda-star", "6", "--amplitude", "nan",
+       "--outdir", "OUTDIR"], "amplitude"),
+     (["gen", "harmonic", "--amplitude", "nan"], "amplitude"),
+     (["gen", "perturbed", "--eps", "inf"], "eps")],
+)
+def test_non_finite_flag_exits_2(capsys, tmp_path, args, name):
+    """A non-finite lambda, amplitude, seed value or perturbation size is
+    refused by name, not later as a non-finite value at ring 0, column 0."""
+    field = tmp_path / "y22.sphf"
+    code, _, _ = run_cli(["gen", "harmonic", "--out", str(field)], capsys)
+    assert code == 0
+    outdir = tmp_path / "branch"
+    args = [str(field) if a == "FIELD" else str(outdir) if a == "OUTDIR" else a
+            for a in args]
+    code, out, err = run_cli(args, capsys)
+    assert code == 2 and out == ""
+    assert name in err and "must be finite" in err and "ring" not in err
+    assert not outdir.exists()
 
 
 @pytest.mark.parametrize("token", ["nan", "abc"])

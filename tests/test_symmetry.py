@@ -3,6 +3,7 @@ sweeps, the linear-annihilation identity, and the full audit."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from sphereq import (
     AuditThresholds,
@@ -25,6 +26,7 @@ from sphereq import (
     make_operator,
     moving_arc_sweep,
     newton_solve,
+    ScalarField,
     SymmetryReport,
     theorem_audit,
 )
@@ -279,7 +281,8 @@ def test_reflection_rejects_bad_widths(grid32):
 
 
 def test_reflection_batch_matches_single_centres(grid32):
-    """More centres than one reflection batch, each with its own width."""
+    """Many centres, each with its own width, in one call agree with one
+    call per centre."""
     u = _lopsided_field(grid32)
     centres = np.linspace(0.1, 6.0, 19)
     widths = 0.3 + centres / 4.0
@@ -289,6 +292,59 @@ def test_reflection_batch_matches_single_centres(grid32):
         [check_reflection(u, c, w) for c, w in zip(centres, widths)], rel=1e-14
     )
     assert np.all(batch > 0.0)
+
+
+_WIDTHS = st.one_of(
+    st.just(0.0),
+    st.floats(1e-6, TWO_PI / 256),  # below one longitude cell of either grid
+    st.floats(0.0, TWO_PI),
+    st.just(TWO_PI),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.sampled_from([(48, 96), (128, 256)]),
+    seed=st.integers(0, 2**31),
+    nyquist=st.floats(0.0, 2.0),
+    sectors=st.lists(
+        st.tuples(st.floats(-1.0, TWO_PI + 1.0), _WIDTHS), min_size=1, max_size=12
+    ),
+)
+# three full turns at 128x256: 768 pairs, two blocks, and a last slice
+# that is not full
+@example(shape=(128, 256), seed=1, nyquist=1.0,
+         sectors=[(0.0, TWO_PI), (TWO_PI - 0.1, TWO_PI), (3.0, TWO_PI)])
+# twelve full turns at 48x96: 1152 pairs, three blocks
+@example(shape=(48, 96), seed=2, nyquist=0.5,
+         sectors=[(0.3 * k, TWO_PI) for k in range(12)])
+def test_reflection_matches_full_field_reflections(shape, seed, nyquist, sectors):
+    """``check_reflection`` evaluates only in-sector columns; the oracle
+    reflects the whole field per centre, masks the open sector
+    (c - width, c) and takes the max.  Random grid values are not band
+    limited, and the alternating column adds a Nyquist mode."""
+    grid = make_grid(*shape)
+    rng = np.random.default_rng(seed)
+    alternating = (-1.0) ** np.arange(grid.n_phi)
+    u = ScalarField(grid, rng.standard_normal(shape) + nyquist * alternating)
+    centres, widths = (np.array(v) for v in zip(*sectors))
+    phi = grid.phi_nodes
+    expected = []
+    for c, width in sectors:
+        if width >= TWO_PI - 1e-12:
+            inside = np.ones(grid.n_phi, dtype=bool)
+        else:
+            rel = np.mod(phi - (c - width), TWO_PI)
+            # no column within rounding of an edge, where the open sector
+            # is decided by the last bit
+            assume(width == 0.0 or np.all(
+                (np.abs(rel - width) > 1e-9) & (rel > 1e-9) & (rel < TWO_PI - 1e-9)
+            ))
+            inside = (rel > 0.0) & (rel < width)
+        w = np.abs(u.values - reflect_phi(u, c).values)[:, inside]
+        expected.append(w.max() / u.span if inside.any() else 0.0)
+    got = check_reflection(u, centres, widths)
+    assert np.max(np.abs(got - expected)) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -633,8 +689,9 @@ def _cos2_nyquist_field(grid):
 )
 @pytest.mark.parametrize("direction", [1, -1])
 def test_batched_sweep_matches_per_eps_reflections(shape, field, n_eps, direction):
-    """The batched sweep (one FFT, chunked inverse FFTs) reproduces the
-    per-eps rotate-and-reflect sweep; n_eps=100 spans several chunks."""
+    """The batched sweep (one FFT, in-sector columns only) reproduces the
+    per-eps rotate-and-reflect sweep; at 128x256, n_eps=100 spans several
+    pair blocks."""
     u = field(make_grid(*shape))
     ext = detect_axial_extrema(u)
     seed = ext.minima_indices[0]
