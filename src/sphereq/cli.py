@@ -111,6 +111,24 @@ def _require_finite(args, *names):
             raise ParameterError("--%s must be finite, got %r" % (name, value))
 
 
+class _StoreGiven(argparse.Action):
+    """Store the flag's value and record the flag in ``args.given``, so a
+    subcommand can tell a flag given on the command line from a default,
+    whether argparse's or a --config file's."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = getattr(namespace, "given", ()) + (self.option_strings[0],)
+
+
+#: The kind-specific gen flags each kind reads.
+_GEN_FLAGS = {
+    "harmonic": ("--l", "--m", "--amplitude"),
+    "figure1": (),
+    "perturbed": ("--l", "--m", "--amplitude", "--pl", "--pm", "--eps"),
+}
+
+
 def _out_handle(path):
     return sys.stdout if path in (None, "-") else path
 
@@ -206,12 +224,16 @@ def build_parser():
         choices=("harmonic", "figure1", "perturbed"),
         help="harmonic Y_l^m, the biradial demo field, or a symmetry-broken mix",
     )
-    sp.add_argument("--l", type=int, default=2)
-    sp.add_argument("--m", type=int, default=2)
-    sp.add_argument("--amplitude", type=float, default=1.0)
-    sp.add_argument("--pl", type=int, default=1, help="perturbing degree")
-    sp.add_argument("--pm", type=int, default=1, help="perturbing order")
-    sp.add_argument("--eps", type=float, default=0.1, help="perturbation amplitude")
+    # a kind that does not read one of these refuses it (_GEN_FLAGS)
+    sp.add_argument("--l", type=int, default=2, action=_StoreGiven)
+    sp.add_argument("--m", type=int, default=2, action=_StoreGiven)
+    sp.add_argument("--amplitude", type=float, default=1.0, action=_StoreGiven)
+    sp.add_argument("--pl", type=int, default=1, action=_StoreGiven,
+                    help="perturbing degree")
+    sp.add_argument("--pm", type=int, default=1, action=_StoreGiven,
+                    help="perturbing order")
+    sp.add_argument("--eps", type=float, default=0.1, action=_StoreGiven,
+                    help="perturbation amplitude")
     sp.add_argument("--out", default="-", help="SPHF output path ('-' = stdout)")
     parsers["gen"] = sp
 
@@ -392,6 +414,11 @@ def _cmd_arc_sweep(args):
 
 
 def _cmd_gen(args):
+    ignored = sorted(set(getattr(args, "given", ())) - set(_GEN_FLAGS[args.kind]))
+    if ignored:
+        raise ParameterError(
+            "gen %s does not use %s" % (args.kind, ", ".join(ignored))
+        )
     _require_finite(args, "amplitude", "eps")
     grid = make_grid(args.ntheta, args.nphi)
     if args.kind == "harmonic":

@@ -11,6 +11,7 @@ periodicity is index arithmetic, never a ghost column.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -38,17 +39,19 @@ def _legendre_and_derivative(n, x):
     return p, dp
 
 
+@functools.lru_cache(maxsize=None)
 def gauss_legendre(n):
     """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
 
     Roots of the degree-n Legendre polynomial, started from the Chebyshev
     guess and polished by Newton iteration until every update falls below
-    1e-14.  Weights are 2 / ((1 - x^2) P_n'(x)^2).
+    1e-14.  Weights are 2 / ((1 - x^2) P_n'(x)^2).  Computed once per n;
+    every call returns the same read-only arrays.
     """
     if n < 1:
         raise ParameterError("quadrature rule needs at least one node")
     if n == 1:
-        return np.zeros(1), np.full(1, 2.0)
+        return _read_only(np.zeros(1)), _read_only(np.full(1, 2.0))
     k = np.arange(n, dtype=float)
     x = np.cos(math.pi * (4.0 * k + 3.0) / (4.0 * n + 2.0))
     for _ in range(_GL_MAX_ITER):
@@ -60,7 +63,12 @@ def gauss_legendre(n):
     p, dp = _legendre_and_derivative(n, x)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     order = np.argsort(x)
-    return x[order], w[order]
+    return _read_only(x[order]), _read_only(w[order])
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,7 +120,7 @@ def make_grid(n_theta, n_phi):
     if not isinstance(n_phi, (int, np.integer)) or n_phi < 8 or n_phi % 2:
         raise ParameterError("n_phi must be an even integer >= 8, got %r" % (n_phi,))
     x, w = gauss_legendre(int(n_theta))
-    theta = np.arccos(x[::-1])  # x descending -> theta ascending
+    theta = _read_only(np.arccos(x[::-1]))  # x descending -> theta ascending
     weights = w[::-1]
     return GridSpec(int(n_theta), int(n_phi), theta, weights)
 

@@ -87,17 +87,82 @@ _KRYLOV_MAX_RESTARTS = 50
 #: 128x256), singular blocks at least about 4e14.
 _SINGULAR_BLOCK = 1e8
 
+#: Relative size below which gmres takes an orthogonalised Krylov vector for
+#: zero: an exact breakdown.
+_EPS = float(np.finfo(float).eps)
+
 #: Evenly spaced lambda values detect_bifurcations scans for sign changes.
 _SCAN_POINTS = 512
 
 
-def gmres(*args, **kwargs):
-    """``scipy.sparse.linalg.gmres``, imported on first use: importing
-    ``scipy.sparse.linalg`` takes about half a second, which commands that
-    never solve a linear system (``gen``, ``audit``) should not pay."""
-    from scipy.sparse.linalg import gmres as scipy_gmres
+def gmres(matvec, b, rtol, atol, restart, maxiter):
+    """Restarted GMRES (Saad and Schultz 1986) for A x = b from x = 0, where
+    ``matvec(v)`` returns A v for a flat float array v.
 
-    return scipy_gmres(*args, **kwargs)
+    Each of at most ``maxiter`` cycles builds at most ``restart`` Arnoldi
+    vectors, orthogonalised by classical Gram-Schmidt applied twice (two
+    products with the basis per pass), and reduces the least-squares problem
+    by Givens rotations.  A cycle ends when the rotated residual estimate
+    meets the tolerance, when the basis is full, or at an exact breakdown
+    (the Krylov space is invariant); the true residual b - A x is then
+    recomputed, and the solve stops once its 2-norm is at most
+    max(atol, rtol |b|).  Returns (x, info): info is 0 on success, otherwise
+    the number of cycles run, when the budget runs out or a breakdown leaves
+    the true residual above the tolerance.  ``maxiter`` must be positive.
+    """
+    if maxiter < 1:
+        raise ParameterError("maxiter must be positive, got %r" % (maxiter,))
+    b = np.asarray(b, dtype=float)
+    x = np.zeros_like(b)
+    r_norm = float(np.linalg.norm(b))
+    target = max(atol, rtol * r_norm)
+    basis = np.empty((restart + 1, b.size))
+    r = b
+    for cycle in range(1, maxiter + 1):
+        if r_norm <= target:
+            return x, 0
+        basis[0] = r / r_norm
+        g = [r_norm]  # rotated right-hand side; |g[-1]| estimates |r|
+        cols, rotations = [], []  # rotated Hessenberg columns, Givens (c, s)
+        breakdown = False
+        for j in range(restart):
+            w = matvec(basis[j])
+            w_norm = float(np.linalg.norm(w))
+            v = basis[: j + 1]
+            h = v @ w
+            w = w - h @ v
+            h2 = v @ w
+            w -= h2 @ v
+            col = (h + h2).tolist()
+            col.append(float(np.linalg.norm(w)))
+            breakdown = col[-1] <= _EPS * w_norm
+            if not breakdown:
+                basis[j + 1] = w / col[-1]
+            for i, (c, s) in enumerate(rotations):
+                lo, hi = col[i], col[i + 1]
+                col[i], col[i + 1] = c * lo + s * hi, c * hi - s * lo
+            d = math.hypot(col[j], col[j + 1])
+            c, s = (col[j] / d, col[j + 1] / d) if d else (1.0, 0.0)
+            col[j] = d
+            del col[-1]
+            cols.append(col)
+            rotations.append((c, s))
+            g.append(-s * g[j])
+            g[j] *= c
+            if breakdown or abs(g[-1]) <= target:
+                break
+        # back substitution on the triangle; a zero pivot (singular A) leaves
+        # its component out
+        y = [0.0] * len(cols)
+        for i in reversed(range(len(cols))):
+            acc = g[i] - sum(cols[k][i] * y[k] for k in range(i + 1, len(cols)))
+            y[i] = acc / cols[i][i] if cols[i][i] else 0.0
+        x += np.array(y) @ basis[: len(cols)]
+        r = b - matvec(x)
+        r_norm = float(np.linalg.norm(r))
+        if breakdown and r_norm > target:
+            return x, cycle
+    return x, (0 if r_norm <= target else maxiter)
 
 
 def _mean_coefficients(problem, grid, fu, fq):
@@ -153,7 +218,8 @@ def _mean_mode_inverse(op, coeff_u, coeff_q):
 
 
 def _krylov_solve(fu, fq, precond, rhs, rtol, atol):
-    """Solve (fu + fq * Lap) s = rhs matrix-free with restarted GMRES,
+    """Solve (fu + fq * Lap) s = rhs matrix-free with ``gmres`` (40 Krylov
+    vectors per cycle, at most 50 cycles) on a plain matvec callable,
     right-preconditioned by ``precond``, a MeanModeInverse that the caller
     forms once and reuses across its solves.
 
@@ -171,8 +237,6 @@ def _krylov_solve(fu, fq, precond, rhs, rtol, atol):
     relative from 32x64 to 128x256 when they carry the singular-block
     floor); otherwise LinearSolveError is raised.
     """
-    from scipy.sparse.linalg import LinearOperator
-
     shape = rhs.shape
     scale = (fq / precond.coeff_q).ravel()
     shift = fu.ravel() - precond.coeff_u * scale
@@ -180,16 +244,9 @@ def _krylov_solve(fu, fq, precond, rhs, rtol, atol):
     def inverse(y):
         return apply_mode_blocks(precond.blocks, y.reshape(shape))
 
-    # an explicit dtype keeps scipy from probing the operator with a zero
-    # vector to infer one
-    a = LinearOperator(
-        (rhs.size, rhs.size),
-        matvec=lambda y: scale * y + shift * inverse(y).ravel(),
-        dtype=float,
-    )
     y, info = gmres(
-        a, rhs.ravel(), rtol=rtol, atol=atol, restart=_KRYLOV_RESTART,
-        maxiter=_KRYLOV_MAX_RESTARTS,
+        lambda y: scale * y + shift * inverse(y).ravel(), rhs.ravel(), rtol=rtol,
+        atol=atol, restart=_KRYLOV_RESTART, maxiter=_KRYLOV_MAX_RESTARTS,
     )
     if info != 0:
         raise LinearSolveError("GMRES stagnated (info=%d)" % info)
@@ -199,10 +256,12 @@ def _krylov_solve(fu, fq, precond, rhs, rtol, atol):
 def newton_solve(problem, op, guess, tol=1e-9, max_iter=30):
     """Newton iteration on F(u, Lap u) = 0 from ``guess``.
 
-    Each step solves the linearized system F_u s + F_q Lap s = -F with
-    restarted GMRES to a true linear residual (2-norm over grid values) of
-    tol / 100 or 1e-10 relative, whichever is looser, then applies
-    a damped update with a halving line search on the residual sup-norm.
+    Each step solves the linearized system F_u s + F_q Lap s = -F with the
+    package's own restarted GMRES (``gmres``, numpy only) to a true linear
+    residual (2-norm over grid values) of tol / 100 or 1e-10 relative,
+    whichever is looser, and raises LinearSolveError when its budget runs
+    out; it then applies a damped update with a halving line search on the
+    residual sup-norm.
     GMRES is right-preconditioned by the exact per-mode inverse of the
     mean-coefficient operator at the starting iterate (F_u and F_q replaced
     by their sphere means), formed once per solve at the first step and

@@ -417,6 +417,38 @@ def test_flag_the_subcommand_would_ignore_exits_2(capsys, args):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize(
+    "args, ignored",
+    [(["figure1", "--amplitude", "5", "--l", "3", "--eps", "0.7"],
+      "--amplitude, --eps, --l"),
+     (["figure1", "--m", "1", "--pl", "2", "--pm", "1"], "--m, --pl, --pm"),
+     (["harmonic", "--eps", "0.7", "--pl", "3"], "--eps, --pl"),
+     (["harmonic", "--l", "3", "--pm", "1"], "--pm")],
+)
+def test_gen_flag_its_kind_ignores_exits_2(capsys, tmp_path, args, ignored):
+    """figure1 reads none of the mode flags and harmonic no perturbation
+    flag; such a flag used to change nothing in the written field."""
+    out = tmp_path / "field.sphf"
+    code, stdout, err = run_cli(["gen"] + args + ["--out", str(out)], capsys)
+    assert code == 2 and stdout == ""
+    assert "gen %s does not use %s" % (args[0], ignored) in err
+    assert not out.exists()
+
+
+def test_gen_accepts_config_keys_other_subcommands_read(capsys, tmp_path):
+    """A config file is shared by the subcommands: solve's amplitude and
+    degree are no error for a gen kind that reads neither."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("amplitude = 0.5\nl = 3\n")
+    out = tmp_path / "field.sphf"
+    code, _, _ = run_cli(
+        ["--config", str(cfg), "gen", "figure1", "--ntheta", "8", "--nphi", "16",
+         "--out", str(out)],
+        capsys,
+    )
+    assert code == 0 and out.exists()
+
+
 @pytest.mark.parametrize("dlam", ["-0.25", "0", "nan"])
 def test_branch_step_that_is_not_positive_exits_2(capsys, tmp_path, dlam):
     """--side sets the direction; a negative --dlam used to be taken as its

@@ -36,6 +36,17 @@ def test_gauss_legendre_matches_numpy():
         assert np.max(np.abs(w - wr)) < 1e-14
 
 
+def test_grids_share_one_read_only_rule():
+    """The rule is computed once per ring count: every grid of that size
+    reads the same weights, and no caller can write into them."""
+    a, b = make_grid(48, 96), make_grid(48, 96)
+    assert np.array_equal(a.theta_nodes, b.theta_nodes)
+    assert np.shares_memory(a.theta_weights, b.theta_weights)
+    for arr in (a.theta_nodes, b.theta_nodes, a.theta_weights, *gauss_legendre(48)):
+        assert not arr.flags.writeable
+    assert gauss_legendre(48)[0] is gauss_legendre(48)[0]
+
+
 def test_make_grid_nodes_symmetric_about_equator():
     g = make_grid(4, 8)
     assert g.n_theta == 4

@@ -257,7 +257,6 @@ def test_krylov_iteration_applies_no_laplacian(grid32, op32, monkeypatch):
     """Each GMRES iteration applies the preconditioner's mode blocks once and
     no Laplacian; one more block application recovers the step."""
     counts = {"laplacian": 0, "blocks": 0, "matvecs": 0}
-    from scipy.sparse.linalg import LinearOperator
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -268,9 +267,8 @@ def test_krylov_iteration_applies_no_laplacian(grid32, op32, monkeypatch):
 
     real_gmres = solver.gmres
 
-    def gmres(a, b, **kwargs):
-        matvec = counting("matvecs", a.matvec)
-        return real_gmres(LinearOperator(a.shape, matvec, dtype=float), b, **kwargs)
+    def gmres(matvec, b, **kwargs):
+        return real_gmres(counting("matvecs", matvec), b, **kwargs)
 
     for name, key in (("apply_laplacian", "laplacian"), ("apply_mode_blocks", "blocks")):
         monkeypatch.setattr(solver, name, counting(key, getattr(solver, name)))
@@ -345,21 +343,100 @@ def test_newton_converges_from_scaled_guesses(realization, l, m, scale):
         assert eq.amplitude < 1e-6
 
 
-def test_package_import_leaves_out_sparse_linalg():
-    """scipy.sparse.linalg is imported by the first linear solve, not by
-    importing the package or its command line."""
+def test_solve_audit_and_branch_run_without_scipy(tmp_path):
+    """The command line needs numpy alone: with scipy blocked, solve then
+    audit and a two-step branch run at 16x32 for both realizations."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(sphereq.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     code = (
-        "import sys, sphereq, sphereq.cli\n"
-        "assert 'scipy.sparse.linalg' not in sys.modules, 'loaded on import'\n"
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from sphereq.cli import main\n"
+        "size = ['--ntheta', '16', '--nphi', '32']\n"
+        "for r in ('spectral', 'finite-difference'):\n"
+        "    realization = ['--realization', r]\n"
+        "    assert main(['solve', '--out', r + '.sphf'] + size + realization) == 0\n"
+        "    assert main(['audit', r + '.sphf', '--strict'] + realization) == 0\n"
+        "    assert main(['branch', '--l', '2', '--m', '2', '--steps', '2',\n"
+        "                 '--outdir', r] + size + realization) == 0\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-        timeout=120,
+        [sys.executable, "-c", code], env=env, cwd=tmp_path, capture_output=True,
+        text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("points 3") == 2
+
+
+def _nonsymmetric(n, seed):
+    """A well-conditioned dense nonsymmetric matrix."""
+    rng = np.random.default_rng(seed)
+    return np.eye(n) * 4.0 + rng.standard_normal((n, n)) / np.sqrt(n)
+
+
+@pytest.mark.parametrize("restart, rtol, atol", [(5, 1e-10, 0.0), (8, 0.0, 1e-9),
+                                                 (60, 1e-12, 1e-14)])
+def test_gmres_meets_the_true_residual_bound(restart, rtol, atol):
+    """A restart below the dimension forces several cycles; the returned x
+    meets |b - A x| <= max(atol, rtol |b|) and agrees with a dense solve."""
+    a = _nonsymmetric(60, 3)
+    b = np.random.default_rng(4).standard_normal(60)
+    calls = []
+
+    def matvec(v):
+        calls.append(1)
+        return a @ v
+
+    x, info = solver.gmres(matvec, b, rtol=rtol, atol=atol, restart=restart,
+                           maxiter=50)
+    assert info == 0
+    bound = max(atol, rtol * np.linalg.norm(b))
+    assert np.linalg.norm(b - a @ x) <= bound
+    exact = np.linalg.solve(a, b)
+    assert np.linalg.norm(x - exact) <= 10 * bound * np.linalg.norm(np.linalg.inv(a), 2)
+    if restart < 60:
+        assert len(calls) > restart + 1  # more than one cycle
+
+
+def test_gmres_reports_a_budget_it_cannot_meet():
+    a = _nonsymmetric(60, 5)
+    b = np.random.default_rng(6).standard_normal(60)
+    x, info = solver.gmres(lambda v: a @ v, b, rtol=1e-12, atol=0.0, restart=3,
+                           maxiter=2)
+    assert info == 2
+    assert np.linalg.norm(b - a @ x) > 1e-12 * np.linalg.norm(b)
+    with pytest.raises(ParameterError, match="maxiter"):
+        solver.gmres(lambda v: a @ v, b, rtol=1e-12, atol=0.0, restart=3, maxiter=0)
+
+
+def test_gmres_zero_right_hand_side_returns_zeros():
+    def matvec(v):
+        raise AssertionError("no product is needed")
+
+    x, info = solver.gmres(matvec, np.zeros(7), rtol=1e-10, atol=0.0, restart=4,
+                           maxiter=3)
+    assert info == 0
+    assert np.array_equal(x, np.zeros(7))
+
+
+def test_gmres_exact_breakdown_returns_the_exact_solution():
+    """A right-hand side that is an eigenvector spans an invariant Krylov
+    space at the first step: one Arnoldi product, one residual product."""
+    a = _nonsymmetric(20, 8)
+    a[1:, 0] = 0.0  # e_0 is an eigenvector with eigenvalue a[0, 0]
+    b = np.zeros(20)
+    b[0] = 3.0
+    calls = []
+
+    def matvec(v):
+        calls.append(1)
+        return a @ v
+
+    x, info = solver.gmres(matvec, b, rtol=1e-15, atol=0.0, restart=10, maxiter=5)
+    assert info == 0
+    assert len(calls) == 2
+    assert np.allclose(x, b / a[0, 0], rtol=1e-15, atol=0.0)
 
 
 def test_newton_nonconvergence_carries_iterate(grid32, op32):
