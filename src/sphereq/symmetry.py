@@ -14,11 +14,11 @@ a * Lap w + b * w = 0.
 
 Everything runs as batched numpy over angles: the extremum bisection
 advances all candidates in lockstep, the reflection check and every
-moving-arc sweep reflect through one kernel (``_sector_sup``), and the
-annihilation check reflects u and Lap u from one transform each.  The
-kernel evaluates the reflected field only at the grid longitudes inside
-each sector, as products small enough that BLAS runs them on the calling
-thread.
+moving-arc sweep reflect through one kernel (``_sector_sup``) on the
+field's own grid longitudes, and the annihilation check reflects u and
+Lap u from one transform each.  The kernel evaluates the reflected field
+only at the grid longitudes inside each sector, as products small enough
+that BLAS runs them on the calling thread.
 """
 
 from __future__ import annotations
@@ -52,6 +52,9 @@ _SLICE_MADDS = 2 ** 18
 # tables to about 1 MB each at 128x256; with all pairs in one block, the
 # audit benchmark's peak RSS rose from 106 to 119 MB.
 _PAIR_BLOCK = 512
+# A grid longitude this close to a sector's far edge counts as on it:
+# extrema are detected up to about 2.5e-12 rad from their grid longitudes.
+_EDGE_TOL = 1e-9
 # Rings whose |u_phi| or |u_phiphi| is below this fraction of its maximum
 # carry no sign information.
 _SIGNIFICANT = 1e-3
@@ -319,70 +322,68 @@ def detect_axial_extrema(u, thresholds=AuditThresholds()):
     )
 
 
-def _sector_columns(phi, centres, widths):
-    """Mask, one row per sector, of the longitudes ``phi`` strictly inside
-    (centres - widths, centres); a width of 2*pi takes every longitude."""
-    lo = centres - widths
-    # offsets from the lower edge, bounded by c - lo rather than the width,
-    # so a column on the mirror meridian stays outside whatever the
-    # rounding of c - width
-    rel = np.mod(phi - lo[:, None], TWO_PI)
-    cols = (rel > 0.0) & (rel < (centres - lo)[:, None])
-    cols[widths >= TWO_PI - 1e-12] = True
+def _sector_columns(phi, mirrors, far_edges):
+    """Mask, one row per sector, of the longitudes ``phi`` strictly between
+    each mirror and its far edge, on either side of it (far_edges - mirrors
+    in [-2*pi, 2*pi]); a sector of 2*pi takes every longitude.  A longitude
+    within ``_EDGE_TOL`` of the far edge counts as on it."""
+    offset = far_edges - mirrors
+    # measured from the mirror, so a column on the mirror reads exactly 0
+    rel = np.mod(np.sign(offset)[:, None] * (phi - mirrors[:, None]), TWO_PI)
+    cols = (rel > 0.0) & (rel < np.abs(offset)[:, None] - _EDGE_TOL)
+    cols[np.abs(offset) >= TWO_PI - 1e-12] = True
     return cols
 
 
-def _sector_sup(values, centres, widths, absolute):
-    """Max of w = u - u o R_c (of |w| when ``absolute``) over the grid
-    longitudes strictly inside each sector (c - width, c); an empty sector
-    reads 0.  ``values`` samples u at phi_j = 2*pi*j/n_phi; ``centres`` and
-    ``widths`` are flat.
+def _sector_sup(values, mirrors, far_edges):
+    """Max and min of w = u - u o R_c over the grid longitudes strictly
+    between each mirror c and its far edge (``_sector_columns``); an empty
+    sector reads 0 for both.  ``values`` samples u at phi_j = 2*pi*j/n_phi;
+    ``mirrors`` and ``far_edges`` are flat.
 
     Only the (sector, column) pairs that ``_sector_columns`` selects are
     evaluated.  The reflected value at a pair is the ring series of u
     (``ring_series``) at x = 2c - phi_j, whose basis e^{imx} is the product
-    of a table of e^{2imc} per centre and one of e^{-im phi_j} per column.
+    of a table of e^{2imc} per mirror and one of e^{-im phi_j} per column.
     Pairs go in blocks of ``_PAIR_BLOCK``, each one stacked ``matmul``
     whose slices stay within ``_SLICE_MADDS`` multiply-adds, so memory does
     not grow with the sector count and BLAS stays on the calling thread."""
     n_theta, n_phi = values.shape
     phi = TWO_PI * np.arange(n_phi) / n_phi
-    sector, column = np.nonzero(_sector_columns(phi, centres, widths))
-    out = np.zeros(centres.size)
-    if sector.size == 0:
-        return out
+    sector, column = np.nonzero(_sector_columns(phi, mirrors, far_edges))
 
     # interleaved [Re s_m, -Im s_m] against [cos mx, sin mx]: the real
     # view of conj(s) dotted with the real view of e^{imx}
     series = ring_series(values)
     coef = np.ascontiguousarray(np.conj(series).view(float).T)
     m = np.arange(series.shape[1])
-    at_centre = np.exp(2j * np.multiply.outer(centres, m))
+    at_mirror = np.exp(2j * np.multiply.outer(mirrors, m))
     roots = np.exp(-1j * phi)  # e^{-im phi_j} = roots[m * j mod n_phi]
     at_column = roots[np.multiply.outer(np.arange(n_phi), m) % n_phi]
     by_column = np.ascontiguousarray(values.T)
 
     per_slice = min(_PAIR_BLOCK, max(1, _SLICE_MADDS // coef.size))
     block = per_slice * max(1, _PAIR_BLOCK // per_slice)
-    pair_sup = np.empty(sector.size)
+    pair_max, pair_min = np.empty((2, sector.size))
     for start in range(0, sector.size, block):
         k = sector[start:start + block]
         j = column[start:start + block]
         n_slices = -(-k.size // per_slice)
         basis = np.empty((n_slices * per_slice, m.size), dtype=complex)
-        np.multiply(at_centre[k], at_column[j], out=basis[:k.size])
+        np.multiply(at_mirror[k], at_column[j], out=basis[:k.size])
         basis[k.size:] = 0.0
         stack = basis.view(float).reshape(n_slices, per_slice, 2 * m.size)
         reflected = np.matmul(stack, coef).reshape(-1, n_theta)[:k.size]
         w = np.subtract(by_column[j], reflected, out=reflected)
-        if absolute:
-            np.abs(w, out=w)
-        pair_sup[start:start + k.size] = w.max(axis=1)
+        pair_max[start:start + k.size] = w.max(axis=1)
+        pair_min[start:start + k.size] = w.min(axis=1)
 
     # pairs come sector by sector, so each sector's pairs are one run
     first = np.flatnonzero(np.diff(sector, prepend=-1))
-    out[sector[first]] = np.maximum.reduceat(pair_sup, first)
-    return out
+    hi, lo = np.zeros((2, mirrors.size))
+    hi[sector[first]] = np.maximum.reduceat(pair_max, first)
+    lo[sector[first]] = np.minimum.reduceat(pair_min, first)
+    return hi, lo
 
 
 def check_reflection(u, centres, widths):
@@ -390,19 +391,20 @@ def check_reflection(u, centres, widths):
     sector (c - width, c) that ends at the mirror meridian c, divided by
     the field span when it is positive.
 
-    ``centres`` is one longitude or an array of them, and ``widths``, each
-    in [0, 2*pi], broadcasts against it.  A width of 2*pi takes every grid
-    longitude; an empty sector reads 0.  Returns a float when both are
-    scalars and an array of their broadcast shape otherwise.  The sups
-    come from ``_sector_sup``, the kernel the moving-arc sweeps use."""
+    ``centres`` is one finite longitude or an array of them, and ``widths``,
+    each in [0, 2*pi], broadcasts against it.  A width of 2*pi takes every
+    grid longitude; an empty sector reads 0.  Returns a float when both are
+    scalars and an array of their broadcast shape otherwise.  The sups come
+    from ``_sector_sup``, the kernel the moving-arc sweeps use."""
     centres, widths = np.broadcast_arrays(
         np.asarray(centres, dtype=float), np.asarray(widths, dtype=float)
     )
-    if np.any(widths < 0.0):
-        raise ParameterError("sector width is negative")
-    if np.any(widths > TWO_PI + 1e-12):
-        raise ParameterError("sector width exceeds 2*pi")
-    out = _sector_sup(u.values, centres.ravel(), widths.ravel(), absolute=True)
+    if not np.all(np.isfinite(centres)):
+        raise ParameterError("sector centres must be finite")
+    if not np.all((widths >= 0.0) & (widths <= TWO_PI + 1e-12)):
+        raise ParameterError("sector width is negative, over 2*pi or not finite")
+    hi, lo = _sector_sup(u.values, centres.ravel(), (centres - widths).ravel())
+    out = np.maximum(hi, -lo)
     span = u.span
     if span > 0:
         out /= span
@@ -444,20 +446,22 @@ def moving_arc_sweep(u, ext, seed_index, direction, thresholds=AuditThresholds()
     sector between the seed meridian and the arc, at ``thresholds.n_eps``
     evenly spaced arcs and judged against ``thresholds.tol_w``.
 
-    The sweep samples v(phi_j) = u(seed + direction * phi_j) at the grid
-    longitudes (a phase multiply and an inverse FFT, then a column
-    permutation for direction -1) and takes both the sector maxima over
-    (0, eps) and the end-of-gap sup|w| from ``_sector_sup``, the kernel of
-    ``check_reflection``.  Reflections are trigonometric interpolation, so
-    off-grid eps are exact for band-limited fields.  The seed must be a
-    minimum and its neighbor in the sweep direction a maximum."""
+    Each arc mirrors about seed + direction * eps and takes the field's own
+    grid longitudes strictly between mirror and seed, through one call of
+    ``_sector_sup``, the kernel of ``check_reflection``; the last arc,
+    eps = gap, gives the end-of-gap sup|w|.  Reflections are trigonometric
+    interpolation, so off-grid eps are exact for band-limited fields.
+    ``seed_index`` must lie in range(ext.n), the seed must be a minimum and
+    its neighbor in the sweep direction a maximum."""
     if ext.n < 2:
         raise ContractError("need at least two extrema to sweep")
     if direction not in (1, -1):
         raise ParameterError("direction must be +1 or -1")
+    n = ext.n
+    if not 0 <= seed_index < n:
+        raise ParameterError("seed_index %r is not in range(%d)" % (seed_index, n))
     if ext.kinds[seed_index] != "min":
         raise ContractError("moving-arc seed must be an axial minimum")
-    n = ext.n
     target_index = (seed_index + direction) % n
     if ext.kinds[target_index] != "max":
         raise ContractError("extremum adjacent to the seed is not a maximum")
@@ -471,25 +475,17 @@ def moving_arc_sweep(u, ext, seed_index, direction, thresholds=AuditThresholds()
     phi_star = min(gap, beyond)
     n_eps, tol_w = thresholds.n_eps, thresholds.tol_w
 
-    n_phi = u.grid.n_phi
-    coeffs = np.fft.rfft(u.values, axis=1)
-    coeffs *= np.exp(1j * np.arange(coeffs.shape[1]) * seed)
-    v = np.fft.irfft(coeffs, n_phi, axis=1)
-    if direction == -1:
-        # take: v[:, idx] would be column-major, and FFTs of it run 2x slower
-        v = np.take(v, -np.arange(n_phi) % n_phi, axis=1)
-
     span = u.span
     eps = gap * np.arange(1, n_eps + 1) / n_eps
-    w_max = _sector_sup(v, eps, eps, absolute=False)
+    # seed + direction * eps, counted back so that the last mirror is the target
+    mirrors = target - direction * gap * np.arange(n_eps - 1, -1, -1) / n_eps
+    w_max, w_min = _sector_sup(u.values, mirrors, mirrors - direction * eps)
+    target_sup = float(max(w_max[-1], -w_min[-1])) / span
 
     # eps_star: the last arc before the first one over the bound
     over = np.nonzero(w_max > tol_w * span)[0]
     first_over = over[0] if over.size else n_eps
     eps_star = float(eps[first_over - 1]) if first_over else 0.0
-
-    end = np.array([gap])
-    target_sup = float(_sector_sup(v, end, end, absolute=True)[0]) / span
 
     return MovingArcReport(
         start_angle=seed,
@@ -522,8 +518,11 @@ def linearized_annihilation(problem, u, lap_u, eps):
 
     ``lap_u`` is Lap u, applied by the caller.  Both Laplacian
     realizations commute with longitude reflection, so it is reflected
-    alongside u: Lap w = Lap u - (Lap u) o R_eps."""
+    alongside u: Lap w = Lap u - (Lap u) o R_eps.  A non-finite meridian
+    raises ``ParameterError``."""
     centres = np.asarray(eps, dtype=float)
+    if not np.all(np.isfinite(centres)):
+        raise ParameterError("annihilation meridians must be finite")
     n_phi = u.grid.n_phi
     q = lap_u.values
     coeffs_u = np.fft.rfft(u.values, axis=1)
