@@ -130,15 +130,15 @@ class ScalarField:
     """Real field u(theta, phi) sampled on a GridSpec.
 
     ``values[j, k] = u(theta_j, phi_k)`` with phi_k = 2*pi*k / n_phi.  The
-    array is copied and frozen on construction; every operation returns a
-    new field, so instances are safe to share across threads.
+    array is copied in C order and frozen on construction; every operation
+    returns a new field, so instances are safe to share across threads.
     """
 
     grid: GridSpec
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=float, copy=True)
+        arr = np.array(self.values, dtype=float, copy=True, order="C")
         if arr.shape != (self.grid.n_theta, self.grid.n_phi):
             raise ParameterError(
                 "field shape %s does not match grid (%d, %d)"

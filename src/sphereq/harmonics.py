@@ -13,10 +13,14 @@ exists so symmetry audits never silently inherit exactness from the
 spectral basis.
 
 The two are built independently but applied alike: both are block-diagonal
-in the longitudinal Fourier mode m, so ``make_operator`` stores one real
-colatitude block per mode and every application is a per-ring real FFT, a
-batched block product and the inverse FFT (the per-m layout of SHTns,
-Schaeffer 2013).
+in the longitudinal Fourier mode m, and both commute with the equatorial
+flip theta -> pi - theta, under which the Gauss-Legendre rings are
+symmetric.  So ``make_operator`` stores, per mode, one real block on the
+even fold of the rings and one on the odd fold, each about half the ring
+count on a side, and every application is a per-ring real FFT, the fold,
+one batched product per half, the unfold and the inverse FFT (the per-m
+layout and the equatorial parity split of SHTns, Schaeffer 2013).  No full
+n_theta x n_theta block is formed.
 """
 
 from __future__ import annotations
@@ -161,26 +165,30 @@ def trivial_branch_eigenvalues(l_max):
 
 
 def _fd_theta_tables(theta):
-    """Colatitude part u_tt + cot(t) u_t as five-point stencils.
+    """Northern rows of the colatitude part u_tt + cot(t) u_t as five-point
+    stencils.
 
     Each pole is extended by two ghost nodes carrying the across-pole
     values u(-theta, phi) = u(theta, phi + pi); in the per-mode picture the
     ghost column folds back onto the first two (last two) rings with the
     parity (-1)^m.  Every row is then a centered quartic fit, so the scheme
-    is uniformly better than second order even at the polar rings.
+    is uniformly better than second order even at the polar rings.  The
+    rings are symmetric about the equator, so the southern rows mirror the
+    northern ones and only rows 0 .. ceil(n/2) - 1 are formed.
 
-    Returns (B0, G) with the mode-m block equal to
-    B0 + (-1)^m G - m^2 diag(1/sin^2 theta).
+    Returns (B0, G), each of shape (ceil(n/2), n), with the rows of the
+    mode-m block equal to B0 + (-1)^m G - m^2 diag(1/sin^2 theta).
     """
     n = theta.size
     ext = np.concatenate((-theta[1::-1], theta, 2.0 * math.pi - theta[: n - 3 : -1]))
     cot = np.cos(theta) / np.sin(theta)
-    b0 = np.zeros((n, n))
-    ghost = np.zeros((n, n))
+    rows = n - n // 2
+    b0 = np.zeros((rows, n))
+    ghost = np.zeros((rows, n))
     # ghost columns of the extended grid map onto real rings (with parity):
     # ext 0 -> ring 1, ext 1 -> ring 0, ext n+2 -> ring n-1, ext n+3 -> ring n-2
     ghost_map = {0: 1, 1: 0, n + 2: n - 1, n + 3: n - 2}
-    for j in range(n):
+    for j in range(rows):
         je = j + 2
         xs = ext[je - 2 : je + 3] - ext[je]
         scale = np.max(np.abs(xs))
@@ -199,44 +207,67 @@ def _fd_theta_tables(theta):
 class OperatorHandle:
     """An assembled realization of the Laplace-Beltrami operator.
 
-    ``realization`` is "spectral" or "finite-difference".  ``blocks[m]`` is
-    the real n_theta x n_theta colatitude block acting on longitudinal
-    Fourier mode m = 0 .. n_phi // 2; the operator is block-diagonal over m
-    in both realizations.  ``degree_cap`` bounds the spectral blocks, which
-    are zero for m above it.  Immutable (``blocks`` is read-only) and
-    shareable across threads.
+    ``realization`` is "spectral" or "finite-difference".  The operator is
+    block-diagonal over the longitudinal Fourier modes m = 0 .. n_phi // 2
+    in both realizations, and each mode block commutes with the equatorial
+    flip of the rings, so it splits into an even and an odd half.
+    ``blocks`` is the pair (even, odd): ``even[m]`` is the real
+    ceil(n_theta/2)-square block acting on the even fold of mode m
+    (``apply_mode_blocks``), ``odd[m]`` the floor(n_theta/2)-square block
+    acting on its odd fold.  ``degree_cap`` bounds the spectral blocks,
+    which are zero for m above it.  Immutable (both halves are read-only)
+    and shareable across threads.
     """
 
     grid: object
     realization: str
     degree_cap: int
-    blocks: np.ndarray
+    blocks: tuple
 
 
 def _spectral_blocks(grid, degree_cap):
-    """2*pi * P_m^T diag(-l(l+1)) P_m W per mode, with P_m the rows m..L of
-    the Legendre table at order m and W the quadrature weights."""
-    n_theta = grid.n_theta
-    blocks = np.zeros((grid.n_phi // 2 + 1, n_theta, n_theta))
-    plm = legendre_table(grid.theta_nodes, degree_cap)
+    """Even and odd halves of 2*pi * P_m^T diag(-l(l+1)) P_m W per mode,
+    with P_m the rows m..L of the Legendre table at order m and W the
+    quadrature weights.  Since Q_l^m(-x) = (-1)^(l+m) Q_l^m(x), the even
+    half takes the degrees with l + m even on the northern rings and the
+    equator, the odd half those with l + m odd on the northern rings; each
+    northern weight counts twice, for its southern mirror."""
+    h = grid.n_theta // 2
+    n_even = grid.n_theta - h
+    n_modes = grid.n_phi // 2 + 1
+    halves = (np.zeros((n_modes, n_even, n_even)), np.zeros((n_modes, h, h)))
+    plm = legendre_table(grid.theta_nodes[:n_even], degree_cap)
     l = np.arange(degree_cap + 1, dtype=float)
     eig = -l * (l + 1.0)
-    w = TWO_PI * grid.theta_weights
+    w = 2.0 * TWO_PI * grid.theta_weights[:n_even]
+    w[h:] *= 0.5  # the equator ring is its own mirror
     for m in range(degree_cap + 1):
-        p = plm[m:, m]
-        blocks[m] = (p.T * eig[m:]) @ (p * w)
-    return blocks
+        for parity, half in enumerate(halves):
+            size = half.shape[1]
+            p = plm[m + parity :: 2, m, :size]
+            half[m] = (p.T * eig[m + parity :: 2]) @ (p * w[:size])
+    return halves
 
 
 def _fd_blocks(grid):
-    """B0 + (-1)^m G - m^2 diag(1/sin^2 theta) per mode."""
-    b0, ghost = _fd_theta_tables(grid.theta_nodes)
+    """Even and odd halves of B0 + (-1)^m G - m^2 diag(1/sin^2 theta) per
+    mode, folded from the northern rows: column k of a half adds (even) or
+    subtracts (odd) the column of the mirror ring n_theta - 1 - k."""
+    n_theta, h = grid.n_theta, grid.n_theta // 2
+    tables = np.stack(_fd_theta_tables(grid.theta_nodes))
+    mirror = tables[:, :, : n_theta - h - 1 : -1]
     m = np.arange(grid.n_phi // 2 + 1)
     parity = 1.0 - 2.0 * (m % 2)
-    blocks = b0 + parity[:, None, None] * ghost
-    ring = np.arange(grid.n_theta)
-    blocks[:, ring, ring] -= np.outer(m * m, 1.0 / np.sin(grid.theta_nodes) ** 2)
-    return blocks
+    inv_sin2 = 1.0 / np.sin(grid.theta_nodes) ** 2
+    halves = []
+    for sign, size in ((1.0, n_theta - h), (-1.0, h)):
+        folded = tables[:, :size, :size].copy()
+        folded[:, :, :h] += sign * mirror[:, :size]
+        blocks = folded[0] + parity[:, None, None] * folded[1]
+        ring = np.arange(size)
+        blocks[:, ring, ring] -= np.outer(m * m, inv_sin2[:size])
+        halves.append(blocks)
+    return tuple(halves)
 
 
 def make_operator(grid, realization="spectral"):
@@ -252,17 +283,43 @@ def make_operator(grid, realization="spectral"):
         blocks = _spectral_blocks(grid, degree_cap)
     else:
         blocks = _fd_blocks(grid)
-    blocks.setflags(write=False)
+    for half in blocks:
+        half.setflags(write=False)
     return OperatorHandle(grid, realization, degree_cap, blocks)
 
 
 def apply_mode_blocks(blocks, values):
-    """Apply one real colatitude block per longitudinal Fourier mode to
-    grid values of shape (n_theta, n_phi): ring rfft, one batched product
-    on the stacked real and imaginary parts, irfft."""
-    modes = np.fft.rfft(values, axis=1).T
-    out = blocks @ np.stack((modes.real, modes.imag), axis=-1)
-    return np.fft.irfft((out[..., 0] + 1j * out[..., 1]).T, values.shape[1], axis=1)
+    """Apply per-mode parity blocks ``(even, odd)`` (``OperatorHandle``) to
+    grid values of shape (n_theta, n_phi).
+
+    One ring rfft; the rows of the mode array fold into the halves
+    e_j = (u_j + u_{n-1-j}) / 2 and o_j = (u_j - u_{n-1-j}) / 2 for
+    j < n_theta // 2, the equator ring (odd n_theta) being even only; one
+    batched product per half on the interleaved real and imaginary parts;
+    the unfold out_j = E e + O o, out_{n-1-j} = E e - O o; one irfft.
+    Flipping the rings leaves e as it is and negates o exactly, so the
+    result is exactly equivariant under the flip."""
+    even, odd = blocks
+    n_theta, n_phi = values.shape
+    h = n_theta // 2
+    modes = np.fft.rfft(values, axis=1)
+    north, south = modes[:h], modes[: n_theta - h - 1 : -1]
+    # rows: the even half (northern rings, then the equator), the odd half
+    folded = np.empty_like(modes)
+    np.add(north, south, out=folded[:h])
+    np.subtract(north, south, out=folded[n_theta - h :])
+    folded *= 0.5
+    folded[h : n_theta - h] = modes[h : n_theta - h]
+    product = np.empty_like(modes)
+    x, y = (a.view(float).reshape(n_theta, -1, 2).transpose(1, 0, 2)
+            for a in (folded, product))
+    np.matmul(even, x[:, : n_theta - h], out=y[:, : n_theta - h])
+    np.matmul(odd, x[:, n_theta - h :], out=y[:, n_theta - h :])
+    e, o = product[:h], product[n_theta - h :]
+    np.add(e, o, out=modes[:h])
+    np.subtract(e, o, out=modes[: n_theta - h - 1 : -1])
+    modes[h : n_theta - h] = product[h : n_theta - h]
+    return np.fft.irfft(modes, n_phi, axis=1)
 
 
 def apply_laplacian(op, field):

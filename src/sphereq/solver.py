@@ -80,11 +80,12 @@ _KRYLOV_RTOL = 1e-10
 _KRYLOV_RESTART = 40
 _KRYLOV_MAX_RESTARTS = 50
 
-#: A mean-coefficient block whose largest entry times the largest entry of
-#: its inverse exceeds this is singular to rounding: |M M^-1 - I| grows as
-#: about 3e-16 times that product, so past 1e8 the inverse keeps less than
-#: half the digits.  Newton's starting states read at most about 1e5 (FD,
-#: 128x256), singular blocks at least about 4e14.
+#: A mean-coefficient half block (even or odd, see ``_mean_mode_inverse``)
+#: whose largest entry times the largest entry of its inverse exceeds this
+#: is singular to rounding: |M M^-1 - I| grows as about 3e-16 times that
+#: product, so past 1e8 the inverse keeps less than half the digits.  Per
+#: half block, Newton's starting states read at most about 8e5 (FD,
+#: 128x256), exactly singular blocks at least about 8e14.
 _SINGULAR_BLOCK = 1e8
 
 #: Relative size below which gmres takes an orthogonalised Krylov vector for
@@ -181,40 +182,53 @@ def _mean_coefficients(problem, grid, fu, fq):
 
 
 class MeanModeInverse(NamedTuple):
-    """Per-mode blocks of the inverse of M = coeff_u + coeff_q * Lap, for
-    apply_mode_blocks, with the coefficients of the M they invert."""
+    """Per-mode parity blocks ``(even, odd)`` of the inverse of M = coeff_u +
+    coeff_q * Lap, for apply_mode_blocks, with the coefficients of the M
+    they invert."""
 
-    blocks: np.ndarray
+    blocks: tuple
     coeff_u: float
     coeff_q: float
 
 
 def _mean_mode_inverse(op, coeff_u, coeff_q):
     """The MeanModeInverse of the mean-coefficient operator coeff_u +
-    coeff_q * Lap.
+    coeff_q * Lap, inverted half block by half block: M commutes with the
+    equatorial flip, so its inverse has the even and odd halves of
+    ``op.blocks`` too.
 
-    When a mode block is singular, exactly or to rounding (coeff_u == 0
+    When a half block is singular, exactly or to rounding (coeff_u == 0
     meets the constant mode or the zero spectral Nyquist block, or
-    coeff_u == l(l+1) coeff_q meets degree l), the diagonal of every block
-    is shifted by one small floor, and the returned coeff_u includes that
-    shift, so the blocks invert the M that the returned coefficients
-    describe.  A block counts as singular when its largest entry times the
-    largest entry of its inverse exceeds ``_SINGULAR_BLOCK``."""
-    ring = np.arange(op.grid.n_theta)
-    a = coeff_q * op.blocks
-    a[:, ring, ring] += coeff_u
+    coeff_u == l(l+1) coeff_q meets degree l), the diagonal of every half
+    block is shifted by one small floor, and the returned coeff_u includes
+    that shift, so the blocks invert the M that the returned coefficients
+    describe.  A half block counts as singular when its largest entry times
+    the largest entry of its inverse exceeds ``_SINGULAR_BLOCK``."""
+    halves = [coeff_q * half for half in op.blocks]
+
+    def shift_diagonals(value):
+        for a in halves:
+            ring = np.arange(a.shape[1])
+            a[:, ring, ring] += value
+
+    shift_diagonals(coeff_u)
     try:
-        inv = np.linalg.inv(a)
-        sup = np.abs(a).max(axis=(1, 2)) * np.abs(inv).max(axis=(1, 2))
-        singular = np.max(sup) > _SINGULAR_BLOCK
+        inv = tuple(np.linalg.inv(a) for a in halves)
+        singular = any(
+            np.max(np.abs(a).max(axis=(1, 2)) * np.abs(b).max(axis=(1, 2)))
+            > _SINGULAR_BLOCK
+            for a, b in zip(halves, inv)
+        )
     except np.linalg.LinAlgError:
         singular = True
     if not singular:
         return MeanModeInverse(inv, coeff_u, coeff_q)
     floor = 1e-6 * max(1.0, abs(coeff_u) + abs(coeff_q))
     shift = math.copysign(floor, coeff_u or 1.0)
-    a[:, ring, ring] += shift
-    return MeanModeInverse(np.linalg.inv(a), coeff_u + shift, coeff_q)
+    shift_diagonals(shift)
+    return MeanModeInverse(
+        tuple(np.linalg.inv(a) for a in halves), coeff_u + shift, coeff_q
+    )
 
 
 def _krylov_solve(fu, fq, precond, rhs, rtol, atol):
@@ -264,10 +278,11 @@ def newton_solve(problem, op, guess, tol=1e-9, max_iter=30):
     residual sup-norm.
     GMRES is right-preconditioned by the exact per-mode inverse of the
     mean-coefficient operator at the starting iterate (F_u and F_q replaced
-    by their sphere means), formed once per solve at the first step and
-    reused by every later one; a guess that already meets ``tol`` forms
-    none.  Each GMRES iteration applies that inverse once and no Laplacian
-    (see ``_krylov_solve``).  Each trial's one Lap u gives its residual and,
+    by their sphere means), inverted on the even and odd halves of each
+    mode block, formed once per solve at the first step and reused by every
+    later one; a guess that already meets ``tol`` forms none.  Each GMRES
+    iteration applies that inverse once and no Laplacian (see
+    ``_krylov_solve``).  Each trial's one Lap u gives its residual and,
     once accepted, the next step's F_u and F_q.  Raises ContractError when
     F_q has zero sphere mean at the starting iterate, and ConvergenceError
     carrying the last iterate when the budget runs out.  ``tol`` must be

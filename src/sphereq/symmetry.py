@@ -52,8 +52,9 @@ _SLICE_MADDS = 2 ** 18
 # tables to about 1 MB each at 128x256; with all pairs in one block, the
 # audit benchmark's peak RSS rose from 106 to 119 MB.
 _PAIR_BLOCK = 512
-# A grid longitude this close to a sector's far edge counts as on it:
-# extrema are detected up to about 2.5e-12 rad from their grid longitudes.
+# A grid longitude this close to a sector's mirror or far edge counts as on
+# it: extrema, and so the mirrors counted from them, are detected up to
+# about 2.5e-12 rad from their grid longitudes.
 _EDGE_TOL = 1e-9
 # Rings whose |u_phi| or |u_phiphi| is below this fraction of its maximum
 # carry no sign information.
@@ -326,11 +327,12 @@ def _sector_columns(phi, mirrors, far_edges):
     """Mask, one row per sector, of the longitudes ``phi`` strictly between
     each mirror and its far edge, on either side of it (far_edges - mirrors
     in [-2*pi, 2*pi]); a sector of 2*pi takes every longitude.  A longitude
-    within ``_EDGE_TOL`` of the far edge counts as on it."""
+    within ``_EDGE_TOL`` of the mirror or of the far edge counts as on it,
+    so a column that lies on the mirror up to rounding, where w is rounding
+    noise, stays out on either side."""
     offset = far_edges - mirrors
-    # measured from the mirror, so a column on the mirror reads exactly 0
     rel = np.mod(np.sign(offset)[:, None] * (phi - mirrors[:, None]), TWO_PI)
-    cols = (rel > 0.0) & (rel < np.abs(offset)[:, None] - _EDGE_TOL)
+    cols = (rel > _EDGE_TOL) & (rel < np.abs(offset)[:, None] - _EDGE_TOL)
     cols[np.abs(offset) >= TWO_PI - 1e-12] = True
     return cols
 

@@ -7,11 +7,13 @@ imports ``apply_laplacian`` by name, and the ``laplacian_calls`` fixture
 patches that binding too, so it counts their Laplacians.
 """
 
+import math
+
 import numpy as np
 
 from sphereq.errors import ParameterError, SphereqError
-from sphereq.grid import ScalarField, reflect_coeffs
-from sphereq.harmonics import apply_laplacian
+from sphereq.grid import TWO_PI, ScalarField, reflect_coeffs
+from sphereq.harmonics import apply_laplacian, legendre_table, max_degree
 from sphereq.problems import evaluate, linearization_coefficients
 from sphereq.solver import (
     _KRYLOV_RTOL,
@@ -109,3 +111,63 @@ def quadrature_weight_vector(grid):
     """Flattened quadrature weights matching jacobian_matrix's ordering."""
     w = np.repeat(grid.theta_weights[:, None], grid.n_phi, axis=1) * grid.phi_cell
     return w.ravel()
+
+
+def _full_fd_theta_tables(theta):
+    """Every row of the five-point colatitude stencils u_tt + cot(t) u_t,
+    each pole extended by two parity ghost nodes, formed row by row without
+    using the equatorial symmetry.  Returns (B0, G), each n x n, with the
+    mode-m block B0 + (-1)^m G - m^2 diag(1/sin^2 theta)."""
+    n = theta.size
+    ext = np.concatenate((-theta[1::-1], theta, 2.0 * math.pi - theta[: n - 3 : -1]))
+    cot = np.cos(theta) / np.sin(theta)
+    b0 = np.zeros((n, n))
+    ghost = np.zeros((n, n))
+    ghost_map = {0: 1, 1: 0, n + 2: n - 1, n + 3: n - 2}
+    for j in range(n):
+        je = j + 2
+        xs = ext[je - 2 : je + 3] - ext[je]
+        scale = np.max(np.abs(xs))
+        vinv = np.linalg.inv(np.vander(xs / scale, 5, increasing=True))
+        row = 2.0 * vinv[2] / scale**2 + cot[j] * vinv[1] / scale
+        for t in range(5):
+            ie = je - 2 + t
+            if 2 <= ie <= n + 1:
+                b0[j, ie - 2] += row[t]
+            else:
+                ghost[j, ghost_map[ie]] += row[t]
+    return b0, ghost
+
+
+def full_mode_blocks(grid, realization):
+    """One full n_theta x n_theta colatitude block per longitudinal Fourier
+    mode m = 0 .. n_phi // 2: the spectral 2*pi P_m^T diag(-l(l+1)) P_m W
+    over all rings, or the finite-difference B0 + (-1)^m G -
+    m^2 diag(1/sin^2 theta).  The parity halves the package stores are a
+    similarity transform of these blocks."""
+    n_theta, n_modes = grid.n_theta, grid.n_phi // 2 + 1
+    if realization == "finite-difference":
+        b0, ghost = _full_fd_theta_tables(grid.theta_nodes)
+        m = np.arange(n_modes)
+        blocks = b0 + (1.0 - 2.0 * (m % 2))[:, None, None] * ghost
+        ring = np.arange(n_theta)
+        blocks[:, ring, ring] -= np.outer(m * m, 1.0 / np.sin(grid.theta_nodes) ** 2)
+        return blocks
+    degree_cap = max_degree(grid)
+    blocks = np.zeros((n_modes, n_theta, n_theta))
+    plm = legendre_table(grid.theta_nodes, degree_cap)
+    l = np.arange(degree_cap + 1, dtype=float)
+    eig = -l * (l + 1.0)
+    w = TWO_PI * grid.theta_weights
+    for m in range(degree_cap + 1):
+        p = plm[m:, m]
+        blocks[m] = (p.T * eig[m:]) @ (p * w)
+    return blocks
+
+
+def full_block_laplacian(grid, realization, values):
+    """The Laplacian of grid values through ``full_mode_blocks``: ring rfft,
+    one full block product per mode, irfft."""
+    modes = np.fft.rfft(values, axis=1).T
+    out = full_mode_blocks(grid, realization) @ np.stack((modes.real, modes.imag), -1)
+    return np.fft.irfft((out[..., 0] + 1j * out[..., 1]).T, grid.n_phi, axis=1)

@@ -22,7 +22,7 @@ from sphereq import (
     trivial_branch_eigenvalues,
 )
 from conftest import random_band_limited
-from oracles import reflect_phi
+from oracles import full_block_laplacian, reflect_phi
 
 FOUR_PI = 4.0 * np.pi
 
@@ -267,22 +267,68 @@ def test_mode_table_multiplicities():
     assert [row[2] for row in table] == [2 * l + 1 for l in range(9)]
 
 
+def _half_block_eigenvalues(op, m):
+    """Eigenvalues of mode m's operator: the union over its even and odd
+    parity halves."""
+    return np.concatenate([np.linalg.eigvals(half[m]).real for half in op.blocks])
+
+
 def test_mode_blocks_diagonalize_near_exact(op32, fd32):
-    """Eigenvalues of the per-mode colatitude blocks: the FD ones sit close
-    to -l(l+1); the spectral ones are -l(l+1) for m <= l <= L and 0 on the
-    n_theta - (L + 1 - m) unresolved directions."""
+    """Eigenvalues of the per-mode colatitude blocks (the union of the two
+    parity halves): the FD ones sit close to -l(l+1); the spectral ones are
+    -l(l+1) for m <= l <= L and 0 on the n_theta - (L + 1 - m) unresolved
+    directions."""
     for m, targets in ((0, (-2.0, -6.0, -12.0)), (2, (-6.0, -12.0))):
-        eigs = np.sort(np.linalg.eigvals(fd32.blocks[m]).real)[::-1]
+        eigs = np.sort(_half_block_eigenvalues(fd32, m))[::-1]
         for target in targets:
             nearest = eigs[np.argmin(np.abs(eigs - target))]
             assert abs(nearest - target) < 2e-3 * max(1.0, abs(target))
     n_theta, L = op32.grid.n_theta, op32.degree_cap
     for m in range(op32.grid.n_phi // 2 + 1):
-        eigs = np.sort(np.linalg.eigvals(op32.blocks[m]).real)
+        eigs = np.sort(_half_block_eigenvalues(op32, m))
         l = np.arange(m, L + 1, dtype=float)
         zeros = n_theta - l.size
         expected = np.sort(np.concatenate((-l * (l + 1.0), np.zeros(zeros))))
         assert np.max(np.abs(eigs - expected)) < 1e-10
+
+
+@pytest.mark.parametrize("n_theta", [8, 9])
+@pytest.mark.parametrize("realization", ["spectral", "finite-difference"])
+def test_mode_blocks_are_parity_halves(n_theta, realization):
+    """Each mode stores a ceil(n_theta/2) even and a floor(n_theta/2) odd
+    block, read-only."""
+    op = make_operator(make_grid(n_theta, 16), realization)
+    even, odd = op.blocks
+    assert even.shape == (9, (n_theta + 1) // 2, (n_theta + 1) // 2)
+    assert odd.shape == (9, n_theta // 2, n_theta // 2)
+    assert not even.flags.writeable and not odd.flags.writeable
+
+
+@pytest.mark.parametrize("shape", [(8, 16), (9, 16), (33, 64), (48, 96)])
+@pytest.mark.parametrize("realization", ["spectral", "finite-difference"])
+def test_apply_matches_full_block_reference(shape, realization):
+    """The parity halves apply the same Laplacian as full n_theta x n_theta
+    blocks built without the equatorial symmetry, on random values that
+    are not band-limited, for even and odd ring counts."""
+    grid = make_grid(*shape)
+    values = np.random.default_rng(16).standard_normal(shape)
+    reference = full_block_laplacian(grid, realization, values)
+    lap = apply_laplacian(make_operator(grid, realization), ScalarField(grid, values))
+    assert np.max(np.abs(lap.values - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+
+@pytest.mark.parametrize("shape", [(8, 16), (9, 16), (33, 64), (48, 96)])
+@pytest.mark.parametrize("realization", ["spectral", "finite-difference"])
+def test_laplacian_is_exactly_equivariant_under_the_ring_flip(shape, realization):
+    """Lap(u o F) == (Lap u) o F bit for bit, with F the equatorial flip
+    theta -> pi - theta of the Gauss-Legendre rings."""
+    grid = make_grid(*shape)
+    op = make_operator(grid, realization)
+    u = ScalarField(grid, np.random.default_rng(17).standard_normal(shape))
+    flipped = ScalarField(grid, u.values[::-1])
+    assert np.array_equal(
+        apply_laplacian(op, flipped).values, apply_laplacian(op, u).values[::-1]
+    )
 
 
 @pytest.mark.parametrize("shape", [(48, 96), (128, 256)])

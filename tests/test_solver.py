@@ -241,15 +241,16 @@ def test_mean_mode_inverse_floors_blocks_singular_to_rounding(grid32, realizatio
     """FD at c_u = 0 (the constants) and spectral at c_u = 2 c_q (degree 1)
     leave a block singular only to rounding: np.linalg.inv returns, but
     without the floor its inverse is off by order one.  With the floor the
-    blocks invert the M that the returned coefficients describe; a
-    coefficient pair between two eigenvalues gets no shift."""
+    blocks invert the M that the returned coefficients describe, on each
+    parity half; a coefficient pair between two eigenvalues gets no
+    shift."""
     op = make_operator(grid32, realization)
     precond = solver._mean_mode_inverse(op, coeff_u, 1.0)
     assert precond.coeff_u != coeff_u
-    ring = np.arange(grid32.n_theta)
-    m = precond.coeff_q * op.blocks
-    m[:, ring, ring] += precond.coeff_u
-    assert np.max(np.abs(m @ precond.blocks - np.eye(grid32.n_theta))) <= 1e-5
+    for half, inverse in zip(op.blocks, precond.blocks):
+        size = half.shape[1]
+        m = precond.coeff_q * half + precond.coeff_u * np.eye(size)
+        assert np.max(np.abs(m @ inverse - np.eye(size))) <= 1e-5
     assert solver._mean_mode_inverse(op, 3.0, 1.0).coeff_u == 3.0
 
 

@@ -476,6 +476,21 @@ def test_sweep_both_directions_agree_for_symmetric_field(grid32):
     assert bwd.target_angle == pytest.approx(0.0, abs=1e-10)
 
 
+def test_sweep_directions_agree_where_the_mirror_lands_on_a_column():
+    """At 48x96 with 100 arcs, arcs 25, 50 and 75 of every sweep of Y_2^2
+    put the mirror on a grid longitude, where w is rounding noise.  That
+    column stays out of the sector on either side of the mirror, so the
+    two mirror-image directions read the same sector maxima (one of them
+    read about 1e-18 there instead of -2.5e-4)."""
+    u = harmonic_mode(make_grid(48, 96), 2, 2)
+    ext = detect_axial_extrema(u)
+    for seed in ext.minima_indices:
+        fwd, bwd = (moving_arc_sweep(u, ext, seed, d) for d in (1, -1))
+        arcs = [24, 49, 74]
+        assert np.all(fwd.w_max[arcs] < -1e-4)
+        assert np.max(np.abs(fwd.w_max[arcs] - bwd.w_max[arcs])) <= 1e-13 * u.span
+
+
 # ---------------------------------------------------------------------------
 # linearized annihilation
 # ---------------------------------------------------------------------------
@@ -587,6 +602,16 @@ def test_audit_applies_one_laplacian_per_field(grid32, op32, laplacian_calls):
     axisymmetric = eval_on_grid(grid32, lambda t, p: np.cos(t) + 0.0 * p)
     theorem_audit(chafee_infante(2.0), op32, axisymmetric)
     assert len(laplacian_calls) == 2
+
+
+def test_audit_of_a_fortran_ordered_field():
+    """A field built from Fortran-ordered values is stored in C order, so
+    the audit's real views of its ring series work."""
+    grid = make_grid(32, 64)
+    u = ScalarField(grid, np.asfortranarray(harmonic_mode(grid, 2, 2).values))
+    report = theorem_audit(chafee_infante(6.0), make_operator(grid), u)
+    assert report.verdict == "pass"
+    assert u.values.flags.c_contiguous
 
 
 def test_audit_constant_raises(grid32, op32):
