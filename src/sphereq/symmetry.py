@@ -2,15 +2,15 @@
 
 The pipeline detects meridians along which the longitudinal derivative
 vanishes at every colatitude (axial extrema), labels each a maximum, a
-minimum or a saddle (longitudinal curvature of both signs along it),
-classifies whether all maxima (resp. minima) share one colatitude profile
-(leveled), and then checks the structure a nonconstant equilibrium with
-leveled axial extrema must have: extrema evenly spaced, the field
-mirror-symmetric about each extremal meridian, and the swept-sector
-difference field u - u o R_eps one-signed up to the next extremum.  The
-linearized-annihilation check confirms that the difference of a solution
-and its reflection satisfies the averaged linear equation
-a * Lap w + b * w = 0.
+minimum or a saddle by the direction u_phi crosses zero there on each ring,
+reports ring-wise critical points off those meridians, classifies whether
+all maxima (resp. minima) share one colatitude profile (leveled), and then
+checks the structure a nonconstant equilibrium with leveled axial extrema
+must have: extrema evenly spaced, the field mirror-symmetric about each
+extremal meridian, and the swept-sector difference field u - u o R_eps
+one-signed up to the next extremum.  The linearized-annihilation check
+confirms that the difference of a solution and its reflection satisfies
+the averaged linear equation a * Lap w + b * w = 0.
 
 Everything runs as batched numpy over angles: the extremum bisection
 advances all candidates in lockstep, the reflection check and every
@@ -56,8 +56,8 @@ _PAIR_BLOCK = 512
 # it: extrema, and so the mirrors counted from them, are detected up to
 # about 2.5e-12 rad from their grid longitudes.
 _EDGE_TOL = 1e-9
-# Rings whose |u_phi| or |u_phiphi| is below this fraction of its maximum
-# carry no sign information.
+# Rings whose sup|u_phi| is below this fraction of the field's carry no
+# sign information.
 _SIGNIFICANT = 1e-3
 
 
@@ -109,15 +109,17 @@ class AxialExtremumSet:
     """Detected extremal meridians of a field.
 
     ``angles`` are sorted longitudes in [0, 2*pi); ``kinds`` label each as
-    "max", "min" or "saddle" (u_phiphi takes both signs across the rings
-    where it is significant, so the meridian is a maximum in some
-    colatitudes and a minimum in others); ``axiality_defects`` give max
-    over colatitude of |u_phi| at the axis, normalized by sup|u_phi|.
-    ``axis_profiles[i]`` samples u along axis i at the grid colatitudes,
-    and ``level_defect`` compares them within each kind; ``gaps`` and
-    ``midpoint_defects`` measure the spacing.  Candidates that were
-    critical on some rings but not all are reported separately in
-    ``non_axial_critical`` and never count as extrema.
+    "max", "min" or "saddle" (u_phi crosses zero downward on some
+    significant rings and upward on others, so the meridian is a maximum in
+    some colatitudes and a minimum in others); ``axiality_defects`` give
+    max over colatitude of |u_phi| at the axis, normalized by sup|u_phi|;
+    ``merged`` flags an extremum near which some ring's u_phi changes sign
+    more than once.  ``axis_profiles[i]`` samples u along axis i at the
+    grid colatitudes, and ``level_defect`` compares them within each kind;
+    ``gaps`` and ``midpoint_defects`` measure the spacing.  Ring-wise
+    critical points off the axial meridians (u_phi vanishes on some rings
+    but not all) are reported in ``non_axial_critical`` and never count as
+    extrema.
     """
 
     angles: np.ndarray
@@ -183,36 +185,28 @@ class AxialExtremumSet:
         return np.abs(np.roll(gaps, -1) - gaps)
 
 
-def _local_minima(values):
-    left = np.roll(values, 1)
-    right = np.roll(values, -1)
-    return np.nonzero((values < left) & (values <= right))[0]
-
-
 def detect_axial_extrema(u, thresholds=AuditThresholds()):
     """Find meridians where u_phi vanishes at every colatitude.
 
-    The scan evaluates g(phi) = max over rings of |u_phi| on a 16x refined
-    longitude grid (trigonometric interpolation); local minima of g are
-    refined by bisection on the sign change of the alignment-weighted ring
-    average of u_phi, then kept as axial extrema when the normalized
-    defect max_theta |u_phi| / sup|u_phi| falls below ``thresholds.tol_ax``.
-    Kinds come from the sign of the ring-integrated second longitudinal
-    derivative, except that a meridian whose u_phiphi takes both signs
-    across the significant rings (|u_phiphi| >= 1e-3 of its maximum along
-    the meridian) is a "saddle".  Candidates closer than one coarse cell
-    are merged (and flagged); a longitude where only some rings are
-    critical is reported as non-axial instead of as an extremum.
-
-    All candidates are refined together by ``bisect_roots``: u_phi is
-    transformed once, and each bisection step sums one short trigonometric
-    series per candidate at its midpoint.
+    One table drives everything: the cells of a 16x refined longitude grid
+    (trigonometric interpolation) where u_phi changes sign, on each ring
+    whose sup|u_phi| is at least 1e-3 of the field's.  The changes fall
+    into circular runs of refined columns within one cell of a change on
+    some ring.  A run with a column within one cell of a change on every
+    ring is a candidate: its angle is the sign change across the run of
+    the alignment-weighted ring average of u_phi, refined by bisection,
+    and it is an axial extremum when the normalized defect
+    max_theta |u_phi| / sup|u_phi| there is at most ``thresholds.tol_ax``.
+    The extremum is a "max" when u_phi crosses from + to - on all its
+    rings, a "min" when from - to + on all, and a "saddle" otherwise; it
+    is ``merged`` when some ring changes sign more than once in its run.
+    Every other run is a ring-wise critical point off the axial meridians,
+    listed in ``non_axial_critical`` at its middle (or at its angle).
 
     A field whose span is at most max(TRIVIAL_AMPLITUDE, 1e-12 * sup|u|)
     is a constant, or the trivial state a solve fell to, whose "extrema"
     are rounding noise: it raises ``DegenerateFieldError``.
     """
-    grid = u.grid
     span = u.span
     floor = max(TRIVIAL_AMPLITUDE, 1e-12 * u.sup_norm)
     if span <= floor:
@@ -222,39 +216,54 @@ def detect_axial_extrema(u, thresholds=AuditThresholds()):
         )
 
     du = d_phi(u)
-    d2u = d_phi(du)
     fine = oversample_phi(du, _REFINE_FACTOR)
     n_fine = fine.shape[1]
-    phis_fine = TWO_PI * np.arange(n_fine) / n_fine
-    abs_fine = np.abs(fine)
-    g = abs_fine.max(axis=0)
-    u_phi_sup = float(g.max())
+    ring_sup = np.maximum(fine.max(axis=1), -fine.min(axis=1))
+    u_phi_sup = float(ring_sup.max())
     # u_phi vanishes everywhere: no meridian is singled out
     all_critical = u_phi_sup <= 1e-12 * span
 
-    w = grid.theta_weights
-    ring_sup = abs_fine.max(axis=1)
-    significant = ring_sup >= _SIGNIFICANT * u_phi_sup
+    # the table: change[r, j] when significant ring r changes sign in the
+    # refined cell from column j to column j + 1
+    significant = (ring_sup >= _SIGNIFICANT * u_phi_sup) & (not all_critical)
+    positive = (fine > 0.0)[significant]
+    change = positive != np.roll(positive, -1, axis=1)
+    near = change | np.roll(change, 1, axis=1)
 
-    # every local minimum of g is bracketed by its two refined neighbours;
-    # all brackets are evaluated, bisected and tested together
-    h_fine = TWO_PI / n_fine
-    rows = np.empty(0, dtype=int) if all_critical else _local_minima(g)
-    left = phis_fine[rows] - h_fine
-    right = phis_fine[rows] + h_fine
-    du_l = interp_phi(du, left)
-    du_r = interp_phi(du, right)
+    # circular runs of columns near a change; run_of[j] is column j's run
+    busy = near.any(axis=0)
+    starts = busy & ~np.roll(busy, 1)
+    starts[0] |= busy.all()  # one run round the whole circle
+    first = np.flatnonzero(starts)
+    n_runs = first.size
+    run_of = np.cumsum(starts) - 1
+    run_of[run_of < 0] = n_runs - 1  # the run that wraps past the end
+    run_of[~busy] = -1
+    length = np.bincount(run_of[busy], minlength=n_runs)
+    cand = np.flatnonzero(np.bincount(run_of[near.all(axis=0) & busy], minlength=n_runs))
+
+    # each change lies in the run that holds the column after its cell
+    ring, cell = np.divmod(np.flatnonzero(change), n_fine)
+    run = run_of[(cell + 1) % n_fine]
+    falls = positive[ring, cell]  # + to -: a ring-wise maximum
+    down = np.bincount(run, weights=falls, minlength=n_runs) > 0
+    up = np.bincount(run, weights=~falls, minlength=n_runs) > 0
+    per_ring = np.bincount(run * len(positive) + ring, minlength=n_runs * len(positive))
+    merged = per_ring.reshape(n_runs, len(positive)).max(axis=1, initial=0) > 1
+
+    # a run's cells span [left, right].  Candidates with a sign change there
+    # of the alignment-weighted ring average of u_phi are bisected together,
+    # on one trigonometric series each: the ring series of u_phi contracted
+    # with the weights once.  Every other run keeps its middle.
+    w = u.grid.theta_weights
+    left = (first - 1) * (TWO_PI / n_fine)
+    right = (first + length) * (TWO_PI / n_fine)
+    phi_star = 0.5 * (left + right)
+    du_l = interp_phi(du, left[cand])
     norm = np.max(np.abs(du_l), axis=0)
     ref = du_l / np.where(norm > 0, norm, 1.0)
-    ca = w @ (du_l * ref)
-    cb = w @ (du_r * ref)
-
-    # bisection on the sign change of the alignment-weighted ring average
-    # of u_phi.  That average is one trigonometric series per candidate,
-    # whose coefficients are the ring series of u_phi contracted with the
-    # weights once.
-    bisect = ca * cb < 0.0
-    series = np.einsum("tk,tm->km", w[:, None] * ref[:, bisect], ring_series(du.values))
+    bracketed = (w @ (du_l * ref)) * (w @ (interp_phi(du, right[cand]) * ref)) < 0.0
+    series = np.einsum("tk,tm->km", w[:, None] * ref[:, bracketed], ring_series(du.values))
     modes = np.arange(series.shape[1])
 
     def aligned_average(phis):
@@ -262,62 +271,23 @@ def detect_axial_extrema(u, thresholds=AuditThresholds()):
         return (np.einsum("km,km->k", series.real, np.cos(mphi))
                 - np.einsum("km,km->k", series.imag, np.sin(mphi)))
 
-    # otherwise the parabolic vertex through the three refined samples of g
-    gm, g0, gp = g[rows - 1], g[rows], g[(rows + 1) % n_fine]
-    denom = gm - 2.0 * g0 + gp
-    shift = 0.5 * (gm - gp) / np.where(denom != 0, denom, 1.0)
-    phi_star = phis_fine[rows] + np.where(denom != 0, shift, 0.0) * h_fine
+    bisect = cand[bracketed]
     phi_star[bisect] = bisect_roots(aligned_average, left[bisect], right[bisect])
     phi_star %= TWO_PI
-
-    defect = np.max(np.abs(interp_phi(du, phi_star)), axis=0) / u_phi_sup
+    defect = np.full(n_runs, np.inf)
+    defect[cand] = np.max(np.abs(interp_phi(du, phi_star[cand])), axis=0) / u_phi_sup
+    phi_star[phi_star >= TWO_PI - 1e-12] = 0.0  # roundoff of 2*pi
     axial = defect <= thresholds.tol_ax
-    candidates = list(zip(phi_star[axial].tolist(), defect[axial].tolist()))
-    crossing = np.any((du_l * du_r < 0.0) & significant[:, None], axis=0)
-    non_axial = phi_star[~axial & crossing].tolist()
-
-    # merge candidates closer than one coarse cell (circularly)
-    candidates.sort()
-    cell = grid.phi_cell
-    groups = []
-    for cand in candidates:
-        if groups and cand[0] - groups[-1][-1][0] < cell:
-            groups[-1].append(cand)
-        else:
-            groups.append([cand])
-    if len(groups) > 1 and (TWO_PI - groups[-1][-1][0] + groups[0][0][0]) < cell:
-        groups[0] = [(a - TWO_PI, d) for a, d in groups[-1]] + groups[0]
-        groups.pop()
-
-    angles, defects, merged = [], [], []
-    for grp in groups:
-        ang = float(np.mean([a for a, _ in grp])) % TWO_PI
-        angles.append(0.0 if ang >= TWO_PI - 1e-12 else ang)  # roundoff of 2*pi
-        defects.append(max(d for _, d in grp))
-        merged.append(len(grp) > 1)
-    order = np.argsort(angles)
-    angles = np.array(angles)[order]
-    defects = np.array(defects)[order]
-    merged = np.array(merged, dtype=bool)[order]
-
-    curvature = interp_phi(d2u, angles)
-    mag = np.abs(curvature)
-    signed = np.where(mag >= _SIGNIFICANT * mag.max(axis=0), np.sign(curvature), 0.0)
-    saddle = (signed.max(axis=0) > 0) & (signed.min(axis=0) < 0)
-    ring_integral = w @ curvature
-    kinds = tuple(
-        "saddle" if saddle[i] else "max" if ring_integral[i] < 0.0 else "min"
-        for i in range(len(angles))
-    )
-    profiles = interp_phi(u, angles).T
+    order = np.flatnonzero(axial)[np.argsort(phi_star[axial])]
+    kinds = np.where(down & up, "saddle", np.where(down, "max", "min"))[order]
 
     return AxialExtremumSet(
-        angles=angles,
-        kinds=kinds,
-        axiality_defects=defects,
-        merged=merged,
-        axis_profiles=profiles,
-        non_axial_critical=np.array(sorted(non_axial)),
+        angles=phi_star[order],
+        kinds=tuple(kinds.tolist()),
+        axiality_defects=defect[order],
+        merged=merged[order],
+        axis_profiles=interp_phi(u, phi_star[order]).T,
+        non_axial_critical=np.sort(phi_star[~axial]),
         all_longitudes_critical=all_critical,
         field_span=span,
     )

@@ -14,7 +14,7 @@ import numpy as np
 from sphereq.errors import ParameterError, SphereqError
 from sphereq.grid import TWO_PI, ScalarField, reflect_coeffs
 from sphereq.harmonics import apply_laplacian, legendre_table, max_degree
-from sphereq.problems import evaluate, linearization_coefficients
+from sphereq.problems import NonlinearProblem, evaluate, linearization_coefficients
 from sphereq.solver import (
     _KRYLOV_RTOL,
     _krylov_solve,
@@ -46,6 +46,23 @@ def reflect_phi(field, phi_c):
     n = field.grid.n_phi
     coeffs = reflect_coeffs(np.fft.rfft(field.values, axis=1), phi_c)
     return ScalarField(field.grid, np.fft.irfft(coeffs, n, axis=1))
+
+
+def _atan_elliptic(lam):
+    """F = 3q - atan q + lam u (1 - u^2): F_q = 3 - 1/(1 + q^2) lies in
+    [2, 3), so it varies with the state; the trivial branch bifurcates
+    supercritically at lam* = 2 l(l+1)."""
+
+    def f(u, q):
+        return 3.0 * q - np.arctan(q) + lam * u * (1.0 - u * u)
+
+    def fu(u, q):
+        return lam * (1.0 - 3.0 * u * u) + 0.0 * q
+
+    def fq(u, q):
+        return 3.0 - 1.0 / (1.0 + q * q) + 0.0 * u
+
+    return NonlinearProblem("atan-elliptic", f, fu, fq, delta_floor=2.0, lam=lam)
 
 
 def gradient_flow_relax(problem, op, u0, dt, steps, blowup=1e6):

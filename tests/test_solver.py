@@ -34,6 +34,7 @@ from sphereq.grid import TWO_PI
 from sphereq.harmonics import apply_mode_blocks
 from oracles import (
     DivergenceError,
+    _atan_elliptic,
     gradient_flow_relax,
     jacobian_matrix,
     quadrature_weight_vector,
@@ -142,23 +143,6 @@ def test_newton_applies_one_laplacian_per_state(grid32, op32, laplacian_calls):
     # this start backtracks once, so trials outnumber Newton steps
     assert len(f_states) > eq.newton_iters + 1
     assert len(laplacian_calls) == len(f_states)
-
-
-def _atan_elliptic(lam):
-    """F = 3q - atan q + lam u (1 - u^2): F_q = 3 - 1/(1 + q^2) lies in
-    [2, 3), so it varies with the state; the trivial branch bifurcates
-    supercritically at lam* = 2 l(l+1)."""
-
-    def f(u, q):
-        return 3.0 * q - np.arctan(q) + lam * u * (1.0 - u * u)
-
-    def fu(u, q):
-        return lam * (1.0 - 3.0 * u * u) + 0.0 * q
-
-    def fq(u, q):
-        return 3.0 - 1.0 / (1.0 + q * q) + 0.0 * u
-
-    return NonlinearProblem("atan-elliptic", f, fu, fq, delta_floor=2.0, lam=lam)
 
 
 @pytest.mark.parametrize("realization", ["spectral", "finite-difference"])

@@ -31,7 +31,7 @@ from sphereq import (
     theorem_audit,
 )
 from sphereq.symmetry import _sector_columns
-from oracles import reflect_phi, rotate_phi
+from oracles import _atan_elliptic, reflect_phi, rotate_phi
 
 TWO_PI = 2.0 * np.pi
 
@@ -122,6 +122,34 @@ def test_detect_drifting_critical_curve(grid32):
     ext = detect_axial_extrema(u)
     assert ext.n == 0
     assert ext.non_axial_critical.size > 0
+
+
+@pytest.mark.parametrize("shape", [(32, 64), (48, 96), (128, 256)],
+                         ids=["32x64", "48x96", "128x256"])
+@pytest.mark.parametrize("a", [0.5, 1.0])
+def test_ring_wise_critical_points_inside_the_gaps(shape, a):
+    """u = sin(theta) cos(phi) + a sin^3(theta) cos(3 phi) has a "max" at 0
+    and a "min" at pi and is mirror-symmetric about both.  With s = sin(theta),
+    u_phi = -s sin(phi) (1 + 3 a s^2 (3 - 4 sin^2 phi)) also vanishes where
+    sin^2 phi = 3/4 + 1 / (12 a s^2): on the rings with s^2 >= 1 / (3a),
+    strictly inside both gaps, and on no ring nearer the poles.  Those rings
+    have ring-wise extrema inside the gaps, so the field is outside the
+    audited class, whatever its sweeps show."""
+    grid = make_grid(*shape)
+    u = eval_on_grid(
+        grid, lambda t, p: np.sin(t) * np.cos(p) + a * np.sin(t) ** 3 * np.cos(3 * p)
+    )
+    report = theorem_audit(chafee_infante(6.5), make_operator(grid), u)
+    ext = report.extrema
+    assert ext.kinds == ("max", "min")
+    assert np.max(np.abs(ext.angles - [0.0, np.pi])) < 1e-12
+    inside = ext.non_axial_critical
+    assert np.any(inside < np.pi) and np.any(inside > np.pi)
+    # each lies near some ring's extra critical point: sin^2 phi is at
+    # least its value on the ring nearest the equator
+    lowest = 0.75 + 1.0 / (12.0 * a * np.max(np.sin(grid.theta_nodes)) ** 2)
+    assert np.all(np.sin(inside) ** 2 >= lowest - 1e-2)
+    assert report.verdict == "hypotheses-not-met"
 
 
 def test_detect_phase_covariance(grid32):
@@ -809,4 +837,24 @@ def test_tesseral_equilibria_have_saddle_meridians(shape, l, m):
     report = theorem_audit(chafee_infante(lam), op, eq.u)
     assert "saddle" in report.extrema.kinds
     assert not report.hypotheses_met and report.arc_reports == ()
+    assert report.verdict == "hypotheses-not-met"
+
+
+@pytest.mark.parametrize("realization", ["spectral", "finite-difference"])
+def test_mixed_mode_equilibrium_fails_the_hypotheses(realization):
+    """Newton from the Y_3^1 seed at lam = 28, for a problem whose F_q
+    varies (its Y_3 pitchfork is at lam* = 24), settles on a mixed-mode
+    equilibrium: mirror-symmetric about a maximum at 0 and a minimum at pi,
+    with ring-wise critical points inside both gaps.  Its sweeps stop short
+    of the gaps, which would certify a non-equilibrium if the field were in
+    the audited class; the interior critical points put it outside."""
+    grid = make_grid(48, 96)
+    op = make_operator(grid, realization)
+    lam, guess = branch_switch(grid, 24.0, 3, 1, dlam0=4.0)
+    problem = _atan_elliptic(lam)
+    eq = newton_solve(problem, op, guess, tol=1e-9)
+    report = theorem_audit(problem, op, eq.u)
+    assert report.extrema.kinds == ("max", "min")
+    assert report.extrema.non_axial_critical.size > 0
+    assert not report.conclusions_ok
     assert report.verdict == "hypotheses-not-met"
