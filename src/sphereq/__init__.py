@@ -43,16 +43,11 @@ from .problems import (
     ellipticity_audit,
     problem_from_name,
     residual,
-    verify_partial_derivatives,
 )
 from .solver import (
     Branch,
-    CircleProfile,
     Equilibrium,
     branch_switch,
-    circle_extrema,
-    circle_normal_form_amplitude,
-    circle_solve,
     continue_branch,
     detect_bifurcations,
     newton_solve,

@@ -1,10 +1,9 @@
 """Command-line interface tying the modules into reproducible runs.
 
-Subcommands: eigen, bifurcate, solve, branch, audit, arc-sweep, gen,
-circle.  Angles are always radians.  A line-oriented ``key = value`` file
-given with --config supplies defaults; explicit flags override it.  Exit
-codes: 0 success, 1 audit verdict failure under --strict, 2 usage or I/O
-errors.
+Subcommands: eigen, bifurcate, solve, branch, audit, arc-sweep, gen.
+Angles are always radians.  A line-oriented ``key = value`` file given with
+--config supplies defaults; explicit flags override it.  Exit codes: 0
+success, 1 audit verdict failure under --strict, 2 usage or I/O errors.
 """
 
 from __future__ import annotations
@@ -27,8 +26,6 @@ from .solver import (
     branch_switch,
     continue_branch,
     detect_bifurcations,
-    circle_extrema,
-    circle_solve,
     newton_solve,
 )
 from .symmetry import (
@@ -237,13 +234,6 @@ def build_parser():
     sp.add_argument("--out", default="-", help="SPHF output path ('-' = stdout)")
     parsers["gen"] = sp
 
-    sp = sub.add_parser("circle", help="run the one-dimensional circle solver")
-    sp.add_argument("--lam", type=float, required=True)
-    sp.add_argument("--k", type=int, default=1)
-    sp.add_argument("--n", type=int, default=256)
-    sp.add_argument("--out", default=None, help="profile CSV path")
-    parsers["circle"] = sp
-
     # flags that several subcommands take, each stated once
     for sp in [parsers[n] for n in ("solve", "branch", "gen")]:
         sp.add_argument("--ntheta", type=int, default=48, help="colatitude rings")
@@ -433,19 +423,6 @@ def _cmd_gen(args):
     return 0
 
 
-def _cmd_circle(args):
-    profile = circle_solve(args.lam, args.k, args.n)
-    print("trivial %s" % profile.trivial)
-    print("amplitude %.12g" % profile.amplitude)
-    print("residual_norm %.6g" % profile.residual_norm)
-    if not profile.trivial:
-        ext = circle_extrema(profile)
-        print("extrema %s" % " ".join("%.12g" % e for e in ext))
-    if args.out is not None:
-        fieldio.write_circle_csv(_out_handle(args.out), profile)
-    return 0
-
-
 _HANDLERS = {
     "eigen": _cmd_eigen,
     "bifurcate": _cmd_bifurcate,
@@ -454,7 +431,6 @@ _HANDLERS = {
     "audit": _cmd_audit,
     "arc-sweep": _cmd_arc_sweep,
     "gen": _cmd_gen,
-    "circle": _cmd_circle,
 }
 
 

@@ -1,6 +1,5 @@
 """File formats: SPHF v1 text fields, JSON symmetry reports, and the CSV
-tables used for plotting (branch diagrams, arc sweeps, extremum tables,
-circle profiles).
+tables used for plotting (branch diagrams, arc sweeps, extremum tables).
 
 SPHF v1 is deliberately plain text so fields stay inspectable at desk
 scale: a two-line header, one line of colatitudes, then one line per
@@ -236,10 +235,3 @@ def write_extrema_csv(path_or_file, report):
                 % (i, ext.angles[i], ext.kinds[i], ext.axiality_defects[i], peak)
             )
 
-
-def write_circle_csv(path_or_file, profile):
-    with _opened(path_or_file, "w") as fh:
-        fh.write("phi,u\n")
-        phis = 2.0 * math.pi * np.arange(profile.n) / profile.n
-        for p, v in zip(phis, profile.values):
-            fh.write("%.17g,%.17g\n" % (p, v))

@@ -157,10 +157,11 @@ def harmonic_mode(grid, l, m):
 def trivial_branch_eigenvalues(l_max):
     """Eigenvalues of the Laplace-Beltrami operator by degree.
 
-    Returns [(l, -l*(l+1), 2*l+1)] for l = 0..l_max; exact integers.
+    Returns [(l, -l*(l+1), 2*l+1)] for l = 0..l_max, a non-negative
+    integer; exact integers.
     """
-    if l_max < 0:
-        raise ParameterError("l_max must be >= 0")
+    if not (float(l_max).is_integer() and l_max >= 0):
+        raise ParameterError("l_max must be a non-negative integer, got %r" % (l_max,))
     return [(l, -l * (l + 1), 2 * l + 1) for l in range(int(l_max) + 1)]
 
 

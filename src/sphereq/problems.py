@@ -160,28 +160,3 @@ def averaged_coefficients(problem, u, q_u, u_ref, q_ref):
         b += wt * evaluate(problem, "F_u", u_tau, q_tau)
     return a, b
 
-
-#: verify_partial_derivatives draws this many (u, q) samples, normal with
-#: this standard deviation, and differences F with this step.
-_FD_SAMPLES = 64
-_FD_SCALE = 2.0
-_FD_STEP = 1e-6
-
-
-def verify_partial_derivatives(problem, rng=None):
-    """Largest relative mismatch of (F_u, F_q) against centered differences
-    (step 1e-6) of F on 64 random (u, q) samples of standard deviation 2.
-    A quick contract check for user-supplied problems."""
-    rng = np.random.default_rng(rng)
-    h = _FD_STEP
-    u = _FD_SCALE * rng.standard_normal(_FD_SAMPLES)
-    q = _FD_SCALE * rng.standard_normal(_FD_SAMPLES)
-    fu = np.asarray(problem.eval_Fu(u, q), dtype=float)
-    fq = np.asarray(problem.eval_Fq(u, q), dtype=float)
-    fu_fd = (problem.eval_F(u + h, q) - problem.eval_F(u - h, q)) / (2.0 * h)
-    fq_fd = (problem.eval_F(u, q + h) - problem.eval_F(u, q - h)) / (2.0 * h)
-    denom = np.maximum(1.0, np.abs(fu_fd))
-    err_u = float(np.max(np.abs(fu - fu_fd) / denom))
-    denom = np.maximum(1.0, np.abs(fq_fd))
-    err_q = float(np.max(np.abs(fq - fq_fd) / denom))
-    return err_u, err_q

@@ -1,7 +1,6 @@
 """Equilibrium computation: matrix-free Newton-Krylov iteration,
 trivial-branch bifurcation detection, eigenmode branch switching, and
-natural-parameter continuation.  Also hosts the independent one-dimensional
-circle solver used as an oracle for the sphere code.
+natural-parameter continuation.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from .errors import (
     LinearSolveError,
     ParameterError,
 )
-from .grid import ScalarField, TWO_PI, bisect_roots
+from .grid import ScalarField, bisect_roots
 from .harmonics import apply_laplacian, apply_mode_blocks, harmonic_mode
 from .problems import evaluate, linearization_coefficients
 
@@ -286,12 +285,14 @@ def newton_solve(problem, op, guess, tol=1e-9, max_iter=30):
     once accepted, the next step's F_u and F_q.  Raises ContractError when
     F_q has zero sphere mean at the starting iterate, and ConvergenceError
     carrying the last iterate when the budget runs out.  ``tol`` must be
-    finite and positive.
+    finite and positive, and ``max_iter`` a non-negative integer.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ParameterError("tolerance must be finite and positive, got %r" % (tol,))
-    if max_iter < 0:
-        raise ParameterError("max_iter must be non-negative")
+    if not (float(max_iter).is_integer() and max_iter >= 0):
+        raise ParameterError(
+            "max_iter must be non-negative and an integer, got %r" % (max_iter,)
+        )
 
     def state(u):
         q = apply_laplacian(op, u)
@@ -460,132 +461,3 @@ def continue_branch(problem_family, op, start, dlam, n_steps, tol=1e-9):
         points.append(eq)
     return Branch(tuple(points))
 
-
-# ---------------------------------------------------------------------------
-# one-dimensional circle oracle
-# ---------------------------------------------------------------------------
-
-#: circle_solve's Newton stops once the projected residual is at most
-#: _CIRCLE_TOL, and fails after _CIRCLE_MAX_ITER iterations.
-_CIRCLE_TOL = 1e-12
-_CIRCLE_MAX_ITER = 60
-
-
-@dataclass(frozen=True)
-class CircleProfile:
-    """Periodic equilibrium of u'' + lam * u * (1 - u^2) = 0 on the circle.
-
-    ``values`` samples u on n uniform points of [0, 2*pi); the profile has
-    fundamental period 2*pi / k_mode and is phase-fixed by u'(0) = 0 and
-    u(0) > 0.  ``trivial`` flags the zero profile returned when no
-    nontrivial solution exists (lam <= k^2).
-    """
-
-    n: int
-    values: np.ndarray
-    lam: float
-    k_mode: int
-    residual_norm: float
-    trivial: bool
-
-    @property
-    def amplitude(self):
-        return float(np.max(np.abs(self.values)))
-
-
-def circle_normal_form_amplitude(lam, k):
-    """Leading-order amplitude sqrt(4 (lam - k^2) / (3 lam)) of the branch."""
-    if lam <= k * k:
-        return 0.0
-    return math.sqrt(4.0 * (lam - k * k) / (3.0 * lam))
-
-
-def circle_solve(lam, k, n=256):
-    """Nontrivial periodic equilibrium on the circle by cosine-Galerkin
-    Newton iteration, independent of all sphere machinery: it shares no
-    grid, operator or transform with the sphere code, and ``circle_extrema``
-    refines its extrema with ``bisect_roots``, which takes plain arrays.
-
-    Expands u(phi) = sum_j c_j cos(j*k*phi) (which enforces the phase fix
-    structurally), collocates the residual on n uniform points, projects it
-    back onto the cosine modes via FFT, and Newton-solves the coefficient
-    system with a dense Jacobian until the projected residual is at most
-    1e-12 (at most 60 iterations).  For lam <= k^2 the trivial profile is
-    returned with ``trivial=True``; ``lam`` must be finite.
-    """
-    lam = float(lam)
-    if not math.isfinite(lam):
-        raise ParameterError("lambda must be finite, got %r" % (lam,))
-    k = int(k)
-    if k < 1:
-        raise ParameterError("k must be a positive integer")
-    if n < 16 or n % 2:
-        raise ParameterError("n must be an even integer >= 16")
-    if lam <= k * k:
-        return CircleProfile(n, np.zeros(n), lam, k, 0.0, True)
-
-    n_modes = n // (2 * k)
-    if n_modes < 4:
-        raise ParameterError("n too small to resolve period 2*pi/%d" % k)
-    phi = TWO_PI * np.arange(n) / n
-    synth = np.cos(np.outer(phi, k * np.arange(n_modes)))  # (n, n_modes)
-    d2 = -((k * np.arange(n_modes, dtype=float)) ** 2)
-    proj = synth.T * (2.0 / n)
-    proj[0] *= 0.5
-
-    c = np.zeros(n_modes)
-    c[1] = circle_normal_form_amplitude(lam, k)
-    for _ in range(_CIRCLE_MAX_ITER):
-        u = synth @ c
-        r = synth @ (d2 * c) + lam * u * (1.0 - u * u)
-        rc = proj @ r
-        if np.max(np.abs(rc)) <= _CIRCLE_TOL:
-            break
-        jac = (proj * (lam * (1.0 - 3.0 * u * u))) @ synth + np.diag(d2)
-        c -= np.linalg.solve(jac, rc)
-    else:
-        raise ConvergenceError(
-            "circle Newton did not converge", residual_norm=float(np.max(np.abs(rc)))
-        )
-    if c[np.argmax(np.abs(c))] < 0:
-        c = -c  # pin u(0) > 0
-    u = synth @ c
-
-    # independent residual check on a 4x oversampled grid
-    fine = 4 * n
-    phi_f = TWO_PI * np.arange(fine) / fine
-    synth_f = np.cos(np.outer(phi_f, k * np.arange(n_modes)))
-    u_f = synth_f @ c
-    res_f = synth_f @ (d2 * c) + lam * u_f * (1.0 - u_f * u_f)
-    res_norm = float(np.max(np.abs(res_f)))
-    trivial = bool(np.max(np.abs(u)) < 1e-8)
-    return CircleProfile(n, u, lam, k, res_norm, trivial)
-
-
-def circle_extrema(profile):
-    """Longitudes in [0, 2*pi) of the extrema of a circle profile: exact
-    zeros of the cosine-series derivative on 4096 uniform longitudes (one
-    array product), and its sign changes between neighbouring samples, the
-    one across 2*pi included, refined by one ``bisect_roots`` call.  Empty
-    when the derivative series is identically zero (the trivial profile)."""
-    n_modes = profile.n // (2 * profile.k_mode)
-    k = profile.k_mode
-    # recover coefficients by projection (profile stores only samples)
-    phi = TWO_PI * np.arange(profile.n) / profile.n
-    synth = np.cos(np.outer(phi, k * np.arange(n_modes)))
-    proj = synth.T * (2.0 / profile.n)
-    proj[0] *= 0.5
-    c = proj @ profile.values
-    freqs = k * np.arange(n_modes, dtype=float)
-    if not np.any(c * freqs):
-        return np.empty(0)  # a constant profile has no isolated extrema
-
-    def du(x):
-        return -(np.sin(np.outer(x, freqs)) @ (c * freqs))
-
-    fine = np.linspace(0.0, TWO_PI, 4096, endpoint=False)
-    vals = du(fine)
-    ends = np.append(fine[1:], TWO_PI)
-    brk = vals * np.roll(vals, -1) < 0.0
-    roots = np.concatenate([fine[vals == 0.0], bisect_roots(du, fine[brk], ends[brk])])
-    return np.sort(roots % TWO_PI)

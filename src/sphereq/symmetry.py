@@ -376,7 +376,7 @@ def check_reflection(u, centres, widths):
     if not np.all((widths >= 0.0) & (widths <= TWO_PI + 1e-12)):
         raise ParameterError("sector width is negative, over 2*pi or not finite")
     hi, lo = _sector_sup(u.values, centres.ravel(), (centres - widths).ravel())
-    out = np.maximum(hi, -lo)
+    out = np.maximum(np.abs(hi), np.abs(lo))  # +0.0, not -0.0, when both are 0
     span = u.span
     if span > 0:
         out /= span

@@ -16,9 +16,6 @@ from sphereq import (
     averaged_coefficients,
     branch_switch,
     chafee_infante,
-    circle_extrema,
-    circle_normal_form_amplitude,
-    circle_solve,
     continue_branch,
     detect_axial_extrema,
     detect_bifurcations,
@@ -319,37 +316,6 @@ def test_criterion_6_equivariance_suite():
             ),
         ],
     )
-
-
-def test_criterion_7_circle_oracle():
-    t0 = time.perf_counter()
-    amps = []
-    checks = []
-    for lam in (1.1, 1.2, 1.5):
-        prof = circle_solve(lam, 1, 256)
-        amps.append(prof.amplitude)
-        checks.append(
-            (
-                prof.residual_norm <= 1e-10,
-                "residual %.2e <= 1e-10 at lambda %.1f" % (prof.residual_norm, lam),
-            )
-        )
-        ext = circle_extrema(prof)
-        gaps = np.diff(np.concatenate([ext, [ext[0] + 2 * np.pi]]))
-        checks.append(
-            (
-                len(ext) == 2 and np.max(np.abs(gaps - np.pi)) <= 1e-8,
-                "extrema spaced pi to %.1e" % float(np.max(np.abs(gaps - np.pi))),
-            )
-        )
-    estimate = circle_normal_form_amplitude(1.1, 1)
-    rel = abs(amps[0] - estimate) / estimate
-    checks.append((rel <= 0.10, "amplitude within %.1f%% of estimate" % (100 * rel)))
-    checks.append(
-        (amps[0] < amps[1] < amps[2], "amplitude monotone in lambda %s" % amps)
-    )
-    elapsed = time.perf_counter() - t0
-    _report(7, "circle oracle", elapsed, 10.0, checks)
 
 
 def test_criterion_8_biradial_negative_control(tmp_path):

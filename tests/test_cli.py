@@ -164,17 +164,6 @@ def test_solve_at_zero_lambda_fails_cleanly(realization):
     assert "Traceback" not in proc.stderr
 
 
-def test_circle_subcommand(capsys, tmp_path):
-    out_csv = tmp_path / "profile.csv"
-    code, out, _ = run_cli(
-        ["circle", "--lam", "1.2", "--k", "1", "--n", "128", "--out", str(out_csv)],
-        capsys,
-    )
-    assert code == 0
-    assert "amplitude" in out
-    assert len(out_csv.read_text().strip().splitlines()) == 129
-
-
 def test_config_file_defaults_and_override(capsys, tmp_path):
     field = tmp_path / "y22.sphf"
     run_cli(
@@ -464,14 +453,12 @@ def test_branch_step_that_is_not_positive_exits_2(capsys, tmp_path, dlam):
 
 @pytest.mark.parametrize(
     "args",
-    [["circle", "--lam", "nan"], ["circle", "--lam", "inf"],
-     ["branch", "--l", "2", "--m", "2", "--lambda-star", "nan"],
+    [["branch", "--l", "2", "--m", "2", "--lambda-star", "nan"],
      ["solve", "--lam", "nan"], ["solve", "--lam", "inf"]],
 )
 def test_non_finite_lambda_exits_2(capsys, tmp_path, args):
-    """Unchecked, a NaN lambda runs the circle Newton out of iterations, and
-    the branch and solve commands fail on a NaN value at some grid node;
-    the message names lambda instead."""
+    """Unchecked, a NaN lambda makes the branch and solve commands fail on a
+    NaN value at some grid node; the message names lambda instead."""
     if args[0] == "branch":
         args = args + ["--outdir", str(tmp_path)]
     code, out, err = run_cli(args, capsys)

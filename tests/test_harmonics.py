@@ -249,6 +249,13 @@ def test_mode_rejects_bad_order(grid32):
         harmonic_mode(grid32, 2, 3)
 
 
+@pytest.mark.parametrize("l_max", [2.5, float("nan"), -1])
+def test_trivial_branch_eigenvalues_need_a_non_negative_integer(l_max):
+    """2.5 was truncated to 2, and NaN raised a bare ValueError from int()."""
+    with pytest.raises(ParameterError, match="l_max.*integer"):
+        trivial_branch_eigenvalues(l_max)
+
+
 def test_trivial_branch_eigenvalues(grid32, op32):
     table = trivial_branch_eigenvalues(3)
     assert table[0] == (0, 0, 1)

@@ -17,11 +17,10 @@ from sphereq import (
     make_grid,
     problem_from_name,
     residual,
-    verify_partial_derivatives,
 )
 from sphereq.problems import linearization_coefficients
 from conftest import random_band_limited
-from oracles import reflect_phi
+from oracles import reflect_phi, verify_partial_derivatives
 
 
 def test_cubic_pointwise_values():

@@ -301,6 +301,14 @@ def test_newton_iteration_budget(grid32, op32):
         newton_solve(chafee_infante(3.0), op32, _const(grid32, 0.9), max_iter=-1)
 
 
+@pytest.mark.parametrize("max_iter", [1.5, float("nan"), float("inf")])
+def test_newton_rejects_a_budget_that_is_not_an_integer(grid32, op32, max_iter):
+    """Unchecked, such a budget never equals the iteration count, so Newton
+    ran on without one: 4 steps where max_iter=1 gives up."""
+    with pytest.raises(ParameterError, match="max_iter.*integer"):
+        newton_solve(chafee_infante(3.0), op32, _const(grid32, 0.9), max_iter=max_iter)
+
+
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-9])
 def test_newton_rejects_a_tolerance_that_is_not_finite_and_positive(grid32, op32, tol):
     """With a NaN or infinite tol the loop never runs, so the unsolved guess

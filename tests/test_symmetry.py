@@ -1,6 +1,8 @@
 """Axial-extremum detection, leveled/reflection/midpoint checks, moving-arc
 sweeps, the linear-annihilation identity, and the full audit."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -30,7 +32,7 @@ from sphereq import (
     SymmetryReport,
     theorem_audit,
 )
-from sphereq.symmetry import _sector_columns
+from sphereq.symmetry import _EDGE_TOL, _sector_columns
 from oracles import _atan_elliptic, reflect_phi, rotate_phi
 
 TWO_PI = 2.0 * np.pi
@@ -275,6 +277,13 @@ def test_reflection_empty_sector_reads_zero(grid32):
     assert np.all(check_reflection(u, [1.0, 2.0], 0.0) == 0.0)
 
 
+def test_reflection_empty_sector_reads_positive_zero():
+    """+0.0, which json writes as 0.0, and not -0.0, scalar or batched."""
+    u = harmonic_mode(make_grid(16, 32), 2, 2)
+    assert math.copysign(1.0, check_reflection(u, 0.3, 0.0)) == 1.0
+    assert np.all(np.copysign(1.0, check_reflection(u, [0.3, 1.0], 0.0)) == 1.0)
+
+
 def test_reflection_sector_excludes_its_endpoints():
     """For sin(theta) cos(phi) mirrored about pi/2 the difference
     2 sin(theta) cos(phi) peaks on column phi = 0, the lower edge of the
@@ -358,11 +367,14 @@ _WIDTHS = st.one_of(
 # twelve full turns at 48x96: 1152 pairs, three blocks
 @example(shape=(48, 96), seed=2, nyquist=0.5,
          sectors=[(0.3 * k, TWO_PI) for k in range(12)])
+# column 0 lies exactly _EDGE_TOL behind the mirror, so it counts as on it
+@example(shape=(48, 96), seed=0, nyquist=0.0, sectors=[(1e-09, 0.0078125)])
 def test_reflection_matches_full_field_reflections(shape, seed, nyquist, sectors):
     """``check_reflection`` evaluates only in-sector columns; the oracle
     reflects the whole field per centre, masks the open sector
-    (c - width, c) and takes the max.  Random grid values are not band
-    limited, and the alternating column adds a Nyquist mode."""
+    (c - width, c) by the kernel's edge rule (a column within ``_EDGE_TOL``
+    of either edge is outside) and takes the max.  Random grid values are
+    not band limited, and the alternating column adds a Nyquist mode."""
     grid = make_grid(*shape)
     rng = np.random.default_rng(seed)
     alternating = (-1.0) ** np.arange(grid.n_phi)
@@ -374,13 +386,14 @@ def test_reflection_matches_full_field_reflections(shape, seed, nyquist, sectors
         if width >= TWO_PI - 1e-12:
             inside = np.ones(grid.n_phi, dtype=bool)
         else:
-            rel = np.mod(phi - (c - width), TWO_PI)
-            # no column within rounding of an edge, where the open sector
-            # is decided by the last bit
-            assume(width == 0.0 or np.all(
-                (np.abs(rel - width) > 1e-9) & (rel > 1e-9) & (rel < TWO_PI - 1e-9)
-            ))
-            inside = (rel > 0.0) & (rel < width)
+            # each column's distance from the mirror, computed as the kernel
+            # computes it, and from the far edge, which the kernel reaches
+            # through c - width and so rounds differently: no far-edge
+            # distance may lie within rounding of _EDGE_TOL
+            from_mirror = np.mod(c - phi, TWO_PI)
+            from_far_edge = width - from_mirror
+            assume(np.all(np.abs(from_far_edge - _EDGE_TOL) > 1e-13))
+            inside = (from_mirror > _EDGE_TOL) & (from_far_edge > _EDGE_TOL)
         w = np.abs(u.values - reflect_phi(u, c).values)[:, inside]
         expected.append(w.max() / u.span if inside.any() else 0.0)
     got = check_reflection(u, centres, widths)
