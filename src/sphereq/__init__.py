@@ -38,7 +38,6 @@ from .problems import (
     EllipticityAudit,
     NonlinearProblem,
     PROBLEM_REGISTRY,
-    averaged_coefficients,
     chafee_infante,
     ellipticity_audit,
     problem_from_name,
@@ -61,7 +60,6 @@ from .symmetry import (
     biradial_field,
     check_reflection,
     detect_axial_extrema,
-    linearized_annihilation,
     moving_arc_sweep,
     theorem_audit,
 )

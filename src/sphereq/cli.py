@@ -54,6 +54,14 @@ def _read_config_file(path):
     return values
 
 
+#: The words a config file may give a boolean flag, case-insensitive; any
+#: other word is an invalid value, so a typo cannot turn a flag off.
+_CONFIG_BOOLEANS = {
+    **dict.fromkeys(("1", "true", "yes", "on"), True),
+    **dict.fromkeys(("0", "false", "no", "off"), False),
+}
+
+
 def _apply_config(parsers, values):
     """Make the config values the subcommand defaults.  A key that no
     subcommand accepts, or a value its flag rejects, is an error."""
@@ -69,12 +77,12 @@ def _apply_config(parsers, values):
                 if action.type is not None:
                     value = action.type(raw)
                 elif isinstance(action.const, bool) or isinstance(action.default, bool):
-                    value = raw.lower() in ("1", "true", "yes", "on")
+                    value = _CONFIG_BOOLEANS[raw.lower()]
                 else:
                     value = raw
                 if action.choices is not None and value not in action.choices:
                     raise ValueError
-            except ValueError:
+            except (KeyError, ValueError):
                 raise SphereqError(
                     "config key '%s': invalid value '%s'" % (action.dest, raw)
                 ) from None

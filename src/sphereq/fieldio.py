@@ -15,8 +15,8 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import FieldFormatError
-from .grid import ScalarField, make_grid
+from .errors import FieldFormatError, ParameterError
+from .grid import ScalarField, check_grid_shape, make_grid
 
 SPHF_MAGIC = "sphf"
 SPHF_VERSION = 1
@@ -74,8 +74,8 @@ def read_field(path_or_file):
     except ValueError:
         raise FieldFormatError("dimensions must be integers", line=2) from None
     try:
-        grid = make_grid(n_theta, n_phi)
-    except Exception as exc:
+        check_grid_shape(n_theta, n_phi)
+    except ParameterError as exc:
         raise FieldFormatError(str(exc), line=2) from None
 
     def row(idx, count, what):
@@ -98,7 +98,15 @@ def read_field(path_or_file):
             )
         return vals
 
+    # the counts the header claims are checked against the file before the
+    # grid's O(n_theta^2) colatitude rule is built
     theta = row(2, n_theta, "colatitude row")
+    present = len(lines) - 3
+    if present < n_theta:
+        raise FieldFormatError(
+            "missing value row %d of %d" % (present + 1, n_theta), line=present + 4
+        )
+    grid = make_grid(n_theta, n_phi)
     if np.max(np.abs(theta - grid.theta_nodes)) > 1e-12:
         raise FieldFormatError(
             "colatitudes do not match the Gauss-Legendre grid family", line=3
@@ -187,9 +195,6 @@ def report_to_dict(report):
         ],
         "equation": {
             "residual_sup": _num(report.equilibrium_residual),
-            "annihilation_residuals": [
-                _num(v) for v in report.annihilation_residuals
-            ],
         },
         "verdict": report.verdict,
     }

@@ -1,7 +1,6 @@
 """Pole-free colatitude/longitude grids on the unit sphere and the field
 primitives built on them: sampling, quadrature, longitudinal spectral
-calculus and interpolation, reflection coefficients, and the one root
-refiner.
+calculus and interpolation, ring series, and the one root refiner.
 
 Colatitudes are Gauss-Legendre roots mapped through arccos, so no node ever
 touches a pole and ring quadrature integrates band-limited integrands
@@ -108,17 +107,22 @@ class GridSpec:
         return hash((self.n_theta, self.n_phi))
 
 
-def make_grid(n_theta, n_phi):
-    """Build a GridSpec with ``n_theta`` Gauss-Legendre colatitude rings and
-    ``n_phi`` uniform longitudes.
-
-    Requires n_theta >= 4 and even n_phi >= 8 (even counts keep half-grid
-    reflections exact).
-    """
+def check_grid_shape(n_theta, n_phi):
+    """Raise ParameterError unless n_theta >= 4 and n_phi >= 8 is even (even
+    counts keep half-grid reflections exact): the counts ``make_grid``
+    accepts, checked without building the colatitude rule."""
     if not isinstance(n_theta, (int, np.integer)) or n_theta < 4:
         raise ParameterError("n_theta must be an integer >= 4, got %r" % (n_theta,))
     if not isinstance(n_phi, (int, np.integer)) or n_phi < 8 or n_phi % 2:
         raise ParameterError("n_phi must be an even integer >= 8, got %r" % (n_phi,))
+
+
+def make_grid(n_theta, n_phi):
+    """Build a GridSpec with ``n_theta`` Gauss-Legendre colatitude rings and
+    ``n_phi`` uniform longitudes; ``check_grid_shape`` states the valid
+    counts.
+    """
+    check_grid_shape(n_theta, n_phi)
     x, w = gauss_legendre(int(n_theta))
     theta = _read_only(np.arccos(x[::-1]))  # x descending -> theta ascending
     weights = w[::-1]
@@ -239,20 +243,6 @@ def d_phi(field):
     coeffs *= 1j * m
     coeffs[:, -1] = 0.0
     return ScalarField(field.grid, np.fft.irfft(coeffs, n, axis=1))
-
-
-def reflect_coeffs(coeffs, centres):
-    """Ring coefficients of the field mirrored across one or many meridians.
-
-    ``coeffs`` are the ``rfft`` coefficients of u along longitude (last
-    axis).  The mirror image u(2*c - phi) has coefficients
-    conj(coeffs) * exp(-2i m c), so a real field is reflected by one
-    conjugation and one phase multiply.  A scalar centre returns an array
-    shaped like ``coeffs``; an array of centres adds its shape in front.
-    """
-    m = np.arange(coeffs.shape[-1])
-    phase = np.exp(-2j * np.multiply.outer(np.asarray(centres, dtype=float), m))
-    return np.conj(coeffs) * phase[..., None, :]
 
 
 def ring_series(values):

@@ -1,7 +1,5 @@
 """Nonlinear problem definitions F(u, q) with q the Laplace-Beltrami of u,
-their partial derivatives, ellipticity auditing, the residual, and the
-averaged linearization coefficients along the straight homotopy between a
-field and a reference field.
+their partial derivatives, ellipticity auditing and the residual.
 
 A problem is a bundle of three pointwise evaluators (F, F_u, F_q) plus an
 ellipticity floor delta and a scalar parameter lambda.  Keeping the
@@ -18,7 +16,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import EvaluationError, ParameterError
-from .grid import ScalarField, gauss_legendre
+from .grid import ScalarField
 from .harmonics import apply_laplacian
 
 
@@ -120,43 +118,3 @@ def ellipticity_audit(problem, op, u):
     fq = evaluate(problem, "F_q", u.values, apply_laplacian(op, u).values)
     min_fq = float(np.min(fq))
     return EllipticityAudit(min_fq, min_fq >= problem.delta_floor)
-
-
-def _tau_rule():
-    x, w = gauss_legendre(8)
-    return 0.5 * (x + 1.0), 0.5 * w
-
-
-#: Nodes and weights of the 8-point Gauss-Legendre rule on [0, 1] behind
-#: every homotopy average: exact for F polynomial up to degree 15 in tau.
-_TAU_NODES, _TAU_WEIGHTS = _tau_rule()
-
-
-def averaged_coefficients(problem, u, q_u, u_ref, q_ref):
-    """Averaged linearization coefficients along the straight homotopy
-    u^tau = tau * u + (1 - tau) * u_ref:
-
-        a = integral_0^1 F_q(u^tau, Lap u^tau) dtau
-        b = integral_0^1 F_u(u^tau, Lap u^tau) dtau
-
-    With w = u - u_ref, the fundamental theorem of calculus gives
-    a * Lap w + b * w = F(u, Lap u) - F(u_ref, Lap u_ref) exactly, which is
-    what makes reflection differences satisfy a linear elliptic equation.
-
-    ``u``/``q_u`` and ``u_ref``/``q_ref`` are the grid arrays of the two
-    fields and of their Laplacians, applied by the caller; the Laplacian
-    along the homotopy is formed by linearity as
-    tau * Lap u + (1 - tau) * Lap u_ref.  The integrals use the 8-point
-    Gauss-Legendre rule in tau (exact for polynomial F up to degree 15).
-    Returns the arrays (a, b).
-    """
-    shape = np.shape(u)
-    a = np.zeros(shape)
-    b = np.zeros(shape)
-    for t, wt in zip(_TAU_NODES, _TAU_WEIGHTS):
-        u_tau = t * u + (1.0 - t) * u_ref
-        q_tau = t * q_u + (1.0 - t) * q_ref
-        a += wt * evaluate(problem, "F_q", u_tau, q_tau)
-        b += wt * evaluate(problem, "F_u", u_tau, q_tau)
-    return a, b
-

@@ -8,15 +8,15 @@ all maxima (resp. minima) share one colatitude profile (leveled), and then
 checks the structure a nonconstant equilibrium with leveled axial extrema
 must have: extrema evenly spaced, the field mirror-symmetric about each
 extremal meridian, and the swept-sector difference field u - u o R_eps
-one-signed up to the next extremum.  The linearized-annihilation check
-confirms that the difference of a solution and its reflection satisfies
-the averaged linear equation a * Lap w + b * w = 0.
+one-signed up to the next extremum.  These are the conclusions of the
+maximum principle for w = u - u o R, which satisfies the averaged linear
+equation a * Lap w + b * w = r - r o R with r = F(u, Lap u); the audit
+checks the conclusions, and bounds r by the equation residual of u.
 
 Everything runs as batched numpy over angles: the extremum bisection
-advances all candidates in lockstep, the reflection check and every
+advances all candidates in lockstep, and the reflection check and every
 moving-arc sweep reflect through one kernel (``_sector_sup``) on the
-field's own grid longitudes, and the annihilation check reflects u and
-Lap u from one transform each.  The kernel evaluates the reflected field
+field's own grid longitudes.  The kernel evaluates the reflected field
 only at the grid longitudes inside each sector, as products small enough
 that BLAS runs them on the calling thread.
 """
@@ -36,10 +36,9 @@ from .grid import (
     eval_on_grid,
     interp_phi,
     oversample_phi,
-    reflect_coeffs,
     ring_series,
 )
-from .problems import averaged_coefficients, evaluate
+from .problems import evaluate
 from .harmonics import apply_laplacian
 from .solver import TRIVIAL_AMPLITUDE
 
@@ -118,8 +117,8 @@ class AxialExtremumSet:
     grid colatitudes, and ``level_defect`` compares them within each kind;
     ``gaps`` and ``midpoint_defects`` measure the spacing.  Ring-wise
     critical points off the axial meridians (u_phi vanishes on some rings
-    but not all) are reported in ``non_axial_critical`` and never count as
-    extrema.
+    but not all) never count as extrema; ``non_axial_critical`` gives one
+    longitude of them per gap that holds any, sorted.
     """
 
     angles: np.ndarray
@@ -201,7 +200,10 @@ def detect_axial_extrema(u, thresholds=AuditThresholds()):
     rings, a "min" when from - to + on all, and a "saddle" otherwise; it
     is ``merged`` when some ring changes sign more than once in its run.
     Every other run is a ring-wise critical point off the axial meridians,
-    listed in ``non_axial_critical`` at its middle (or at its angle).
+    at its middle (or at its angle).  ``non_axial_critical`` lists one of
+    them per gap between consecutive extrema that holds any (the whole
+    circle when there are no extrema): the first counterclockwise from the
+    gap's start.
 
     A field whose span is at most max(TRIVIAL_AMPLITUDE, 1e-12 * sup|u|)
     is a constant, or the trivial state a solve fell to, whose "extrema"
@@ -280,14 +282,23 @@ def detect_axial_extrema(u, thresholds=AuditThresholds()):
     axial = defect <= thresholds.tol_ax
     order = np.flatnonzero(axial)[np.argsort(phi_star[axial])]
     kinds = np.where(down & up, "saddle", np.where(down, "max", "min"))[order]
+    angles = phi_star[order]
+
+    # one off-axis run per gap between consecutive extrema (the circle from
+    # 0 without any): the first counterclockwise from the gap's start
+    off = phi_star[~axial]
+    gap = (np.searchsorted(angles, off) - 1) % max(angles.size, 1)
+    gap_start = angles[gap] if angles.size else 0.0
+    by_gap = np.lexsort(((off - gap_start) % TWO_PI, gap))
+    first_in_gap = np.unique(gap[by_gap], return_index=True)[1]
 
     return AxialExtremumSet(
-        angles=phi_star[order],
+        angles=angles,
         kinds=tuple(kinds.tolist()),
         axiality_defects=defect[order],
         merged=merged[order],
-        axis_profiles=interp_phi(u, phi_star[order]).T,
-        non_axial_critical=np.sort(phi_star[~axial]),
+        axis_profiles=interp_phi(u, angles).T,
+        non_axial_critical=np.sort(off[by_gap[first_in_gap]]),
         all_longitudes_critical=all_critical,
         field_span=span,
     )
@@ -475,49 +486,6 @@ def moving_arc_sweep(u, ext, seed_index, direction, thresholds=AuditThresholds()
     )
 
 
-def linearized_annihilation(problem, u, lap_u, eps):
-    """Residual of the averaged linear equation on the reflection difference.
-
-    For a mirror meridian ``eps`` (one longitude, or an array of them),
-    builds w = u - u o R_eps and the homotopy-averaged coefficients (a, b)
-    of ``averaged_coefficients`` (8-point Gauss-Legendre rule in tau);
-    returns sup|a * Lap w + b * w| normalized by
-    ||a|| * ||Lap w|| + ||b|| * ||w|| (sup norms), as a float for one
-    longitude and an array shaped like ``eps`` for many.  Near zero for an
-    equilibrium, because the reflected field is then also an equilibrium
-    and the averaged equation reproduces the difference of the two
-    residuals exactly.
-
-    ``lap_u`` is Lap u, applied by the caller.  Both Laplacian
-    realizations commute with longitude reflection, so it is reflected
-    alongside u: Lap w = Lap u - (Lap u) o R_eps.  A non-finite meridian
-    raises ``ParameterError``."""
-    centres = np.asarray(eps, dtype=float)
-    if not np.all(np.isfinite(centres)):
-        raise ParameterError("annihilation meridians must be finite")
-    n_phi = u.grid.n_phi
-    q = lap_u.values
-    coeffs_u = np.fft.rfft(u.values, axis=1)
-    coeffs_q = np.fft.rfft(q, axis=1)
-    floor = 1e-13 * max(1.0, u.sup_norm)
-    out = np.zeros(centres.size)
-    # one meridian at a time: a stack of reflections would hold about
-    # eight field copies per meridian through the tau quadrature
-    for i, centre in enumerate(centres.ravel()):
-        u_ref = np.fft.irfft(reflect_coeffs(coeffs_u, centre), n_phi, axis=1)
-        w = u.values - u_ref
-        w_sup = np.max(np.abs(w))
-        if w_sup <= floor:
-            continue  # reflection is a symmetry to machine precision
-        q_ref = np.fft.irfft(reflect_coeffs(coeffs_q, centre), n_phi, axis=1)
-        lap_w = q - q_ref
-        a, b = averaged_coefficients(problem, u.values, q, u_ref, q_ref)
-        scale = np.max(np.abs(a)) * np.max(np.abs(lap_w)) + np.max(np.abs(b)) * w_sup
-        if scale > 0.0:
-            out[i] = np.max(np.abs(a * lap_w + b * w)) / scale
-    return float(out[0]) if centres.ndim == 0 else out.reshape(centres.shape)
-
-
 VERDICT_PASS = "pass"
 VERDICT_HYPOTHESES = "hypotheses-not-met"
 VERDICT_FAIL = "not-theorem-compatible"
@@ -537,12 +505,15 @@ class SymmetryReport:
     "not-theorem-compatible" when the hypotheses hold but a conclusion
     fails, which certifies the field cannot be an equilibrium of any
     uniformly elliptic problem of the audited form.  The leveled check
-    needs two extrema and the midpoint (even-spacing) check three."""
+    needs two extrema and the midpoint (even-spacing) check three.
+    ``equilibrium_residual``, sup|F(u, Lap u)|, is informational: it also
+    bounds the residual a * Lap w + b * w = r - r o R of the averaged
+    linear equation of every reflection difference, by twice its value up
+    to the trigonometric interpolation of r off the grid."""
 
     extrema: AxialExtremumSet
     reflection_defects: np.ndarray
     arc_reports: tuple
-    annihilation_residuals: np.ndarray
     equilibrium_residual: float
     thresholds: AuditThresholds
     midpoint_tol: float
@@ -595,10 +566,10 @@ def theorem_audit(problem, op, u, thresholds=AuditThresholds()):
     detect_axial_extrema (whose set carries the level and midpoint
     defects) -> per-extremum reflection over the preceding gap ->
     moving-arc sweeps from every minimum in both orientations, plus the
-    linearized-annihilation residual at every extremal meridian and the
-    equation residual of u itself (both informational, and both from one
-    application of Lap to u).  Requires a nonconstant, nontrivial field.
-    Only measures: the report derives every pass flag and the verdict."""
+    equation residual of u itself (informational, from one application of
+    Lap to u and one evaluation of F).  Requires a nonconstant, nontrivial
+    field.  Only measures: the report derives every pass flag and the
+    verdict."""
     mid = thresholds.midpoint_tol
     midpoint_tol = u.grid.phi_cell if mid is None else mid
     ext = detect_axial_extrema(u, thresholds)
@@ -615,13 +586,10 @@ def theorem_audit(problem, op, u, thresholds=AuditThresholds()):
         for direction in (1, -1)
     )
 
-    annihilation = linearized_annihilation(problem, u, lap_u, ext.angles)
-
     return SymmetryReport(
         extrema=ext,
         reflection_defects=reflection_defects,
         arc_reports=arc_reports,
-        annihilation_residuals=annihilation,
         equilibrium_residual=eq_residual,
         thresholds=thresholds,
         midpoint_tol=midpoint_tol,

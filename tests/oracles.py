@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from sphereq.errors import ParameterError, SphereqError
-from sphereq.grid import TWO_PI, ScalarField, reflect_coeffs
+from sphereq.grid import TWO_PI, ScalarField, gauss_legendre
 from sphereq.harmonics import apply_laplacian, legendre_table, max_degree
 from sphereq.problems import NonlinearProblem, evaluate, linearization_coefficients
 from sphereq.solver import (
@@ -34,6 +34,20 @@ def rotate_phi(field, delta):
     m = np.fft.fftfreq(n, d=1.0 / n)
     coeffs *= np.exp(1j * m * delta)
     return ScalarField(field.grid, np.fft.ifft(coeffs, axis=1).real)
+
+
+def reflect_coeffs(coeffs, centres):
+    """Ring coefficients of the field mirrored across one or many meridians.
+
+    ``coeffs`` are the ``rfft`` coefficients of u along longitude (last
+    axis).  The mirror image u(2*c - phi) has coefficients
+    conj(coeffs) * exp(-2i m c), so a real field is reflected by one
+    conjugation and one phase multiply.  A scalar centre returns an array
+    shaped like ``coeffs``; an array of centres adds its shape in front.
+    """
+    m = np.arange(coeffs.shape[-1])
+    phase = np.exp(-2j * np.multiply.outer(np.asarray(centres, dtype=float), m))
+    return np.conj(coeffs) * phase[..., None, :]
 
 
 def reflect_phi(field, phi_c):
@@ -63,6 +77,45 @@ def _atan_elliptic(lam):
         return 3.0 - 1.0 / (1.0 + q * q) + 0.0 * u
 
     return NonlinearProblem("atan-elliptic", f, fu, fq, delta_floor=2.0, lam=lam)
+
+
+def _tau_rule():
+    x, w = gauss_legendre(8)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
+#: Nodes and weights of the 8-point Gauss-Legendre rule on [0, 1] behind
+#: every homotopy average: exact for F polynomial up to degree 15 in tau.
+_TAU_NODES, _TAU_WEIGHTS = _tau_rule()
+
+
+def averaged_coefficients(problem, u, q_u, u_ref, q_ref):
+    """Averaged linearization coefficients along the straight homotopy
+    u^tau = tau * u + (1 - tau) * u_ref:
+
+        a = integral_0^1 F_q(u^tau, Lap u^tau) dtau
+        b = integral_0^1 F_u(u^tau, Lap u^tau) dtau
+
+    With w = u - u_ref, the fundamental theorem of calculus gives
+    a * Lap w + b * w = F(u, Lap u) - F(u_ref, Lap u_ref) exactly, which is
+    what makes reflection differences satisfy a linear elliptic equation.
+
+    ``u``/``q_u`` and ``u_ref``/``q_ref`` are the grid arrays of the two
+    fields and of their Laplacians, applied by the caller; the Laplacian
+    along the homotopy is formed by linearity as
+    tau * Lap u + (1 - tau) * Lap u_ref.  The integrals use the 8-point
+    Gauss-Legendre rule in tau (exact for polynomial F up to degree 15).
+    Returns the arrays (a, b).
+    """
+    shape = np.shape(u)
+    a = np.zeros(shape)
+    b = np.zeros(shape)
+    for t, wt in zip(_TAU_NODES, _TAU_WEIGHTS):
+        u_tau = t * u + (1.0 - t) * u_ref
+        q_tau = t * q_u + (1.0 - t) * q_ref
+        a += wt * evaluate(problem, "F_q", u_tau, q_tau)
+        b += wt * evaluate(problem, "F_u", u_tau, q_tau)
+    return a, b
 
 
 #: verify_partial_derivatives draws this many (u, q) samples, normal with

@@ -13,7 +13,6 @@ import pytest
 from sphereq import (
     AuditThresholds,
     apply_laplacian,
-    averaged_coefficients,
     branch_switch,
     chafee_infante,
     continue_branch,
@@ -32,7 +31,12 @@ from sphereq import (
 )
 from sphereq.cli import main as cli_main
 from conftest import random_band_limited
-from oracles import jacobian_matrix, quadrature_weight_vector, reflect_phi
+from oracles import (
+    averaged_coefficients,
+    jacobian_matrix,
+    quadrature_weight_vector,
+    reflect_phi,
+)
 
 _cache = {}
 

@@ -523,3 +523,23 @@ def test_realization_and_lam_stay_config_keys(capsys, tmp_path):
     assert code == 0
     code, _, err = run_cli(["--config", str(cfg), "audit", str(field)], capsys)
     assert code == 0 and "verdict pass" in err
+
+
+@pytest.mark.parametrize("word, code", [
+    ("true", 1), ("On", 1), ("1", 1), ("FALSE", 0), ("off", 0), ("0", 0),
+    ("flase", 2), ("2", 2), ("y", 2),
+])
+def test_config_boolean_words(capsys, tmp_path, word, code):
+    """A boolean config key takes the words for true and false in any case,
+    and any other word exits 2: "flase" used to turn --strict off, and the
+    audit of a failing field exited 0."""
+    field = tmp_path / "perturbed.sphf"
+    run_cli(["gen", "perturbed", "--out", str(field)], capsys)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("strict = %s\n" % word)
+    got, out, err = run_cli(["--config", str(cfg), "audit", str(field)], capsys)
+    assert got == code
+    if code == 2:
+        assert "'strict': invalid value '%s'" % word in err and out == ""
+    else:
+        assert "hypotheses-not-met" in out

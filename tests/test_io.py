@@ -117,6 +117,30 @@ def test_trailing_garbage_rejected(grid32):
         read_field(io.StringIO(_sphf_text(u) + "0 1 2\n"))
 
 
+@pytest.mark.parametrize("text, message, line", [
+    ("sphf 1\n1000000 96\n1 2 3\n", "colatitude row has 3 entries, expected 1000000", 3),
+    ("sphf 1\n8 16\n" + " ".join(["1"] * 8) + "\n", "missing value row 1 of 8", 4),
+    ("sphf 1\n-5 16\n1 2 3\n", "n_theta must be", 2),
+], ids=["colatitude-row-short", "value-rows-missing", "ring-count-invalid"])
+def test_header_counts_checked_before_the_grid_is_built(monkeypatch, text, message, line):
+    """A header that claims more rings than the file holds is refused
+    before the grid's Gauss-Legendre rule is built: 64000 claimed rings
+    took 75 s to refuse, and a million would effectively hang."""
+    from sphereq import fieldio
+
+    built = []
+
+    def recorder(n_theta, n_phi):
+        built.append((n_theta, n_phi))
+        raise AssertionError("grid built")
+
+    monkeypatch.setattr(fieldio, "make_grid", recorder)
+    with pytest.raises(FieldFormatError, match=message) as info:
+        read_field(io.StringIO(text))
+    assert info.value.line == line
+    assert built == []
+
+
 # ---------------------------------------------------------------------------
 # JSON report
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from sphereq import (
     NonlinearProblem,
     ParameterError,
     apply_laplacian,
-    averaged_coefficients,
     chafee_infante,
     ellipticity_audit,
     eval_on_grid,
@@ -20,7 +19,7 @@ from sphereq import (
 )
 from sphereq.problems import linearization_coefficients
 from conftest import random_band_limited
-from oracles import reflect_phi, verify_partial_derivatives
+from oracles import averaged_coefficients, reflect_phi, verify_partial_derivatives
 
 
 def test_cubic_pointwise_values():

@@ -1,6 +1,7 @@
 """Axial-extremum detection, leveled/reflection/midpoint checks, moving-arc
-sweeps, the linear-annihilation identity, and the full audit."""
+sweeps, and the full audit."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,8 +12,6 @@ from sphereq import (
     AuditThresholds,
     AxialExtremumSet,
     ContractError,
-    apply_laplacian,
-    averaged_coefficients,
     DegenerateFieldError,
     ParameterError,
     biradial_angles,
@@ -23,7 +22,6 @@ from sphereq import (
     detect_axial_extrema,
     eval_on_grid,
     harmonic_mode,
-    linearized_annihilation,
     make_grid,
     make_operator,
     moving_arc_sweep,
@@ -60,8 +58,7 @@ def _manual_extrema(angles, kinds, n_theta=8):
 def _report_on(ext, thresholds=AuditThresholds()):
     """A report on the extremum set alone, for the decisions it derives
     from that set: no reflections, sweeps or residuals."""
-    empty = np.empty(0)
-    return SymmetryReport(ext, empty, (), empty, 0.0, thresholds, TWO_PI / 64)
+    return SymmetryReport(ext, np.empty(0), (), 0.0, thresholds, TWO_PI / 64)
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +143,7 @@ def test_ring_wise_critical_points_inside_the_gaps(shape, a):
     assert ext.kinds == ("max", "min")
     assert np.max(np.abs(ext.angles - [0.0, np.pi])) < 1e-12
     inside = ext.non_axial_critical
+    assert inside.size == 2  # one per gap
     assert np.any(inside < np.pi) and np.any(inside > np.pi)
     # each lies near some ring's extra critical point: sin^2 phi is at
     # least its value on the ring nearest the equator
@@ -533,74 +531,6 @@ def test_sweep_directions_agree_where_the_mirror_lands_on_a_column():
 
 
 # ---------------------------------------------------------------------------
-# linearized annihilation
-# ---------------------------------------------------------------------------
-
-
-def test_annihilation_zero_for_exact_axis(grid32, op32):
-    u = _cos2_field(grid32)
-    lap_u = apply_laplacian(op32, u)
-    assert linearized_annihilation(chafee_infante(3.0), u, lap_u, np.pi / 2) == 0.0
-
-
-def test_annihilation_zero_for_trivial_state(grid32, op32):
-    zero = eval_on_grid(grid32, lambda t, p: np.zeros_like(t))
-    lap_zero = apply_laplacian(op32, zero)
-    assert linearized_annihilation(chafee_infante(3.0), zero, lap_zero, 1.0) == 0.0
-
-
-@pytest.mark.parametrize("eps", [np.nan, [0.5, np.inf]])
-def test_annihilation_rejects_non_finite_meridians(grid32, op32, eps):
-    """A NaN meridian failed inside the coefficient evaluation, with a
-    message about F_u at ring 0, column 0."""
-    u = _cos2_field(grid32)
-    lap_u = apply_laplacian(op32, u)
-    with pytest.raises(ParameterError, match="meridians"):
-        linearized_annihilation(chafee_infante(6.5), u, lap_u, eps)
-
-
-def test_annihilation_small_on_equilibrium():
-    grid = make_grid(24, 48)
-    op = make_operator(grid)
-    mode = harmonic_mode(grid, 2, 2)
-    eq = newton_solve(chafee_infante(6.5), op, mode * (0.3 / mode.sup_norm))
-    lap_u = apply_laplacian(op, eq.u)
-    for eps in (0.37, 1.1, 2.9):
-        assert linearized_annihilation(chafee_infante(6.5), eq.u, lap_u, eps) <= 1e-7
-
-
-@pytest.mark.parametrize("realization", ["spectral", "finite-difference"])
-def test_annihilation_over_many_meridians_matches_per_meridian_reference(realization):
-    """One call over an array of meridians equals one call per meridian,
-    and both equal the residual built from averaged_coefficients with Lap
-    u_ref and Lap w applied directly, although Lap u is now applied once
-    and reflected."""
-    grid = make_grid(48, 96)
-    op = make_operator(grid, realization)
-    problem = chafee_infante(6.5)
-    u = harmonic_mode(grid, 2, 2) + harmonic_mode(grid, 3, 1) * 0.1
-    angles = np.array([0.0, 0.37, 1.1, 2.9, 4.4])
-    lap_u = apply_laplacian(op, u)
-    batch = linearized_annihilation(problem, u, lap_u, angles)
-    assert batch.shape == angles.shape
-    single = [linearized_annihilation(problem, u, lap_u, c) for c in angles]
-    assert batch.tolist() == single
-    assert batch[0] == 0.0  # u is even about phi = 0
-    for c, got in zip(angles[1:], batch[1:]):
-        u_ref = reflect_phi(u, c)
-        w = u - u_ref
-        a, b = averaged_coefficients(
-            problem, u.values, lap_u.values,
-            u_ref.values, apply_laplacian(op, u_ref).values,
-        )
-        lap_w = apply_laplacian(op, w)
-        resid = a * lap_w.values + b * w.values
-        scale = np.max(np.abs(a)) * lap_w.sup_norm + np.max(np.abs(b)) * w.sup_norm
-        assert got > 1e-3
-        assert abs(got - np.max(np.abs(resid)) / scale) <= 1e-13
-
-
-# ---------------------------------------------------------------------------
 # full audit
 # ---------------------------------------------------------------------------
 
@@ -630,19 +560,40 @@ def test_audit_axisymmetric_hypotheses_not_met(grid32, op32):
     assert report.extrema.all_longitudes_critical and report.extrema.n == 0
     assert not report.hypotheses_met and not report.conclusions_ok
     assert not report.leveled_applicable and not report.midpoint_applicable
-    assert report.arc_reports == () and report.annihilation_residuals.size == 0
+    assert report.arc_reports == ()
     assert report.reflection_defects.size == 0
 
 
 def test_audit_applies_one_laplacian_per_field(grid32, op32, laplacian_calls):
-    """The equation residual and the annihilation check share one Lap u,
-    with or without extrema to check."""
+    """The equation residual applies the audit's one Lap u, with or
+    without extrema to check."""
     u = harmonic_mode(grid32, 2, 2)
     assert theorem_audit(chafee_infante(6.0), op32, u).verdict == "pass"
     assert len(laplacian_calls) == 1 and laplacian_calls[0] is u
     axisymmetric = eval_on_grid(grid32, lambda t, p: np.cos(t) + 0.0 * p)
     theorem_audit(chafee_infante(2.0), op32, axisymmetric)
     assert len(laplacian_calls) == 2
+
+
+def test_audit_evaluates_F_alone():
+    """The audit evaluates F once, for the equation residual, and never
+    its partial derivatives.  On the biradial field, whose twelve
+    reflections are far from symmetries, an averaged linear equation at
+    each extremum would evaluate both at every tau node."""
+    calls = {"eval_F": 0, "eval_Fu": 0, "eval_Fq": 0}
+    problem = chafee_infante(6.5)
+
+    def counted(name):
+        def evaluator(u, q):
+            calls[name] += 1
+            return getattr(problem, name)(u, q)
+        return evaluator
+
+    wrapped = dataclasses.replace(problem, **{name: counted(name) for name in calls})
+    grid = make_grid(48, 96)
+    report = theorem_audit(wrapped, make_operator(grid), biradial_field(grid))
+    assert report.extrema.n == 12
+    assert calls == {"eval_F": 1, "eval_Fu": 0, "eval_Fq": 0}
 
 
 def test_audit_of_a_fortran_ordered_field():
