@@ -15,13 +15,11 @@ from .errors import (
 from .grid import (
     GridSpec,
     ScalarField,
-    d_phi,
     eval_on_grid,
     gauss_legendre,
     integrate,
     interp_phi,
     make_grid,
-    oversample_phi,
 )
 from .harmonics import (
     OperatorHandle,

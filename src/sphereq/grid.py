@@ -1,6 +1,6 @@
 """Pole-free colatitude/longitude grids on the unit sphere and the field
-primitives built on them: sampling, quadrature, longitudinal spectral
-calculus and interpolation, ring series, and the one root refiner.
+primitives built on them: sampling, quadrature, the longitude series of
+each ring and interpolation from it, and the one root refiner.
 
 Colatitudes are Gauss-Legendre roots mapped through arccos, so no node ever
 touches a pole and ring quadrature integrates band-limited integrands
@@ -135,7 +135,8 @@ class ScalarField:
 
     ``values[j, k] = u(theta_j, phi_k)`` with phi_k = 2*pi*k / n_phi.  The
     array is copied in C order and frozen on construction; every operation
-    returns a new field, so instances are safe to share across threads.
+    returns a new field, so instances are safe to share across threads (two
+    threads that form ``ring_series`` at once form the same array).
     """
 
     grid: GridSpec
@@ -155,6 +156,22 @@ class ScalarField:
             )
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
+
+    @functools.cached_property
+    def ring_series(self):
+        """Real Fourier series of every ring along longitude, formed on
+        first use and kept read-only (the values never change).
+
+        Complex coefficients c of shape (n_theta, n_phi // 2 + 1) with
+        u(theta_j, phi) = sum_m Re(c[j, m]) cos(m phi) - Im(c[j, m]) sin(m phi):
+        the ``rfft`` coefficients scaled by 2 / n_phi, with the constant and
+        Nyquist terms halved.
+        """
+        n = self.grid.n_phi
+        coeffs = np.fft.rfft(self.values, axis=1) * (2.0 / n)
+        coeffs[:, 0] *= 0.5
+        coeffs[:, n // 2] *= 0.5
+        return _read_only(coeffs)
 
     @property
     def sup_norm(self):
@@ -231,68 +248,29 @@ def integrate(field):
     return float(np.dot(g.theta_weights, ring_sums) * g.phi_cell)
 
 
-def d_phi(field):
-    """Longitudinal derivative, computed spectrally per ring.
+def eval_series(coeffs, phis):
+    """Sum real longitude series at arbitrary longitudes.
 
-    Exact for band-limited rings; the (unused for such rings) Nyquist mode
-    is dropped, the standard choice for real even-length signals.
-    """
-    n = field.grid.n_phi
-    coeffs = np.fft.rfft(field.values, axis=1)
-    m = np.arange(coeffs.shape[1])
-    coeffs *= 1j * m
-    coeffs[:, -1] = 0.0
-    return ScalarField(field.grid, np.fft.irfft(coeffs, n, axis=1))
-
-
-def ring_series(values):
-    """Real Fourier series of every ring of grid values along longitude.
-
-    ``values`` has shape (n_theta, n_phi).  Returns complex coefficients c
-    of shape (n_theta, n_phi // 2 + 1) with
-    u(theta_j, phi) = sum_m Re(c[j, m]) cos(m phi) - Im(c[j, m]) sin(m phi):
-    the ``rfft`` coefficients scaled by 2 / n_phi, with the constant and
-    Nyquist terms halved.
-    """
-    n = values.shape[1]
-    coeffs = np.fft.rfft(values, axis=1) * (2.0 / n)
-    coeffs[:, 0] *= 0.5
-    coeffs[:, n // 2] *= 0.5
-    return coeffs
-
-
-def interp_phi(field, phis):
-    """Trigonometric interpolation of every ring at arbitrary longitudes.
-
-    Returns an array of shape (n_theta, len(phis)).
-
-    Each ring is the real cosine/sine series of ``ring_series``, summed by
+    ``coeffs`` has one row per series in the convention of
+    ``ScalarField.ring_series``; returns an array of shape
+    (len(coeffs), len(phis)).  The cosine and sine sums go through
     ``einsum``, which runs on the calling thread.  A matrix product would
     go to BLAS, which threads these small products although the second
     thread saves no time and keeps spinning between calls.
     """
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
-    coeffs = ring_series(field.values)
     mphi = np.multiply.outer(np.arange(coeffs.shape[1]), phis)
     return (np.einsum("tm,mk->tk", coeffs.real, np.cos(mphi))
             - np.einsum("tm,mk->tk", coeffs.imag, np.sin(mphi)))
 
 
-def oversample_phi(field, factor):
-    """Resample every ring on a ``factor`` times finer uniform longitude grid
-    by Fourier zero padding (exact trigonometric interpolation)."""
-    if factor < 1 or int(factor) != factor:
-        raise ParameterError("oversampling factor must be a positive integer")
-    factor = int(factor)
-    if factor == 1:
-        return field.values.copy()
-    n = field.grid.n_phi
-    fine_n = factor * n
-    coeffs = np.fft.rfft(field.values, axis=1)
-    padded = np.zeros((field.grid.n_theta, fine_n // 2 + 1), dtype=complex)
-    padded[:, : n // 2] = coeffs[:, : n // 2] * factor
-    padded[:, n // 2] = coeffs[:, n // 2] * (0.5 * factor)
-    return np.fft.irfft(padded, fine_n, axis=1)
+def interp_phi(field, phis):
+    """Trigonometric interpolation of every ring at arbitrary longitudes:
+    the field's ring series summed by ``eval_series``.
+
+    Returns an array of shape (n_theta, len(phis)).
+    """
+    return eval_series(field.ring_series, phis)
 
 
 def bisect_roots(f, a, b):

@@ -13,12 +13,14 @@ maximum principle for w = u - u o R, which satisfies the averaged linear
 equation a * Lap w + b * w = r - r o R with r = F(u, Lap u); the audit
 checks the conclusions, and bounds r by the equation residual of u.
 
-Everything runs as batched numpy over angles: the extremum bisection
-advances all candidates in lockstep, and the reflection check and every
-moving-arc sweep reflect through one kernel (``_sector_sup``) on the
-field's own grid longitudes.  The kernel evaluates the reflected field
-only at the grid longitudes inside each sector, as products small enough
-that BLAS runs them on the calling thread.
+Everything runs as batched numpy over angles, and every longitude
+operation reads the field's one ring series (``ScalarField.ring_series``):
+the extremum detector forms u_phi's series from it, and the reflection
+check and every moving-arc sweep reflect through one kernel
+(``_sector_sup``) on the field's own grid longitudes.  The extremum
+bisection advances all candidates in lockstep, and the kernel evaluates
+the reflected field only at the grid longitudes inside each sector, as
+products small enough that BLAS runs them on the calling thread.
 """
 
 from __future__ import annotations
@@ -29,17 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DegenerateFieldError, ParameterError
-from .grid import (
-    TWO_PI,
-    bisect_roots,
-    d_phi,
-    eval_on_grid,
-    interp_phi,
-    oversample_phi,
-    ring_series,
-)
-from .problems import evaluate
-from .harmonics import apply_laplacian
+from .grid import TWO_PI, bisect_roots, eval_on_grid, eval_series, interp_phi
+from .problems import residual
 from .solver import TRIVIAL_AMPLITUDE
 
 _REFINE_FACTOR = 16
@@ -188,14 +181,17 @@ def detect_axial_extrema(u, thresholds=AuditThresholds()):
     """Find meridians where u_phi vanishes at every colatitude.
 
     One table drives everything: the cells of a 16x refined longitude grid
-    (trigonometric interpolation) where u_phi changes sign, on each ring
-    whose sup|u_phi| is at least 1e-3 of the field's.  The changes fall
-    into circular runs of refined columns within one cell of a change on
-    some ring.  A run with a column within one cell of a change on every
-    ring is a candidate: its angle is the sign change across the run of
-    the alignment-weighted ring average of u_phi, refined by bisection,
-    and it is an axial extremum when the normalized defect
-    max_theta |u_phi| / sup|u_phi| there is at most ``thresholds.tol_ax``.
+    where u_phi changes sign, on each ring whose sup|u_phi| is at least
+    1e-3 of the field's.  u_phi's series is i*m times the field's ring
+    series without the Nyquist term; one inverse FFT synthesizes the
+    table from it, and every later evaluation of u_phi sums it.  The
+    changes fall into circular runs of refined columns within one cell of
+    a change on some ring.  A run with a column within one cell of a
+    change on every ring is a candidate: its angle is the sign change
+    across the run of the alignment-weighted ring average of u_phi,
+    refined by bisection, and it is an axial extremum when the normalized
+    defect max_theta |u_phi| / sup|u_phi| there is at most
+    ``thresholds.tol_ax``.
     The extremum is a "max" when u_phi crosses from + to - on all its
     rings, a "min" when from - to + on all, and a "saddle" otherwise; it
     is ``merged`` when some ring changes sign more than once in its run.
@@ -217,9 +213,13 @@ def detect_axial_extrema(u, thresholds=AuditThresholds()):
             "trivial state; axial extrema undefined" % (span, floor)
         )
 
-    du = d_phi(u)
-    fine = oversample_phi(du, _REFINE_FACTOR)
-    n_fine = fine.shape[1]
+    # u_phi's series, i*m*c without the Nyquist term, and the table of its
+    # values on the refined longitudes (irfft pads the series with zeros)
+    c = u.ring_series
+    du = c * (1j * np.arange(c.shape[1]))
+    du[:, -1] = 0.0
+    n_fine = _REFINE_FACTOR * u.grid.n_phi
+    fine = np.fft.irfft(0.5 * du, n_fine, axis=1, norm="forward")
     ring_sup = np.maximum(fine.max(axis=1), -fine.min(axis=1))
     u_phi_sup = float(ring_sup.max())
     # u_phi vanishes everywhere: no meridian is singled out
@@ -261,11 +261,11 @@ def detect_axial_extrema(u, thresholds=AuditThresholds()):
     left = (first - 1) * (TWO_PI / n_fine)
     right = (first + length) * (TWO_PI / n_fine)
     phi_star = 0.5 * (left + right)
-    du_l = interp_phi(du, left[cand])
+    du_l = eval_series(du, left[cand])
     norm = np.max(np.abs(du_l), axis=0)
     ref = du_l / np.where(norm > 0, norm, 1.0)
-    bracketed = (w @ (du_l * ref)) * (w @ (interp_phi(du, right[cand]) * ref)) < 0.0
-    series = np.einsum("tk,tm->km", w[:, None] * ref[:, bracketed], ring_series(du.values))
+    bracketed = (w @ (du_l * ref)) * (w @ (eval_series(du, right[cand]) * ref)) < 0.0
+    series = np.einsum("tk,tm->km", w[:, None] * ref[:, bracketed], du)
     modes = np.arange(series.shape[1])
 
     def aligned_average(phis):
@@ -277,7 +277,7 @@ def detect_axial_extrema(u, thresholds=AuditThresholds()):
     phi_star[bisect] = bisect_roots(aligned_average, left[bisect], right[bisect])
     phi_star %= TWO_PI
     defect = np.full(n_runs, np.inf)
-    defect[cand] = np.max(np.abs(interp_phi(du, phi_star[cand])), axis=0) / u_phi_sup
+    defect[cand] = np.max(np.abs(eval_series(du, phi_star[cand])), axis=0) / u_phi_sup
     phi_star[phi_star >= TWO_PI - 1e-12] = 0.0  # roundoff of 2*pi
     axial = defect <= thresholds.tol_ax
     order = np.flatnonzero(axial)[np.argsort(phi_star[axial])]
@@ -318,32 +318,31 @@ def _sector_columns(phi, mirrors, far_edges):
     return cols
 
 
-def _sector_sup(values, mirrors, far_edges):
+def _sector_sup(u, mirrors, far_edges):
     """Max and min of w = u - u o R_c over the grid longitudes strictly
     between each mirror c and its far edge (``_sector_columns``); an empty
-    sector reads 0 for both.  ``values`` samples u at phi_j = 2*pi*j/n_phi;
-    ``mirrors`` and ``far_edges`` are flat.
+    sector reads 0 for both.  ``mirrors`` and ``far_edges`` are flat.
 
     Only the (sector, column) pairs that ``_sector_columns`` selects are
     evaluated.  The reflected value at a pair is the ring series of u
-    (``ring_series``) at x = 2c - phi_j, whose basis e^{imx} is the product
+    (``u.ring_series``) at x = 2c - phi_j, whose basis e^{imx} is the product
     of a table of e^{2imc} per mirror and one of e^{-im phi_j} per column.
     Pairs go in blocks of ``_PAIR_BLOCK``, each one stacked ``matmul``
     whose slices stay within ``_SLICE_MADDS`` multiply-adds, so memory does
     not grow with the sector count and BLAS stays on the calling thread."""
-    n_theta, n_phi = values.shape
+    n_theta, n_phi = u.values.shape
     phi = TWO_PI * np.arange(n_phi) / n_phi
     sector, column = np.nonzero(_sector_columns(phi, mirrors, far_edges))
 
     # interleaved [Re s_m, -Im s_m] against [cos mx, sin mx]: the real
     # view of conj(s) dotted with the real view of e^{imx}
-    series = ring_series(values)
+    series = u.ring_series
     coef = np.ascontiguousarray(np.conj(series).view(float).T)
     m = np.arange(series.shape[1])
     at_mirror = np.exp(2j * np.multiply.outer(mirrors, m))
     roots = np.exp(-1j * phi)  # e^{-im phi_j} = roots[m * j mod n_phi]
     at_column = roots[np.multiply.outer(np.arange(n_phi), m) % n_phi]
-    by_column = np.ascontiguousarray(values.T)
+    by_column = np.ascontiguousarray(u.values.T)
 
     per_slice = min(_PAIR_BLOCK, max(1, _SLICE_MADDS // coef.size))
     block = per_slice * max(1, _PAIR_BLOCK // per_slice)
@@ -386,7 +385,7 @@ def check_reflection(u, centres, widths):
         raise ParameterError("sector centres must be finite")
     if not np.all((widths >= 0.0) & (widths <= TWO_PI + 1e-12)):
         raise ParameterError("sector width is negative, over 2*pi or not finite")
-    hi, lo = _sector_sup(u.values, centres.ravel(), (centres - widths).ravel())
+    hi, lo = _sector_sup(u, centres.ravel(), (centres - widths).ravel())
     out = np.maximum(np.abs(hi), np.abs(lo))  # +0.0, not -0.0, when both are 0
     span = u.span
     if span > 0:
@@ -434,14 +433,14 @@ def moving_arc_sweep(u, ext, seed_index, direction, thresholds=AuditThresholds()
     ``_sector_sup``, the kernel of ``check_reflection``; the last arc,
     eps = gap, gives the end-of-gap sup|w|.  Reflections are trigonometric
     interpolation, so off-grid eps are exact for band-limited fields.
-    ``seed_index`` must lie in range(ext.n), the seed must be a minimum and
-    its neighbor in the sweep direction a maximum."""
+    ``seed_index`` must be an integer in range(ext.n), the seed a minimum
+    and its neighbor in the sweep direction a maximum."""
     if ext.n < 2:
         raise ContractError("need at least two extrema to sweep")
-    if direction not in (1, -1):
-        raise ParameterError("direction must be +1 or -1")
+    if not isinstance(direction, (int, np.integer)) or direction not in (1, -1):
+        raise ParameterError("direction must be +1 or -1, got %r" % (direction,))
     n = ext.n
-    if not 0 <= seed_index < n:
+    if not isinstance(seed_index, (int, np.integer)) or not 0 <= seed_index < n:
         raise ParameterError("seed_index %r is not in range(%d)" % (seed_index, n))
     if ext.kinds[seed_index] != "min":
         raise ContractError("moving-arc seed must be an axial minimum")
@@ -462,7 +461,7 @@ def moving_arc_sweep(u, ext, seed_index, direction, thresholds=AuditThresholds()
     eps = gap * np.arange(1, n_eps + 1) / n_eps
     # seed + direction * eps, counted back so that the last mirror is the target
     mirrors = target - direction * gap * np.arange(n_eps - 1, -1, -1) / n_eps
-    w_max, w_min = _sector_sup(u.values, mirrors, mirrors - direction * eps)
+    w_max, w_min = _sector_sup(u, mirrors, mirrors - direction * eps)
     target_sup = float(max(w_max[-1], -w_min[-1])) / span
 
     # eps_star: the last arc before the first one over the bound
@@ -566,17 +565,14 @@ def theorem_audit(problem, op, u, thresholds=AuditThresholds()):
     detect_axial_extrema (whose set carries the level and midpoint
     defects) -> per-extremum reflection over the preceding gap ->
     moving-arc sweeps from every minimum in both orientations, plus the
-    equation residual of u itself (informational, from one application of
-    Lap to u and one evaluation of F).  Requires a nonconstant, nontrivial
-    field.  Only measures: the report derives every pass flag and the
-    verdict."""
+    equation residual of u itself (informational, ``problems.residual``:
+    one application of Lap to u and one evaluation of F).  Requires a
+    nonconstant, nontrivial field.  Only measures: the report derives
+    every pass flag and the verdict."""
     mid = thresholds.midpoint_tol
     midpoint_tol = u.grid.phi_cell if mid is None else mid
     ext = detect_axial_extrema(u, thresholds)
-    lap_u = apply_laplacian(op, u)
-    eq_residual = float(
-        np.max(np.abs(evaluate(problem, "F", u.values, lap_u.values)))
-    )
+    eq_residual = residual(problem, op, u).sup_norm
 
     reflection_defects = check_reflection(u, ext.angles, ext.gaps)
 

@@ -10,6 +10,12 @@ def grid32():
 
 
 @pytest.fixture(scope="session")
+def grid33():
+    """A grid whose n_phi / 2 is odd, so its Nyquist mode is an odd one."""
+    return make_grid(33, 66)
+
+
+@pytest.fixture(scope="session")
 def op32(grid32):
     return make_operator(grid32, "spectral")
 
@@ -30,13 +36,14 @@ def random_band_limited(grid, degree_cap, rng, scale=1.0):
 
 @pytest.fixture
 def laplacian_calls(monkeypatch):
-    """Record the fields that solver, problems, symmetry and the test
-    oracles pass to apply_laplacian; the returned list grows by one per
-    call.  GMRES iterations apply none (see
+    """Record the fields that solver, problems and the test oracles pass
+    to apply_laplacian (the audit's one Lap u goes through
+    problems.residual); the returned list grows by one per call.  GMRES
+    iterations apply none (see
     test_krylov_iteration_applies_no_laplacian), so every call is one a
     state or an audit pays for."""
     import oracles
-    from sphereq import harmonics, problems, solver, symmetry
+    from sphereq import harmonics, problems, solver
 
     calls = []
 
@@ -44,6 +51,6 @@ def laplacian_calls(monkeypatch):
         calls.append(field)
         return harmonics.apply_laplacian(op, field)
 
-    for module in (solver, problems, symmetry, oracles):
+    for module in (solver, problems, oracles):
         monkeypatch.setattr(module, "apply_laplacian", counted)
     return calls

@@ -27,6 +27,20 @@ class DivergenceError(SphereqError, RuntimeError):
     """A time-stepping iteration blew up."""
 
 
+def d_phi(field):
+    """Longitudinal derivative, computed spectrally per ring.
+
+    Exact for band-limited rings; the (unused for such rings) Nyquist mode
+    is dropped, the standard choice for real even-length signals.
+    """
+    n = field.grid.n_phi
+    coeffs = np.fft.rfft(field.values, axis=1)
+    m = np.arange(coeffs.shape[1])
+    coeffs *= 1j * m
+    coeffs[:, -1] = 0.0
+    return ScalarField(field.grid, np.fft.irfft(coeffs, n, axis=1))
+
+
 def rotate_phi(field, delta):
     """Field v(theta, phi) = u(theta, phi + delta), by Fourier phase shift."""
     n = field.grid.n_phi

@@ -8,17 +8,15 @@ from sphereq import (
     EvaluationError,
     ParameterError,
     ScalarField,
-    d_phi,
     eval_on_grid,
     gauss_legendre,
     integrate,
     interp_phi,
     make_grid,
-    oversample_phi,
 )
 from sphereq.grid import bisect_roots
 from conftest import random_band_limited
-from oracles import reflect_phi, rotate_phi
+from oracles import d_phi, reflect_phi, rotate_phi
 
 FOUR_PI = 4.0 * np.pi
 
@@ -194,13 +192,30 @@ def test_interp_phi_reproduces_grid_and_offgrid(grid32):
     at_nodes = interp_phi(u, grid32.phi_nodes)
     assert np.max(np.abs(at_nodes - u.values)) < 1e-12
     phis = np.array([0.1234, 2.77, 5.5])
-    fine = oversample_phi(u, 16)
-    # spot check against an independent dense synthesis
     direct = interp_phi(u, phis)
     assert direct.shape == (grid32.n_theta, 3)
-    k = np.arange(fine.shape[1])
-    nearest = np.argmin(np.abs(2 * np.pi * k / fine.shape[1] - phis[0]))
-    assert abs(direct[5, 0] - fine[5, nearest]) < 0.05
+
+
+def test_ring_series_is_formed_once_and_read_only(grid32, monkeypatch):
+    """Every longitude operation on a field reads one series, which no
+    caller can write into."""
+    u = random_band_limited(grid32, 9, np.random.default_rng(11))
+    calls = []
+    rfft = np.fft.rfft
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return rfft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counted)
+    series = u.ring_series
+    interp_phi(u, [0.1, 2.0])
+    assert u.ring_series is series and len(calls) == 1
+    with pytest.raises(ValueError):
+        series[0, 0] = 1.0
+    # a new field forms its own series
+    assert (u + 1.0).ring_series[:, 0] == pytest.approx(series[:, 0] + 1.0, abs=1e-14)
+    assert len(calls) == 2
 
 
 def test_interp_phi_matches_full_fourier_synthesis(grid32):

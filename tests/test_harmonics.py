@@ -11,7 +11,6 @@ from sphereq import (
     ScalarField,
     SpectralCoeffs,
     apply_laplacian,
-    d_phi,
     eval_on_grid,
     harmonic_mode,
     integrate,
@@ -22,7 +21,7 @@ from sphereq import (
     trivial_branch_eigenvalues,
 )
 from conftest import random_band_limited
-from oracles import full_block_laplacian, reflect_phi
+from oracles import d_phi, full_block_laplacian, reflect_phi
 
 FOUR_PI = 4.0 * np.pi
 

@@ -66,32 +66,35 @@ def _report_on(ext, thresholds=AuditThresholds()):
 # ---------------------------------------------------------------------------
 
 
-def test_detect_quadrupole(grid32):
-    ext = detect_axial_extrema(_cos2_field(grid32))
-    assert ext.n == 4
-    assert np.allclose(ext.angles, [0, np.pi / 2, np.pi, 3 * np.pi / 2], atol=1e-10)
-    assert ext.kinds == ("max", "min", "max", "min")
-    assert np.max(ext.axiality_defects) < 1e-10
-    assert ext.non_axial_critical.size == 0
+def test_detect_quadrupole(grid32, grid33):
+    for grid in (grid32, grid33):
+        ext = detect_axial_extrema(_cos2_field(grid))
+        assert ext.n == 4
+        assert np.allclose(ext.angles, [0, np.pi / 2, np.pi, 3 * np.pi / 2], atol=1e-10)
+        assert ext.kinds == ("max", "min", "max", "min")
+        assert np.max(ext.axiality_defects) < 1e-10
+        assert ext.non_axial_critical.size == 0
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
 def test_detector_soundness_pure_modes(m):
-    grid = make_grid(24, 64)
-    u = eval_on_grid(grid, lambda t, p: np.sin(t) * np.cos(m * p))
-    ext = detect_axial_extrema(u)
-    assert ext.n == 2 * m
-    assert ext.kinds[::2] == ("max",) * m and ext.kinds[1::2] == ("min",) * m
-    expected = np.arange(2 * m) * np.pi / m
-    assert np.max(np.abs(ext.angles - expected)) < 1e-10
-    assert np.max(ext.axiality_defects) < 1e-10
+    for shape in ((24, 64), (33, 66)):
+        grid = make_grid(*shape)
+        u = eval_on_grid(grid, lambda t, p: np.sin(t) * np.cos(m * p))
+        ext = detect_axial_extrema(u)
+        assert ext.n == 2 * m
+        assert ext.kinds[::2] == ("max",) * m and ext.kinds[1::2] == ("min",) * m
+        expected = np.arange(2 * m) * np.pi / m
+        assert np.max(np.abs(ext.angles - expected)) < 1e-10
+        assert np.max(ext.axiality_defects) < 1e-10
 
 
-def test_detect_axisymmetric_reports_all_critical(grid32):
-    u = eval_on_grid(grid32, lambda t, p: np.cos(t) + 0.0 * p)
-    ext = detect_axial_extrema(u)
-    assert ext.all_longitudes_critical
-    assert ext.n == 0
+def test_detect_axisymmetric_reports_all_critical(grid32, grid33):
+    for grid in (grid32, grid33):
+        u = eval_on_grid(grid, lambda t, p: np.cos(t) + 0.0 * p)
+        ext = detect_axial_extrema(u)
+        assert ext.all_longitudes_critical
+        assert ext.n == 0
 
 
 def test_detect_constant_is_degenerate(grid32):
@@ -100,27 +103,29 @@ def test_detect_constant_is_degenerate(grid32):
         detect_axial_extrema(u)
 
 
-def test_detect_drifting_critical_curve(grid32):
+def test_detect_drifting_critical_curve(grid32, grid33):
     """When the zero set of u_phi is a curve whose longitude varies with
     colatitude, no meridian is critical at every ring."""
-    u = eval_on_grid(
-        grid32,
-        lambda t, p: np.sin(t) * np.cos(2 * p) + 0.3 * np.sin(t) ** 2 * np.sin(2 * p),
-    )
-    # dense-sampling oracle: per-ring zero longitudes of u_phi drift with theta
-    phis = np.linspace(0, TWO_PI, 4096, endpoint=False)
-    theta_a, theta_b = grid32.theta_nodes[8], grid32.theta_nodes[16]
 
     def uphi(t, p):
         return -2 * np.sin(t) * np.sin(2 * p) + 0.6 * np.sin(t) ** 2 * np.cos(2 * p)
 
-    za = phis[np.argmin(np.abs(uphi(theta_a, phis)))]
-    zb = phis[np.argmin(np.abs(uphi(theta_b, phis)))]
-    assert abs(za - zb) > 1e-2  # genuinely non-meridional
+    for grid in (grid32, grid33):
+        u = eval_on_grid(
+            grid,
+            lambda t, p: np.sin(t) * np.cos(2 * p) + 0.3 * np.sin(t) ** 2 * np.sin(2 * p),
+        )
+        # dense-sampling oracle: per-ring zero longitudes of u_phi drift
+        # with theta
+        phis = np.linspace(0, TWO_PI, 4096, endpoint=False)
+        theta_a, theta_b = grid.theta_nodes[8], grid.theta_nodes[16]
+        za = phis[np.argmin(np.abs(uphi(theta_a, phis)))]
+        zb = phis[np.argmin(np.abs(uphi(theta_b, phis)))]
+        assert abs(za - zb) > 1e-2  # genuinely non-meridional
 
-    ext = detect_axial_extrema(u)
-    assert ext.n == 0
-    assert ext.non_axial_critical.size > 0
+        ext = detect_axial_extrema(u)
+        assert ext.n == 0
+        assert ext.non_axial_critical.size > 0
 
 
 @pytest.mark.parametrize("shape", [(32, 64), (48, 96), (128, 256)],
@@ -152,32 +157,34 @@ def test_ring_wise_critical_points_inside_the_gaps(shape, a):
     assert report.verdict == "hypotheses-not-met"
 
 
-def test_detect_phase_covariance(grid32):
+def test_detect_phase_covariance(grid32, grid33):
     """Rotating the field rotates every detected angle and nothing else."""
-    u = _cos2_field(grid32)
-    base = detect_axial_extrema(u)
     delta = 0.7321
-    rotated = rotate_phi(u, -delta)  # u(phi - delta): features shift by +delta
-    moved = detect_axial_extrema(rotated)
-    assert moved.n == base.n
-    shifted = np.sort((base.angles + delta) % TWO_PI)
-    assert np.max(np.abs(moved.angles - shifted)) < 1e-10
-    assert np.max(np.abs(moved.axiality_defects - base.axiality_defects)) < 1e-10
-    assert abs(moved.level_defect - base.level_defect) < 1e-10
+    for grid in (grid32, grid33):
+        u = _cos2_field(grid)
+        base = detect_axial_extrema(u)
+        rotated = rotate_phi(u, -delta)  # u(phi - delta): features shift by +delta
+        moved = detect_axial_extrema(rotated)
+        assert moved.n == base.n
+        shifted = np.sort((base.angles + delta) % TWO_PI)
+        assert np.max(np.abs(moved.angles - shifted)) < 1e-10
+        assert np.max(np.abs(moved.axiality_defects - base.axiality_defects)) < 1e-10
+        assert abs(moved.level_defect - base.level_defect) < 1e-10
 
 
-def test_extremum_just_below_two_pi_is_listed_last_in_range(grid32):
+def test_extremum_just_below_two_pi_is_listed_last_in_range(grid32, grid33):
     """A maximum 5e-10 or 2e-9 below 2*pi is reported there, after the
     others, for both rotations; only roundoff of 2*pi maps to 0."""
-    found = []
-    for shift in (5e-10, 2e-9):
-        u = eval_on_grid(grid32, lambda t, p: np.sin(t) ** 2 * np.cos(2 * (p + shift)))
-        ext = detect_axial_extrema(u)
-        assert np.all((ext.angles >= 0.0) & (ext.angles < TWO_PI))
-        assert ext.kinds == ("min", "max", "min", "max")
-        assert abs(ext.angles[-1] - (TWO_PI - shift)) < 1e-12
-        found.append(ext.angles)
-    assert np.max(np.abs(found[0] - found[1])) < 1e-8
+    for grid in (grid32, grid33):
+        found = []
+        for shift in (5e-10, 2e-9):
+            u = eval_on_grid(grid, lambda t, p: np.sin(t) ** 2 * np.cos(2 * (p + shift)))
+            ext = detect_axial_extrema(u)
+            assert np.all((ext.angles >= 0.0) & (ext.angles < TWO_PI))
+            assert ext.kinds == ("min", "max", "min", "max")
+            assert abs(ext.angles[-1] - (TWO_PI - shift)) < 1e-12
+            found.append(ext.angles)
+        assert np.max(np.abs(found[0] - found[1])) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -229,15 +236,17 @@ def test_biradial_field_is_leveled():
 # ---------------------------------------------------------------------------
 
 
-def test_reflection_even_field(grid32):
-    u = _cos2_field(grid32)
-    assert check_reflection(u, 0.0, np.pi / 2) < 1e-12
+def test_reflection_even_field(grid32, grid33):
+    for grid in (grid32, grid33):
+        u = _cos2_field(grid)
+        assert check_reflection(u, 0.0, np.pi / 2) < 1e-12
 
 
-def test_reflection_odd_field(grid32):
-    u = eval_on_grid(grid32, lambda t, p: np.sin(t) * np.sin(2 * p))
-    defect = check_reflection(u, 0.0, np.pi / 2)
-    assert defect == pytest.approx(1.0, abs=1e-10)
+def test_reflection_odd_field(grid32, grid33):
+    for grid in (grid32, grid33):
+        u = eval_on_grid(grid, lambda t, p: np.sin(t) * np.sin(2 * p))
+        defect = check_reflection(u, 0.0, np.pi / 2)
+        assert defect == pytest.approx(1.0, abs=1e-10)
 
 
 def test_reflection_of_equilibrium():
@@ -261,18 +270,20 @@ def _reference_reflection(u, centre, columns):
     return diff.max() / u.span
 
 
-def test_reflection_full_circle_takes_every_column(grid32):
-    u = _lopsided_field(grid32)
-    every = np.ones(grid32.n_phi, dtype=bool)
-    assert check_reflection(u, 0.4, TWO_PI) == pytest.approx(
-        _reference_reflection(u, 0.4, every), rel=1e-13
-    )
+def test_reflection_full_circle_takes_every_column(grid32, grid33):
+    for grid in (grid32, grid33):
+        u = _lopsided_field(grid)
+        every = np.ones(grid.n_phi, dtype=bool)
+        assert check_reflection(u, 0.4, TWO_PI) == pytest.approx(
+            _reference_reflection(u, 0.4, every), rel=1e-13
+        )
 
 
-def test_reflection_empty_sector_reads_zero(grid32):
-    u = _lopsided_field(grid32)
-    assert check_reflection(u, 1.0, 0.0) == 0.0
-    assert np.all(check_reflection(u, [1.0, 2.0], 0.0) == 0.0)
+def test_reflection_empty_sector_reads_zero(grid32, grid33):
+    for grid in (grid32, grid33):
+        u = _lopsided_field(grid)
+        assert check_reflection(u, 1.0, 0.0) == 0.0
+        assert np.all(check_reflection(u, [1.0, 2.0], 0.0) == 0.0)
 
 
 def test_reflection_empty_sector_reads_positive_zero():
@@ -327,18 +338,19 @@ def test_reflection_rejects_non_finite_sectors(grid32, centres, widths):
         check_reflection(u, centres, widths)
 
 
-def test_reflection_batch_matches_single_centres(grid32):
+def test_reflection_batch_matches_single_centres(grid32, grid33):
     """Many centres, each with its own width, in one call agree with one
     call per centre."""
-    u = _lopsided_field(grid32)
     centres = np.linspace(0.1, 6.0, 19)
     widths = 0.3 + centres / 4.0
-    batch = check_reflection(u, centres, widths)
-    assert batch.shape == centres.shape
-    assert batch == pytest.approx(
-        [check_reflection(u, c, w) for c, w in zip(centres, widths)], rel=1e-14
-    )
-    assert np.all(batch > 0.0)
+    for grid in (grid32, grid33):
+        u = _lopsided_field(grid)
+        batch = check_reflection(u, centres, widths)
+        assert batch.shape == centres.shape
+        assert batch == pytest.approx(
+            [check_reflection(u, c, w) for c, w in zip(centres, widths)], rel=1e-14
+        )
+        assert np.all(batch > 0.0)
 
 
 _WIDTHS = st.one_of(
@@ -351,7 +363,7 @@ _WIDTHS = st.one_of(
 
 @settings(max_examples=60, deadline=None)
 @given(
-    shape=st.sampled_from([(48, 96), (128, 256)]),
+    shape=st.sampled_from([(48, 96), (128, 256), (33, 66)]),
     seed=st.integers(0, 2**31),
     nyquist=st.floats(0.0, 2.0),
     sectors=st.lists(
@@ -367,12 +379,16 @@ _WIDTHS = st.one_of(
          sectors=[(0.3 * k, TWO_PI) for k in range(12)])
 # column 0 lies exactly _EDGE_TOL behind the mirror, so it counts as on it
 @example(shape=(48, 96), seed=0, nyquist=0.0, sectors=[(1e-09, 0.0078125)])
+# an odd Nyquist mode (n_phi / 2 = 33), over sectors of every kind
+@example(shape=(33, 66), seed=3, nyquist=1.0,
+         sectors=[(0.0, TWO_PI), (1.0, 0.0), (2.5, 1.3), (6.0, 0.05)])
 def test_reflection_matches_full_field_reflections(shape, seed, nyquist, sectors):
     """``check_reflection`` evaluates only in-sector columns; the oracle
     reflects the whole field per centre, masks the open sector
     (c - width, c) by the kernel's edge rule (a column within ``_EDGE_TOL``
     of either edge is outside) and takes the max.  Random grid values are
-    not band limited, and the alternating column adds a Nyquist mode."""
+    not band limited, and the alternating column adds a Nyquist mode, odd
+    on the 33x66 grid."""
     grid = make_grid(*shape)
     rng = np.random.default_rng(seed)
     alternating = (-1.0) ** np.arange(grid.n_phi)
@@ -506,6 +522,28 @@ def test_sweep_rejects_seed_index_out_of_range(grid32, seed):
         moving_arc_sweep(u, ext, seed, 1)
 
 
+@pytest.mark.parametrize(
+    "seed, direction, name",
+    [
+        (1.0, 1, "seed_index"),
+        (1.5, 1, "seed_index"),
+        (np.float64(1.0), 1, "seed_index"),
+        ("1", 1, "seed_index"),
+        (1, -1.0, "direction"),
+        (1, np.float64(1.0), "direction"),
+    ],
+    ids=["float", "fraction", "numpy-float", "string", "float-direction",
+         "numpy-float-direction"],
+)
+def test_sweep_rejects_non_integer_seed_or_direction(grid32, seed, direction, name):
+    """A float or string seed_index, or a float direction, raised a bare
+    TypeError from tuple indexing; -1.0 passed the direction check first."""
+    u = _cos2_field(grid32)
+    ext = detect_axial_extrema(u)
+    with pytest.raises(ParameterError, match=name):
+        moving_arc_sweep(u, ext, seed, direction)
+
+
 def test_sweep_both_directions_agree_for_symmetric_field(grid32):
     u = _cos2_field(grid32)
     ext = detect_axial_extrema(u)
@@ -573,6 +611,30 @@ def test_audit_applies_one_laplacian_per_field(grid32, op32, laplacian_calls):
     axisymmetric = eval_on_grid(grid32, lambda t, p: np.cos(t) + 0.0 * p)
     theorem_audit(chafee_infante(2.0), op32, axisymmetric)
     assert len(laplacian_calls) == 2
+
+
+@pytest.mark.parametrize(
+    "make_field",
+    [biradial_field, lambda g: harmonic_mode(g, 2, 2), lambda g: harmonic_mode(g, 2, 1)],
+    ids=["figure1", "Y22", "Y21"],
+)
+def test_audit_transforms_the_field_once(make_field, monkeypatch):
+    """One rfft forms the field's ring series and one irfft synthesizes
+    u_phi's refined table from it; the equation residual's Laplacian takes
+    the other pair.  Every other longitude operation (bisection, defects,
+    axis profiles, reflections, sweeps) reads the series."""
+    grid = make_grid(48, 96)
+    op = make_operator(grid)
+    u = make_field(grid)
+    calls = {"rfft": 0, "irfft": 0}
+    for name in calls:
+        def counted(*args, _name=name, _transform=getattr(np.fft, name), **kwargs):
+            calls[_name] += 1
+            return _transform(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    theorem_audit(chafee_infante(6.5), op, u)
+    assert calls == {"rfft": 2, "irfft": 2}
 
 
 def test_audit_evaluates_F_alone():
@@ -736,8 +798,10 @@ def _cos2_nyquist_field(grid):
         ((32, 64), _cos2_field, 40),
         ((32, 64), _cos2_nyquist_field, 40),
         ((128, 256), biradial_field, 100),
+        ((33, 66), _cos2_field, 40),
+        ((33, 66), _cos2_nyquist_field, 40),
     ],
-    ids=["cos2-32x64", "nyquist-32x64", "biradial-128x256"],
+    ids=["cos2-32x64", "nyquist-32x64", "biradial-128x256", "cos2-33x66", "nyquist-33x66"],
 )
 @pytest.mark.parametrize("direction", [1, -1])
 def test_batched_sweep_matches_per_eps_reflections(shape, field, n_eps, direction):
@@ -769,8 +833,10 @@ def test_batched_sweep_matches_per_eps_reflections(shape, field, n_eps, directio
         ((96, 192), biradial_field),
         ((128, 256), biradial_field),
         ((32, 64), _cos2_nyquist_field),
+        ((33, 66), _cos2_nyquist_field),
     ],
-    ids=["figure1-48x96", "figure1-96x192", "figure1-128x256", "nyquist-32x64"],
+    ids=["figure1-48x96", "figure1-96x192", "figure1-128x256", "nyquist-32x64",
+         "nyquist-33x66"],
 )
 def test_forward_sweep_end_matches_reflection_check(shape, field):
     """Every +1 sweep ends on the sector the reflection check measures for
