@@ -54,7 +54,6 @@ from .symmetry import (
     AxialExtremumSet,
     MovingArcReport,
     SymmetryReport,
-    biradial_angles,
     biradial_field,
     check_reflection,
     detect_axial_extrema,

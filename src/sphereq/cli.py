@@ -203,7 +203,8 @@ def build_parser():
     sp.add_argument("--tol-lvl", type=float, default=None)
     sp.add_argument("--tol-w", type=float, default=None)
     sp.add_argument("--midpoint-tol", type=float, default=None)
-    sp.add_argument("--neps", type=int, default=None)
+    sp.add_argument("--neps", type=int, default=None,
+                    help="minimum arc count of each moving-arc sweep")
     sp.add_argument("--json", dest="json_out", default=None, help="JSON report path")
     sp.add_argument("--extrema-csv", default=None, help="extremum table CSV path")
     sp.add_argument(
@@ -217,7 +218,8 @@ def build_parser():
     sp.add_argument("input", nargs="?", default="-", help="SPHF path or '-' (stdin)")
     sp.add_argument("--min-index", type=int, default=0, help="index among detected minima")
     sp.add_argument("--direction", type=int, choices=(1, -1), default=1)
-    sp.add_argument("--neps", type=int, default=None)
+    sp.add_argument("--neps", type=int, default=None,
+                    help="minimum arc count of the sweep (printed as 'arcs N')")
     sp.add_argument("--tol-w", type=float, default=None)
     sp.add_argument("--tol-ax", type=float, default=None)
     sp.add_argument("--out", default=None, help="CSV output path ('-' = stdout)")
@@ -405,6 +407,7 @@ def _cmd_arc_sweep(args):
     )
     if args.out is not None:
         fieldio.write_arc_csv(_out_handle(args.out), report)
+    print("arcs %d" % report.epsilons.size, file=sys.stderr)
     print("start_angle %.12g" % report.start_angle, file=sys.stderr)
     print("eps_star %.12g" % report.eps_star, file=sys.stderr)
     print("reaches_target %s" % report.reaches_target, file=sys.stderr)

@@ -146,7 +146,9 @@ def _num(x):
 def report_to_dict(report):
     """JSON-ready dictionary for a SymmetryReport (angles at 12 significant
     digits, deterministic layout).  Formats only: every pass flag and the
-    verdict come from the report."""
+    verdict come from the report.  Each ``moving_arc`` entry's ``n_eps``
+    is the count of arcs the sweep took, at least the minimum arc count
+    ``AuditThresholds.n_eps``."""
     ext = report.extrema
     return {
         "extrema": {

@@ -16,11 +16,12 @@ checks the conclusions, and bounds r by the equation residual of u.
 Everything runs as batched numpy over angles, and every longitude
 operation reads the field's one ring series (``ScalarField.ring_series``):
 the extremum detector forms u_phi's series from it, and the reflection
-check and every moving-arc sweep reflect through one kernel
-(``_sector_sup``) on the field's own grid longitudes.  The extremum
-bisection advances all candidates in lockstep, and the kernel evaluates
-the reflected field only at the grid longitudes inside each sector, as
-products small enough that BLAS runs them on the calling thread.
+check and every moving-arc sweep reflect the field through it, one copy
+u(theta, 2c - phi) per mirror c from a phase multiply and one inverse FFT.
+A sweep puts its mirrors on a lattice anchored at its target, one grid
+cell over 2r apart, so r reflected copies serve all its arcs and each arc
+is an index gather of them.  The extremum bisection advances all
+candidates in lockstep.
 """
 
 from __future__ import annotations
@@ -36,14 +37,6 @@ from .problems import residual
 from .solver import TRIVIAL_AMPLITUDE
 
 _REFINE_FACTOR = 16
-# Multiply-adds per slice of the stacked product in ``_sector_sup``.
-# OpenBLAS runs a product this small on the calling thread; with one
-# product per pair block, a 48x96 biradial sweep took 16 ms against 1.4 ms.
-_SLICE_MADDS = 2 ** 18
-# (sector, column) pairs per block in ``_sector_sup``, which bounds its
-# tables to about 1 MB each at 128x256; with all pairs in one block, the
-# audit benchmark's peak RSS rose from 106 to 119 MB.
-_PAIR_BLOCK = 512
 # A grid longitude this close to a sector's mirror or far edge counts as on
 # it: extrema, and so the mirrors counted from them, are detected up to
 # about 2.5e-12 rad from their grid longitudes.
@@ -68,8 +61,9 @@ class AuditThresholds:
 
     - ``tol_ax``, ``tol_lvl`` and ``tol_w`` lie in (0, 1);
     - ``midpoint_tol`` is None or a number > 0;
-    - ``n_eps``, the number of arcs in a moving-arc sweep, is an integer
-      >= 2.
+    - ``n_eps``, the minimum number of arcs in a moving-arc sweep, is an
+      integer >= 2: a sweep spaces its arcs at most gap / n_eps apart (see
+      ``moving_arc_sweep``), so it may take a few more.
 
     A value outside its range raises ``ParameterError`` naming the field.
     """
@@ -183,8 +177,9 @@ def detect_axial_extrema(u, thresholds=AuditThresholds()):
     One table drives everything: the cells of a 16x refined longitude grid
     where u_phi changes sign, on each ring whose sup|u_phi| is at least
     1e-3 of the field's.  u_phi's series is i*m times the field's ring
-    series without the Nyquist term; one inverse FFT synthesizes the
-    table from it, and every later evaluation of u_phi sums it.  The
+    series without the Nyquist term; inverse FFTs synthesize the table
+    from it block by block of rings, keeping only each ring's sup and
+    signs, and every later evaluation of u_phi sums it.  The
     changes fall into circular runs of refined columns within one cell of
     a change on some ring.  A run with a column within one cell of a
     change on every ring is a candidate: its angle is the sign change
@@ -213,14 +208,23 @@ def detect_axial_extrema(u, thresholds=AuditThresholds()):
             "trivial state; axial extrema undefined" % (span, floor)
         )
 
-    # u_phi's series, i*m*c without the Nyquist term, and the table of its
-    # values on the refined longitudes (irfft pads the series with zeros)
+    # u_phi's series, i*m*c without the Nyquist term
     c = u.ring_series
     du = c * (1j * np.arange(c.shape[1]))
     du[:, -1] = 0.0
+    # its ring sups and signs on the refined longitudes (irfft pads the
+    # series with zeros), one block of n_theta // 16 rings (at least one) at
+    # a time: at most max(n_theta, 16) * n_phi values per block
+    n_theta = u.grid.n_theta
     n_fine = _REFINE_FACTOR * u.grid.n_phi
-    fine = np.fft.irfft(0.5 * du, n_fine, axis=1, norm="forward")
-    ring_sup = np.maximum(fine.max(axis=1), -fine.min(axis=1))
+    ring_sup = np.empty(n_theta)
+    positive = np.empty((n_theta, n_fine), dtype=bool)
+    per_block = max(1, n_theta // _REFINE_FACTOR)
+    for start in range(0, n_theta, per_block):
+        rows = slice(start, start + per_block)
+        fine = np.fft.irfft(0.5 * du[rows], n_fine, axis=1, norm="forward")
+        ring_sup[rows] = np.maximum(fine.max(axis=1), -fine.min(axis=1))
+        np.greater(fine, 0.0, out=positive[rows])
     u_phi_sup = float(ring_sup.max())
     # u_phi vanishes everywhere: no meridian is singled out
     all_critical = u_phi_sup <= 1e-12 * span
@@ -228,7 +232,7 @@ def detect_axial_extrema(u, thresholds=AuditThresholds()):
     # the table: change[r, j] when significant ring r changes sign in the
     # refined cell from column j to column j + 1
     significant = (ring_sup >= _SIGNIFICANT * u_phi_sup) & (not all_critical)
-    positive = (fine > 0.0)[significant]
+    positive = positive[significant]
     change = positive != np.roll(positive, -1, axis=1)
     near = change | np.roll(change, 1, axis=1)
 
@@ -318,54 +322,21 @@ def _sector_columns(phi, mirrors, far_edges):
     return cols
 
 
-def _sector_sup(u, mirrors, far_edges):
-    """Max and min of w = u - u o R_c over the grid longitudes strictly
-    between each mirror c and its far edge (``_sector_columns``); an empty
-    sector reads 0 for both.  ``mirrors`` and ``far_edges`` are flat.
+def _reflection(u, mirror):
+    """u(theta, 2c - phi) at every grid node, for the mirror meridian c.
 
-    Only the (sector, column) pairs that ``_sector_columns`` selects are
-    evaluated.  The reflected value at a pair is the ring series of u
-    (``u.ring_series``) at x = 2c - phi_j, whose basis e^{imx} is the product
-    of a table of e^{2imc} per mirror and one of e^{-im phi_j} per column.
-    Pairs go in blocks of ``_PAIR_BLOCK``, each one stacked ``matmul``
-    whose slices stay within ``_SLICE_MADDS`` multiply-adds, so memory does
-    not grow with the sector count and BLAS stays on the calling thread."""
-    n_theta, n_phi = u.values.shape
-    phi = TWO_PI * np.arange(n_phi) / n_phi
-    sector, column = np.nonzero(_sector_columns(phi, mirrors, far_edges))
-
-    # interleaved [Re s_m, -Im s_m] against [cos mx, sin mx]: the real
-    # view of conj(s) dotted with the real view of e^{imx}
+    The ring series of phi -> u(theta, 2c - phi) is conj(s_m) e^{-2imc},
+    for the field's ring series s (``u.ring_series``), with the Nyquist
+    term kept real: the grid samples its cosine alone.  One inverse FFT
+    synthesizes it, so every c reflects the field's trigonometric
+    interpolant, exactly for a band-limited field."""
     series = u.ring_series
-    coef = np.ascontiguousarray(np.conj(series).view(float).T)
-    m = np.arange(series.shape[1])
-    at_mirror = np.exp(2j * np.multiply.outer(mirrors, m))
-    roots = np.exp(-1j * phi)  # e^{-im phi_j} = roots[m * j mod n_phi]
-    at_column = roots[np.multiply.outer(np.arange(n_phi), m) % n_phi]
-    by_column = np.ascontiguousarray(u.values.T)
-
-    per_slice = min(_PAIR_BLOCK, max(1, _SLICE_MADDS // coef.size))
-    block = per_slice * max(1, _PAIR_BLOCK // per_slice)
-    pair_max, pair_min = np.empty((2, sector.size))
-    for start in range(0, sector.size, block):
-        k = sector[start:start + block]
-        j = column[start:start + block]
-        n_slices = -(-k.size // per_slice)
-        basis = np.empty((n_slices * per_slice, m.size), dtype=complex)
-        np.multiply(at_mirror[k], at_column[j], out=basis[:k.size])
-        basis[k.size:] = 0.0
-        stack = basis.view(float).reshape(n_slices, per_slice, 2 * m.size)
-        reflected = np.matmul(stack, coef).reshape(-1, n_theta)[:k.size]
-        w = np.subtract(by_column[j], reflected, out=reflected)
-        pair_max[start:start + k.size] = w.max(axis=1)
-        pair_min[start:start + k.size] = w.min(axis=1)
-
-    # pairs come sector by sector, so each sector's pairs are one run
-    first = np.flatnonzero(np.diff(sector, prepend=-1))
-    hi, lo = np.zeros((2, mirrors.size))
-    hi[sector[first]] = np.maximum.reduceat(pair_max, first)
-    lo[sector[first]] = np.minimum.reduceat(pair_min, first)
-    return hi, lo
+    phase = np.exp(-2j * mirror * np.arange(series.shape[1]))
+    phase[1:-1] *= 0.5  # irfft doubles the interior modes
+    coef = np.conj(series)
+    coef *= phase
+    coef[:, -1] = coef[:, -1].real
+    return np.fft.irfft(coef, u.grid.n_phi, axis=1, norm="forward")
 
 
 def check_reflection(u, centres, widths):
@@ -376,8 +347,9 @@ def check_reflection(u, centres, widths):
     ``centres`` is one finite longitude or an array of them, and ``widths``,
     each in [0, 2*pi], broadcasts against it.  A width of 2*pi takes every
     grid longitude; an empty sector reads 0.  Returns a float when both are
-    scalars and an array of their broadcast shape otherwise.  The sups come
-    from ``_sector_sup``, the kernel the moving-arc sweeps use."""
+    scalars and an array of their broadcast shape otherwise.  Each centre
+    with a nonempty sector gets one reflected copy of the field
+    (``_reflection``, the reflection the moving-arc sweeps use)."""
     centres, widths = np.broadcast_arrays(
         np.asarray(centres, dtype=float), np.asarray(widths, dtype=float)
     )
@@ -385,12 +357,74 @@ def check_reflection(u, centres, widths):
         raise ParameterError("sector centres must be finite")
     if not np.all((widths >= 0.0) & (widths <= TWO_PI + 1e-12)):
         raise ParameterError("sector width is negative, over 2*pi or not finite")
-    hi, lo = _sector_sup(u, centres.ravel(), (centres - widths).ravel())
-    out = np.maximum(np.abs(hi), np.abs(lo))  # +0.0, not -0.0, when both are 0
+    flat = centres.ravel()
+    inside = _sector_columns(u.grid.phi_nodes, flat, flat - widths.ravel())
+    out = np.zeros(flat.size)
+    for i in np.flatnonzero(inside.any(axis=1)):
+        cols = inside[i]
+        w = u.values[:, cols] - _reflection(u, flat[i])[:, cols]
+        out[i] = np.max(np.abs(w))
     span = u.span
     if span > 0:
         out /= span
     return float(out[0]) if centres.ndim == 0 else out.reshape(centres.shape)
+
+
+def _lattice_sweep(u, target, direction, gap, n_eps):
+    """The arcs of a sweep that ends at ``target``, increasing, the signed
+    max of w = u - u o R over the grid columns of each, 0 for an empty
+    sector, and sup|w| over the full gap.
+
+    With h the grid cell and r = ceil(n_eps * h / (2 * gap)), arc k mirrors
+    about c_k = target - direction * k * delta, delta = h / (2r), for every
+    k with a positive eps = gap - k * delta.  With k = q * r + s,
+    2 c_k - phi_j = 2 c_s - phi_{j + direction * q}: arc k reflects column
+    j onto column j + direction * q of the copy reflected about c_s.  The
+    copies' columns go into one table, counted from the seed's end of the
+    gap and interleaved by s, so the reflected values of the gap's column
+    i for arcs 0, 1, 2, ... are one run of the table from row i * r on.
+    Arcs nest, so the arcs that hold a column are a run from arc 0; each
+    column takes one slice of the table, one subtraction and one max over
+    the rings."""
+    h = u.grid.phi_cell
+    r = math.ceil(n_eps * h / (2.0 * gap))
+    delta = h / (2 * r)
+    k = np.arange(math.ceil(gap / delta - 1e-9))
+    eps = gap - k * delta
+    mirrors = target - direction * k * delta
+    far_edges = mirrors - direction * eps
+    # every arc's sector lies inside arc 0's, the whole gap
+    phi = u.grid.phi_nodes
+    in_gap = _sector_columns(phi, mirrors[:1], far_edges[:1])[0]
+    inside = _sector_columns(phi[in_gap], mirrors, far_edges)
+
+    n_arcs = eps.size
+    hi = np.zeros(n_arcs)
+    columns = np.flatnonzero(in_gap)
+    if not columns.size:
+        return eps[::-1], hi, 0.0
+    r = min(r, n_arcs)
+    # each gap column's offset from the one next to the seed
+    n_phi = phi.size
+    start = np.flatnonzero(in_gap & ~np.roll(in_gap, direction))
+    first = start[0] if start.size else 0
+    offset = (direction * (columns - first)) % n_phi
+    held = n_arcs - np.argmax(inside[::-1], axis=0)
+
+    n_table = int(np.max(offset - (-held // r)))
+    table_columns = (first + direction * np.arange(n_table)) % n_phi
+    table = np.empty((n_table, r, u.grid.n_theta))
+    for s in range(r):
+        table[:, s] = _reflection(u, mirrors[s])[:, table_columns].T
+    table = table.reshape(n_table * r, -1)
+    values = u.values.T[columns]
+
+    hi[inside.any(axis=1)] = -np.inf
+    for c, (i, n) in enumerate(zip(offset.tolist(), held.tolist())):
+        w = np.subtract(values[c], table[i * r:i * r + n])
+        np.maximum(hi[:n], w.max(axis=1), out=hi[:n], where=inside[:n, c])
+    w = values[inside[0]] - table[offset[inside[0]] * r]
+    return eps[::-1], hi[::-1], float(np.max(np.abs(w), initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -398,13 +432,17 @@ class MovingArcReport:
     """Result of sweeping a reflection arc from a seed minimum toward the
     neighboring maximum.
 
+    ``epsilons`` are the swept arcs, increasing, at least ``n_eps`` of them
+    and evenly spaced at most gap / n_eps apart; the last is the full gap.
     ``w_max[t]`` is the (signed) maximum of u - u o R_eps over grid points
     strictly inside the swept sector at eps = epsilons[t]; a sector that
     contains no grid longitude yet reports 0.  ``eps_star`` is the largest
     sweep value up to which every w_max stayed below tol_w * span, and
-    ``phi_star`` the a-priori bound min(gap to either neighbor of the
-    target maximum).  ``target_reflection_sup`` is sup|w| at the full gap,
-    normalized; its smallness is the equality half of the argument.
+    ``reaches_target`` holds when every arc before the last did, so that
+    eps_star is at least the gap less one spacing.  ``phi_star`` is the
+    a-priori bound min(gap to either neighbor of the target maximum).
+    ``target_reflection_sup`` is sup|w| at the full gap, normalized; its
+    smallness is the equality half of the argument.
     """
 
     start_angle: float
@@ -425,16 +463,23 @@ def moving_arc_sweep(u, ext, seed_index, direction, thresholds=AuditThresholds()
     """Sweep the reflection arc from the axial minimum ``seed_index`` in
     ``direction`` (+1 counterclockwise, -1 clockwise) up to the adjacent
     maximum, recording the signed maximum of w = u - u o R_eps on the open
-    sector between the seed meridian and the arc, at ``thresholds.n_eps``
-    evenly spaced arcs and judged against ``thresholds.tol_w``.
+    sector between the seed meridian and the arc, at evenly spaced arcs,
+    at least ``thresholds.n_eps`` of them, judged against
+    ``thresholds.tol_w``.
 
-    Each arc mirrors about seed + direction * eps and takes the field's own
-    grid longitudes strictly between mirror and seed, through one call of
-    ``_sector_sup``, the kernel of ``check_reflection``; the last arc,
-    eps = gap, gives the end-of-gap sup|w|.  Reflections are trigonometric
-    interpolation, so off-grid eps are exact for band-limited fields.
-    ``seed_index`` must be an integer in range(ext.n), the seed a minimum
-    and its neighbor in the sweep direction a maximum."""
+    The mirrors lie on a lattice anchored at the target: with h the grid
+    cell and r = ceil(n_eps * h / (2 * gap)), the mirror of arc k is
+    target - direction * k * h / (2r), for every k with a positive eps, so
+    the arcs are at most gap / n_eps apart and the last one is the full
+    gap, whose sup|w| is the end-of-gap reflection defect.  Each arc takes
+    the field's own grid longitudes strictly between mirror and seed, and
+    its reflected values are columns of r reflected copies of the field,
+    one per mirror within a half cell of the target (``_lattice_sweep``);
+    ``check_reflection`` makes its copies the same way.  Reflections are
+    trigonometric interpolation, so off-grid mirrors are exact for
+    band-limited fields.  ``seed_index`` must be an integer in
+    range(ext.n), the seed a minimum and its neighbor in the sweep
+    direction a maximum."""
     if ext.n < 2:
         raise ContractError("need at least two extrema to sweep")
     if not isinstance(direction, (int, np.integer)) or direction not in (1, -1):
@@ -458,15 +503,12 @@ def moving_arc_sweep(u, ext, seed_index, direction, thresholds=AuditThresholds()
     n_eps, tol_w = thresholds.n_eps, thresholds.tol_w
 
     span = u.span
-    eps = gap * np.arange(1, n_eps + 1) / n_eps
-    # seed + direction * eps, counted back so that the last mirror is the target
-    mirrors = target - direction * gap * np.arange(n_eps - 1, -1, -1) / n_eps
-    w_max, w_min = _sector_sup(u, mirrors, mirrors - direction * eps)
-    target_sup = float(max(w_max[-1], -w_min[-1])) / span
+    eps, w_max, target_sup = _lattice_sweep(u, target, direction, gap, n_eps)
+    target_sup /= span
 
     # eps_star: the last arc before the first one over the bound
     over = np.nonzero(w_max > tol_w * span)[0]
-    first_over = over[0] if over.size else n_eps
+    first_over = over[0] if over.size else eps.size
     eps_star = float(eps[first_over - 1]) if first_over else 0.0
 
     return MovingArcReport(
@@ -479,7 +521,7 @@ def moving_arc_sweep(u, ext, seed_index, direction, thresholds=AuditThresholds()
         phi_star=phi_star,
         tol_w=tol_w,
         span=span,
-        reaches_target=eps_star >= gap * (1.0 - 1.0 / n_eps) - 1e-12,
+        reaches_target=bool(first_over >= eps.size - 1),
         target_reflection_sup=target_sup,
         equality_ok=target_sup <= tol_w,
     )
@@ -626,11 +668,6 @@ def _biradial_basis(phi):
         ],
         axis=-1,
     )
-
-
-def biradial_angles():
-    """The twelve extremal longitudes of the biradial demo field (sorted)."""
-    return np.sort(np.concatenate([_BIRADIAL_TARGETS, _BIRADIAL_TARGETS + math.pi]))
 
 
 def biradial_field(grid):

@@ -21,6 +21,7 @@ from sphereq.solver import (
     _mean_coefficients,
     _mean_mode_inverse,
 )
+from sphereq.symmetry import _BIRADIAL_TARGETS
 
 
 class DivergenceError(SphereqError, RuntimeError):
@@ -62,6 +63,11 @@ def reflect_coeffs(coeffs, centres):
     m = np.arange(coeffs.shape[-1])
     phase = np.exp(-2j * np.multiply.outer(np.asarray(centres, dtype=float), m))
     return np.conj(coeffs) * phase[..., None, :]
+
+
+def biradial_angles():
+    """The twelve extremal longitudes of the biradial demo field (sorted)."""
+    return np.sort(np.concatenate([_BIRADIAL_TARGETS, _BIRADIAL_TARGETS + math.pi]))
 
 
 def reflect_phi(field, phi_c):

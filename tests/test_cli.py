@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from sphereq import read_field
+from sphereq import AuditThresholds, detect_axial_extrema, moving_arc_sweep, read_field
 from sphereq.cli import main
 
 
@@ -91,6 +91,20 @@ def test_pipe_gen_into_audit_strict():
     assert "verdict" in proc.stderr
 
 
+def _arcs_printed(err):
+    """The arc count ``arc-sweep`` prints to stderr as 'arcs N'."""
+    (line,) = [x for x in err.splitlines() if x.startswith("arcs ")]
+    return int(line.split()[1])
+
+
+def _arc_count(path, n_eps):
+    """Arcs of the first minimum's +1 sweep of the field at ``path``."""
+    u = read_field(str(path))
+    ext = detect_axial_extrema(u)
+    report = moving_arc_sweep(u, ext, ext.minima_indices[0], 1, AuditThresholds(n_eps=n_eps))
+    return report.epsilons.size
+
+
 def test_arc_sweep_csv_rows(capsys, tmp_path):
     field = tmp_path / "y22.sphf"
     run_cli(
@@ -104,7 +118,9 @@ def test_arc_sweep_csv_rows(capsys, tmp_path):
     )
     assert code == 0
     lines = out_csv.read_text().strip().splitlines()
-    assert len(lines) == 51 and lines[0] == "eps,w_max"
+    arcs = _arcs_printed(err)
+    assert arcs >= 50
+    assert len(lines) == 1 + arcs and lines[0] == "eps,w_max"
     assert "eps_star" in err
 
 
@@ -179,14 +195,20 @@ def test_config_file_defaults_and_override(capsys, tmp_path):
         capsys,
     )
     assert code == 0
-    assert len(sweep.read_text().strip().splitlines()) == 38  # config applied
+    # n_eps is the minimum arc count: at 32x64 the default 100, 37 and 12
+    # take 128, 64 and 32 arcs on the gap of pi/2
+    arcs = _arc_count(field, 37)
+    assert arcs >= 37 and arcs != _arc_count(field, AuditThresholds().n_eps)
+    assert len(sweep.read_text().strip().splitlines()) == 1 + arcs  # config applied
     code, _, _ = run_cli(
         ["--config", str(cfg), "arc-sweep", str(field), "--neps", "12",
          "--out", str(sweep)],
         capsys,
     )
     assert code == 0
-    assert len(sweep.read_text().strip().splitlines()) == 13  # flag wins
+    arcs_flag = _arc_count(field, 12)
+    assert arcs_flag >= 12 and arcs_flag != arcs
+    assert len(sweep.read_text().strip().splitlines()) == 1 + arcs_flag  # flag wins
 
 
 def test_config_unknown_key_exits_2(capsys, tmp_path):

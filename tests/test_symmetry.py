@@ -14,7 +14,6 @@ from sphereq import (
     ContractError,
     DegenerateFieldError,
     ParameterError,
-    biradial_angles,
     biradial_field,
     branch_switch,
     chafee_infante,
@@ -31,7 +30,7 @@ from sphereq import (
     theorem_audit,
 )
 from sphereq.symmetry import _EDGE_TOL, _sector_columns
-from oracles import _atan_elliptic, reflect_phi, rotate_phi
+from oracles import _atan_elliptic, biradial_angles, reflect_phi, rotate_phi
 
 TWO_PI = 2.0 * np.pi
 
@@ -370,11 +369,10 @@ _WIDTHS = st.one_of(
         st.tuples(st.floats(-1.0, TWO_PI + 1.0), _WIDTHS), min_size=1, max_size=12
     ),
 )
-# three full turns at 128x256: 768 pairs, two blocks, and a last slice
-# that is not full
+# three full turns at 128x256, one reflected copy each
 @example(shape=(128, 256), seed=1, nyquist=1.0,
          sectors=[(0.0, TWO_PI), (TWO_PI - 0.1, TWO_PI), (3.0, TWO_PI)])
-# twelve full turns at 48x96: 1152 pairs, three blocks
+# twelve full turns at 48x96
 @example(shape=(48, 96), seed=2, nyquist=0.5,
          sectors=[(0.3 * k, TWO_PI) for k in range(12)])
 # column 0 lies exactly _EDGE_TOL behind the mirror, so it counts as on it
@@ -383,9 +381,9 @@ _WIDTHS = st.one_of(
 @example(shape=(33, 66), seed=3, nyquist=1.0,
          sectors=[(0.0, TWO_PI), (1.0, 0.0), (2.5, 1.3), (6.0, 0.05)])
 def test_reflection_matches_full_field_reflections(shape, seed, nyquist, sectors):
-    """``check_reflection`` evaluates only in-sector columns; the oracle
-    reflects the whole field per centre, masks the open sector
-    (c - width, c) by the kernel's edge rule (a column within ``_EDGE_TOL``
+    """``check_reflection`` reflects the field's ring series; the oracle
+    reflects the field's own rfft per centre, masks the open sector
+    (c - width, c) by the sector rule's edges (a column within ``_EDGE_TOL``
     of either edge is outside) and takes the max.  Random grid values are
     not band limited, and the alternating column adds a Nyquist mode, odd
     on the 33x66 grid."""
@@ -400,8 +398,8 @@ def test_reflection_matches_full_field_reflections(shape, seed, nyquist, sectors
         if width >= TWO_PI - 1e-12:
             inside = np.ones(grid.n_phi, dtype=bool)
         else:
-            # each column's distance from the mirror, computed as the kernel
-            # computes it, and from the far edge, which the kernel reaches
+            # each column's distance from the mirror, computed as the sector
+            # rule computes it, and from the far edge, which the rule reaches
             # through c - width and so rounds differently: no far-edge
             # distance may lie within rounding of _EDGE_TOL
             from_mirror = np.mod(c - phi, TWO_PI)
@@ -554,18 +552,88 @@ def test_sweep_both_directions_agree_for_symmetric_field(grid32):
 
 
 def test_sweep_directions_agree_where_the_mirror_lands_on_a_column():
-    """At 48x96 with 100 arcs, arcs 25, 50 and 75 of every sweep of Y_2^2
-    put the mirror on a grid longitude, where w is rounding noise.  That
-    column stays out of the sector on either side of the mirror, so the
-    two mirror-image directions read the same sector maxima (one of them
-    read about 1e-18 there instead of -2.5e-4)."""
+    """At 48x96 the maxima of Y_2^2 lie on grid longitudes, so the lattice
+    mirror of arc k = 2r, 4r, ... (k counted back from the target) lies on
+    a grid longitude too, where w is rounding noise.  That column stays
+    out of the sector on either side of the mirror, so the two
+    mirror-image directions read the same sector maxima (one of them read
+    about 1e-18 there instead of -2.5e-4)."""
     u = harmonic_mode(make_grid(48, 96), 2, 2)
     ext = detect_axial_extrema(u)
+    h = u.grid.phi_cell
     for seed in ext.minima_indices:
         fwd, bwd = (moving_arc_sweep(u, ext, seed, d) for d in (1, -1))
-        arcs = [24, 49, 74]
-        assert np.all(fwd.w_max[arcs] < -1e-4)
+        eps = fwd.epsilons
+        two_r = round(h / (eps[-1] - eps[-2]))
+        k = np.arange(two_r, eps.size, two_r)
+        arcs = eps.size - 1 - k[eps[eps.size - 1 - k] > 1.5 * h]  # sector holds a column
+        mirrors = fwd.target_angle - (eps[-1] - eps[arcs])
+        assert arcs.size >= 20
+        assert np.max(np.abs(mirrors / h - np.round(mirrors / h))) < 1e-12
+        # from a quarter to three quarters of the gap w stays clear of 0;
+        # within two cells of either end it reads down to about -4.6e-5
+        middle = np.abs(eps[arcs] / eps[-1] - 0.5) <= 0.25 + 1e-12
+        assert np.count_nonzero(middle) >= 13
+        assert np.all(fwd.w_max[arcs[middle]] < -1e-4)
+        assert np.all(fwd.w_max[arcs] < -1e-5)
         assert np.max(np.abs(fwd.w_max[arcs] - bwd.w_max[arcs])) <= 1e-13 * u.span
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n_theta=st.integers(6, 24),
+    half=st.integers(8, 40),
+    shift=st.floats(0.0, np.pi),
+    n_eps=st.integers(2, 150),
+)
+@example(n_theta=16, half=16, shift=0.3, n_eps=100)  # even n_phi / 2
+@example(n_theta=17, half=33, shift=0.3, n_eps=100)  # odd n_phi / 2
+@example(n_theta=8, half=9, shift=0.0, n_eps=2)  # extrema on grid columns
+@example(n_theta=8, half=8, shift=1.0, n_eps=150)  # many mirrors per cell
+def test_sweep_arcs_meet_the_minimum_count_and_spacing(n_theta, half, shift, n_eps):
+    """On grids with an even or an odd n_phi / 2, every sweep has at least
+    n_eps arcs, evenly spaced at most gap / n_eps apart from the first arc
+    on, and its last arc is exactly the gap.  The first minimum's +1 sweep
+    matches the per-eps whole-field reflections at its own arcs."""
+    grid = make_grid(n_theta, 2 * half)
+    u = eval_on_grid(grid, lambda t, p: np.sin(t) * np.cos(2 * (p - shift)))
+    ext = detect_axial_extrema(u)
+    assert ext.kinds_alternate and ext.n == 4
+    thresholds = AuditThresholds(n_eps=n_eps)
+    for seed in ext.minima_indices:
+        for direction in (1, -1):
+            report = moving_arc_sweep(u, ext, seed, direction, thresholds)
+            eps = report.epsilons
+            target = ext.angles[(seed + direction) % ext.n]
+            gap = (direction * (target - ext.angles[seed])) % TWO_PI
+            assert eps.size >= n_eps
+            assert eps[-1] == gap
+            assert eps[0] > 0.0
+            steps = np.diff(np.concatenate([[0.0], eps]))
+            assert np.max(steps) <= gap / n_eps * (1 + 1e-9)
+            assert np.ptp(steps[1:]) <= 1e-12 * gap
+    seed = ext.minima_indices[0]
+    report = moving_arc_sweep(u, ext, seed, 1, thresholds)
+    expected, target_sup = _reference_sweep(u, ext, seed, 1, report.epsilons)
+    assert np.max(np.abs(report.w_max - expected)) <= 1e-13 * u.span
+    assert abs(report.target_reflection_sup - target_sup) <= 1e-13
+
+
+def test_figure1_sweep_exceeds_the_bound_one_spacing_before_the_target():
+    """figure1 at 128x256, swept from the minimum at 15*pi/16 (index 5)
+    toward the next maximum: the arc one lattice spacing (0.0041) before
+    the target reads w_max / span = 4.08e-3, so the sweep does not reach
+    the target.  A sweep of 100 arcs 0.0059 apart stepped over it."""
+    u = biradial_field(make_grid(128, 256))
+    ext = detect_axial_extrema(u)
+    assert ext.kinds[5] == "min" and abs(ext.angles[5] - 15 * np.pi / 16) < 1e-10
+    report = moving_arc_sweep(u, ext, 5, 1)
+    eps = report.epsilons
+    assert eps[-1] - eps[-2] == pytest.approx(0.0041, abs=5e-5)
+    assert report.w_max[-2] / report.span == pytest.approx(4.08e-3, abs=5e-5)
+    assert report.w_max[-2] > report.tol_w * report.span
+    assert report.eps_star < eps[-2]
+    assert not report.reaches_target
 
 
 # ---------------------------------------------------------------------------
@@ -614,15 +682,24 @@ def test_audit_applies_one_laplacian_per_field(grid32, op32, laplacian_calls):
 
 
 @pytest.mark.parametrize(
-    "make_field",
-    [biradial_field, lambda g: harmonic_mode(g, 2, 2), lambda g: harmonic_mode(g, 2, 1)],
+    "make_field, n_irfft",
+    [
+        # 16 + 1 + 12 reflection checks + 88 lattice copies in 12 sweeps
+        (biradial_field, 117),
+        # 16 + 1 + 4 reflection checks + 4 sweeps of 3 lattice copies
+        (lambda g: harmonic_mode(g, 2, 2), 33),
+        # 16 + 1 + 2 reflection checks; saddles, so no sweep
+        (lambda g: harmonic_mode(g, 2, 1), 19),
+    ],
     ids=["figure1", "Y22", "Y21"],
 )
-def test_audit_transforms_the_field_once(make_field, monkeypatch):
-    """One rfft forms the field's ring series and one irfft synthesizes
-    u_phi's refined table from it; the equation residual's Laplacian takes
-    the other pair.  Every other longitude operation (bisection, defects,
-    axis profiles, reflections, sweeps) reads the series."""
+def test_audit_transforms_the_field_once(make_field, n_irfft, monkeypatch):
+    """One rfft forms the field's ring series, and the equation residual's
+    Laplacian takes the other.  Every longitude operation reads the series:
+    the irfft calls are 16 for u_phi's refined table (48 rings, 3 to a
+    block), 1 for the Laplacian, and one per reflected copy: one per
+    extremum for the reflection check and r per sweep, with
+    r = ceil(100 * h / (2 * gap)) for the grid cell h."""
     grid = make_grid(48, 96)
     op = make_operator(grid)
     u = make_field(grid)
@@ -634,7 +711,7 @@ def test_audit_transforms_the_field_once(make_field, monkeypatch):
 
         monkeypatch.setattr(np.fft, name, counted)
     theorem_audit(chafee_infante(6.5), op, u)
-    assert calls == {"rfft": 2, "irfft": 2}
+    assert calls == {"rfft": 2, "irfft": n_irfft}
 
 
 def test_audit_evaluates_F_alone():
@@ -715,7 +792,7 @@ def test_stages_take_their_defaults_from_audit_thresholds(grid32):
     u = harmonic_mode(grid32, 2, 2)
     ext = detect_axial_extrema(u)
     report = moving_arc_sweep(u, ext, 1, 1)
-    assert report.epsilons.size == AuditThresholds().n_eps
+    assert report.epsilons.size >= AuditThresholds().n_eps
     assert report.tol_w == AuditThresholds().tol_w
 
 
@@ -759,21 +836,20 @@ def test_biradial_pi_periodicity():
     assert np.max(np.abs(u.values - np.roll(u.values, half, axis=1))) < 1e-12
 
 
-def _reference_sweep(u, ext, seed_index, direction, n_eps):
-    """Signed sector maxima of w = u - u o R_eps and the normalized sup|w|
-    at the full gap, one full-field reflection per eps about the mirror
-    seed + direction * eps, on the grid longitudes strictly between mirror
-    and seed (the scalar algorithm).  The mirror is counted back from the
-    target as the sweep counts it, so that a grid longitude within rounding
-    of a mirror falls on the same side of it in both."""
-    seed = ext.angles[seed_index]
+def _reference_sweep(u, ext, seed_index, direction, epsilons):
+    """Signed sector maxima of w = u - u o R_eps at each of ``epsilons``
+    and the normalized sup|w| at the last, one full-field reflection per
+    eps about the mirror seed + direction * eps, on the grid longitudes
+    strictly between mirror and seed (the scalar algorithm).  The mirror
+    is counted back from the target as the sweep counts it, so that a grid
+    longitude within rounding of a mirror falls on the same side of it in
+    both."""
     target = ext.angles[(seed_index + direction) % ext.n]
-    gap = (direction * (target - seed)) % TWO_PI
+    gap = epsilons[-1]
     phi = u.grid.phi_nodes
     out = []
-    for k in range(1, n_eps + 1):
-        e = gap * k / n_eps
-        mirror = np.array([target - direction * gap * (n_eps - k) / n_eps])
+    for e in epsilons:
+        mirror = np.array([target - direction * (gap - e)])
         w = u.values - reflect_phi(u, mirror[0]).values
         cols = _sector_columns(phi, mirror, mirror - direction * e)[0]
         out.append(float(w[:, cols].max()) if np.any(cols) else 0.0)
@@ -805,23 +881,25 @@ def _cos2_nyquist_field(grid):
 )
 @pytest.mark.parametrize("direction", [1, -1])
 def test_batched_sweep_matches_per_eps_reflections(shape, field, n_eps, direction):
-    """The batched sweep (one kernel call, in-sector columns only)
-    reproduces the per-eps whole-field reflections; at 128x256, n_eps=100
-    spans several pair blocks."""
+    """The lattice sweep (reflected copies, then gathers of in-sector
+    columns) reproduces the per-eps whole-field reflections at the report's
+    own arcs; at 128x256 the table of reflected columns interleaves two
+    or three copies."""
     u = field(make_grid(*shape))
     ext = detect_axial_extrema(u)
     seed = ext.minima_indices[0]
     report = moving_arc_sweep(u, ext, seed, direction, AuditThresholds(n_eps=n_eps))
-    expected, target_sup = _reference_sweep(u, ext, seed, direction, n_eps)
+    eps = report.epsilons
+    assert eps.size >= n_eps
+    expected, target_sup = _reference_sweep(u, ext, seed, direction, eps)
     assert np.max(np.abs(report.w_max - expected)) <= 1e-13 * u.span
 
     bound = report.tol_w * report.span
     bad = np.nonzero(expected > bound)[0]
-    eps = report.epsilons
     eps_star = eps[-1] if bad.size == 0 else (0.0 if bad[0] == 0 else eps[bad[0] - 1])
     assert report.eps_star == eps_star
-    gap = eps[-1]
-    assert report.reaches_target == (eps_star >= gap * (1.0 - 1.0 / n_eps) - 1e-12)
+    gap, delta = eps[-1], eps[-1] - eps[-2]
+    assert report.reaches_target == (eps_star >= gap - delta - 1e-12)
     assert abs(report.target_reflection_sup - target_sup) <= 1e-13
     assert report.equality_ok == (target_sup <= report.tol_w)
 
