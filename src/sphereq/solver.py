@@ -73,11 +73,20 @@ class Branch:
 #: the trivial state u == 0.
 TRIVIAL_AMPLITUDE = 1e-7
 
-#: GMRES budget of every Newton step's Krylov solve: relative tolerance,
-#: Krylov vectors per restart cycle, and restart cycles.
+#: GMRES budget of every Newton step's Krylov solve: the floor of the
+#: relative tolerance, Krylov vectors per restart cycle, and restart cycles.
+#: The relative tolerance itself is newton_solve's forcing term (Eisenstat
+#: and Walker 1996, choice 2): _FORCING_MAX on the first step, then
+#: _FORCING_GAMMA (r_k / r_{k-1})^2 for residual sup-norms r, clipped to
+#: [_KRYLOV_RTOL, _FORCING_MAX], so each step's linear solve is only as
+#: accurate as the nonlinear decrease it can deliver.  Their safeguard
+#: against a sudden drop, max(eta_k, 0.9 eta_{k-1}^2) once that exceeds
+#: 0.1, never acts under a cap of 1e-2.
 _KRYLOV_RTOL = 1e-10
 _KRYLOV_RESTART = 40
 _KRYLOV_MAX_RESTARTS = 50
+_FORCING_MAX = 1e-2
+_FORCING_GAMMA = 0.9
 
 #: A mean-coefficient half block (even or odd, see ``_mean_mode_inverse``)
 #: whose largest entry times the largest entry of its inverse exceeds this
@@ -271,10 +280,15 @@ def newton_solve(problem, op, guess, tol=1e-9, max_iter=30):
 
     Each step solves the linearized system F_u s + F_q Lap s = -F with the
     package's own restarted GMRES (``gmres``, numpy only) to a true linear
-    residual (2-norm over grid values) of tol / 100 or 1e-10 relative,
+    residual (2-norm over grid values) of tol / 100 or eta_k relative,
     whichever is looser, and raises LinearSolveError when its budget runs
     out; it then applies a damped update with a halving line search on the
-    residual sup-norm.
+    residual sup-norm.  The forcing term eta_k (Eisenstat and Walker 1996,
+    choice 2) is 1e-2 on the first step and
+    min(1e-2, max(1e-10, 0.9 (r_k / r_{k-1})^2)) after it, for the residual
+    sup-norms r of the last two iterates: loose while the residual falls
+    slowly, down to 1e-10 relative once Newton converges fast.  The stop
+    is r <= tol whatever the forcing terms were.
     GMRES is right-preconditioned by the exact per-mode inverse of the
     mean-coefficient operator at the starting iterate (F_u and F_q replaced
     by their sphere means), inverted on the even and odd halves of each
@@ -301,6 +315,7 @@ def newton_solve(problem, op, guess, tol=1e-9, max_iter=30):
 
     u, q, r, r_norm = state(guess)
     precond = None
+    eta = _FORCING_MAX
     iters = 0
     while r_norm > tol:
         if iters == max_iter:
@@ -315,7 +330,7 @@ def newton_solve(problem, op, guess, tol=1e-9, max_iter=30):
             precond = _mean_mode_inverse(
                 op, *_mean_coefficients(problem, u.grid, fu, fq)
             )
-        step = _krylov_solve(fu, fq, precond, -r, _KRYLOV_RTOL, 0.01 * tol)
+        step = _krylov_solve(fu, fq, precond, -r, eta, 0.01 * tol)
         for alpha in 0.5 ** np.arange(12.0):  # 1, 1/2, ..., 2**-11
             trial = state(ScalarField(u.grid, u.values + alpha * step))
             if trial[3] < r_norm:
@@ -326,6 +341,8 @@ def newton_solve(problem, op, guess, tol=1e-9, max_iter=30):
                 last_iterate=u,
                 residual_norm=r_norm,
             )
+        ratio = trial[3] / r_norm
+        eta = min(_FORCING_MAX, max(_KRYLOV_RTOL, _FORCING_GAMMA * ratio * ratio))
         u, q, r, r_norm = trial
         iters += 1
     return Equilibrium(

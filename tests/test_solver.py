@@ -96,6 +96,42 @@ def test_newton_finite_difference_converges_like_spectral():
     assert abs(amplitudes[0] - amplitudes[1]) < 1e-6
 
 
+@pytest.mark.parametrize("realization, amplitude", [
+    ("spectral", 0.363515278601),
+    ("finite-difference", 0.363515241280),
+])
+def test_newton_sizes_each_krylov_solve_by_its_forcing_term(realization, amplitude,
+                                                            monkeypatch):
+    """The README solve: the first step's GMRES stops at 1e-2 relative, later
+    ones at 0.9 (r_k / r_{k-1})^2 within [1e-10, 1e-2], and Newton takes the
+    same 4 steps to the same equilibrium as with every solve at 1e-10, on
+    at most 17 matvecs instead of 28."""
+    rtols = []
+    matvecs = 0
+    real_gmres = solver.gmres
+
+    def gmres(matvec, b, rtol, **kwargs):
+        rtols.append(rtol)
+
+        def counted(v):
+            nonlocal matvecs
+            matvecs += 1
+            return matvec(v)
+
+        return real_gmres(counted, b, rtol=rtol, **kwargs)
+
+    monkeypatch.setattr(solver, "gmres", gmres)
+    g = make_grid(48, 96)
+    mode = harmonic_mode(g, 2, 2)
+    eq = newton_solve(chafee_infante(6.5), make_operator(g, realization),
+                      mode * (0.3 / mode.sup_norm))
+    assert eq.newton_iters == 4
+    assert rtols[0] == 1e-2
+    assert all(1e-10 <= rtol <= 1e-2 for rtol in rtols)
+    assert matvecs <= 17
+    assert eq.amplitude == pytest.approx(amplitude, abs=1e-11)
+
+
 def test_newton_preserves_mirror_symmetry(grid32, op32):
     mode = harmonic_mode(grid32, 2, 2)
     guess = mode * (0.3 / mode.sup_norm)  # even in phi about 0
@@ -334,6 +370,20 @@ def test_newton_converges_from_scaled_guesses(realization, l, m, scale):
         assert eq.amplitude > 0.1
     else:
         assert eq.amplitude < 1e-6
+
+
+@pytest.mark.parametrize("realization", ["spectral", "finite-difference"])
+def test_newton_converges_from_a_far_y41_start(realization):
+    """2.5 times the normal-form Y_4^1 guess 4 past lambda* = 20.  At this
+    start the spectral linear system is beyond GMRES's budget at 1e-10
+    relative (it stagnates on the first step); the first step's forcing
+    term of 1e-2 is within it, and Newton reaches the branch."""
+    grid = make_grid(48, 96)
+    lam, guess = branch_switch(grid, 20.0, 4, 1, dlam0=4.0)
+    eq = newton_solve(chafee_infante(lam), make_operator(grid, realization),
+                      guess * 2.5, tol=1e-9)
+    assert eq.residual_norm <= 1e-9
+    assert eq.amplitude > 0.1
 
 
 def test_solve_audit_and_branch_run_without_scipy(tmp_path):
