@@ -126,16 +126,36 @@ class _StoreGiven(argparse.Action):
         namespace.given = getattr(namespace, "given", ()) + (self.option_strings[0],)
 
 
-#: The kind-specific gen flags each kind reads.
-_GEN_FLAGS = {
-    "harmonic": ("--l", "--m", "--amplitude"),
-    "figure1": (),
-    "perturbed": ("--l", "--m", "--amplitude", "--pl", "--pm", "--eps"),
+#: The variant flags (those stored by _StoreGiven) that each variant of a
+#: subcommand reads, with the argument that picks the variant and the name
+#: a refusal gives it; a variant refuses the others.
+_VARIANT_FLAGS = {
+    "gen": ("kind", "gen %s", {
+        "harmonic": ("--l", "--m", "--amplitude"),
+        "figure1": (),
+        "perturbed": ("--l", "--m", "--amplitude", "--pl", "--pm", "--eps"),
+    }),
+    "solve": ("seed", "solve --seed %s", {
+        "zero": (),
+        "constant": ("--value",),
+        "harmonic": ("--l", "--m", "--amplitude"),
+    }),
 }
 
 
-def _out_handle(path):
-    return sys.stdout if path in (None, "-") else path
+def _refuse_unread_flags(args):
+    """A variant flag given on the command line that the chosen variant
+    does not read is a usage error; one from --config is not, since other
+    subcommands read it."""
+    if args.command not in _VARIANT_FLAGS:
+        return
+    dest, name, reads = _VARIANT_FLAGS[args.command]
+    variant = getattr(args, dest)
+    ignored = sorted(set(getattr(args, "given", ())) - set(reads[variant]))
+    if ignored:
+        raise ParameterError(
+            "%s does not use %s" % (name % variant, ", ".join(ignored))
+        )
 
 
 def build_parser():
@@ -160,7 +180,8 @@ def build_parser():
     sp.add_argument("--lambda-min", type=float, required=True)
     sp.add_argument("--lambda-max", type=float, required=True)
     sp.add_argument("--lmax", type=int, default=3, help="largest harmonic degree")
-    sp.add_argument("--csv", default=None, help="optional CSV output path")
+    sp.add_argument("--csv", default=None,
+                    help="optional CSV output path ('-' = stdout)")
     parsers["bifurcate"] = sp
 
     sp = sub.add_parser("solve", help="single Newton solve from a named seed")
@@ -170,13 +191,16 @@ def build_parser():
         default="harmonic",
         help="initial guess family",
     )
-    sp.add_argument("--value", type=float, default=0.9, help="constant-seed value")
-    sp.add_argument("--l", type=int, default=2)
-    sp.add_argument("--m", type=int, default=2)
-    sp.add_argument("--amplitude", type=float, default=0.3)
+    # a seed that does not read one of these refuses it (_VARIANT_FLAGS)
+    sp.add_argument("--value", type=float, default=0.9, action=_StoreGiven,
+                    help="constant-seed value")
+    sp.add_argument("--l", type=int, default=2, action=_StoreGiven)
+    sp.add_argument("--m", type=int, default=2, action=_StoreGiven)
+    sp.add_argument("--amplitude", type=float, default=0.3, action=_StoreGiven)
     sp.add_argument("--tol", type=float, default=1e-9)
     sp.add_argument("--max-iter", type=int, default=30)
-    sp.add_argument("--out", default=None, help="SPHF output path ('-' = stdout)")
+    sp.add_argument("--out", default=None,
+                    help="SPHF output path ('-' = stdout, the summary then to stderr)")
     parsers["solve"] = sp
 
     sp = sub.add_parser("branch", help="switch onto a bifurcating branch and continue")
@@ -205,8 +229,10 @@ def build_parser():
     sp.add_argument("--midpoint-tol", type=float, default=None)
     sp.add_argument("--neps", type=int, default=None,
                     help="minimum arc count of each moving-arc sweep")
-    sp.add_argument("--json", dest="json_out", default=None, help="JSON report path")
-    sp.add_argument("--extrema-csv", default=None, help="extremum table CSV path")
+    sp.add_argument("--json", dest="json_out", default="-",
+                    help="JSON report path ('-' = stdout)")
+    sp.add_argument("--extrema-csv", default=None,
+                    help="extremum table CSV path ('-' = stdout)")
     sp.add_argument(
         "--strict",
         action="store_true",
@@ -231,7 +257,7 @@ def build_parser():
         choices=("harmonic", "figure1", "perturbed"),
         help="harmonic Y_l^m, the biradial demo field, or a symmetry-broken mix",
     )
-    # a kind that does not read one of these refuses it (_GEN_FLAGS)
+    # a kind that does not read one of these refuses it (_VARIANT_FLAGS)
     sp.add_argument("--l", type=int, default=2, action=_StoreGiven)
     sp.add_argument("--m", type=int, default=2, action=_StoreGiven)
     sp.add_argument("--amplitude", type=float, default=1.0, action=_StoreGiven)
@@ -267,12 +293,6 @@ def build_parser():
     return parser, parsers
 
 
-def _read_input_field(path):
-    if path == "-":
-        return fieldio.read_field(sys.stdin)
-    return fieldio.read_field(path)
-
-
 def _cmd_eigen(args):
     table = trivial_branch_eigenvalues(args.lmax)
     print("l eigenvalue multiplicity")
@@ -290,10 +310,7 @@ def _cmd_bifurcate(args):
     for lam, l in points:
         print("%.12g %d" % (lam, l))
     if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write("lambda_star,l\n")
-            for lam, l in points:
-                fh.write("%.17g,%d\n" % (lam, l))
+        fieldio.write_bifurcation_csv(args.csv, points)
     return 0
 
 
@@ -311,11 +328,13 @@ def _cmd_solve(args):
         guess = mode * (args.amplitude / mode.sup_norm)
     eq = newton_solve(problem, op, guess, tol=args.tol, max_iter=args.max_iter)
     audit = ellipticity_audit(problem, op, eq.u)
-    print("lambda %.12g" % eq.lam)
-    print("residual_norm %.6g" % eq.residual_norm)
-    print("newton_iters %d" % eq.newton_iters)
-    print("amplitude %.12g" % eq.amplitude)
-    print("min_Fq %.6g (%s)" % (audit.min_fq, "ok" if audit.passed else "VIOLATED"))
+    summary = sys.stderr if args.out == "-" else sys.stdout  # stdout holds the field
+    print("lambda %.12g" % eq.lam, file=summary)
+    print("residual_norm %.6g" % eq.residual_norm, file=summary)
+    print("newton_iters %d" % eq.newton_iters, file=summary)
+    print("amplitude %.12g" % eq.amplitude, file=summary)
+    print("min_Fq %.6g (%s)" % (audit.min_fq, "ok" if audit.passed else "VIOLATED"),
+          file=summary)
     if eq.amplitude < TRIVIAL_AMPLITUDE:
         print(
             "sphereq: warning: amplitude %.3g (sup over grid nodes) is below the "
@@ -324,7 +343,7 @@ def _cmd_solve(args):
             file=sys.stderr,
         )
     if args.out is not None:
-        fieldio.write_field(_out_handle(args.out), eq.u)
+        fieldio.write_field(args.out, eq.u)
     return 0
 
 
@@ -375,14 +394,11 @@ def _cmd_branch(args):
 
 def _cmd_audit(args):
     thresholds = _audit_thresholds(args)
-    u = _read_input_field(args.input)
+    u = fieldio.read_field(args.input)
     op = make_operator(u.grid, args.realization)
     problem = problem_from_name(args.problem, args.lam)
     report = theorem_audit(problem, op, u, thresholds)
-    if args.json_out:
-        fieldio.write_report_json(args.json_out, report)
-    else:
-        fieldio.write_report_json(sys.stdout, report)
+    fieldio.write_report_json(args.json_out, report)
     if args.extrema_csv:
         fieldio.write_extrema_csv(args.extrema_csv, report)
     print("verdict %s" % report.verdict, file=sys.stderr)
@@ -393,7 +409,7 @@ def _cmd_audit(args):
 
 def _cmd_arc_sweep(args):
     thresholds = _audit_thresholds(args)
-    u = _read_input_field(args.input)
+    u = fieldio.read_field(args.input)
     ext = detect_axial_extrema(u, thresholds)
     minima = ext.minima_indices
     if not minima:
@@ -406,7 +422,7 @@ def _cmd_arc_sweep(args):
         u, ext, minima[args.min_index], args.direction, thresholds
     )
     if args.out is not None:
-        fieldio.write_arc_csv(_out_handle(args.out), report)
+        fieldio.write_arc_csv(args.out, report)
     print("arcs %d" % report.epsilons.size, file=sys.stderr)
     print("start_angle %.12g" % report.start_angle, file=sys.stderr)
     print("eps_star %.12g" % report.eps_star, file=sys.stderr)
@@ -415,11 +431,6 @@ def _cmd_arc_sweep(args):
 
 
 def _cmd_gen(args):
-    ignored = sorted(set(getattr(args, "given", ())) - set(_GEN_FLAGS[args.kind]))
-    if ignored:
-        raise ParameterError(
-            "gen %s does not use %s" % (args.kind, ", ".join(ignored))
-        )
     _require_finite(args, "amplitude", "eps")
     grid = make_grid(args.ntheta, args.nphi)
     if args.kind == "harmonic":
@@ -430,7 +441,7 @@ def _cmd_gen(args):
         base = harmonic_mode(grid, args.l, args.m)
         pert = harmonic_mode(grid, args.pl, args.pm)
         field = base * args.amplitude + pert * args.eps
-    fieldio.write_field(_out_handle(args.out), field)
+    fieldio.write_field(args.out, field)
     return 0
 
 
@@ -464,11 +475,9 @@ def main(argv=None):
         parser.print_help()
         return 2
     try:
+        _refuse_unread_flags(args)
         return _HANDLERS[args.command](args)
-    except SphereqError as exc:
-        print("sphereq: %s" % exc, file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (OSError, SphereqError) as exc:
         print("sphereq: %s" % exc, file=sys.stderr)
         return 2
 

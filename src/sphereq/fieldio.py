@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from contextlib import contextmanager
 
 import numpy as np
@@ -26,14 +27,16 @@ _FMT = "%.17g"
 
 @contextmanager
 def _opened(path_or_file, mode):
+    """The file every reader and writer here uses: an open file as it is,
+    '-' as stdin (mode 'r') or stdout (mode 'w'), both left open, and any
+    other path opened in ``mode`` and closed after use."""
     if hasattr(path_or_file, "write") or hasattr(path_or_file, "read"):
         yield path_or_file
+    elif path_or_file == "-":
+        yield sys.stdin if mode == "r" else sys.stdout
     else:
-        handle = open(path_or_file, mode)
-        try:
+        with open(path_or_file, mode) as handle:
             yield handle
-        finally:
-            handle.close()
 
 
 def write_field(path_or_file, field):
@@ -48,10 +51,11 @@ def write_field(path_or_file, field):
 
 
 def read_field(path_or_file):
-    """Read an SPHF v1 field, validating header, counts, finiteness, and
-    that the stored colatitudes match the canonical grid family.  Every
-    colatitude and value row passes one row rule: the expected number of
-    tokens, each a number, each finite."""
+    """Read an SPHF v1 field from a path, an open file or '-' (stdin),
+    validating header, counts, finiteness, and that the stored colatitudes
+    match the canonical grid family.  Every colatitude and value row passes
+    one row rule: the expected number of tokens, each a number, each
+    finite."""
     with _opened(path_or_file, "r") as fh:
         lines = fh.read().splitlines()
 
@@ -207,6 +211,14 @@ def write_report_json(path_or_file, report):
     with _opened(path_or_file, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def write_bifurcation_csv(path_or_file, points):
+    """One row per trivial-branch bifurcation point ``(lambda_star, l)``."""
+    with _opened(path_or_file, "w") as fh:
+        fh.write("lambda_star,l\n")
+        for lam, l in points:
+            fh.write("%.17g,%d\n" % (lam, l))
 
 
 def write_arc_csv(path_or_file, arc_report):

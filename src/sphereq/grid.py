@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -70,20 +70,20 @@ def _read_only(a):
     return a
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class GridSpec:
     """Discretization of the sphere: Gauss-Legendre colatitude rings crossed
     with uniform longitudes.
 
     ``theta_nodes`` increase strictly inside (0, pi); ``theta_weights`` are
     the Gauss-Legendre weights in x = cos(theta), so the product quadrature
-    sums to the sphere area 4*pi.
+    sums to the sphere area 4*pi.  Grids compare and hash by their counts.
     """
 
     n_theta: int
     n_phi: int
-    theta_nodes: np.ndarray
-    theta_weights: np.ndarray
+    theta_nodes: np.ndarray = field(compare=False)
+    theta_weights: np.ndarray = field(compare=False)
 
     @property
     def phi_nodes(self):
@@ -97,14 +97,6 @@ class GridSpec:
     def mesh(self):
         """(theta, phi) coordinate matrices of shape (n_theta, n_phi)."""
         return np.meshgrid(self.theta_nodes, self.phi_nodes, indexing="ij")
-
-    def __eq__(self, other):
-        if not isinstance(other, GridSpec):
-            return NotImplemented
-        return self.n_theta == other.n_theta and self.n_phi == other.n_phi
-
-    def __hash__(self):
-        return hash((self.n_theta, self.n_phi))
 
 
 def check_grid_shape(n_theta, n_phi):

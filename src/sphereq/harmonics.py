@@ -148,7 +148,7 @@ def harmonic_mode(grid, l, m):
     on the grid (cosine type for m >= 0, sine type for m < 0)."""
     if abs(m) > l:
         raise ParameterError("order |m|=%d exceeds degree l=%d" % (abs(m), l))
-    _check_resolution(grid, l)
+    _check_resolution(grid, l)  # sht_inverse's check comes after this allocation
     arr = np.zeros((l + 1, 2 * l + 1))
     arr[l, l + m] = 1.0
     return sht_inverse(SpectralCoeffs(l, arr), grid)
@@ -169,26 +169,24 @@ def _fd_theta_tables(theta):
     """Northern rows of the colatitude part u_tt + cot(t) u_t as five-point
     stencils.
 
-    Each pole is extended by two ghost nodes carrying the across-pole
+    The north pole is extended by two ghost nodes carrying the across-pole
     values u(-theta, phi) = u(theta, phi + pi); in the per-mode picture the
-    ghost column folds back onto the first two (last two) rings with the
-    parity (-1)^m.  Every row is then a centered quartic fit, so the scheme
-    is uniformly better than second order even at the polar rings.  The
-    rings are symmetric about the equator, so the southern rows mirror the
-    northern ones and only rows 0 .. ceil(n/2) - 1 are formed.
+    ghost columns fold back onto the first two rings with the parity
+    (-1)^m.  Every row is then a centered quartic fit, so the scheme is
+    uniformly better than second order even at the polar rings.  The rings
+    are symmetric about the equator, so the southern rows mirror the
+    northern ones and only rows 0 .. ceil(n/2) - 1 are formed, which reach
+    no southern ghost.
 
     Returns (B0, G), each of shape (ceil(n/2), n), with the rows of the
     mode-m block equal to B0 + (-1)^m G - m^2 diag(1/sin^2 theta).
     """
     n = theta.size
-    ext = np.concatenate((-theta[1::-1], theta, 2.0 * math.pi - theta[: n - 3 : -1]))
+    ext = np.concatenate((-theta[1::-1], theta))
     cot = np.cos(theta) / np.sin(theta)
     rows = n - n // 2
     b0 = np.zeros((rows, n))
     ghost = np.zeros((rows, n))
-    # ghost columns of the extended grid map onto real rings (with parity):
-    # ext 0 -> ring 1, ext 1 -> ring 0, ext n+2 -> ring n-1, ext n+3 -> ring n-2
-    ghost_map = {0: 1, 1: 0, n + 2: n - 1, n + 3: n - 2}
     for j in range(rows):
         je = j + 2
         xs = ext[je - 2 : je + 3] - ext[je]
@@ -197,10 +195,10 @@ def _fd_theta_tables(theta):
         row = 2.0 * vinv[2] / scale**2 + cot[j] * vinv[1] / scale
         for t in range(5):
             ie = je - 2 + t
-            if 2 <= ie <= n + 1:
+            if ie >= 2:
                 b0[j, ie - 2] += row[t]
-            else:
-                ghost[j, ghost_map[ie]] += row[t]
+            else:  # ghost ext 0 is ring 1 and ext 1 is ring 0, with parity
+                ghost[j, 1 - ie] += row[t]
     return b0, ghost
 
 

@@ -413,8 +413,6 @@ def branch_switch(grid, lam_star, l, m, amplitude=None, side=1, dlam0=0.25):
     branch at phi = 0.  ``lam_star``, ``dlam0`` and a given ``amplitude``
     must be finite, and the amplitude positive.
     """
-    if abs(m) > l:
-        raise ParameterError("order |m|=%d exceeds degree l=%d" % (abs(m), l))
     if side not in (1, -1):
         raise ParameterError("side must be +1 or -1")
     lam_start = lam_star + side * dlam0

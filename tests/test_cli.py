@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, piping, config files,
 and report determinism."""
 
+import io
 import json
 import subprocess
 import sys
@@ -135,6 +136,48 @@ def test_solve_constant_seed(capsys, tmp_path):
     assert "newton_iters" in stdout
     u = read_field(out)
     assert np.max(np.abs(u.values - 1.0)) < 1e-8
+
+
+@pytest.mark.parametrize("realization", ["spectral", "finite-difference"])
+def test_solve_out_dash_keeps_stdout_for_the_field(capsys, tmp_path, realization):
+    """With the field on stdout, as in `solve --out - | audit`, the summary
+    goes to stderr; the field then audits as the README's solve does."""
+    code, out, err = run_cli(
+        ["solve", "--out", "-", "--realization", realization], capsys
+    )
+    assert code == 0
+    field = tmp_path / "eq.sphf"
+    field.write_text(out)
+    read_field(field)
+    for key in ("lambda", "residual_norm", "newton_iters", "amplitude", "min_Fq"):
+        assert any(line.startswith(key + " ") for line in err.splitlines()), key
+    code, _, err = run_cli(
+        ["audit", str(field), "--realization", realization, "--strict"], capsys
+    )
+    assert code == 0 and "verdict pass" in err
+
+
+def test_every_path_argument_reads_dash(capsys, tmp_path, monkeypatch):
+    """'-' is stdin or stdout for each path argument: the report and the
+    extremum table both print, and no file named '-' is made."""
+    monkeypatch.chdir(tmp_path)
+    run_cli(["gen", "harmonic", "--ntheta", "16", "--nphi", "32", "--out", "y22.sphf"],
+            capsys)
+    code, out, _ = run_cli(
+        ["audit", "y22.sphf", "--json", "-", "--extrema-csv", "-"], capsys
+    )
+    assert code == 0
+    assert '"verdict"' in out and "\nindex,angle," in out
+    monkeypatch.setattr("sys.stdin", io.StringIO((tmp_path / "y22.sphf").read_text()))
+    code, _, err = run_cli(["arc-sweep", "-", "--out", "-"], capsys)
+    assert code == 0 and "arcs " in err
+    code, out, _ = run_cli(
+        ["bifurcate", "--lambda-min", "0.5", "--lambda-max", "13", "--lmax", "3",
+         "--csv", "-"],
+        capsys,
+    )
+    assert code == 0 and out.endswith("lambda_star,l\n2,1\n6,2\n12,3\n")
+    assert not (tmp_path / "-").exists()
 
 
 def test_branch_emits_csv_and_sphf(capsys, tmp_path):
@@ -444,6 +487,39 @@ def test_gen_flag_its_kind_ignores_exits_2(capsys, tmp_path, args, ignored):
     assert code == 2 and stdout == ""
     assert "gen %s does not use %s" % (args[0], ignored) in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, ignored",
+    [(["constant", "--l", "5", "--m", "9"], "--l, --m"),
+     (["zero", "--l", "3", "--amplitude", "9"], "--amplitude, --l"),
+     (["zero", "--value", "0.5"], "--value"),
+     (["harmonic", "--value", "2"], "--value")],
+)
+def test_solve_seed_flag_its_seed_ignores_exits_2(capsys, tmp_path, args, ignored):
+    """The constant seed reads only --value, the zero seed no seed flag and
+    the harmonic seed all but --value; such a flag used to change nothing
+    in the solve."""
+    out = tmp_path / "eq.sphf"
+    code, stdout, err = run_cli(
+        ["solve", "--seed"] + args + ["--out", str(out)], capsys
+    )
+    assert code == 2 and stdout == ""
+    assert "solve --seed %s does not use %s" % (args[0], ignored) in err
+    assert not out.exists()
+
+
+def test_solve_accepts_config_keys_its_seed_does_not_read(capsys, tmp_path):
+    """A config file shared by the subcommands may set the harmonic seed's
+    degree and amplitude for a constant-seed solve."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("amplitude = 0.5\nl = 3\nm = 1\n")
+    code, out, _ = run_cli(
+        ["--config", str(cfg), "solve", "--seed", "constant", "--lam", "3",
+         "--ntheta", "16", "--nphi", "32"],
+        capsys,
+    )
+    assert code == 0 and "newton_iters" in out
 
 
 def test_gen_accepts_config_keys_other_subcommands_read(capsys, tmp_path):

@@ -78,6 +78,8 @@ def test_resolution_guards(grid32):
     small = make_grid(8, 16)
     with pytest.raises(ResolutionError):
         harmonic_mode(small, 8, 0)  # 2*l >= n_phi
+    with pytest.raises(ResolutionError):
+        harmonic_mode(small, 10**6, 2)  # refused before a 14.6 TiB table
 
 
 def test_legendre_against_scipy():

@@ -22,7 +22,12 @@ from sphereq import (
     write_field,
     write_report_json,
 )
-from sphereq.fieldio import write_arc_csv, write_branch_csv, write_extrema_csv
+from sphereq.fieldio import (
+    write_arc_csv,
+    write_bifurcation_csv,
+    write_branch_csv,
+    write_extrema_csv,
+)
 from sphereq.solver import Branch, Equilibrium
 from sphereq.symmetry import AuditThresholds, detect_axial_extrema, moving_arc_sweep
 from conftest import random_band_limited
@@ -47,6 +52,28 @@ def test_round_trip_via_stream(grid32):
     u = random_band_limited(grid32, 5, np.random.default_rng(1))
     back = read_field(io.StringIO(_sphf_text(u)))
     assert np.array_equal(back.values, u.values)
+
+
+def test_dash_is_stdin_and_stdout(grid32, tmp_path, monkeypatch, capsys):
+    """'-' reads stdin and writes stdout, for every reader and writer; no
+    file named '-' is made."""
+    monkeypatch.chdir(tmp_path)
+    u = random_band_limited(grid32, 5, np.random.default_rng(2))
+    write_field("-", u)
+    text = capsys.readouterr().out
+    assert text == _sphf_text(u)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert np.array_equal(read_field("-").values, u.values)
+    y22 = harmonic_mode(grid32, 2, 2)
+    report = theorem_audit(chafee_infante(6.5), make_operator(grid32), y22)
+    for write, table in ((write_report_json, report), (write_extrema_csv, report),
+                         (write_arc_csv, report.arc_reports[0]),
+                         (write_bifurcation_csv, [(2.0, 1)])):
+        buf = io.StringIO()
+        write(buf, table)
+        write("-", table)
+        assert capsys.readouterr().out == buf.getvalue()
+    assert not (tmp_path / "-").exists()
 
 
 def test_truncated_file_names_missing_row(grid32):
@@ -246,6 +273,12 @@ def test_branch_csv_row_count(grid32):
     lines = buf.getvalue().strip().splitlines()
     assert lines[0] == "lambda,amplitude,residual_norm,newton_iters"
     assert len(lines) == 8
+
+
+def test_bifurcation_csv_rows():
+    buf = io.StringIO()
+    write_bifurcation_csv(buf, [(2.0, 1), (6.000000000000001, 2)])
+    assert buf.getvalue() == "lambda_star,l\n2,1\n6.0000000000000009,2\n"
 
 
 def test_extrema_csv_header_only_when_empty(grid32):

@@ -966,3 +966,52 @@ def test_mixed_mode_equilibrium_fails_the_hypotheses(realization):
     assert report.extrema.non_axial_critical.size > 0
     assert not report.conclusions_ok
     assert report.verdict == "hypotheses-not-met"
+
+
+def _circular_gap(a, b):
+    """Distance between angles a and b on the circle."""
+    return abs((a - b + math.pi) % TWO_PI - math.pi)
+
+
+#: The sphere's symmetries the audit must commute with, each as a map of
+#: the grid values, of an extremal longitude and of an extremum's kind;
+#: the roll moves every column by 5 cells.
+_COVARIANT_MAPS = {
+    "negate": (lambda v: -v, lambda a, n: a,
+               lambda k: {"max": "min", "min": "max"}.get(k, k)),
+    "flip-theta": (lambda v: v[::-1], lambda a, n: a, lambda k: k),
+    "roll-phi": (lambda v: np.roll(v, 5, axis=1), lambda a, n: a + 5 * TWO_PI / n,
+                 lambda k: k),
+    "mirror-phi": (lambda v: v[:, (-np.arange(v.shape[1])) % v.shape[1]],
+                   lambda a, n: -a, lambda k: k),
+}
+
+
+@pytest.mark.parametrize("realization", ["spectral", "finite-difference"])
+@pytest.mark.parametrize("shape", [(48, 96), (33, 66)], ids=["48x96", "33x66"])
+@pytest.mark.parametrize("field", ["figure1", "Y22", "Y33", "Y21"])
+def test_audit_is_covariant_under_the_sphere_symmetries(field, shape, realization):
+    """u -> -u (for the odd cubic), theta -> pi - theta, a grid rotation and
+    a mirror in phi map equilibria to equilibria and the audited class to
+    itself: each keeps the verdict and the extremum count, and moves every
+    extremal meridian, and its kind, as it moves the field."""
+    grid = make_grid(*shape)
+    op = make_operator(grid, realization)
+    if field == "figure1":
+        problem, u = chafee_infante(6.5), biradial_field(grid)
+    else:
+        l, m = int(field[1]), int(field[2])
+        lam, guess = branch_switch(grid, float(l * (l + 1)), l, m, dlam0=0.5)
+        problem = chafee_infante(lam)
+        u = newton_solve(problem, op, guess, tol=1e-9).u
+    base = theorem_audit(problem, op, u)
+    for name, (values, angle, kind) in _COVARIANT_MAPS.items():
+        moved = theorem_audit(problem, op, ScalarField(grid, values(u.values)))
+        assert moved.verdict == base.verdict, name
+        assert moved.extrema.n == base.extrema.n, name
+        for a, k in zip(base.extrema.angles, base.extrema.kinds):
+            target = angle(a, grid.n_phi)
+            gaps = [_circular_gap(target, b) for b in moved.extrema.angles]
+            nearest = int(np.argmin(gaps))
+            assert gaps[nearest] <= 1e-12, (name, a)
+            assert moved.extrema.kinds[nearest] == kind(k), (name, a)
