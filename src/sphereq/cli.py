@@ -63,16 +63,20 @@ _CONFIG_BOOLEANS = {
 
 
 def _apply_config(parsers, values):
-    """Make the config values the subcommand defaults.  A key that no
-    subcommand accepts, or a value its flag rejects, is an error."""
+    """Make the config values the subcommand defaults.  A key is a flag's
+    long name, with '-' or '_'; a key that no subcommand accepts, or a
+    value its flag rejects, is an error."""
     unknown = set(values)
     for parser in parsers:
         converted = {}
         for action in parser._actions:
-            if action.dest not in values or action.dest == "help":
+            if not action.option_strings or action.dest == "help":
                 continue
-            unknown.discard(action.dest)
-            raw = values[action.dest]
+            key = action.option_strings[-1].lstrip("-").replace("-", "_")
+            if key not in values:
+                continue
+            unknown.discard(key)
+            raw = values[key]
             try:
                 if action.type is not None:
                     value = action.type(raw)
@@ -84,7 +88,7 @@ def _apply_config(parsers, values):
                     raise ValueError
             except (KeyError, ValueError):
                 raise SphereqError(
-                    "config key '%s': invalid value '%s'" % (action.dest, raw)
+                    "config key '%s': invalid value '%s'" % (key, raw)
                 ) from None
             converted[action.dest] = value
         parser.set_defaults(**converted)

@@ -207,19 +207,13 @@ class ScalarField:
 def eval_on_grid(grid, f):
     """Sample the pointwise function f(theta, phi) on every grid node.
 
-    ``f`` may be vectorized over arrays or accept scalars only; both work.
-    A non-finite result raises EvaluationError naming the offending node.
+    ``f`` is called once, on the (theta, phi) coordinate matrices of
+    ``grid.mesh()``, and its result is broadcast to the grid's shape, so
+    a constant fills every node.  A non-finite result raises
+    EvaluationError naming the offending node.
     """
     theta, phi = grid.mesh()
-    try:
-        vals = np.asarray(f(theta, phi), dtype=float)
-        if vals.shape != theta.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        vals = np.empty_like(theta)
-        for j in range(grid.n_theta):
-            for k in range(grid.n_phi):
-                vals[j, k] = f(theta[j, k], phi[j, k])
+    vals = np.broadcast_to(np.asarray(f(theta, phi), dtype=float), theta.shape)
     if not np.all(np.isfinite(vals)):
         j, k = np.argwhere(~np.isfinite(vals))[0]
         raise EvaluationError(

@@ -270,15 +270,10 @@ def detect_axial_extrema(u, thresholds=AuditThresholds()):
     ref = du_l / np.where(norm > 0, norm, 1.0)
     bracketed = (w @ (du_l * ref)) * (w @ (eval_series(du, right[cand]) * ref)) < 0.0
     series = np.einsum("tk,tm->km", w[:, None] * ref[:, bracketed], du)
-    modes = np.arange(series.shape[1])
-
-    def aligned_average(phis):
-        mphi = np.multiply.outer(phis, modes)
-        return (np.einsum("km,km->k", series.real, np.cos(mphi))
-                - np.einsum("km,km->k", series.imag, np.sin(mphi)))
-
     bisect = cand[bracketed]
-    phi_star[bisect] = bisect_roots(aligned_average, left[bisect], right[bisect])
+    phi_star[bisect] = bisect_roots(
+        lambda phis: np.diagonal(eval_series(series, phis)), left[bisect], right[bisect]
+    )
     phi_star %= TWO_PI
     defect = np.full(n_runs, np.inf)
     defect[cand] = np.max(np.abs(eval_series(du, phi_star[cand])), axis=0) / u_phi_sup
@@ -308,18 +303,20 @@ def detect_axial_extrema(u, thresholds=AuditThresholds()):
     )
 
 
-def _sector_columns(phi, mirrors, far_edges):
-    """Mask, one row per sector, of the longitudes ``phi`` strictly between
-    each mirror and its far edge, on either side of it (far_edges - mirrors
-    in [-2*pi, 2*pi]); a sector of 2*pi takes every longitude.  A longitude
-    within ``_EDGE_TOL`` of the mirror or of the far edge counts as on it,
-    so a column that lies on the mirror up to rounding, where w is rounding
-    noise, stays out on either side."""
-    offset = far_edges - mirrors
-    rel = np.mod(np.sign(offset)[:, None] * (phi - mirrors[:, None]), TWO_PI)
-    cols = (rel > _EDGE_TOL) & (rel < np.abs(offset)[:, None] - _EDGE_TOL)
-    cols[np.abs(offset) >= TWO_PI - 1e-12] = True
-    return cols
+def _sector(phi, mirror, side, width):
+    """The indices of the longitudes ``phi`` inside the sector of ``width``
+    (in [0, 2*pi]) that ends at the meridian ``mirror`` on its ``side``,
+    and each one's distance x = (side * (mirror - phi)) mod 2*pi from the
+    mirror: side +1 is the sector (mirror - width, mirror), side -1 the
+    sector (mirror, mirror + width).  A longitude is inside when
+    _EDGE_TOL < x < width - _EDGE_TOL, so one within ``_EDGE_TOL`` of the
+    mirror, where w is rounding noise, or of the far edge counts as on it;
+    a width of 2*pi takes every longitude."""
+    x = np.mod(side * (mirror - phi), TWO_PI)
+    if width >= TWO_PI - 1e-12:
+        return np.arange(phi.size), x
+    cols = np.flatnonzero((x > _EDGE_TOL) & (x < width - _EDGE_TOL))
+    return cols, x[cols]
 
 
 def _reflection(u, mirror):
@@ -340,9 +337,10 @@ def _reflection(u, mirror):
 
 
 def check_reflection(u, centres, widths):
-    """Sup of |u - u o R_c| over the grid longitudes strictly inside the
-    sector (c - width, c) that ends at the mirror meridian c, divided by
-    the field span when it is positive.
+    """Sup of |u - u o R_c| over the grid longitudes of the sector
+    (c - width, c) that ends at the mirror meridian c, divided by the field
+    span when it is positive: those at distance x = (c - phi) mod 2*pi from
+    c with _EDGE_TOL < x < width - _EDGE_TOL (``_sector``).
 
     ``centres`` is one finite longitude or an array of them, and ``widths``,
     each in [0, 2*pi], broadcasts against it.  A width of 2*pi takes every
@@ -357,13 +355,13 @@ def check_reflection(u, centres, widths):
         raise ParameterError("sector centres must be finite")
     if not np.all((widths >= 0.0) & (widths <= TWO_PI + 1e-12)):
         raise ParameterError("sector width is negative, over 2*pi or not finite")
-    flat = centres.ravel()
-    inside = _sector_columns(u.grid.phi_nodes, flat, flat - widths.ravel())
-    out = np.zeros(flat.size)
-    for i in np.flatnonzero(inside.any(axis=1)):
-        cols = inside[i]
-        w = u.values[:, cols] - _reflection(u, flat[i])[:, cols]
-        out[i] = np.max(np.abs(w))
+    phi = u.grid.phi_nodes
+    out = np.zeros(centres.size)
+    for i, (c, width) in enumerate(zip(centres.ravel(), widths.ravel())):
+        cols, _ = _sector(phi, c, 1, width)
+        if cols.size:
+            w = u.values[:, cols] - _reflection(u, c)[:, cols]
+            out[i] = np.max(np.abs(w))
     span = u.span
     if span > 0:
         out /= span
@@ -377,54 +375,48 @@ def _lattice_sweep(u, target, direction, gap, n_eps):
 
     With h the grid cell and r = ceil(n_eps * h / (2 * gap)), arc k mirrors
     about c_k = target - direction * k * delta, delta = h / (2r), for every
-    k with a positive eps = gap - k * delta.  With k = q * r + s,
+    k with a positive eps_k = gap - k * delta.  The gap's columns, at
+    distances x from the target, are one ``_sector``; arc k holds column j
+    when gap - eps_k < x_j - _EDGE_TOL.  gap - eps_k never decreases in
+    floating point, so the arcs holding a column are a run from arc 0,
+    ``held`` of them.  With k = q * r + s,
     2 c_k - phi_j = 2 c_s - phi_{j + direction * q}: arc k reflects column
     j onto column j + direction * q of the copy reflected about c_s.  The
-    copies' columns go into one table, counted from the seed's end of the
-    gap and interleaved by s, so the reflected values of the gap's column
-    i for arcs 0, 1, 2, ... are one run of the table from row i * r on.
-    Arcs nest, so the arcs that hold a column are a run from arc 0; each
-    column takes one slice of the table, one subtraction and one max over
-    the rings."""
+    copies' columns go into one table, counted from the gap column next to
+    the seed (the farthest from the target) and interleaved by s, so the
+    reflected values of the gap's column i for arcs 0, 1, 2, ... are one
+    run of the table from row i * r on.  Each column takes one slice of
+    the table, one subtraction and one max over the rings."""
     h = u.grid.phi_cell
     r = math.ceil(n_eps * h / (2.0 * gap))
     delta = h / (2 * r)
-    k = np.arange(math.ceil(gap / delta - 1e-9))
-    eps = gap - k * delta
-    mirrors = target - direction * k * delta
-    far_edges = mirrors - direction * eps
-    # every arc's sector lies inside arc 0's, the whole gap
-    phi = u.grid.phi_nodes
-    in_gap = _sector_columns(phi, mirrors[:1], far_edges[:1])[0]
-    inside = _sector_columns(phi[in_gap], mirrors, far_edges)
-
+    eps = gap - np.arange(math.ceil(gap / delta - 1e-9)) * delta
     n_arcs = eps.size
     hi = np.zeros(n_arcs)
-    columns = np.flatnonzero(in_gap)
+    phi = u.grid.phi_nodes
+    columns, x = _sector(phi, target, direction, gap)
     if not columns.size:
         return eps[::-1], hi, 0.0
+    held = np.searchsorted(gap - eps, x - _EDGE_TOL)
     r = min(r, n_arcs)
     # each gap column's offset from the one next to the seed
     n_phi = phi.size
-    start = np.flatnonzero(in_gap & ~np.roll(in_gap, direction))
-    first = start[0] if start.size else 0
+    first = columns[np.argmax(x)]
     offset = (direction * (columns - first)) % n_phi
-    held = n_arcs - np.argmax(inside[::-1], axis=0)
-
     n_table = int(np.max(offset - (-held // r)))
     table_columns = (first + direction * np.arange(n_table)) % n_phi
     table = np.empty((n_table, r, u.grid.n_theta))
     for s in range(r):
-        table[:, s] = _reflection(u, mirrors[s])[:, table_columns].T
+        table[:, s] = _reflection(u, target - direction * s * delta)[:, table_columns].T
     table = table.reshape(n_table * r, -1)
     values = u.values.T[columns]
 
-    hi[inside.any(axis=1)] = -np.inf
+    hi[:held.max()] = -np.inf
     for c, (i, n) in enumerate(zip(offset.tolist(), held.tolist())):
         w = np.subtract(values[c], table[i * r:i * r + n])
-        np.maximum(hi[:n], w.max(axis=1), out=hi[:n], where=inside[:n, c])
-    w = values[inside[0]] - table[offset[inside[0]] * r]
-    return eps[::-1], hi[::-1], float(np.max(np.abs(w), initial=0.0))
+        np.maximum(hi[:n], w.max(axis=1), out=hi[:n])
+    w = values - table[offset * r]
+    return eps[::-1], hi[::-1], float(np.max(np.abs(w)))
 
 
 @dataclass(frozen=True)
@@ -471,9 +463,14 @@ def moving_arc_sweep(u, ext, seed_index, direction, thresholds=AuditThresholds()
     cell and r = ceil(n_eps * h / (2 * gap)), the mirror of arc k is
     target - direction * k * h / (2r), for every k with a positive eps, so
     the arcs are at most gap / n_eps apart and the last one is the full
-    gap, whose sup|w| is the end-of-gap reflection defect.  Each arc takes
-    the field's own grid longitudes strictly between mirror and seed, and
-    its reflected values are columns of r reflected copies of the field,
+    gap, whose sup|w| is the end-of-gap reflection defect.  The gap's grid
+    longitudes are decided once, by their distance x from the target: those
+    with _EDGE_TOL < x < gap - _EDGE_TOL (``_sector``, the rule
+    ``check_reflection`` uses).  The arc eps holds those with
+    gap - eps < x - _EDGE_TOL, more than _EDGE_TOL farther from the target
+    than its mirror, so each arc's sector contains every smaller arc's, and
+    the arcs holding a column are a counted run from the full gap down.
+    Their reflected values are columns of r reflected copies of the field,
     one per mirror within a half cell of the target (``_lattice_sweep``);
     ``check_reflection`` makes its copies the same way.  Reflections are
     trigonometric interpolation, so off-grid mirrors are exact for

@@ -267,6 +267,24 @@ def test_config_unknown_key_exits_2(capsys, tmp_path):
     assert not out.exists()
 
 
+def test_config_key_is_the_flag_name_not_its_dest(capsys, tmp_path):
+    """``audit --json`` stores its path as ``json_out``; the config key is
+    the flag's name, ``json`` (the key ``json = r.json`` used to exit 2 as
+    unknown), and the dest is no key."""
+    field = tmp_path / "y22.sphf"
+    run_cli(["gen", "harmonic", "--ntheta", "16", "--nphi", "32", "--out", str(field)],
+            capsys)
+    report = tmp_path / "r.json"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("json = %s\n" % report)
+    code, out, _ = run_cli(["--config", str(cfg), "audit", str(field)], capsys)
+    assert code == 0 and out == ""
+    assert json.loads(report.read_text())["verdict"] == "pass"
+    cfg.write_text("json_out = %s\n" % report)
+    code, _, err = run_cli(["--config", str(cfg), "audit", str(field)], capsys)
+    assert code == 2 and "unknown config key: json_out" in err
+
+
 def test_config_bad_value_exits_2(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("ntheta = abc\n")

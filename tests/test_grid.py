@@ -84,14 +84,6 @@ def test_eval_constant_and_zonal(grid32):
     assert np.max(np.abs(zonal.values - zonal.values[:, :1])) == 0.0
 
 
-def test_eval_scalar_only_callable(grid32):
-    import math
-
-    f = eval_on_grid(grid32, lambda t, p: math.sin(t) * math.cos(p))
-    ref = eval_on_grid(grid32, lambda t, p: np.sin(t) * np.cos(p))
-    assert np.allclose(f.values, ref.values, atol=0)
-
-
 def test_eval_nonfinite_names_node(grid32):
     def bad(t, p):
         return np.where((t < 0.2) & (p < 0.2), np.inf, 1.0)

@@ -29,7 +29,7 @@ from sphereq import (
     SymmetryReport,
     theorem_audit,
 )
-from sphereq.symmetry import _EDGE_TOL, _sector_columns
+from sphereq.symmetry import _EDGE_TOL, _sector
 from oracles import _atan_elliptic, biradial_angles, reflect_phi, rotate_phi
 
 TWO_PI = 2.0 * np.pi
@@ -399,9 +399,10 @@ def test_reflection_matches_full_field_reflections(shape, seed, nyquist, sectors
             inside = np.ones(grid.n_phi, dtype=bool)
         else:
             # each column's distance from the mirror, computed as the sector
-            # rule computes it, and from the far edge, which the rule reaches
-            # through c - width and so rounds differently: no far-edge
-            # distance may lie within rounding of _EDGE_TOL
+            # rule computes it, and from the far edge, which the rule does
+            # not form (it compares the first with width - _EDGE_TOL) and so
+            # rounds differently: no far-edge distance may lie within
+            # rounding of _EDGE_TOL
             from_mirror = np.mod(c - phi, TWO_PI)
             from_far_edge = width - from_mirror
             assume(np.all(np.abs(from_far_edge - _EDGE_TOL) > 1e-13))
@@ -590,6 +591,12 @@ def test_sweep_directions_agree_where_the_mirror_lands_on_a_column():
 @example(n_theta=17, half=33, shift=0.3, n_eps=100)  # odd n_phi / 2
 @example(n_theta=8, half=9, shift=0.0, n_eps=2)  # extrema on grid columns
 @example(n_theta=8, half=8, shift=1.0, n_eps=150)  # many mirrors per cell
+# extrema 1e-9 off grid columns, less rounding, so a column lies within
+# rounding of _EDGE_TOL of each seed minimum and each target maximum (n_phi =
+# 68) or of each target alone (n_phi = 18): the sweep decides it once for the
+# whole gap, and the reference decides it the same way
+@example(n_theta=6, half=34, shift=1e-9, n_eps=2)
+@example(n_theta=6, half=9, shift=1e-9, n_eps=2)
 def test_sweep_arcs_meet_the_minimum_count_and_spacing(n_theta, half, shift, n_eps):
     """On grids with an even or an odd n_phi / 2, every sweep has at least
     n_eps arcs, evenly spaced at most gap / n_eps apart from the first arc
@@ -839,21 +846,21 @@ def test_biradial_pi_periodicity():
 def _reference_sweep(u, ext, seed_index, direction, epsilons):
     """Signed sector maxima of w = u - u o R_eps at each of ``epsilons``
     and the normalized sup|w| at the last, one full-field reflection per
-    eps about the mirror seed + direction * eps, on the grid longitudes
-    strictly between mirror and seed (the scalar algorithm).  The mirror
-    is counted back from the target as the sweep counts it, so that a grid
-    longitude within rounding of a mirror falls on the same side of it in
-    both."""
+    eps about the mirror seed + direction * eps (the scalar algorithm).
+    The mirror is counted back from the target as the sweep counts it, and
+    the sector is the sweep's: the gap's grid longitudes (``_sector``), of
+    which the arc eps holds those whose distance x from the target exceeds
+    gap - eps by more than ``_EDGE_TOL``.  So a grid longitude within
+    rounding of an edge falls on the same side of it in both."""
     target = ext.angles[(seed_index + direction) % ext.n]
     gap = epsilons[-1]
-    phi = u.grid.phi_nodes
+    cols, x = _sector(u.grid.phi_nodes, target, direction, gap)
     out = []
     for e in epsilons:
-        mirror = np.array([target - direction * (gap - e)])
-        w = u.values - reflect_phi(u, mirror[0]).values
-        cols = _sector_columns(phi, mirror, mirror - direction * e)[0]
-        out.append(float(w[:, cols].max()) if np.any(cols) else 0.0)
-    target_sup = float(np.abs(w[:, cols]).max()) / u.span
+        w = u.values - reflect_phi(u, target - direction * (gap - e)).values
+        held = cols[gap - e < x - _EDGE_TOL]
+        out.append(float(w[:, held].max()) if held.size else 0.0)
+    target_sup = float(np.abs(w[:, held]).max()) / u.span
     return np.array(out), target_sup
 
 
