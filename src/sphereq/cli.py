@@ -100,12 +100,13 @@ def _apply_config(parsers, values):
 
 
 def _audit_thresholds(args):
-    """One AuditThresholds from the threshold flags the subcommand has.  The
-    flags default to None, which keeps the dataclass default; the dataclass
-    alone validates what is given."""
+    """One AuditThresholds from the threshold flags the subcommand has,
+    each stored under its field's name.  The flags default to None, which
+    keeps the dataclass default; the dataclass alone validates what is
+    given."""
     given = {}
     for field in dataclasses.fields(AuditThresholds):
-        value = getattr(args, "neps" if field.name == "n_eps" else field.name, None)
+        value = getattr(args, field.name, None)
         if value is not None:
             given[field.name] = value
     return AuditThresholds(**given)
@@ -225,14 +226,9 @@ def build_parser():
     parsers["branch"] = sp
 
     sp = sub.add_parser("audit", help="run the symmetry audit on an SPHF field")
-    sp.add_argument("input", nargs="?", default="-", help="SPHF path or '-' (stdin)")
     # audit thresholds: None keeps the AuditThresholds default
-    sp.add_argument("--tol-ax", type=float, default=None)
     sp.add_argument("--tol-lvl", type=float, default=None)
-    sp.add_argument("--tol-w", type=float, default=None)
     sp.add_argument("--midpoint-tol", type=float, default=None)
-    sp.add_argument("--neps", type=int, default=None,
-                    help="minimum arc count of each moving-arc sweep")
     sp.add_argument("--json", dest="json_out", default="-",
                     help="JSON report path ('-' = stdout)")
     sp.add_argument("--extrema-csv", default=None,
@@ -245,13 +241,8 @@ def build_parser():
     parsers["audit"] = sp
 
     sp = sub.add_parser("arc-sweep", help="single moving-arc sweep, CSV of eps vs w_max")
-    sp.add_argument("input", nargs="?", default="-", help="SPHF path or '-' (stdin)")
     sp.add_argument("--min-index", type=int, default=0, help="index among detected minima")
     sp.add_argument("--direction", type=int, choices=(1, -1), default=1)
-    sp.add_argument("--neps", type=int, default=None,
-                    help="minimum arc count of the sweep (printed as 'arcs N')")
-    sp.add_argument("--tol-w", type=float, default=None)
-    sp.add_argument("--tol-ax", type=float, default=None)
     sp.add_argument("--out", default=None, help="CSV output path ('-' = stdout)")
     parsers["arc-sweep"] = sp
 
@@ -294,6 +285,15 @@ def build_parser():
         )
     for sp in [parsers[n] for n in ("solve", "audit")]:
         sp.add_argument("--lam", type=float, default=6.5, help="parameter lambda")
+    for sp in [parsers[n] for n in ("audit", "arc-sweep")]:
+        sp.add_argument("input", nargs="?", default="-", help="SPHF path or '-' (stdin)")
+        # audit thresholds: None keeps the AuditThresholds default
+        sp.add_argument("--tol-ax", type=float, default=None)
+        sp.add_argument("--tol-w", type=float, default=None)
+        sp.add_argument("--neps", dest="n_eps", metavar="NEPS", type=int,
+                        default=None,
+                        help="minimum arc count of each moving-arc sweep "
+                        "(arc-sweep prints the count it took as 'arcs N')")
     return parser, parsers
 
 

@@ -179,7 +179,7 @@ def report_to_dict(report):
         "midpoint": {
             "defects": [_num(d) for d in ext.midpoint_defects],
             "max_defect": _num(max(ext.midpoint_defects, default=math.nan)),
-            "tol": _num(report.midpoint_tol),
+            "tol": _num(report.thresholds.midpoint_tol),
             "applicable": report.midpoint_applicable,
             "passed": report.midpoint_passed,
         },

@@ -86,19 +86,12 @@ class SpectralCoeffs:
             raise ParameterError("no coefficient (l=%d, m=%d)" % (l, m))
         return float(self.coeffs[l, self.degree_cap + m])
 
-    def power(self):
-        """Sum of squared coefficients (equals integral of u^2 by Parseval)."""
-        return float(np.sum(self.coeffs**2))
-
 
 def _check_resolution(grid, L):
-    if L > grid.n_theta - 1:
+    if L > max_degree(grid):
         raise ResolutionError(
-            "degree cap %d needs at least %d colatitude rings" % (L, L + 1)
-        )
-    if 2 * L >= grid.n_phi:
-        raise ResolutionError(
-            "degree cap %d needs more than %d longitudes" % (L, 2 * L)
+            "degree %d needs at least %d colatitude rings and %d longitudes; "
+            "the grid has %d and %d" % (L, L + 1, 2 * L + 2, grid.n_theta, grid.n_phi)
         )
 
 
@@ -176,17 +169,19 @@ def _fd_theta_tables(theta):
     uniformly better than second order even at the polar rings.  The rings
     are symmetric about the equator, so the southern rows mirror the
     northern ones and only rows 0 .. ceil(n/2) - 1 are formed, which reach
-    no southern ghost.
+    no southern ghost.  Only rows 0 and 1 reach a ghost, which folds onto
+    rings 0 and 1.
 
-    Returns (B0, G), each of shape (ceil(n/2), n), with the rows of the
-    mode-m block equal to B0 + (-1)^m G - m^2 diag(1/sin^2 theta).
+    Returns (B0, G): B0 of shape (ceil(n/2), n) and G the 2x2 ghost corner
+    on rings 0 and 1, with the rows of the mode-m block equal to
+    B0 + (-1)^m G - m^2 diag(1/sin^2 theta), G added to that corner.
     """
     n = theta.size
     ext = np.concatenate((-theta[1::-1], theta))
     cot = np.cos(theta) / np.sin(theta)
     rows = n - n // 2
     b0 = np.zeros((rows, n))
-    ghost = np.zeros((rows, n))
+    ghost = np.zeros((2, 2))
     for j in range(rows):
         je = j + 2
         xs = ext[je - 2 : je + 3] - ext[je]
@@ -213,14 +208,13 @@ class OperatorHandle:
     ``blocks`` is the pair (even, odd): ``even[m]`` is the real
     ceil(n_theta/2)-square block acting on the even fold of mode m
     (``apply_mode_blocks``), ``odd[m]`` the floor(n_theta/2)-square block
-    acting on its odd fold.  ``degree_cap`` bounds the spectral blocks,
-    which are zero for m above it.  Immutable (both halves are read-only)
-    and shareable across threads.
+    acting on its odd fold.  The spectral blocks are zero for m above
+    ``max_degree(grid)``.  Immutable (both halves are read-only) and
+    shareable across threads.
     """
 
     grid: object
     realization: str
-    degree_cap: int
     blocks: tuple
 
 
@@ -250,19 +244,23 @@ def _spectral_blocks(grid, degree_cap):
 
 def _fd_blocks(grid):
     """Even and odd halves of B0 + (-1)^m G - m^2 diag(1/sin^2 theta) per
-    mode, folded from the northern rows: column k of a half adds (even) or
-    subtracts (odd) the column of the mirror ring n_theta - 1 - k."""
+    mode.  B0 is folded from the northern rows once: column k of a half
+    adds (even) or subtracts (odd) the column of the mirror ring
+    n_theta - 1 - k.  The ghost corner G sits on rings 0 and 1, which no
+    fold reaches (n_theta >= 4), so each mode adds (-1)^m G to the corner
+    of its copy of the folded B0."""
     n_theta, h = grid.n_theta, grid.n_theta // 2
-    tables = np.stack(_fd_theta_tables(grid.theta_nodes))
-    mirror = tables[:, :, : n_theta - h - 1 : -1]
+    b0, corner = _fd_theta_tables(grid.theta_nodes)
+    mirror = b0[:, : n_theta - h - 1 : -1]
     m = np.arange(grid.n_phi // 2 + 1)
     parity = 1.0 - 2.0 * (m % 2)
     inv_sin2 = 1.0 / np.sin(grid.theta_nodes) ** 2
     halves = []
     for sign, size in ((1.0, n_theta - h), (-1.0, h)):
-        folded = tables[:, :size, :size].copy()
-        folded[:, :, :h] += sign * mirror[:, :size]
-        blocks = folded[0] + parity[:, None, None] * folded[1]
+        folded = b0[:size, :size].copy()
+        folded[:, :h] += sign * mirror[:size]
+        blocks = np.repeat(folded[None], m.size, axis=0)
+        blocks[:, :2, :2] += parity[:, None, None] * corner
         ring = np.arange(size)
         blocks[:, ring, ring] -= np.outer(m * m, inv_sin2[:size])
         halves.append(blocks)
@@ -277,14 +275,13 @@ def make_operator(grid, realization="spectral"):
     """
     if realization not in ("spectral", "finite-difference"):
         raise ParameterError("unknown realization %r" % (realization,))
-    degree_cap = max_degree(grid)
     if realization == "spectral":
-        blocks = _spectral_blocks(grid, degree_cap)
+        blocks = _spectral_blocks(grid, max_degree(grid))
     else:
         blocks = _fd_blocks(grid)
     for half in blocks:
         half.setflags(write=False)
-    return OperatorHandle(grid, realization, degree_cap, blocks)
+    return OperatorHandle(grid, realization, blocks)
 
 
 def apply_mode_blocks(blocks, values):

@@ -60,14 +60,6 @@ class Branch:
     def __getitem__(self, i):
         return self.points[i]
 
-    @property
-    def lams(self):
-        return np.array([p.lam for p in self.points])
-
-    @property
-    def amplitudes(self):
-        return np.array([p.amplitude for p in self.points])
-
 
 #: Amplitude (sup|u| over the grid nodes) below which a solve has landed on
 #: the trivial state u == 0.

@@ -27,7 +27,7 @@ candidates in lockstep.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -547,14 +547,15 @@ class SymmetryReport:
     ``equilibrium_residual``, sup|F(u, Lap u)|, is informational: it also
     bounds the residual a * Lap w + b * w = r - r o R of the averaged
     linear equation of every reflection difference, by twice its value up
-    to the trigonometric interpolation of r off the grid."""
+    to the trigonometric interpolation of r off the grid.  ``thresholds``
+    are the ones the audit applied, so ``thresholds.midpoint_tol`` is a
+    number (``theorem_audit`` resolves its default)."""
 
     extrema: AxialExtremumSet
     reflection_defects: np.ndarray
     arc_reports: tuple
     equilibrium_residual: float
     thresholds: AuditThresholds
-    midpoint_tol: float
 
     @property
     def leveled_applicable(self):
@@ -577,7 +578,8 @@ class SymmetryReport:
     @property
     def midpoint_passed(self):
         d = self.extrema.midpoint_defects
-        return self.midpoint_applicable and bool(np.all(d <= self.midpoint_tol))
+        tol = self.thresholds.midpoint_tol
+        return self.midpoint_applicable and bool(np.all(d <= tol))
 
     @property
     def hypotheses_met(self):
@@ -607,9 +609,11 @@ def theorem_audit(problem, op, u, thresholds=AuditThresholds()):
     equation residual of u itself (informational, ``problems.residual``:
     one application of Lap to u and one evaluation of F).  Requires a
     nonconstant, nontrivial field.  Only measures: the report derives
-    every pass flag and the verdict."""
-    mid = thresholds.midpoint_tol
-    midpoint_tol = u.grid.phi_cell if mid is None else mid
+    every pass flag and the verdict.  The report's thresholds are the
+    given ones with ``midpoint_tol`` None resolved to the grid's longitude
+    cell."""
+    if thresholds.midpoint_tol is None:
+        thresholds = replace(thresholds, midpoint_tol=u.grid.phi_cell)
     ext = detect_axial_extrema(u, thresholds)
     eq_residual = residual(problem, op, u).sup_norm
 
@@ -627,7 +631,6 @@ def theorem_audit(problem, op, u, thresholds=AuditThresholds()):
         arc_reports=arc_reports,
         equilibrium_residual=eq_residual,
         thresholds=thresholds,
-        midpoint_tol=midpoint_tol,
     )
 
 

@@ -659,3 +659,63 @@ def test_config_boolean_words(capsys, tmp_path, word, code):
         assert "'strict': invalid value '%s'" % word in err and out == ""
     else:
         assert "hypotheses-not-met" in out
+
+
+@pytest.mark.parametrize("realization", ["spectral", "finite-difference"])
+def test_solve_zero_seed_warns_of_the_trivial_state(capsys, realization):
+    code, out, err = run_cli(
+        ["solve", "--seed", "zero", "--ntheta", "16", "--nphi", "32",
+         "--realization", realization],
+        capsys,
+    )
+    assert code == 0
+    assert "amplitude 0\n" in out
+    assert "warning: amplitude 0 (sup over grid nodes) is below the " \
+        "trivial-state floor" in err
+
+
+def test_config_comments_and_blank_lines_are_skipped(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# defaults\n\nlmax = 1  # two rows\n")
+    code, out, _ = run_cli(["--config", str(cfg), "eigen"], capsys)
+    assert code == 0 and out.splitlines()[1:] == ["0 0 1", "1 -2 3"]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("lmax\n", "%s:1: expected 'key = value'"),
+    ("# a comment\n\nlmax 2\n", "%s:3: expected 'key = value'"),
+    ("realization = bogus\n", "config key 'realization': invalid value 'bogus'"),
+])
+def test_config_malformed_line_or_value_exits_2(capsys, tmp_path, text, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    code, out, err = run_cli(["--config", str(cfg), "eigen"], capsys)
+    assert code == 2 and out == ""
+    assert message.replace("%s", str(cfg)) in err
+
+
+@pytest.mark.parametrize("gen_args, sweep_args, message", [
+    (["--l", "2", "--m", "0"], [], "no axial minima detected"),
+    (["--l", "2", "--m", "2"], ["--min-index", "5"],
+     "--min-index 5 out of range (2 minima)"),
+])
+def test_arc_sweep_without_the_asked_minimum_exits_2(
+    capsys, tmp_path, gen_args, sweep_args, message
+):
+    field = tmp_path / "y.sphf"
+    run_cli(["gen", "harmonic", *gen_args, "--ntheta", "16", "--nphi", "32",
+             "--out", str(field)], capsys)
+    code, out, err = run_cli(["arc-sweep", str(field), *sweep_args], capsys)
+    assert code == 2 and out == ""
+    assert message in err
+
+
+def test_branch_start_on_the_trivial_branch_exits_2(capsys, tmp_path):
+    code, out, err = run_cli(
+        ["branch", "--l", "2", "--m", "2", "--amplitude", "1e-6",
+         "--ntheta", "24", "--nphi", "48", "--outdir", str(tmp_path)],
+        capsys,
+    )
+    assert code == 2 and out == ""
+    assert "Newton fell back to the trivial branch" in err
+    assert not list(tmp_path.iterdir())

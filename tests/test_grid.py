@@ -32,6 +32,9 @@ def test_gauss_legendre_matches_numpy():
         xr, wr = np.polynomial.legendre.leggauss(n)
         assert np.max(np.abs(x - xr)) < 1e-14
         assert np.max(np.abs(w - wr)) < 1e-14
+    # one node: the Newton iteration lands on the midpoint exactly
+    assert gauss_legendre(1)[0].tolist() == [0.0]
+    assert gauss_legendre(1)[1].tolist() == [2.0]
 
 
 def test_grids_share_one_read_only_rule():

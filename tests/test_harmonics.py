@@ -16,6 +16,7 @@ from sphereq import (
     integrate,
     make_grid,
     make_operator,
+    max_degree,
     sht_forward,
     sht_inverse,
     trivial_branch_eigenvalues,
@@ -68,7 +69,7 @@ def test_parseval(grid32):
     u = random_band_limited(grid32, 10, rng)
     coeffs = sht_forward(u, 10)
     power = integrate(u * u)
-    assert coeffs.power() == pytest.approx(power, rel=1e-10)
+    assert np.sum(coeffs.coeffs**2) == pytest.approx(power, rel=1e-10)
 
 
 def test_resolution_guards(grid32):
@@ -77,9 +78,22 @@ def test_resolution_guards(grid32):
         sht_forward(u, 32)  # needs n_theta >= 33
     small = make_grid(8, 16)
     with pytest.raises(ResolutionError):
-        harmonic_mode(small, 8, 0)  # 2*l >= n_phi
-    with pytest.raises(ResolutionError):
         harmonic_mode(small, 10**6, 2)  # refused before a 14.6 TiB table
+
+
+@pytest.mark.parametrize("shape", [(8, 32), (40, 16), (8, 16)])
+def test_resolution_rule_refuses_by_rings_and_by_longitudes(shape):
+    """max_degree is the smaller of the ring limit n_theta - 1 and the
+    longitude limit n_phi / 2 - 1: 8x32 stops at degree 7 by its rings,
+    40x16 by its longitudes and 8x16 by both.  The one message names what
+    degree 8 needs and what the grid has."""
+    grid = make_grid(*shape)
+    assert max_degree(grid) == 7
+    harmonic_mode(grid, 7, 0)
+    message = "degree 8 needs at least 9 colatitude rings and 18 longitudes; " \
+        "the grid has %d and %d" % shape
+    with pytest.raises(ResolutionError, match=message):
+        harmonic_mode(grid, 8, 0)
 
 
 def test_legendre_against_scipy():
@@ -291,7 +305,7 @@ def test_mode_blocks_diagonalize_near_exact(op32, fd32):
         for target in targets:
             nearest = eigs[np.argmin(np.abs(eigs - target))]
             assert abs(nearest - target) < 2e-3 * max(1.0, abs(target))
-    n_theta, L = op32.grid.n_theta, op32.degree_cap
+    n_theta, L = op32.grid.n_theta, max_degree(op32.grid)
     for m in range(op32.grid.n_phi // 2 + 1):
         eigs = np.sort(_half_block_eigenvalues(op32, m))
         l = np.arange(m, L + 1, dtype=float)
@@ -347,9 +361,10 @@ def test_spectral_apply_matches_transform_composition(shape):
     op = make_operator(grid, "spectral")
     u = ScalarField(grid, np.random.default_rng(14).standard_normal(shape))
     assert np.max(np.abs(np.fft.rfft(u.values, axis=1)[:, -1])) > 1.0  # Nyquist
-    coeffs = sht_forward(u, op.degree_cap)
-    l = np.arange(op.degree_cap + 1, dtype=float)
-    scaled = SpectralCoeffs(op.degree_cap, coeffs.coeffs * (-l * (l + 1.0))[:, None])
+    cap = max_degree(grid)
+    coeffs = sht_forward(u, cap)
+    l = np.arange(cap + 1, dtype=float)
+    scaled = SpectralCoeffs(cap, coeffs.coeffs * (-l * (l + 1.0))[:, None])
     reference = sht_inverse(scaled, grid).values
     lap = apply_laplacian(op, u).values
     assert np.max(np.abs(lap - reference)) <= 1e-13 * np.max(np.abs(reference))

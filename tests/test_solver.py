@@ -15,6 +15,7 @@ from sphereq import solver
 from sphereq import (
     ContractError,
     ConvergenceError,
+    LinearSolveError,
     NonlinearProblem,
     ParameterError,
     ScalarField,
@@ -682,8 +683,39 @@ def test_branch_amplitude_grows_supercritically():
     start = newton_solve(chafee_infante(lam_start), op, guess)
     branch = continue_branch(chafee_infante, op, start, 0.25, 6)
     assert len(branch) == 7
-    assert np.all(np.diff(branch.amplitudes) > 0)
-    assert branch.lams[-1] == pytest.approx(7.75)
+    assert np.all(np.diff([p.amplitude for p in branch]) > 0)
+    assert branch[-1].lam == pytest.approx(7.75)
+
+
+@pytest.mark.parametrize("error", [ConvergenceError, LinearSolveError])
+@pytest.mark.parametrize("fail_on", [1, 2, 4])
+def test_continue_branch_keeps_the_points_before_a_failed_corrector(
+    monkeypatch, error, fail_on
+):
+    """A corrector that fails after the first step ends the branch with the
+    points it has; a failure of the first corrector is raised."""
+    g = make_grid(24, 48)
+    op = make_operator(g, "spectral")
+    lam_start, guess = branch_switch(g, 6.0, 2, 2)
+    start = newton_solve(chafee_infante(lam_start), op, guess)
+    calls = []
+
+    def failing_newton(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == fail_on:
+            raise error("corrector %d failed" % fail_on)
+        return newton_solve(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "newton_solve", failing_newton)
+    if fail_on == 1:
+        with pytest.raises(error, match="corrector 1 failed"):
+            continue_branch(chafee_infante, op, start, 0.25, 6)
+        return
+    branch = continue_branch(chafee_infante, op, start, 0.25, 6)
+    assert len(calls) == fail_on
+    assert len(branch) == fail_on
+    assert branch[0] is start
+    assert branch[-1].lam == pytest.approx(lam_start + 0.25 * (fail_on - 1))
 
 
 def test_branch_collapses_at_bifurcation_point():
@@ -693,8 +725,8 @@ def test_branch_collapses_at_bifurcation_point():
     start = newton_solve(chafee_infante(lam_start), op, guess)
     branch = continue_branch(chafee_infante, op, start, -0.25, 8)
     assert len(branch) < 9  # stopped at or before the bifurcation point
-    assert np.all(np.diff(branch.amplitudes) < 0)
-    assert branch.lams[-1] >= 6.0 - 0.25 - 1e-12
+    assert np.all(np.diff([p.amplitude for p in branch]) < 0)
+    assert branch[-1].lam >= 6.0 - 0.25 - 1e-12
 
 
 def test_flow_divergence_guard(grid32, op32):

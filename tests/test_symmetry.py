@@ -57,7 +57,8 @@ def _manual_extrema(angles, kinds, n_theta=8):
 def _report_on(ext, thresholds=AuditThresholds()):
     """A report on the extremum set alone, for the decisions it derives
     from that set: no reflections, sweeps or residuals."""
-    return SymmetryReport(ext, np.empty(0), (), 0.0, thresholds, TWO_PI / 64)
+    thresholds = dataclasses.replace(thresholds, midpoint_tol=TWO_PI / 64)
+    return SymmetryReport(ext, np.empty(0), (), 0.0, thresholds)
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +475,20 @@ def test_sweep_small_eps_empty_sector_reports_zero(grid32):
     assert np.all(report.w_max[:n_empty] == 0.0)
 
 
+def test_sweep_across_a_gap_with_no_grid_column(grid32):
+    """A gap narrower than one longitude cell holds no grid column, so no
+    arc of its sweep does either: every w_max and the end-of-gap sup read
+    0, and the sweep reaches its target."""
+    u = harmonic_mode(grid32, 2, 2)
+    ext = _manual_extrema([0.0, 0.05], ("min", "max"))
+    assert 0.05 < grid32.phi_cell
+    report = moving_arc_sweep(u, ext, 0, 1)
+    assert report.epsilons.size == 101 and report.epsilons[-1] == 0.05
+    assert np.all(report.w_max == 0.0)
+    assert report.target_reflection_sup == 0.0
+    assert report.reaches_target and report.eps_star == 0.05
+
+
 def test_sweep_positive_control_harmonic_mix(grid32):
     """A perturbation with a different colatitude profile dominates near the
     poles and breaks the one-signedness of w on the swept sector."""
@@ -662,7 +677,8 @@ def test_audit_biradial_fails_conclusions_only():
     assert report.hypotheses_met  # axial, alternating, leveled
     assert not report.conclusions_ok
     assert report.verdict == "not-theorem-compatible"
-    assert np.max(report.extrema.midpoint_defects) > report.midpoint_tol
+    assert report.thresholds.midpoint_tol == grid.phi_cell
+    assert np.max(report.extrema.midpoint_defects) > report.thresholds.midpoint_tol
 
 
 def test_audit_axisymmetric_hypotheses_not_met(grid32, op32):
