@@ -23,9 +23,6 @@ TWO_PI = 2.0 * math.pi
 #: falls below this, or after this many iterations.
 _GL_TOL = 1e-14
 _GL_MAX_ITER = 100
-#: Halvings bisect_roots gives every bracket; 60 take a bracket of width
-#: 2*pi below 1e-17, past the resolution of a double.
-_BISECT_STEPS = 60
 
 
 def _legendre_and_derivative(n, x):
@@ -253,20 +250,26 @@ def bisect_roots(f, a, b):
 
     ``f`` maps an array of points, one per bracket in bracket order, to the
     values there, so each bracket may carry its own function; it is called
-    once at ``a`` and once per step.  Each bracket must hold a strict sign
-    change, f(a[i]) * f(b[i]) < 0.  Every bracket is halved together, 60
-    times, keeping the half whose ends differ in sign; a midpoint where f is
-    exactly 0 ends its bracket there.  Returns the final midpoints.
+    once at ``a`` and once per step.  Each bracket must be finite, with
+    a[i] < b[i] and a strict sign change: f(a[i]) and f(b[i]) nonzero and of
+    opposite signs, compared by ``np.sign``, not by a product, which can
+    overflow or underflow.  Every bracket is halved together at its
+    midpoint 0.5 * a + 0.5 * b, which cannot overflow, keeping the half
+    whose ends differ in sign; a midpoint where f is exactly 0 ends its
+    bracket there.  Halving stops once no bracket's midpoint lies strictly
+    between its ends: each bracket's ends are adjacent doubles, or equal.
+    A finite bracket is under 2**1025 wide and doubles are at least
+    2**-1074 apart, so it takes at most about 2100 halvings.  Returns the
+    final midpoints.
     """
     a, b = np.array(a, dtype=float), np.array(b, dtype=float)
     fa = np.array(f(a), dtype=float)
-    for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (a + b)
+    while True:
+        mid = 0.5 * a + 0.5 * b
+        if not np.any((a < mid) & (mid < b)):
+            return mid
         fm = f(mid)
-        # an exact zero moves both ends to it; a bracket with a == b has
-        # mid == a and never moves again
-        lower = fa * fm < 0.0
-        shrink = lower | (fm == 0.0)
+        lower = np.abs(np.sign(fa) - np.sign(fm)) == 2.0
+        shrink = lower | (fm == 0.0)  # an exact zero moves both ends to it
         b[shrink] = mid[shrink]
         a[~lower], fa[~lower] = mid[~lower], fm[~lower]
-    return 0.5 * (a + b)

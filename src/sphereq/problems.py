@@ -80,10 +80,13 @@ def problem_from_name(name, lam):
 def evaluate(problem, name, u, q):
     """The problem's ``name`` evaluator ("F", "F_u" or "F_q") at the grid
     arrays (u, q), broadcast to their shape; callers apply the Laplacian to
-    a state once and pass it in as q.  A non-finite value raises
-    EvaluationError naming its grid node."""
+    a state once and pass it in as q.  The evaluator runs with numpy's
+    floating-point warnings off, so an overflow shows as the non-finite
+    value it makes, and a non-finite value raises EvaluationError naming
+    its grid node."""
     fn = {"F": problem.eval_F, "F_u": problem.eval_Fu, "F_q": problem.eval_Fq}[name]
-    vals = np.broadcast_to(np.asarray(fn(u, q), dtype=float), np.shape(u))
+    with np.errstate(all="ignore"):
+        vals = np.broadcast_to(np.asarray(fn(u, q), dtype=float), np.shape(u))
     if not np.all(np.isfinite(vals)):
         j, k = np.argwhere(~np.isfinite(vals))[0]
         raise EvaluationError(

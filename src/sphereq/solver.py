@@ -356,12 +356,17 @@ def detect_bifurcations(problem_family, lam_range, l_max):
     scanned for every degree at 512 evenly spaced values (one problem per
     value).  The first of a run of exact zeros is a root, and each sign
     change is refined by one ``bisect_roots`` call.  ``lam_range`` must be
-    finite and ``l_max`` a non-negative integer.
+    finite, and so must its width hi - lo: a window wider than the largest
+    double raises ParameterError before any scan value is formed.
+    ``l_max`` must be a non-negative integer.
     Returns a list of (lam_star, l) sorted by lam_star.
     """
     lo, hi = float(lam_range[0]), float(lam_range[1])
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ParameterError("lambda range must be finite, got (%r, %r)" % (lo, hi))
+    if not math.isfinite(hi - lo):
+        raise ParameterError(
+            "lambda range must be finite, and so must its width lambda_max - "
+            "lambda_min, got (%r, %r)" % (lo, hi)
+        )
     if not hi > lo:
         raise ParameterError("empty lambda range")
     if not (float(l_max).is_integer() and l_max >= 0):
@@ -387,7 +392,7 @@ def detect_bifurcations(problem_family, lam_range, l_max):
     zero = vals == 0.0
     zero[:, 1:] &= ~zero[:, :-1]  # the first of a run of exact zeros
     zero_l, zero_i = np.nonzero(zero)
-    brk_l, brk_i = np.nonzero(vals[:, :-1] * vals[:, 1:] < 0.0)
+    brk_l, brk_i = np.nonzero(np.abs(np.diff(np.sign(vals))) == 2.0)  # strict changes
     ll1 = brk_l * (brk_l + 1.0)
     roots = bisect_roots(lambda lams: g(lams, ll1), scan[brk_i], scan[brk_i + 1])
     return sorted(zip(np.append(scan[zero_i], roots).tolist(),

@@ -268,7 +268,8 @@ def detect_axial_extrema(u, thresholds=AuditThresholds()):
     du_l = eval_series(du, left[cand])
     norm = np.max(np.abs(du_l), axis=0)
     ref = du_l / np.where(norm > 0, norm, 1.0)
-    bracketed = (w @ (du_l * ref)) * (w @ (eval_series(du, right[cand]) * ref)) < 0.0
+    sign_l = np.sign(w @ (du_l * ref))
+    bracketed = np.abs(sign_l - np.sign(w @ (eval_series(du, right[cand]) * ref))) == 2.0
     series = np.einsum("tk,tm->km", w[:, None] * ref[:, bracketed], du)
     bisect = cand[bracketed]
     phi_star[bisect] = bisect_roots(

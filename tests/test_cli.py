@@ -608,6 +608,23 @@ def test_non_finite_flag_exits_2(capsys, tmp_path, args, name):
     assert not outdir.exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["audit", "solve"])
+def test_overflowing_F_exits_2_whatever_the_warning_filters(capsys, tmp_path, command):
+    """At u ~ 1e200 the cubic's u * u overflows.  The evaluator runs with
+    numpy's warnings off, so its own finiteness check refuses the value,
+    also where a RuntimeWarning is an error, instead of a traceback."""
+    field = tmp_path / "big.sphf"
+    code, _, _ = run_cli(["gen", "harmonic", "--amplitude", "1e200", "--out", str(field)],
+                         capsys)
+    assert code == 0
+    args = {"audit": ["audit", str(field)],
+            "solve": ["solve", "--amplitude", "1e200", "--out", str(tmp_path / "eq.sphf")]}
+    code, out, err = run_cli(args[command], capsys)
+    assert code == 2 and out == ""
+    assert "F produced a non-finite value at ring 0, column 0" in err
+
+
 @pytest.mark.parametrize("token", ["nan", "abc"])
 def test_audit_of_a_bad_colatitude_exits_2(capsys, tmp_path, token):
     """Unchecked, a NaN first colatitude audits to a pass, and a

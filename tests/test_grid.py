@@ -232,24 +232,31 @@ def test_interp_phi_matches_full_fourier_synthesis(grid32):
 # ---------------------------------------------------------------------------
 
 
-def _scalar_bisection(f, a, b, steps=60):
+def _scalar_bisection(f, a, b):
+    """One bracket halved until its midpoint is one of its ends, or f is
+    exactly 0 there."""
     fa = f(a)
-    for _ in range(steps):
-        mid = 0.5 * (a + b)
+    while True:
+        mid = 0.5 * a + 0.5 * b
+        if mid in (a, b):
+            return mid
         fm = f(mid)
         if fm == 0.0:
             return mid
-        if fa * fm < 0.0:
+        if (fm < 0.0) != (fa < 0.0):
             b = mid
         else:
             a, fa = mid, fm
-    return 0.5 * (a + b)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bisect_roots_refines_every_bracket_like_a_scalar_bisection():
     """Each bracket carries its own function (x^2 - c for its own c, or its
     negative), and all are refined together to what a scalar bisection of
-    that one function gives."""
+    that one function gives.  So are brackets 1e30 wide, near the largest
+    double (where a + b overflows) and on values near 1e200 (where a
+    product of two overflows): their roots are doubles, which the
+    halvings reach exactly."""
     c = np.array([2.0, 3.0, 0.5, 7.0])
     sign = np.array([1.0, -1.0, 1.0, -1.0])
     a = np.array([1.0, 1.5, 0.0, 2.0])
@@ -262,6 +269,12 @@ def test_bisect_roots_refines_every_bracket_like_a_scalar_bisection():
         )
         assert roots[i] == expected
     assert np.max(np.abs(roots - np.sqrt(c))) < 1e-15
+
+    funcs = (lambda x: x - 1.0, lambda x: x - 1.5e308, lambda x: 1e200 * (x - 0.3))
+    a, b = [0.0, 1e308, 0.0], [1e30, 1.7e308, 1.0]
+    roots = bisect_roots(lambda x: np.array([f(v) for f, v in zip(funcs, x)]), a, b)
+    assert roots.tolist() == [1.0, 1.5e308, 0.3]
+    assert roots.tolist() == [_scalar_bisection(*args) for args in zip(funcs, a, b)]
 
 
 def test_bisect_roots_stops_at_an_exact_zero():

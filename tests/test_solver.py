@@ -545,11 +545,16 @@ def test_flow_decays_stable_mode(grid32, op32):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_detect_integer_thresholds():
     points = detect_bifurcations(chafee_infante, (0.5, 13.0), 3)
     assert [l for _, l in points] == [1, 2, 3]
     for (lam, l), expected in zip(points, (2.0, 6.0, 12.0)):
         assert abs(lam - expected) < 1e-8
+    # scan values 2e297 apart: each bracket is halved until it collapses,
+    # onto the exact crossing, and no sign test multiplies two values
+    points = detect_bifurcations(chafee_infante, (0.0, 1e300), 2)
+    assert points == [(0.0, 0), (2.0, 1), (6.0, 2)]
 
 
 def test_detect_empty_window():
@@ -583,7 +588,8 @@ def test_detect_requires_trivial_root():
     "lam_range, l_max, match",
     [((0.5, 13.0), -1, "l_max"), ((0.5, 13.0), 2.7, "l_max"),
      ((0.5, 13.0), float("nan"), "l_max"), ((0.5, float("inf")), 3, "finite"),
-     ((float("-inf"), 13.0), 3, "finite"), ((float("nan"), 13.0), 3, "finite")],
+     ((float("-inf"), 13.0), 3, "finite"), ((float("nan"), 13.0), 3, "finite"),
+     ((-1e308, 1e308), 1, "width")],
 )
 def test_detect_rejects_bad_degree_or_range(lam_range, l_max, match):
     with pytest.raises(ParameterError, match=match):
