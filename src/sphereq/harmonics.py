@@ -20,13 +20,17 @@ even fold of the rings and one on the odd fold, each about half the ring
 count on a side, and every application is a per-ring real FFT, the fold,
 one batched product per half, the unfold and the inverse FFT (the per-m
 layout and the equatorial parity split of SHTns, Schaeffer 2013).  No full
-n_theta x n_theta block is formed.
+n_theta x n_theta block is formed.  The spectral blocks come from one
+parity-split Legendre factor (``parity_legendre_factor``), which also gives
+the solver's preconditioner their inverse in closed form.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -197,6 +201,49 @@ def _fd_theta_tables(theta):
     return b0, ghost
 
 
+class LegendreHalf(NamedTuple):
+    """One equatorial-parity half of the spectral realization's Legendre
+    factor (``parity_legendre_factor``).
+
+    ``legendre[m, j]`` holds Q_l^m on the half's rings (the northern rings,
+    and for the even half of odd n_theta the equator) for the degree
+    ``degrees[m, j]`` = m + parity + 2j; a row whose degree exceeds
+    ``max_degree(grid)`` is zero.  ``weights`` are the half's quadrature
+    weights times 2*pi, each northern ring counted twice for its southern
+    mirror and the equator once, so that (legendre[m] * weights) @
+    legendre[m]^T is the identity on the rows with a degree (to about
+    1e-14).  All three are read-only."""
+
+    legendre: np.ndarray
+    degrees: np.ndarray
+    weights: np.ndarray
+
+
+def parity_legendre_factor(grid):
+    """The Legendre factor of the spectral realization, split by equatorial
+    parity: the pair (even, odd) of ``LegendreHalf``, each padded to one
+    row count over the modes m = 0 .. n_phi // 2.  Since
+    Q_l^m(-x) = (-1)^(l+m) Q_l^m(x), the even half holds the degrees with
+    l + m even and the odd half those with l + m odd."""
+    cap = max_degree(grid)
+    h = grid.n_theta // 2
+    n_even = grid.n_theta - h
+    plm = legendre_table(grid.theta_nodes[:n_even], cap)
+    w = 2.0 * TWO_PI * grid.theta_weights[:n_even]
+    w[h:] *= 0.5  # the equator ring is its own mirror
+    w.setflags(write=False)
+    m = np.arange(grid.n_phi // 2 + 1)[:, None]
+    halves = []
+    for parity, size in ((0, n_even), (1, h)):
+        l = m + parity + 2 * np.arange((cap - parity) // 2 + 1)
+        rows = plm[np.minimum(l, cap), np.minimum(m, cap), :size]
+        rows[l > cap] = 0.0
+        for a in (rows, l):
+            a.setflags(write=False)
+        halves.append(LegendreHalf(rows, l, w[:size]))
+    return tuple(halves)
+
+
 @dataclass(frozen=True, eq=False)
 class OperatorHandle:
     """An assembled realization of the Laplace-Beltrami operator.
@@ -209,37 +256,32 @@ class OperatorHandle:
     ceil(n_theta/2)-square block acting on the even fold of mode m
     (``apply_mode_blocks``), ``odd[m]`` the floor(n_theta/2)-square block
     acting on its odd fold.  The spectral blocks are zero for m above
-    ``max_degree(grid)``.  Immutable (both halves are read-only) and
-    shareable across threads.
+    ``max_degree(grid)``.  ``legendre_factor`` is the grid's
+    ``parity_legendre_factor``, which the spectral blocks are built from and
+    the solver's preconditioner inverts them with; it is formed on first
+    use and kept, so only an operator that a solve uses holds one.
+    Immutable (both halves are read-only) and shareable across threads (two
+    threads that form ``legendre_factor`` at once form the same arrays).
     """
 
     grid: object
     realization: str
     blocks: tuple
 
+    @functools.cached_property
+    def legendre_factor(self):
+        """``parity_legendre_factor(grid)``, formed on first use."""
+        return parity_legendre_factor(self.grid)
 
-def _spectral_blocks(grid, degree_cap):
-    """Even and odd halves of 2*pi * P_m^T diag(-l(l+1)) P_m W per mode,
-    with P_m the rows m..L of the Legendre table at order m and W the
-    quadrature weights.  Since Q_l^m(-x) = (-1)^(l+m) Q_l^m(x), the even
-    half takes the degrees with l + m even on the northern rings and the
-    equator, the odd half those with l + m odd on the northern rings; each
-    northern weight counts twice, for its southern mirror."""
-    h = grid.n_theta // 2
-    n_even = grid.n_theta - h
-    n_modes = grid.n_phi // 2 + 1
-    halves = (np.zeros((n_modes, n_even, n_even)), np.zeros((n_modes, h, h)))
-    plm = legendre_table(grid.theta_nodes[:n_even], degree_cap)
-    l = np.arange(degree_cap + 1, dtype=float)
-    eig = -l * (l + 1.0)
-    w = 2.0 * TWO_PI * grid.theta_weights[:n_even]
-    w[h:] *= 0.5  # the equator ring is its own mirror
-    for m in range(degree_cap + 1):
-        for parity, half in enumerate(halves):
-            size = half.shape[1]
-            p = plm[m + parity :: 2, m, :size]
-            half[m] = (p.T * eig[m + parity :: 2]) @ (p * w[:size])
-    return halves
+
+def _spectral_blocks(factor):
+    """Even and odd halves of P^T diag(-l(l+1)) P W per mode, one batched
+    product per half of the ``parity_legendre_factor`` (P its rows, W its
+    weights); its zero rows add nothing."""
+    return tuple(
+        np.matmul(np.swapaxes(p, 1, 2) * (-l * (l + 1.0))[:, None, :], p * w)
+        for p, l, w in factor
+    )
 
 
 def _fd_blocks(grid):
@@ -276,7 +318,7 @@ def make_operator(grid, realization="spectral"):
     if realization not in ("spectral", "finite-difference"):
         raise ParameterError("unknown realization %r" % (realization,))
     if realization == "spectral":
-        blocks = _spectral_blocks(grid, max_degree(grid))
+        blocks = _spectral_blocks(parity_legendre_factor(grid))
     else:
         blocks = _fd_blocks(grid)
     for half in blocks:

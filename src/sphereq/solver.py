@@ -18,7 +18,7 @@ from .errors import (
     ParameterError,
 )
 from .grid import ScalarField, bisect_roots
-from .harmonics import apply_laplacian, apply_mode_blocks, harmonic_mode
+from .harmonics import apply_laplacian, apply_mode_blocks, harmonic_mode, max_degree
 from .problems import evaluate, linearization_coefficients
 
 
@@ -80,12 +80,17 @@ _KRYLOV_MAX_RESTARTS = 50
 _FORCING_MAX = 1e-2
 _FORCING_GAMMA = 0.9
 
-#: A mean-coefficient half block (even or odd, see ``_mean_mode_inverse``)
-#: whose largest entry times the largest entry of its inverse exceeds this
-#: is singular to rounding: |M M^-1 - I| grows as about 3e-16 times that
-#: product, so past 1e8 the inverse keeps less than half the digits.  Per
-#: half block, Newton's starting states read at most about 8e5 (FD,
-#: 128x256), exactly singular blocks at least about 8e14.
+#: Past this a mean-coefficient half block (even or odd, see
+#: ``_mean_mode_inverse``) is singular to rounding, and its inverse keeps
+#: less than half the digits.  A finite-difference half block is tested by
+#: its entries: its largest entry times the largest entry of its LAPACK
+#: inverse, which |M M^-1 - I| follows as about 3e-16 times; Newton's
+#: starting states read at most about 8e5 (128x256), exactly singular
+#: blocks at least about 8e14.  A spectral half block is tested by its
+#: eigenvalues, d_l = c_u - c_q l(l+1) over its degrees and c_u when it
+#: has a null part: singular when the largest |d| is at least this times
+#: the smallest (so always when one is zero); Newton's starting states read
+#: at most about 6e6 (128x256).
 _SINGULAR_BLOCK = 1e8
 
 #: Relative size below which gmres takes an orthogonalised Krylov vector for
@@ -110,12 +115,19 @@ def gmres(matvec, b, rtol, atol, restart, maxiter):
     max(atol, rtol |b|).  Returns (x, info): info is 0 on success, otherwise
     the number of cycles run, when the budget runs out or a breakdown leaves
     the true residual above the tolerance.  ``maxiter`` must be positive.
+    A b whose 2-norm overflows a double raises LinearSolveError.
     """
     if maxiter < 1:
         raise ParameterError("maxiter must be positive, got %r" % (maxiter,))
     b = np.asarray(b, dtype=float)
     x = np.zeros_like(b)
-    r_norm = float(np.linalg.norm(b))
+    with np.errstate(over="ignore"):
+        r_norm = float(np.linalg.norm(b))
+    if not math.isfinite(r_norm):
+        raise LinearSolveError(
+            "the right-hand side's 2-norm overflows a double (largest entry "
+            "%g)" % np.max(np.abs(b))
+        )
     target = max(atol, rtol * r_norm)
     basis = np.empty((restart + 1, b.size))
     r = b
@@ -170,9 +182,16 @@ def _mean_coefficients(problem, grid, fu, fq):
     """Area-weighted sphere means (c_u, c_q) of the linearization
     coefficients fu and fq (quadrature weights per ring).  A zero c_q
     (to rounding) raises ContractError: the state is outside the uniformly
-    elliptic class, and the Krylov split divides by c_q."""
+    elliptic class, and the Krylov split divides by c_q.  A mean that
+    overflows a double raises LinearSolveError."""
     w = grid.theta_weights / np.sum(grid.theta_weights)
-    coeff_u, coeff_q = (float(w @ c.mean(axis=1)) for c in (fu, fq))
+    with np.errstate(over="ignore"):
+        coeff_u, coeff_q = (float(w @ c.mean(axis=1)) for c in (fu, fq))
+    if not (math.isfinite(coeff_u) and math.isfinite(coeff_q)):
+        raise LinearSolveError(
+            "problem %r: the sphere means of F_u and F_q overflow a double "
+            "at this state (%g, %g)" % (problem.name, coeff_u, coeff_q)
+        )
     if abs(coeff_q) <= 1e-12 * np.max(np.abs(fq)):
         raise ContractError(
             "problem %r: F_q has zero mean over the sphere at this state, so "
@@ -191,19 +210,43 @@ class MeanModeInverse(NamedTuple):
     coeff_q: float
 
 
+def _floor_shift(coeff_u, coeff_q):
+    """The diagonal shift that lifts a mean-coefficient operator off a
+    singular half block: 1e-6 max(1, |c_u| + |c_q|), with the sign of c_u
+    (positive for c_u == 0)."""
+    floor = 1e-6 * max(1.0, abs(coeff_u) + abs(coeff_q))
+    return math.copysign(floor, coeff_u or 1.0)
+
+
 def _mean_mode_inverse(op, coeff_u, coeff_q):
     """The MeanModeInverse of the mean-coefficient operator coeff_u +
     coeff_q * Lap, inverted half block by half block: M commutes with the
     equatorial flip, so its inverse has the even and odd halves of
     ``op.blocks`` too.
 
+    A spectral operator is inverted in closed form from its Legendre factor
+    (``OperatorHandle.legendre_factor``, P its rows and W its weights): its
+    half block of mode m is P^T diag(-l(l+1)) P W, and P W P^T = I, so
+
+        M^-1 = [null] I / c_u + P^T diag(1/d - [null] / c_u) P W,
+
+    with d_l = c_u - c_q l(l+1) over the block's degrees and [null] = 1 on a
+    block with fewer degrees than rings (its remaining directions are
+    M's eigenvectors with eigenvalue c_u), 0 on one without.  P W P^T = I
+    holds only to about 1e-14, so one Newton-Schulz step against the stored
+    blocks, X <- X + X (I - M X), brings max|M X - I| down to LAPACK's
+    level (about 4e-14 at 48x96 and 4e-13 at 128x256).  A finite-difference
+    operator's half blocks are inverted by ``np.linalg.inv``.
+
     When a half block is singular, exactly or to rounding (coeff_u == 0
     meets the constant mode or the zero spectral Nyquist block, or
     coeff_u == l(l+1) coeff_q meets degree l), the diagonal of every half
     block is shifted by one small floor, and the returned coeff_u includes
     that shift, so the blocks invert the M that the returned coefficients
-    describe.  A half block counts as singular when its largest entry times
-    the largest entry of its inverse exceeds ``_SINGULAR_BLOCK``."""
+    describe.  ``_SINGULAR_BLOCK`` states when a half block counts as
+    singular."""
+    if op.realization == "spectral":
+        return _spectral_mean_inverse(op, coeff_u, coeff_q)
     halves = [coeff_q * half for half in op.blocks]
 
     def shift_diagonals(value):
@@ -223,12 +266,50 @@ def _mean_mode_inverse(op, coeff_u, coeff_q):
         singular = True
     if not singular:
         return MeanModeInverse(inv, coeff_u, coeff_q)
-    floor = 1e-6 * max(1.0, abs(coeff_u) + abs(coeff_q))
-    shift = math.copysign(floor, coeff_u or 1.0)
+    shift = _floor_shift(coeff_u, coeff_q)
     shift_diagonals(shift)
     return MeanModeInverse(
         tuple(np.linalg.inv(a) for a in halves), coeff_u + shift, coeff_q
     )
+
+
+def _spectral_mean_inverse(op, coeff_u, coeff_q):
+    """``_mean_mode_inverse`` of a spectral operator, in closed form from
+    its Legendre factor."""
+    cap = max_degree(op.grid)
+    halves = []
+    singular = False
+    for (p, l, w), block in zip(op.legendre_factor, op.blocks):
+        present = l <= cap
+        # fewer degrees than rings: M is c_u on the rest, the null part
+        null = present.sum(axis=1) < p.shape[2]
+        ll1 = l * (l + 1.0)
+        # M's eigenvalues per block: d_l on its degrees, c_u on a null part
+        d = np.abs(np.column_stack((coeff_u - coeff_q * ll1,
+                                    np.full(null.size, coeff_u))))
+        counted = np.column_stack((present, null))
+        big = np.max(d, axis=1, where=counted, initial=0.0)
+        small = np.min(d, axis=1, where=counted, initial=np.inf)
+        singular |= bool(np.any(big >= _SINGULAR_BLOCK * small))
+        halves.append((p, w, block, present, null, ll1))
+    if singular:
+        coeff_u += _floor_shift(coeff_u, coeff_q)
+    inv = []
+    for p, w, block, present, null, ll1 in halves:
+        null_part = null / coeff_u
+        coef = np.divide(1.0, coeff_u - coeff_q * ll1, out=np.zeros(ll1.shape),
+                         where=present)
+        coef -= np.where(present, null_part[:, None], 0.0)
+        x = np.matmul(np.swapaxes(p, 1, 2) * coef[:, None, :], p * w)
+        ring = np.arange(x.shape[1])
+        x[:, ring, ring] += null_part[:, None]
+        residual = np.matmul(block, x)  # I - M X, M = c_u + c_q * block
+        residual *= -coeff_q
+        residual -= coeff_u * x
+        residual[:, ring, ring] += 1.0
+        x += np.matmul(x, residual)
+        inv.append(x)
+    return MeanModeInverse(tuple(inv), coeff_u, coeff_q)
 
 
 def _krylov_solve(fu, fq, precond, rhs, rtol, atol):
@@ -247,9 +328,11 @@ def _krylov_solve(fu, fq, precond, rhs, rtol, atol):
     two pointwise products, with no Laplacian.  GMRES's residual is then the
     true linear residual, so the returned s meets
     |(fu + fq * Lap) s - rhs| <= max(atol, rtol |rhs|) in the 2-norm over
-    grid values, up to the rounding of the inverse blocks (1e-9 to 3e-6
-    relative from 32x64 to 128x256 when they carry the singular-block
-    floor); otherwise LinearSolveError is raised.
+    grid values, up to the rounding of the inverse blocks X: max|M X - I|
+    is 1e-12 or less for well-separated coefficients, and at most 1e-6 up
+    to 48x96 and 1e-5 at 128x256 when the blocks carry the singular-block
+    floor (measured: 2e-7 and 6e-6 at c_u = 0); otherwise LinearSolveError
+    is raised.
     """
     shape = rhs.shape
     scale = (fq / precond.coeff_q).ravel()
@@ -284,14 +367,18 @@ def newton_solve(problem, op, guess, tol=1e-9, max_iter=30):
     GMRES is right-preconditioned by the exact per-mode inverse of the
     mean-coefficient operator at the starting iterate (F_u and F_q replaced
     by their sphere means), inverted on the even and odd halves of each
-    mode block, formed once per solve at the first step and reused by every
-    later one; a guess that already meets ``tol`` forms none.  Each GMRES
-    iteration applies that inverse once and no Laplacian (see
-    ``_krylov_solve``).  Each trial's one Lap u gives its residual and,
-    once accepted, the next step's F_u and F_q.  Raises ContractError when
-    F_q has zero sphere mean at the starting iterate, and ConvergenceError
-    carrying the last iterate when the budget runs out.  ``tol`` must be
-    finite and positive, and ``max_iter`` a non-negative integer.
+    mode block (in closed form from the operator's Legendre factor for the
+    spectral realization, which the operator forms at its first solve and
+    keeps; by LAPACK for finite differences), formed once per solve at the
+    first step and reused by every later one; a guess that already meets
+    ``tol`` forms none.  Each GMRES iteration applies that inverse once and
+    no Laplacian (see ``_krylov_solve``).  Each trial's one Lap u gives its
+    residual and, once accepted, the next step's F_u and F_q.  Raises
+    ContractError when F_q has zero sphere mean at the starting iterate,
+    LinearSolveError when that mean or F_u's, or a residual's 2-norm,
+    overflows a double, and ConvergenceError carrying the last iterate when
+    the budget runs out.  ``tol`` must be finite and positive, and
+    ``max_iter`` a non-negative integer.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ParameterError("tolerance must be finite and positive, got %r" % (tol,))

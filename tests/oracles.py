@@ -281,6 +281,30 @@ def full_mode_blocks(grid, realization):
     return blocks
 
 
+def spectral_parity_blocks(grid):
+    """The spectral realization's even and odd half blocks, built mode by
+    mode: 2*pi P_m^T diag(-l(l+1)) P_m W with P_m the rows of the Legendre
+    table at order m whose degree has the half's parity (l + m even or
+    odd), on the northern rings and, for the even half, the equator, each
+    northern weight counted twice for its southern mirror."""
+    degree_cap = max_degree(grid)
+    h = grid.n_theta // 2
+    n_even = grid.n_theta - h
+    n_modes = grid.n_phi // 2 + 1
+    halves = (np.zeros((n_modes, n_even, n_even)), np.zeros((n_modes, h, h)))
+    plm = legendre_table(grid.theta_nodes[:n_even], degree_cap)
+    l = np.arange(degree_cap + 1, dtype=float)
+    eig = -l * (l + 1.0)
+    w = 2.0 * TWO_PI * grid.theta_weights[:n_even]
+    w[h:] *= 0.5  # the equator ring is its own mirror
+    for m in range(degree_cap + 1):
+        for parity, half in enumerate(halves):
+            size = half.shape[1]
+            p = plm[m + parity :: 2, m, :size]
+            half[m] = (p.T * eig[m + parity :: 2]) @ (p * w[:size])
+    return halves
+
+
 def full_block_laplacian(grid, realization, values):
     """The Laplacian of grid values through ``full_mode_blocks``: ring rfft,
     one full block product per mode, irfft."""

@@ -625,6 +625,24 @@ def test_overflowing_F_exits_2_whatever_the_warning_filters(capsys, tmp_path, co
     assert "F produced a non-finite value at ring 0, column 0" in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "lam, message",
+    [("1e200", "right-hand side's 2-norm overflows a double"),
+     ("1e308", "sphere means of F_u and F_q overflow a double")],
+)
+def test_huge_residual_exits_2_whatever_the_warning_filters(capsys, tmp_path, lam,
+                                                            message):
+    """At lambda = 1e200 the first Newton residual's 2-norm overflows, and at
+    1e308 so does the sphere mean of F_u; the solve refuses either with a
+    message, also where a RuntimeWarning is an error, instead of a
+    traceback."""
+    out_path = str(tmp_path / "eq.sphf")
+    code, out, err = run_cli(["solve", "--lam", lam, "--out", out_path], capsys)
+    assert code == 2 and out == ""
+    assert message in err
+
+
 @pytest.mark.parametrize("token", ["nan", "abc"])
 def test_audit_of_a_bad_colatitude_exits_2(capsys, tmp_path, token):
     """Unchecked, a NaN first colatitude audits to a pass, and a

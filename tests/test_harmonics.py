@@ -21,8 +21,9 @@ from sphereq import (
     sht_inverse,
     trivial_branch_eigenvalues,
 )
+from sphereq.harmonics import legendre_table, parity_legendre_factor
 from conftest import random_band_limited
-from oracles import d_phi, full_block_laplacian, reflect_phi
+from oracles import d_phi, full_block_laplacian, reflect_phi, spectral_parity_blocks
 
 FOUR_PI = 4.0 * np.pi
 
@@ -324,6 +325,36 @@ def test_mode_blocks_are_parity_halves(n_theta, realization):
     assert even.shape == (9, (n_theta + 1) // 2, (n_theta + 1) // 2)
     assert odd.shape == (9, n_theta // 2, n_theta // 2)
     assert not even.flags.writeable and not odd.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "shape", [(16, 32), (24, 96), (33, 66), (48, 96), (96, 192), (128, 256)]
+)
+def test_spectral_blocks_equal_the_per_mode_build(shape):
+    """The batched product over the padded Legendre factor gives the blocks
+    a mode-by-mode build gives, entry for entry (a zero may differ in
+    sign); the factor's padding rows add nothing.  24x96 caps the degree
+    by its rings, so its modes above the cap are all zero."""
+    grid = make_grid(*shape)
+    for half, reference in zip(make_operator(grid).blocks, spectral_parity_blocks(grid)):
+        assert np.array_equal(half, reference)
+
+
+def test_legendre_factor_rows_by_degree():
+    """Row j of mode m in the parity half p holds degree m + p + 2j, and a
+    row past the degree cap is zero; the even half has the equator ring of
+    an odd ring count."""
+    grid = make_grid(9, 16)
+    cap = max_degree(grid)
+    plm = legendre_table(grid.theta_nodes, cap)
+    for parity, (p, l, w) in enumerate(parity_legendre_factor(grid)):
+        size = 5 - parity
+        assert p.shape == (9, l.shape[1], size) and w.shape == (size,)
+        for m in range(9):
+            assert np.array_equal(l[m], m + parity + 2 * np.arange(l.shape[1]))
+            for j, degree in enumerate(l[m]):
+                expected = plm[degree, m, :size] if degree <= cap else 0.0
+                assert np.array_equal(p[m, j], np.broadcast_to(expected, (size,)))
 
 
 @pytest.mark.parametrize("shape", [(8, 16), (9, 16), (33, 64), (48, 96)])

@@ -29,8 +29,11 @@ from sphereq import (
     harmonic_mode,
     make_grid,
     make_operator,
+    max_degree,
     newton_solve,
+    theorem_audit,
 )
+from sphereq import harmonics
 from sphereq.grid import TWO_PI
 from sphereq.harmonics import apply_mode_blocks
 from oracles import (
@@ -273,6 +276,95 @@ def test_mean_mode_inverse_floors_blocks_singular_to_rounding(grid32, realizatio
         m = precond.coeff_q * half + precond.coeff_u * np.eye(size)
         assert np.max(np.abs(m @ inverse - np.eye(size))) <= 1e-5
     assert solver._mean_mode_inverse(op, 3.0, 1.0).coeff_u == 3.0
+
+
+def _inverse_defect(op, precond):
+    """max|M X - I| over both parity halves of every mode, for the inverse
+    blocks X and M = coeff_u + coeff_q * the operator's stored blocks."""
+    defect = 0.0
+    for half, inverse in zip(op.blocks, precond.blocks):
+        eye = np.eye(half.shape[1])
+        m = precond.coeff_q * half + precond.coeff_u * eye
+        defect = max(defect, np.max(np.abs(m @ inverse - eye)))
+    return defect
+
+
+@pytest.mark.parametrize("shape", [(16, 32), (33, 66), (24, 96), (48, 96)])
+def test_spectral_mean_mode_inverse_inverts_the_stored_blocks(shape):
+    """The closed-form inverse meets max|M X - I| <= 1e-12 against the
+    stored blocks, or eps times the spread of M's eigenvalues where that is
+    larger: at c_u = 6 + 1e-4, 1e-4 from degree 2, no inverse does better
+    (LAPACK's reads 3e-11 at 16x32 and 3e-10 at 48x96).  (1, -0.1) is the
+    implicit step of ``gradient_flow_relax`` at dt = 0.1; 24x96 caps the
+    degree by its rings, so its modes above the cap are all null.  The
+    floored pairs, c_u = 0 and c_u = 2 (degree 1), stay within the 1e-6
+    that ``_krylov_solve`` states up to 48x96."""
+    op = make_operator(make_grid(*shape))
+    l = np.arange(max_degree(op.grid) + 1.0)
+    for coeff_u, coeff_q in ((3.7, 1.0), (-5.0, 1.0), (6.0 + 1e-4, 1.0), (1.0, -0.1)):
+        precond = solver._mean_mode_inverse(op, coeff_u, coeff_q)
+        assert precond.coeff_u == coeff_u
+        d = np.append(np.abs(coeff_u - coeff_q * l * (l + 1.0)), abs(coeff_u))
+        bound = max(1e-12, solver._EPS * d.max() / d.min())
+        assert _inverse_defect(op, precond) <= bound
+    for coeff_u in (0.0, 2.0):
+        precond = solver._mean_mode_inverse(op, coeff_u, 1.0)
+        assert precond.coeff_u != coeff_u
+        assert _inverse_defect(op, precond) <= 1e-6
+
+
+def test_only_finite_difference_blocks_are_inverted_by_lapack(grid32, monkeypatch):
+    """The spectral inverse is closed-form, floored or not: no np.linalg.inv
+    call; the FD half blocks still go through it, one call per half."""
+    spectral, fd = make_operator(grid32), make_operator(grid32, "finite-difference")
+    calls = []
+    inv = np.linalg.inv
+
+    def counted(a):
+        calls.append(a.shape)
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    for coeff_u in (3.7, 0.0):
+        solver._mean_mode_inverse(spectral, coeff_u, 1.0)
+    assert calls == []
+    solver._mean_mode_inverse(fd, 3.7, 1.0)
+    assert len(calls) == 2
+
+
+def _count_legendre_factors(monkeypatch):
+    """Record every grid whose parity Legendre factor is formed."""
+    grids = []
+    form = harmonics.parity_legendre_factor
+
+    def counted(grid):
+        grids.append(grid)
+        return form(grid)
+
+    monkeypatch.setattr(harmonics, "parity_legendre_factor", counted)
+    return grids
+
+
+def test_a_spectral_operator_forms_its_legendre_factor_once(grid32, monkeypatch):
+    """The operator keeps the factor from its first solve's preconditioner,
+    and a second solve reuses it."""
+    op = make_operator(grid32)
+    grids = _count_legendre_factors(monkeypatch)
+    mode = harmonic_mode(grid32, 2, 2)
+    for lam in (6.5, 7.0):
+        eq = newton_solve(chafee_infante(lam), op, mode * (0.3 / mode.sup_norm))
+        assert eq.newton_iters >= 1
+    assert grids == [grid32]
+
+
+def test_an_audit_forms_no_legendre_factor(grid32, monkeypatch):
+    """Only a solve's preconditioner reads the factor, so an operator that
+    is only audited with never holds one."""
+    op = make_operator(grid32)
+    grids = _count_legendre_factors(monkeypatch)
+    theorem_audit(chafee_infante(6.0), op, harmonic_mode(grid32, 2, 2))
+    assert grids == []
+    assert "legendre_factor" not in vars(op)
 
 
 def test_krylov_iteration_applies_no_laplacian(grid32, op32, monkeypatch):
