@@ -20,9 +20,12 @@ even fold of the rings and one on the odd fold, each about half the ring
 count on a side, and every application is a per-ring real FFT, the fold,
 one batched product per half, the unfold and the inverse FFT (the per-m
 layout and the equatorial parity split of SHTns, Schaeffer 2013).  No full
-n_theta x n_theta block is formed.  The spectral blocks come from one
-parity-split Legendre factor (``parity_legendre_factor``), which also gives
-the solver's preconditioner their inverse in closed form.
+n_theta x n_theta block is formed.  The operator also inverts itself in
+the same layout: ``mean_mode_inverse`` gives the blocks of
+(c_u + c_q Lap)^-1, the solver's preconditioner, so the solver needs to
+know nothing of how the blocks are stored.  The spectral blocks and their
+inverse come from one parity-split Legendre factor, which stays private to
+this module.
 """
 
 from __future__ import annotations
@@ -201,30 +204,20 @@ def _fd_theta_tables(theta):
     return b0, ghost
 
 
-class LegendreHalf(NamedTuple):
-    """One equatorial-parity half of the spectral realization's Legendre
-    factor (``parity_legendre_factor``).
-
-    ``legendre[m, j]`` holds Q_l^m on the half's rings (the northern rings,
-    and for the even half of odd n_theta the equator) for the degree
-    ``degrees[m, j]`` = m + parity + 2j; a row whose degree exceeds
-    ``max_degree(grid)`` is zero.  ``weights`` are the half's quadrature
-    weights times 2*pi, each northern ring counted twice for its southern
-    mirror and the equator once, so that (legendre[m] * weights) @
-    legendre[m]^T is the identity on the rows with a degree (to about
-    1e-14).  All three are read-only."""
-
-    legendre: np.ndarray
-    degrees: np.ndarray
-    weights: np.ndarray
-
-
-def parity_legendre_factor(grid):
+def _parity_legendre_factor(grid):
     """The Legendre factor of the spectral realization, split by equatorial
-    parity: the pair (even, odd) of ``LegendreHalf``, each padded to one
+    parity: the pair (even, odd) of triples (P, l, W), each padded to one
     row count over the modes m = 0 .. n_phi // 2.  Since
     Q_l^m(-x) = (-1)^(l+m) Q_l^m(x), the even half holds the degrees with
-    l + m even and the odd half those with l + m odd."""
+    l + m even and the odd half those with l + m odd.
+
+    ``P[m, j]`` holds Q_l^m on the half's rings (the northern rings, and for
+    the even half of odd n_theta the equator) for the degree
+    ``l[m, j]`` = m + parity + 2j; a row whose degree exceeds
+    ``max_degree(grid)`` is zero.  ``W`` are the half's quadrature weights
+    times 2*pi, each northern ring counted twice for its southern mirror
+    and the equator once, so that (P[m] * W) @ P[m]^T is the identity on
+    the rows with a degree (to about 1e-14).  All three are read-only."""
     cap = max_degree(grid)
     h = grid.n_theta // 2
     n_even = grid.n_theta - h
@@ -240,7 +233,7 @@ def parity_legendre_factor(grid):
         rows[l > cap] = 0.0
         for a in (rows, l):
             a.setflags(write=False)
-        halves.append(LegendreHalf(rows, l, w[:size]))
+        halves.append((rows, l, w[:size]))
     return tuple(halves)
 
 
@@ -256,12 +249,9 @@ class OperatorHandle:
     ceil(n_theta/2)-square block acting on the even fold of mode m
     (``apply_mode_blocks``), ``odd[m]`` the floor(n_theta/2)-square block
     acting on its odd fold.  The spectral blocks are zero for m above
-    ``max_degree(grid)``.  ``legendre_factor`` is the grid's
-    ``parity_legendre_factor``, which the spectral blocks are built from and
-    the solver's preconditioner inverts them with; it is formed on first
-    use and kept, so only an operator that a solve uses holds one.
-    Immutable (both halves are read-only) and shareable across threads (two
-    threads that form ``legendre_factor`` at once form the same arrays).
+    ``max_degree(grid)``.  ``mean_mode_inverse`` inverts c_u + c_q times
+    the operator in the same layout.  Immutable (both halves are read-only)
+    and shareable across threads.
     """
 
     grid: object
@@ -269,19 +259,25 @@ class OperatorHandle:
     blocks: tuple
 
     @functools.cached_property
-    def legendre_factor(self):
-        """``parity_legendre_factor(grid)``, formed on first use."""
-        return parity_legendre_factor(self.grid)
+    def _legendre_factor(self):
+        """The grid's ``_parity_legendre_factor``, which a spectral
+        ``mean_mode_inverse`` reads; formed there on first use and kept, so
+        only an operator that a solve uses holds one (two threads that form
+        it at once form the same arrays).
+
+        ``make_operator`` builds the spectral blocks from the same factor
+        and drops it, so a solved operator forms it twice (2.0 ms at 48x96,
+        7.7 ms at 128x256).  That is a deliberate trade: keeping the factor
+        on every operator raised the audit benchmark's peak RSS by 15%,
+        past its 10% bound, for the operators an audit never inverts."""
+        return _parity_legendre_factor(self.grid)
 
 
-def _spectral_blocks(factor):
-    """Even and odd halves of P^T diag(-l(l+1)) P W per mode, one batched
-    product per half of the ``parity_legendre_factor`` (P its rows, W its
-    weights); its zero rows add nothing."""
-    return tuple(
-        np.matmul(np.swapaxes(p, 1, 2) * (-l * (l + 1.0))[:, None, :], p * w)
-        for p, l, w in factor
-    )
+def _legendre_product(p, g, w):
+    """P^T diag(g) P W per mode for a half (P, l, W) of the Legendre factor
+    and g one value per row of P, shaped like l, in one batched product;
+    the zero rows of P add nothing."""
+    return np.matmul(np.swapaxes(p, 1, 2) * g[:, None, :], p * w)
 
 
 def _fd_blocks(grid):
@@ -312,13 +308,15 @@ def _fd_blocks(grid):
 def make_operator(grid, realization="spectral"):
     """Assemble an OperatorHandle for the grid.
 
-    The spectral blocks run up to the largest alias-free degree the grid
+    The spectral blocks are P^T diag(-l(l+1)) P W per mode and parity half,
+    from the Legendre factor, up to the largest alias-free degree the grid
     supports, ``max_degree(grid)``.
     """
     if realization not in ("spectral", "finite-difference"):
         raise ParameterError("unknown realization %r" % (realization,))
     if realization == "spectral":
-        blocks = _spectral_blocks(parity_legendre_factor(grid))
+        blocks = tuple(_legendre_product(p, -l * (l + 1.0), w)
+                       for p, l, w in _parity_legendre_factor(grid))
     else:
         blocks = _fd_blocks(grid)
     for half in blocks:
@@ -365,3 +363,124 @@ def apply_laplacian(op, field):
     if field.grid != op.grid:
         raise ParameterError("field grid does not match operator grid")
     return ScalarField(op.grid, apply_mode_blocks(op.blocks, field.values))
+
+
+#: Past this a mean-coefficient half block (even or odd, see
+#: ``mean_mode_inverse``) is singular to rounding, and its inverse keeps
+#: less than half the digits.  A finite-difference half block is tested by
+#: its entries: its largest entry times the largest entry of its LAPACK
+#: inverse, which |M M^-1 - I| follows as about 3e-16 times; Newton's
+#: starting states read at most about 8e5 (128x256), exactly singular
+#: blocks at least about 8e14.  A spectral half block is tested by its
+#: eigenvalues, d_l = c_u - c_q l(l+1) over its degrees and c_u when it
+#: has a null part: singular when the largest |d| is at least this times
+#: the smallest (so always when one is zero); Newton's starting states read
+#: at most about 6e6 (128x256).
+_SINGULAR_BLOCK = 1e8
+
+
+class MeanModeInverse(NamedTuple):
+    """Per-mode parity blocks ``(even, odd)`` of the inverse of M = coeff_u +
+    coeff_q * Lap, for apply_mode_blocks, with the coefficients of the M
+    they invert."""
+
+    blocks: tuple
+    coeff_u: float
+    coeff_q: float
+
+
+def _floor_shift(coeff_u, coeff_q):
+    """The diagonal shift that lifts a mean-coefficient operator off a
+    singular half block: 1e-6 max(1, |c_u| + |c_q|), with the sign of c_u
+    (positive for c_u == 0)."""
+    floor = 1e-6 * max(1.0, abs(coeff_u) + abs(coeff_q))
+    return math.copysign(floor, coeff_u or 1.0)
+
+
+def mean_mode_inverse(op, coeff_u, coeff_q):
+    """The MeanModeInverse of the mean-coefficient operator coeff_u +
+    coeff_q * Lap, inverted half block by half block: M commutes with the
+    equatorial flip, so its inverse has the even and odd halves of
+    ``op.blocks`` too.
+
+    A finite-difference operator's half blocks are inverted by
+    ``np.linalg.inv``.  A spectral operator is inverted in closed form from
+    its Legendre factor (``_parity_legendre_factor``, P its rows and W its
+    weights), which the operator forms here on first use and keeps: its
+    half block of mode m is P^T diag(-l(l+1)) P W, and P W P^T = I, so
+
+        M^-1 = [null] I / c_u + P^T diag(1/d - [null] / c_u) P W,
+
+    with d_l = c_u - c_q l(l+1) over the block's degrees and [null] = 1 on a
+    block with fewer degrees than rings (its remaining directions are
+    M's eigenvectors with eigenvalue c_u), 0 on one without.  P W P^T = I
+    holds only to about 1e-14, so one Newton-Schulz step against the stored
+    blocks, X <- X + X (I - M X), brings max|M X - I| down to LAPACK's
+    level (about 4e-14 at 48x96 and 4e-13 at 128x256).
+
+    When a half block is singular, exactly or to rounding (coeff_u == 0
+    meets the constant mode or the zero spectral Nyquist block, or
+    coeff_u == l(l+1) coeff_q meets degree l), the diagonal of every half
+    block is shifted by one small floor, and the returned coeff_u includes
+    that shift, so the blocks invert the M that the returned coefficients
+    describe.  ``_SINGULAR_BLOCK`` states when a half block counts as
+    singular."""
+    if op.realization == "finite-difference":
+        halves = [coeff_q * half for half in op.blocks]
+
+        def shift_diagonals(value):
+            for a in halves:
+                ring = np.arange(a.shape[1])
+                a[:, ring, ring] += value
+
+        shift_diagonals(coeff_u)
+        try:
+            inv = tuple(np.linalg.inv(a) for a in halves)
+            singular = any(
+                np.max(np.abs(a).max(axis=(1, 2)) * np.abs(b).max(axis=(1, 2)))
+                > _SINGULAR_BLOCK
+                for a, b in zip(halves, inv)
+            )
+        except np.linalg.LinAlgError:
+            singular = True
+        if not singular:
+            return MeanModeInverse(inv, coeff_u, coeff_q)
+        shift = _floor_shift(coeff_u, coeff_q)
+        shift_diagonals(shift)
+        return MeanModeInverse(
+            tuple(np.linalg.inv(a) for a in halves), coeff_u + shift, coeff_q
+        )
+    cap = max_degree(op.grid)
+    halves = []
+    singular = False
+    for (p, l, w), block in zip(op._legendre_factor, op.blocks):
+        present = l <= cap
+        # fewer degrees than rings: M is c_u on the rest, the null part
+        null = present.sum(axis=1) < p.shape[2]
+        ll1 = l * (l + 1.0)
+        # M's eigenvalues per block: d_l on its degrees, c_u on a null part
+        d = np.abs(np.column_stack((coeff_u - coeff_q * ll1,
+                                    np.full(null.size, coeff_u))))
+        counted = np.column_stack((present, null))
+        big = np.max(d, axis=1, where=counted, initial=0.0)
+        small = np.min(d, axis=1, where=counted, initial=np.inf)
+        singular |= bool(np.any(big >= _SINGULAR_BLOCK * small))
+        halves.append((p, w, block, present, null, ll1))
+    if singular:
+        coeff_u += _floor_shift(coeff_u, coeff_q)
+    inv = []
+    for p, w, block, present, null, ll1 in halves:
+        null_part = null / coeff_u
+        coef = np.divide(1.0, coeff_u - coeff_q * ll1, out=np.zeros(ll1.shape),
+                         where=present)
+        coef -= np.where(present, null_part[:, None], 0.0)
+        x = _legendre_product(p, coef, w)
+        ring = np.arange(x.shape[1])
+        x[:, ring, ring] += null_part[:, None]
+        residual = np.matmul(block, x)  # I - M X, M = c_u + c_q * block
+        residual *= -coeff_q
+        residual -= coeff_u * x
+        residual[:, ring, ring] += 1.0
+        x += np.matmul(x, residual)
+        inv.append(x)
+    return MeanModeInverse(tuple(inv), coeff_u, coeff_q)

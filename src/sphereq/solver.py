@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -18,7 +17,8 @@ from .errors import (
     ParameterError,
 )
 from .grid import ScalarField, bisect_roots
-from .harmonics import apply_laplacian, apply_mode_blocks, harmonic_mode, max_degree
+from .harmonics import (apply_laplacian, apply_mode_blocks, harmonic_mode,
+                        mean_mode_inverse)
 from .problems import evaluate, linearization_coefficients
 
 
@@ -79,19 +79,6 @@ _KRYLOV_RESTART = 40
 _KRYLOV_MAX_RESTARTS = 50
 _FORCING_MAX = 1e-2
 _FORCING_GAMMA = 0.9
-
-#: Past this a mean-coefficient half block (even or odd, see
-#: ``_mean_mode_inverse``) is singular to rounding, and its inverse keeps
-#: less than half the digits.  A finite-difference half block is tested by
-#: its entries: its largest entry times the largest entry of its LAPACK
-#: inverse, which |M M^-1 - I| follows as about 3e-16 times; Newton's
-#: starting states read at most about 8e5 (128x256), exactly singular
-#: blocks at least about 8e14.  A spectral half block is tested by its
-#: eigenvalues, d_l = c_u - c_q l(l+1) over its degrees and c_u when it
-#: has a null part: singular when the largest |d| is at least this times
-#: the smallest (so always when one is zero); Newton's starting states read
-#: at most about 6e6 (128x256).
-_SINGULAR_BLOCK = 1e8
 
 #: Relative size below which gmres takes an orthogonalised Krylov vector for
 #: zero: an exact breakdown.
@@ -200,123 +187,11 @@ def _mean_coefficients(problem, grid, fu, fq):
     return coeff_u, coeff_q
 
 
-class MeanModeInverse(NamedTuple):
-    """Per-mode parity blocks ``(even, odd)`` of the inverse of M = coeff_u +
-    coeff_q * Lap, for apply_mode_blocks, with the coefficients of the M
-    they invert."""
-
-    blocks: tuple
-    coeff_u: float
-    coeff_q: float
-
-
-def _floor_shift(coeff_u, coeff_q):
-    """The diagonal shift that lifts a mean-coefficient operator off a
-    singular half block: 1e-6 max(1, |c_u| + |c_q|), with the sign of c_u
-    (positive for c_u == 0)."""
-    floor = 1e-6 * max(1.0, abs(coeff_u) + abs(coeff_q))
-    return math.copysign(floor, coeff_u or 1.0)
-
-
-def _mean_mode_inverse(op, coeff_u, coeff_q):
-    """The MeanModeInverse of the mean-coefficient operator coeff_u +
-    coeff_q * Lap, inverted half block by half block: M commutes with the
-    equatorial flip, so its inverse has the even and odd halves of
-    ``op.blocks`` too.
-
-    A spectral operator is inverted in closed form from its Legendre factor
-    (``OperatorHandle.legendre_factor``, P its rows and W its weights): its
-    half block of mode m is P^T diag(-l(l+1)) P W, and P W P^T = I, so
-
-        M^-1 = [null] I / c_u + P^T diag(1/d - [null] / c_u) P W,
-
-    with d_l = c_u - c_q l(l+1) over the block's degrees and [null] = 1 on a
-    block with fewer degrees than rings (its remaining directions are
-    M's eigenvectors with eigenvalue c_u), 0 on one without.  P W P^T = I
-    holds only to about 1e-14, so one Newton-Schulz step against the stored
-    blocks, X <- X + X (I - M X), brings max|M X - I| down to LAPACK's
-    level (about 4e-14 at 48x96 and 4e-13 at 128x256).  A finite-difference
-    operator's half blocks are inverted by ``np.linalg.inv``.
-
-    When a half block is singular, exactly or to rounding (coeff_u == 0
-    meets the constant mode or the zero spectral Nyquist block, or
-    coeff_u == l(l+1) coeff_q meets degree l), the diagonal of every half
-    block is shifted by one small floor, and the returned coeff_u includes
-    that shift, so the blocks invert the M that the returned coefficients
-    describe.  ``_SINGULAR_BLOCK`` states when a half block counts as
-    singular."""
-    if op.realization == "spectral":
-        return _spectral_mean_inverse(op, coeff_u, coeff_q)
-    halves = [coeff_q * half for half in op.blocks]
-
-    def shift_diagonals(value):
-        for a in halves:
-            ring = np.arange(a.shape[1])
-            a[:, ring, ring] += value
-
-    shift_diagonals(coeff_u)
-    try:
-        inv = tuple(np.linalg.inv(a) for a in halves)
-        singular = any(
-            np.max(np.abs(a).max(axis=(1, 2)) * np.abs(b).max(axis=(1, 2)))
-            > _SINGULAR_BLOCK
-            for a, b in zip(halves, inv)
-        )
-    except np.linalg.LinAlgError:
-        singular = True
-    if not singular:
-        return MeanModeInverse(inv, coeff_u, coeff_q)
-    shift = _floor_shift(coeff_u, coeff_q)
-    shift_diagonals(shift)
-    return MeanModeInverse(
-        tuple(np.linalg.inv(a) for a in halves), coeff_u + shift, coeff_q
-    )
-
-
-def _spectral_mean_inverse(op, coeff_u, coeff_q):
-    """``_mean_mode_inverse`` of a spectral operator, in closed form from
-    its Legendre factor."""
-    cap = max_degree(op.grid)
-    halves = []
-    singular = False
-    for (p, l, w), block in zip(op.legendre_factor, op.blocks):
-        present = l <= cap
-        # fewer degrees than rings: M is c_u on the rest, the null part
-        null = present.sum(axis=1) < p.shape[2]
-        ll1 = l * (l + 1.0)
-        # M's eigenvalues per block: d_l on its degrees, c_u on a null part
-        d = np.abs(np.column_stack((coeff_u - coeff_q * ll1,
-                                    np.full(null.size, coeff_u))))
-        counted = np.column_stack((present, null))
-        big = np.max(d, axis=1, where=counted, initial=0.0)
-        small = np.min(d, axis=1, where=counted, initial=np.inf)
-        singular |= bool(np.any(big >= _SINGULAR_BLOCK * small))
-        halves.append((p, w, block, present, null, ll1))
-    if singular:
-        coeff_u += _floor_shift(coeff_u, coeff_q)
-    inv = []
-    for p, w, block, present, null, ll1 in halves:
-        null_part = null / coeff_u
-        coef = np.divide(1.0, coeff_u - coeff_q * ll1, out=np.zeros(ll1.shape),
-                         where=present)
-        coef -= np.where(present, null_part[:, None], 0.0)
-        x = np.matmul(np.swapaxes(p, 1, 2) * coef[:, None, :], p * w)
-        ring = np.arange(x.shape[1])
-        x[:, ring, ring] += null_part[:, None]
-        residual = np.matmul(block, x)  # I - M X, M = c_u + c_q * block
-        residual *= -coeff_q
-        residual -= coeff_u * x
-        residual[:, ring, ring] += 1.0
-        x += np.matmul(x, residual)
-        inv.append(x)
-    return MeanModeInverse(tuple(inv), coeff_u, coeff_q)
-
-
 def _krylov_solve(fu, fq, precond, rhs, rtol, atol):
     """Solve (fu + fq * Lap) s = rhs matrix-free with ``gmres`` (40 Krylov
     vectors per cycle, at most 50 cycles) on a plain matvec callable,
-    right-preconditioned by ``precond``, a MeanModeInverse that the caller
-    forms once and reuses across its solves.
+    right-preconditioned by ``precond``, the ``harmonics.mean_mode_inverse``
+    that the caller forms once and reuses across its solves.
 
     With M = c_u + c_q * Lap the operator ``precond`` inverts, the system
     operator splits exactly as
@@ -324,8 +199,9 @@ def _krylov_solve(fu, fq, precond, rhs, rtol, atol):
         fu + fq * Lap = (fq / c_q) M + (fu - c_u fq / c_q),
 
     so GMRES runs on A M^-1 y = (fq / c_q) y + (fu - c_u fq / c_q) M^-1 y and
-    returns s = M^-1 y.  Each iteration is one mode-block application and
-    two pointwise products, with no Laplacian.  GMRES's residual is then the
+    returns s = M^-1 y.  Each iteration is one application of the inverse's
+    mode blocks (``apply_mode_blocks``) and two pointwise products, with no
+    Laplacian.  GMRES's residual is then the
     true linear residual, so the returned s meets
     |(fu + fq * Lap) s - rhs| <= max(atol, rtol |rhs|) in the 2-norm over
     grid values, up to the rounding of the inverse blocks X: max|M X - I|
@@ -366,12 +242,9 @@ def newton_solve(problem, op, guess, tol=1e-9, max_iter=30):
     is r <= tol whatever the forcing terms were.
     GMRES is right-preconditioned by the exact per-mode inverse of the
     mean-coefficient operator at the starting iterate (F_u and F_q replaced
-    by their sphere means), inverted on the even and odd halves of each
-    mode block (in closed form from the operator's Legendre factor for the
-    spectral realization, which the operator forms at its first solve and
-    keeps; by LAPACK for finite differences), formed once per solve at the
-    first step and reused by every later one; a guess that already meets
-    ``tol`` forms none.  Each GMRES iteration applies that inverse once and
+    by their sphere means), which the operator's module forms
+    (``harmonics.mean_mode_inverse``) once per solve at the first step and
+    every later step reuses; a guess that already meets ``tol`` forms none.  Each GMRES iteration applies that inverse once and
     no Laplacian (see ``_krylov_solve``).  Each trial's one Lap u gives its
     residual and, once accepted, the next step's F_u and F_q.  Raises
     ContractError when F_q has zero sphere mean at the starting iterate,
@@ -406,7 +279,7 @@ def newton_solve(problem, op, guess, tol=1e-9, max_iter=30):
             )
         fu, fq = linearization_coefficients(problem, u, q)
         if precond is None:
-            precond = _mean_mode_inverse(
+            precond = mean_mode_inverse(
                 op, *_mean_coefficients(problem, u.grid, fu, fq)
             )
         step = _krylov_solve(fu, fq, precond, -r, eta, 0.01 * tol)

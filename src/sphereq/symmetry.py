@@ -272,9 +272,13 @@ def detect_axial_extrema(u, thresholds=AuditThresholds()):
     bracketed = np.abs(sign_l - np.sign(w @ (eval_series(du, right[cand]) * ref))) == 2.0
     series = np.einsum("tk,tm->km", w[:, None] * ref[:, bracketed], du)
     bisect = cand[bracketed]
-    phi_star[bisect] = bisect_roots(
-        lambda phis: np.diagonal(eval_series(series, phis)), left[bisect], right[bisect]
-    )
+
+    def weighted_u_phi(phis):  # series i at phis[i]: eval_series's diagonal alone
+        mphi = np.multiply.outer(np.arange(series.shape[1]), phis)
+        return (np.einsum("km,mk->k", series.real, np.cos(mphi))
+                - np.einsum("km,mk->k", series.imag, np.sin(mphi)))
+
+    phi_star[bisect] = bisect_roots(weighted_u_phi, left[bisect], right[bisect])
     phi_star %= TWO_PI
     defect = np.full(n_runs, np.inf)
     defect[cand] = np.max(np.abs(eval_series(du, phi_star[cand])), axis=0) / u_phi_sup

@@ -13,14 +13,14 @@ import numpy as np
 
 from sphereq.errors import ParameterError, SphereqError
 from sphereq.grid import TWO_PI, ScalarField, gauss_legendre
-from sphereq.harmonics import apply_laplacian, legendre_table, max_degree
-from sphereq.problems import NonlinearProblem, evaluate, linearization_coefficients
-from sphereq.solver import (
-    _KRYLOV_RTOL,
-    _krylov_solve,
-    _mean_coefficients,
-    _mean_mode_inverse,
+from sphereq.harmonics import (
+    apply_laplacian,
+    legendre_table,
+    max_degree,
+    mean_mode_inverse,
 )
+from sphereq.problems import NonlinearProblem, evaluate, linearization_coefficients
+from sphereq.solver import _KRYLOV_RTOL, _krylov_solve, _mean_coefficients
 from sphereq.symmetry import _BIRADIAL_TARGETS
 
 
@@ -194,7 +194,7 @@ def gradient_flow_relax(problem, op, u0, dt, steps, blowup=1e6):
         rhs = u.values + dt * (f - fq * q.values)
         ones, implicit = np.ones_like(fq), -dt * fq
         if precond is None:
-            precond = _mean_mode_inverse(
+            precond = mean_mode_inverse(
                 op, *_mean_coefficients(problem, u.grid, ones, implicit)
             )
         new_vals = _krylov_solve(ones, implicit, precond, rhs, _KRYLOV_RTOL, 0.0)

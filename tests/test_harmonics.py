@@ -21,7 +21,8 @@ from sphereq import (
     sht_inverse,
     trivial_branch_eigenvalues,
 )
-from sphereq.harmonics import legendre_table, parity_legendre_factor
+from sphereq import harmonics
+from sphereq.harmonics import legendre_table
 from conftest import random_band_limited
 from oracles import d_phi, full_block_laplacian, reflect_phi, spectral_parity_blocks
 
@@ -347,7 +348,7 @@ def test_legendre_factor_rows_by_degree():
     grid = make_grid(9, 16)
     cap = max_degree(grid)
     plm = legendre_table(grid.theta_nodes, cap)
-    for parity, (p, l, w) in enumerate(parity_legendre_factor(grid)):
+    for parity, (p, l, w) in enumerate(harmonics._parity_legendre_factor(grid)):
         size = 5 - parity
         assert p.shape == (9, l.shape[1], size) and w.shape == (size,)
         for m in range(9):

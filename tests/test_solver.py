@@ -148,13 +148,13 @@ def test_newton_forms_the_preconditioner_once_per_solve(grid32, op32, monkeypatc
     """One per-mode factorization per solve, however many Newton steps it
     takes, and none from a guess that already meets the tolerance."""
     calls = []
-    factorize = solver._mean_mode_inverse
+    factorize = solver.mean_mode_inverse
 
     def counted(*args):
         calls.append(args)
         return factorize(*args)
 
-    monkeypatch.setattr(solver, "_mean_mode_inverse", counted)
+    monkeypatch.setattr(solver, "mean_mode_inverse", counted)
     mode = harmonic_mode(grid32, 2, 2)
     eq = newton_solve(chafee_infante(6.5), op32, mode * (0.3 / mode.sup_norm))
     assert eq.newton_iters >= 3
@@ -219,7 +219,7 @@ def test_krylov_solve_meets_the_true_residual(grid32, realization):
     fu, fq = _krylov_data(grid32)
     assert fu.min() < 0 < fu.max()
     rhs = np.random.default_rng(5).standard_normal(fu.shape)
-    precond = solver._mean_mode_inverse(
+    precond = harmonics.mean_mode_inverse(
         op, *solver._mean_coefficients(chafee_infante(0.0), grid32, fu, fq)
     )
     rtol, atol = 1e-10, 1e-12
@@ -238,7 +238,7 @@ def test_krylov_solve_through_the_singular_floor(grid32, op32):
     _, fq = _krylov_data(grid32)
     c_u, c_q = solver._mean_coefficients(chafee_infante(0.0), grid32, 0.0 * fq, fq)
     assert c_u == 0.0
-    precond = solver._mean_mode_inverse(op32, c_u, c_q)
+    precond = harmonics.mean_mode_inverse(op32, c_u, c_q)
     assert precond.coeff_u > 0.0
     v = np.random.default_rng(6).standard_normal(fq.shape)
 
@@ -269,13 +269,13 @@ def test_mean_mode_inverse_floors_blocks_singular_to_rounding(grid32, realizatio
     parity half; a coefficient pair between two eigenvalues gets no
     shift."""
     op = make_operator(grid32, realization)
-    precond = solver._mean_mode_inverse(op, coeff_u, 1.0)
+    precond = harmonics.mean_mode_inverse(op, coeff_u, 1.0)
     assert precond.coeff_u != coeff_u
     for half, inverse in zip(op.blocks, precond.blocks):
         size = half.shape[1]
         m = precond.coeff_q * half + precond.coeff_u * np.eye(size)
         assert np.max(np.abs(m @ inverse - np.eye(size))) <= 1e-5
-    assert solver._mean_mode_inverse(op, 3.0, 1.0).coeff_u == 3.0
+    assert harmonics.mean_mode_inverse(op, 3.0, 1.0).coeff_u == 3.0
 
 
 def _inverse_defect(op, precond):
@@ -289,27 +289,31 @@ def _inverse_defect(op, precond):
     return defect
 
 
+@pytest.mark.parametrize("realization", ["spectral", "finite-difference"])
 @pytest.mark.parametrize("shape", [(16, 32), (33, 66), (24, 96), (48, 96)])
-def test_spectral_mean_mode_inverse_inverts_the_stored_blocks(shape):
-    """The closed-form inverse meets max|M X - I| <= 1e-12 against the
-    stored blocks, or eps times the spread of M's eigenvalues where that is
-    larger: at c_u = 6 + 1e-4, 1e-4 from degree 2, no inverse does better
-    (LAPACK's reads 3e-11 at 16x32 and 3e-10 at 48x96).  (1, -0.1) is the
-    implicit step of ``gradient_flow_relax`` at dt = 0.1; 24x96 caps the
-    degree by its rings, so its modes above the cap are all null.  The
-    floored pairs, c_u = 0 and c_u = 2 (degree 1), stay within the 1e-6
-    that ``_krylov_solve`` states up to 48x96."""
-    op = make_operator(make_grid(*shape))
+def test_mean_mode_inverse_inverts_the_stored_blocks(shape, realization):
+    """The inverse meets max|M X - I| <= 1e-12 against the stored blocks, or
+    eps times the spread of M's spectral eigenvalues where that is larger:
+    at c_u = 6 + 1e-4, 1e-4 from degree 2, no inverse does better (the
+    closed form reads 6e-11 at 16x32 and 2e-10 at 48x96, LAPACK on the FD
+    blocks 2e-11 and 2e-10).  (1, -0.1) is the implicit step of
+    ``gradient_flow_relax`` at dt = 0.1; 24x96 caps the degree by its
+    rings, so its spectral modes above the cap are all null.  The floored
+    pairs, c_u = 0 and c_u = 2 (degree 1), stay within the 1e-6 that
+    ``_krylov_solve`` states up to 48x96.  The FD blocks are singular to
+    rounding there only on some grids, so only the spectral inverse must
+    carry a floor."""
+    op = make_operator(make_grid(*shape), realization)
     l = np.arange(max_degree(op.grid) + 1.0)
     for coeff_u, coeff_q in ((3.7, 1.0), (-5.0, 1.0), (6.0 + 1e-4, 1.0), (1.0, -0.1)):
-        precond = solver._mean_mode_inverse(op, coeff_u, coeff_q)
+        precond = harmonics.mean_mode_inverse(op, coeff_u, coeff_q)
         assert precond.coeff_u == coeff_u
         d = np.append(np.abs(coeff_u - coeff_q * l * (l + 1.0)), abs(coeff_u))
         bound = max(1e-12, solver._EPS * d.max() / d.min())
         assert _inverse_defect(op, precond) <= bound
     for coeff_u in (0.0, 2.0):
-        precond = solver._mean_mode_inverse(op, coeff_u, 1.0)
-        assert precond.coeff_u != coeff_u
+        precond = harmonics.mean_mode_inverse(op, coeff_u, 1.0)
+        assert realization != "spectral" or precond.coeff_u != coeff_u
         assert _inverse_defect(op, precond) <= 1e-6
 
 
@@ -326,22 +330,22 @@ def test_only_finite_difference_blocks_are_inverted_by_lapack(grid32, monkeypatc
 
     monkeypatch.setattr(np.linalg, "inv", counted)
     for coeff_u in (3.7, 0.0):
-        solver._mean_mode_inverse(spectral, coeff_u, 1.0)
+        harmonics.mean_mode_inverse(spectral, coeff_u, 1.0)
     assert calls == []
-    solver._mean_mode_inverse(fd, 3.7, 1.0)
+    harmonics.mean_mode_inverse(fd, 3.7, 1.0)
     assert len(calls) == 2
 
 
 def _count_legendre_factors(monkeypatch):
     """Record every grid whose parity Legendre factor is formed."""
     grids = []
-    form = harmonics.parity_legendre_factor
+    form = harmonics._parity_legendre_factor
 
     def counted(grid):
         grids.append(grid)
         return form(grid)
 
-    monkeypatch.setattr(harmonics, "parity_legendre_factor", counted)
+    monkeypatch.setattr(harmonics, "_parity_legendre_factor", counted)
     return grids
 
 
@@ -364,7 +368,7 @@ def test_an_audit_forms_no_legendre_factor(grid32, monkeypatch):
     grids = _count_legendre_factors(monkeypatch)
     theorem_audit(chafee_infante(6.0), op, harmonic_mode(grid32, 2, 2))
     assert grids == []
-    assert "legendre_factor" not in vars(op)
+    assert "_legendre_factor" not in vars(op)
 
 
 def test_krylov_iteration_applies_no_laplacian(grid32, op32, monkeypatch):
@@ -388,7 +392,7 @@ def test_krylov_iteration_applies_no_laplacian(grid32, op32, monkeypatch):
         monkeypatch.setattr(solver, name, counting(key, getattr(solver, name)))
     monkeypatch.setattr(solver, "gmres", gmres)
     fu, fq = _krylov_data(grid32)
-    precond = solver._mean_mode_inverse(
+    precond = harmonics.mean_mode_inverse(
         op32, *solver._mean_coefficients(chafee_infante(0.0), grid32, fu, fq)
     )
     rhs = np.random.default_rng(7).standard_normal(fu.shape)
