@@ -6,6 +6,7 @@ natural-parameter continuation.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,21 +90,31 @@ _SCAN_POINTS = 512
 
 
 def gmres(matvec, b, rtol, atol, restart, maxiter):
-    """Restarted GMRES (Saad and Schultz 1986) for A x = b from x = 0, where
-    ``matvec(v)`` returns A v for a flat float array v.
+    """Restarted, right-preconditioned GMRES in the flexible form (Saad
+    1993) for A x = b from x = 0.  ``matvec(v)``, for a flat float array v,
+    returns the pair (A z, z), where z is the vector v stands for in the
+    solution space: z = M^-1 v for a right preconditioner M, or v itself
+    for a plain (A v, v); gmres reads z only until the cycle's update, so z
+    may be a view of v.
 
     Each of at most ``maxiter`` cycles builds at most ``restart`` Arnoldi
-    vectors, orthogonalised by classical Gram-Schmidt applied twice (two
+    vectors v_j, orthogonalised by classical Gram-Schmidt applied twice (two
     products with the basis per pass), and reduces the least-squares problem
-    by Givens rotations.  A cycle ends when the rotated residual estimate
-    meets the tolerance, when the basis is full, or at an exact breakdown
-    (the Krylov space is invariant); the true residual b - A x is then
-    recomputed, and the solve stops once its 2-norm is at most
-    max(atol, rtol |b|).  Returns (x, info): info is 0 on success, otherwise
-    the number of cycles run, when the budget runs out or a breakdown leaves
-    the true residual above the tolerance.  ``maxiter`` must be positive.
-    A b whose 2-norm overflows a double raises LinearSolveError.
+    by Givens rotations.  It keeps each z_j and each image w_j = A z_j as
+    ``matvec`` returned them, so the cycle's update is x += sum y_j z_j and
+    its residual r -= sum y_j w_j: no product follows the last Arnoldi step.
+    A cycle ends when the rotated residual estimate meets the tolerance,
+    when the basis is full, or at an exact breakdown (the Krylov space is
+    invariant); the solve stops once the 2-norm of the residual formed from
+    the images, not the estimate, is at most max(atol, rtol |b|).  Returns
+    (x, info): x solves A x = b (the preconditioned solution, not the
+    Krylov coordinates), and info is 0 on success, otherwise the number of
+    cycles run, when the budget runs out or a breakdown leaves the residual
+    above the tolerance.  ``restart`` and ``maxiter`` must be positive
+    integers.  A b whose 2-norm overflows a double raises LinearSolveError.
     """
+    if not (isinstance(restart, numbers.Integral) and restart >= 1):
+        raise ParameterError("restart must be a positive integer, got %r" % (restart,))
     if maxiter < 1:
         raise ParameterError("maxiter must be positive, got %r" % (maxiter,))
     b = np.asarray(b, dtype=float)
@@ -117,16 +128,19 @@ def gmres(matvec, b, rtol, atol, restart, maxiter):
         )
     target = max(atol, rtol * r_norm)
     basis = np.empty((restart + 1, b.size))
-    r = b
+    r = b.copy()
     for cycle in range(1, maxiter + 1):
         if r_norm <= target:
             return x, 0
         basis[0] = r / r_norm
         g = [r_norm]  # rotated right-hand side; |g[-1]| estimates |r|
         cols, rotations = [], []  # rotated Hessenberg columns, Givens (c, s)
+        images, solutions = [], []  # w_j = A z_j and z_j, as matvec returned them
         breakdown = False
         for j in range(restart):
-            w = matvec(basis[j])
+            w, z = matvec(basis[j])
+            images.append(w)
+            solutions.append(z)
             w_norm = float(np.linalg.norm(w))
             v = basis[: j + 1]
             h = v @ w
@@ -157,8 +171,11 @@ def gmres(matvec, b, rtol, atol, restart, maxiter):
         for i in reversed(range(len(cols))):
             acc = g[i] - sum(cols[k][i] * y[k] for k in range(i + 1, len(cols)))
             y[i] = acc / cols[i][i] if cols[i][i] else 0.0
-        x += np.array(y) @ basis[: len(cols)]
-        r = b - matvec(x)
+        # row by row: stacking the rows would allocate, and fault in, a
+        # fresh (restart, n) array every cycle
+        for y_j, w_j, z_j in zip(y, images, solutions):
+            x += y_j * z_j
+            r -= y_j * w_j
         r_norm = float(np.linalg.norm(r))
         if breakdown and r_norm > target:
             return x, cycle
@@ -189,41 +206,41 @@ def _mean_coefficients(problem, grid, fu, fq):
 
 def _krylov_solve(fu, fq, precond, rhs, rtol, atol):
     """Solve (fu + fq * Lap) s = rhs matrix-free with ``gmres`` (40 Krylov
-    vectors per cycle, at most 50 cycles) on a plain matvec callable,
-    right-preconditioned by ``precond``, the ``harmonics.mean_mode_inverse``
-    that the caller forms once and reuses across its solves.
+    vectors per cycle, at most 50 cycles), right-preconditioned by
+    ``precond``, the ``harmonics.mean_mode_inverse`` that the caller forms
+    once and reuses across its solves.
 
     With M = c_u + c_q * Lap the operator ``precond`` inverts, the system
     operator splits exactly as
 
         fu + fq * Lap = (fq / c_q) M + (fu - c_u fq / c_q),
 
-    so GMRES runs on A M^-1 y = (fq / c_q) y + (fu - c_u fq / c_q) M^-1 y and
-    returns s = M^-1 y.  Each iteration is one application of the inverse's
-    mode blocks (``apply_mode_blocks``) and two pointwise products, with no
-    Laplacian.  GMRES's residual is then the
-    true linear residual, so the returned s meets
-    |(fu + fq * Lap) s - rhs| <= max(atol, rtol |rhs|) in the 2-norm over
-    grid values, up to the rounding of the inverse blocks X: max|M X - I|
-    is 1e-12 or less for well-separated coefficients, and at most 1e-6 up
-    to 48x96 and 1e-5 at 128x256 when the blocks carry the singular-block
-    floor (measured: 2e-7 and 6e-6 at c_u = 0); otherwise LinearSolveError
-    is raised.
+    so for a Krylov vector v the matvec forms z = M^-1 v by one application
+    of the inverse's mode blocks (``apply_mode_blocks``) and returns
+    ((fq / c_q) v + (fu - c_u fq / c_q) z, z), with no Laplacian.  GMRES
+    keeps each z and returns s = sum y_j z_j itself, so no block
+    application follows its last Arnoldi step.  Its residual, formed from
+    the returned images, is the true linear residual up to rounding, so s
+    meets |(fu + fq * Lap) s - rhs| <= max(atol, rtol |rhs|) in the 2-norm
+    over grid values, up to the rounding of the inverse blocks X:
+    max|M X - I| is 1e-12 or less for well-separated coefficients, and at
+    most 1e-6 up to 48x96 and 1e-5 at 128x256 when the blocks carry the
+    singular-block floor (measured: 2e-7 and 6e-6 at c_u = 0); otherwise
+    LinearSolveError is raised.
     """
     shape = rhs.shape
     scale = (fq / precond.coeff_q).ravel()
     shift = fu.ravel() - precond.coeff_u * scale
 
-    def inverse(y):
-        return apply_mode_blocks(precond.blocks, y.reshape(shape))
+    def matvec(v):
+        z = apply_mode_blocks(precond.blocks, v.reshape(shape)).ravel()
+        return scale * v + shift * z, z
 
-    y, info = gmres(
-        lambda y: scale * y + shift * inverse(y).ravel(), rhs.ravel(), rtol=rtol,
-        atol=atol, restart=_KRYLOV_RESTART, maxiter=_KRYLOV_MAX_RESTARTS,
-    )
+    s, info = gmres(matvec, rhs.ravel(), rtol=rtol, atol=atol,
+                    restart=_KRYLOV_RESTART, maxiter=_KRYLOV_MAX_RESTARTS)
     if info != 0:
         raise LinearSolveError("GMRES stagnated (info=%d)" % info)
-    return inverse(y)
+    return s.reshape(shape)
 
 
 def newton_solve(problem, op, guess, tol=1e-9, max_iter=30):
@@ -244,14 +261,17 @@ def newton_solve(problem, op, guess, tol=1e-9, max_iter=30):
     mean-coefficient operator at the starting iterate (F_u and F_q replaced
     by their sphere means), which the operator's module forms
     (``harmonics.mean_mode_inverse``) once per solve at the first step and
-    every later step reuses; a guess that already meets ``tol`` forms none.  Each GMRES iteration applies that inverse once and
-    no Laplacian (see ``_krylov_solve``).  Each trial's one Lap u gives its
-    residual and, once accepted, the next step's F_u and F_q.  Raises
-    ContractError when F_q has zero sphere mean at the starting iterate,
-    LinearSolveError when that mean or F_u's, or a residual's 2-norm,
-    overflows a double, and ConvergenceError carrying the last iterate when
-    the budget runs out.  ``tol`` must be finite and positive, and
-    ``max_iter`` a non-negative integer.
+    every later step reuses; a guess that already meets ``tol`` forms none.
+    Each GMRES iteration applies that inverse once and no Laplacian, and
+    GMRES returns the step itself, with its residual formed from the images
+    it kept, so a step applies the inverse once per Arnoldi vector and no
+    more (see ``gmres`` and ``_krylov_solve``).  Each trial's one Lap u
+    gives its residual and, once accepted, the next step's F_u and F_q.
+    Raises ContractError when F_q has zero sphere mean at the starting
+    iterate, LinearSolveError when that mean or F_u's, or a residual's
+    2-norm, overflows a double, and ConvergenceError carrying the last
+    iterate when the budget runs out.  ``tol`` must be finite and positive,
+    and ``max_iter`` a non-negative integer.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ParameterError("tolerance must be finite and positive, got %r" % (tol,))
@@ -363,9 +383,15 @@ def branch_switch(grid, lam_star, l, m, amplitude=None, side=1, dlam0=0.25):
     """Initial point for a nontrivial branch emerging at ``lam_star``.
 
     Returns (lam_start, guess) with lam_start = lam_star + side * dlam0 and
-    guess = amplitude * Y_l^m / sup|Y_l^m|.  The default amplitude is the
-    cubic normal-form estimate sqrt(4 |lam_start - lam_star| / (3 lam_start)),
-    which is exact to leading order for the built-in cubic problem.  Using
+    guess = amplitude * Y_l^m / sup|Y_l^m|.  The default amplitude is
+    sqrt(4 |lam_start - lam_star| / (3 lam_start)).  For the built-in cubic
+    problem the leading-order amplitude is
+    sqrt(|lam_start - lam_star| I2 / (lam_start I4)) with I2 and I4 the
+    sphere integrals of phi^2 and phi^4 for phi = Y_l^m / sup|Y_l^m|, so the
+    default takes I2 / I4 = 4/3, its value for a single Fourier mode on a
+    circle.  On the sphere the ratio is not 4/3 (at 48x96: 2.32 for Y_2^0,
+    1.75 for Y_2^2, 2.92 for Y_3^0, 2.06 for Y_3^1), so the default is only
+    a rough start, and Newton spends more steps from it.  Using
     the cosine-type harmonic (m >= 0) pins the rotational phase of the
     branch at phi = 0.  ``lam_star``, ``dlam0`` and a given ``amplitude``
     must be finite, and the amplitude positive.

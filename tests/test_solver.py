@@ -109,7 +109,8 @@ def test_newton_sizes_each_krylov_solve_by_its_forcing_term(realization, amplitu
     """The README solve: the first step's GMRES stops at 1e-2 relative, later
     ones at 0.9 (r_k / r_{k-1})^2 within [1e-10, 1e-2], and Newton takes the
     same 4 steps to the same equilibrium as with every solve at 1e-10, on
-    at most 17 matvecs instead of 28."""
+    13 matvecs (Arnoldi steps; GMRES keeps each preconditioned image, so no
+    product follows the last one) instead of 28."""
     rtols = []
     matvecs = 0
     real_gmres = solver.gmres
@@ -132,7 +133,7 @@ def test_newton_sizes_each_krylov_solve_by_its_forcing_term(realization, amplitu
     assert eq.newton_iters == 4
     assert rtols[0] == 1e-2
     assert all(1e-10 <= rtol <= 1e-2 for rtol in rtols)
-    assert matvecs <= 17
+    assert matvecs <= 13
     assert eq.amplitude == pytest.approx(amplitude, abs=1e-11)
 
 
@@ -373,7 +374,8 @@ def test_an_audit_forms_no_legendre_factor(grid32, monkeypatch):
 
 def test_krylov_iteration_applies_no_laplacian(grid32, op32, monkeypatch):
     """Each GMRES iteration applies the preconditioner's mode blocks once and
-    no Laplacian; one more block application recovers the step."""
+    no Laplacian; GMRES keeps each preconditioned vector, so no block
+    application recovers the step or a cycle's residual."""
     counts = {"laplacian": 0, "blocks": 0, "matvecs": 0}
 
     def counting(name, fn):
@@ -399,7 +401,7 @@ def test_krylov_iteration_applies_no_laplacian(grid32, op32, monkeypatch):
     solver._krylov_solve(fu, fq, precond, rhs, 1e-10, 0.0)
     assert counts["matvecs"] > 5
     assert counts["laplacian"] == 0
-    assert counts["blocks"] == counts["matvecs"] + 1
+    assert counts["blocks"] == counts["matvecs"]
 
 
 def test_zero_mean_fq_is_outside_the_elliptic_class(grid32, op32):
@@ -526,7 +528,7 @@ def test_gmres_meets_the_true_residual_bound(restart, rtol, atol):
 
     def matvec(v):
         calls.append(1)
-        return a @ v
+        return a @ v, v
 
     x, info = solver.gmres(matvec, b, rtol=rtol, atol=atol, restart=restart,
                            maxiter=50)
@@ -536,18 +538,46 @@ def test_gmres_meets_the_true_residual_bound(restart, rtol, atol):
     exact = np.linalg.solve(a, b)
     assert np.linalg.norm(x - exact) <= 10 * bound * np.linalg.norm(np.linalg.inv(a), 2)
     if restart < 60:
-        assert len(calls) > restart + 1  # more than one cycle
+        assert len(calls) > restart  # more than one cycle
+
+
+def test_gmres_returns_the_preconditioned_solution():
+    """With columns scaled over four decades, matvec right-preconditions by
+    the scaling D, returning (A D^-1 v, D^-1 v); gmres returns the solution
+    x itself, not its Krylov coordinates D x, and the residual it forms
+    from the images over several cycles is the true b - A x."""
+    d = np.geomspace(1.0, 1e4, 60)
+    a = _nonsymmetric(60, 9) * d
+    b = np.random.default_rng(10).standard_normal(60)
+    calls = []
+
+    def matvec(v):
+        calls.append(1)
+        z = v / d
+        return a @ z, z
+
+    x, info = solver.gmres(matvec, b, rtol=1e-10, atol=0.0, restart=7, maxiter=50)
+    assert info == 0
+    assert len(calls) > 7  # more than one cycle
+    assert np.linalg.norm(b - a @ x) <= 1e-10 * np.linalg.norm(b)
+    assert np.allclose(x, np.linalg.solve(a, b), rtol=1e-8, atol=0.0)
 
 
 def test_gmres_reports_a_budget_it_cannot_meet():
     a = _nonsymmetric(60, 5)
     b = np.random.default_rng(6).standard_normal(60)
-    x, info = solver.gmres(lambda v: a @ v, b, rtol=1e-12, atol=0.0, restart=3,
-                           maxiter=2)
+    x, info = solver.gmres(lambda v: (a @ v, v), b, rtol=1e-12, atol=0.0,
+                           restart=3, maxiter=2)
     assert info == 2
     assert np.linalg.norm(b - a @ x) > 1e-12 * np.linalg.norm(b)
     with pytest.raises(ParameterError, match="maxiter"):
-        solver.gmres(lambda v: a @ v, b, rtol=1e-12, atol=0.0, restart=3, maxiter=0)
+        solver.gmres(lambda v: (a @ v, v), b, rtol=1e-12, atol=0.0, restart=3,
+                     maxiter=0)
+    # an empty cycle would run no product and return zeros as a stagnation
+    for restart in (0, -1, 2.5):
+        with pytest.raises(ParameterError, match="restart"):
+            solver.gmres(lambda v: (a @ v, v), b, rtol=1e-12, atol=0.0,
+                         restart=restart, maxiter=3)
 
 
 def test_gmres_zero_right_hand_side_returns_zeros():
@@ -562,7 +592,8 @@ def test_gmres_zero_right_hand_side_returns_zeros():
 
 def test_gmres_exact_breakdown_returns_the_exact_solution():
     """A right-hand side that is an eigenvector spans an invariant Krylov
-    space at the first step: one Arnoldi product, one residual product."""
+    space at the first step: one Arnoldi product, and the residual comes
+    from its stored image."""
     a = _nonsymmetric(20, 8)
     a[1:, 0] = 0.0  # e_0 is an eigenvector with eigenvalue a[0, 0]
     b = np.zeros(20)
@@ -571,11 +602,11 @@ def test_gmres_exact_breakdown_returns_the_exact_solution():
 
     def matvec(v):
         calls.append(1)
-        return a @ v
+        return a @ v, v
 
     x, info = solver.gmres(matvec, b, rtol=1e-15, atol=0.0, restart=10, maxiter=5)
     assert info == 0
-    assert len(calls) == 2
+    assert len(calls) == 1
     assert np.allclose(x, b / a[0, 0], rtol=1e-15, atol=0.0)
 
 
