@@ -36,6 +36,7 @@ from .problems import (
     EllipticityAudit,
     NonlinearProblem,
     PROBLEM_REGISTRY,
+    atan_elliptic,
     chafee_infante,
     ellipticity_audit,
     problem_from_name,

@@ -54,6 +54,11 @@ def _read_config_file(path):
     return values
 
 
+#: Times `branch` doubles its bifurcation search window about l(l+1), from
+#: a half-width of max(1, 4 dlam), before it gives up: up to 1024 times it.
+_WINDOW_DOUBLINGS = 10
+
+
 #: The words a config file may give a boolean flag, case-insensitive; any
 #: other word is an invalid value, so a typo cannot turn a flag off.
 _CONFIG_BOOLEANS = {
@@ -359,20 +364,28 @@ def _cmd_branch(args):
     family = lambda lam: problem_from_name(args.problem, lam)
     lam_star = args.lambda_star
     if lam_star is None:
+        # the window about l(l+1) doubles until it holds a degree-l crossing:
+        # a problem whose F_q(0, 0) is not 1 has its crossings elsewhere
+        # (atan-elliptic's at 2 l(l+1))
         ll1 = args.l * (args.l + 1)
         window = max(1.0, args.dlam * 4)
-        points = detect_bifurcations(
-            family, (ll1 - window, ll1 + window), args.l
-        )
-        points = [p for p in points if p[1] == args.l]
-        if not points:
-            raise SphereqError(
-                "no degree-%d bifurcation found near lambda=%g" % (args.l, ll1)
+        for _ in range(_WINDOW_DOUBLINGS + 1):
+            points = detect_bifurcations(
+                family, (ll1 - window, ll1 + window), args.l
             )
-        lam_star = points[0][0]
+            points = [lam for lam, l in points if l == args.l]
+            if points:
+                break
+            window *= 2.0
+        else:
+            raise SphereqError(
+                "no degree-%d bifurcation found within %g of lambda=%g"
+                % (args.l, window / 2.0, ll1)
+            )
+        lam_star = min(points, key=lambda lam: abs(lam - ll1))
     lam_start, guess = branch_switch(
         grid, lam_star, args.l, args.m, amplitude=args.amplitude, side=args.side,
-        dlam0=args.dlam,
+        dlam0=args.dlam, family=family,
     )
     start = newton_solve(family(lam_start), op, guess, tol=args.tol)
     if start.amplitude < (args.amplitude or guess.sup_norm) / 2.0:

@@ -60,9 +60,35 @@ def chafee_infante(lam):
     return NonlinearProblem("chafee-infante", f, fu, fq, delta_floor=1.0, lam=lam)
 
 
+def atan_elliptic(lam):
+    """The fully nonlinear problem F(u, q) = 3q - atan(q) + lam * u * (1 - u^2).
+
+    F_q = 3 - 1 / (1 + q^2) lies in [2, 3), so it varies with the state,
+    and the ellipticity floor is 2.  The trivial branch loses stability on
+    degree-l harmonics at lam = 2 l(l+1), in a supercritical pitchfork for
+    every l: along a harmonic both the atan and the cubic term bend the
+    branch towards larger lam.  ``lam`` must be finite.
+    """
+    lam = float(lam)
+    if not math.isfinite(lam):
+        raise ParameterError("lambda must be finite, got %r" % (lam,))
+
+    def f(u, q):
+        return 3.0 * q - np.arctan(q) + lam * u * (1.0 - u * u)
+
+    def fu(u, q):
+        return lam * (1.0 - 3.0 * u * u) + 0.0 * np.asarray(q, dtype=float)
+
+    def fq(u, q):
+        return 3.0 - 1.0 / (1.0 + q * q) + 0.0 * np.asarray(u, dtype=float)
+
+    return NonlinearProblem("atan-elliptic", f, fu, fq, delta_floor=2.0, lam=lam)
+
+
 #: Built-in problem factories addressable by name (lambda is passed through).
 PROBLEM_REGISTRY = {
     "chafee-infante": chafee_infante,
+    "atan-elliptic": atan_elliptic,
 }
 
 

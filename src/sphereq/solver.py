@@ -17,10 +17,10 @@ from .errors import (
     LinearSolveError,
     ParameterError,
 )
-from .grid import ScalarField, bisect_roots
+from .grid import ScalarField, bisect_roots, integrate
 from .harmonics import (apply_laplacian, apply_mode_blocks, harmonic_mode,
                         mean_mode_inverse)
-from .problems import evaluate, linearization_coefficients
+from .problems import chafee_infante, evaluate, linearization_coefficients
 
 
 @dataclass(frozen=True)
@@ -87,6 +87,18 @@ _EPS = float(np.finfo(float).eps)
 
 #: Evenly spaced lambda values detect_bifurcations scans for sign changes.
 _SCAN_POINTS = 512
+
+#: Step in s of branch_switch's central differences of d/ds F(s phi, s q).
+#: They are exact up to rounding (about 1e-13 relative at 48x96) when F is
+#: cubic in (u, q); otherwise they are off by O((h l(l+1))^2): 0.2% of
+#: atan-elliptic's cubic coefficient at l = 2 and 2% at l = 4, well below
+#: the error of a one-mode balance.  A step of 1e-3 leaves the cubic's
+#: amplitude 1e-11 off by rounding.
+_SWITCH_STEP = 1e-2
+#: A quadratic coefficient <phi, G(h) - G(-h)> at most this fraction of
+#: <|phi|, |G(h)| + |G(-h)|> is rounding: an odd F gives exactly 0 or a few
+#: units of double precision.
+_QUADRATIC_TOL = 1e-8
 
 
 def gmres(matvec, b, rtol, atol, restart, maxiter):
@@ -379,22 +391,92 @@ def detect_bifurcations(problem_family, lam_range, l_max):
                       np.append(zero_l, brk_l).tolist()))
 
 
-def branch_switch(grid, lam_star, l, m, amplitude=None, side=1, dlam0=0.25):
-    """Initial point for a nontrivial branch emerging at ``lam_star``.
+def _one_mode_amplitude(problem, phi, ll1, side):
+    """Amplitude a of the one-mode Galerkin balance c1 a + c2 a^2 + c3 a^3 = 0
+    of ``problem`` along the sup-normalized harmonic ``phi`` of degree l,
+    l(l+1) = ``ll1``, with q = Lap phi = -l(l+1) phi exact.
+
+    With G(s) = d/ds F(s phi, s q) = F_u phi + F_q q at (s phi, s q), the
+    coefficients are c1 = <phi, G(0)> = g_l(lam) <phi, phi>,
+    c2 = <phi, G'(0)> / 2 and c3 = <phi, G''(0)> / 6, the inner products
+    by ``integrate``.  G' and G'' are central differences with step
+    _SWITCH_STEP.  A c2 above the rounding of those differences marks a
+    transcritical point and raises ParameterError, as does a zero c3 and a
+    balance without a root a > 0 on the requested ``side`` of lambda*; then
+    the branch lies on the other side.
+    """
+    h = _SWITCH_STEP
+    q = phi * -ll1
+
+    def slope(s):
+        u_s, q_s = s * phi.values, s * q.values
+        return (evaluate(problem, "F_u", u_s, q_s) * phi.values
+                + evaluate(problem, "F_q", u_s, q_s) * q.values)
+
+    lo, mid, hi = slope(-h), slope(0.0), slope(h)
+    project = lambda w, v: integrate(ScalarField(phi.grid, w * v))
+    size = project(np.abs(phi.values), np.abs(hi) + np.abs(lo))
+    if abs(project(phi.values, hi - lo)) > _QUADRATIC_TOL * size:
+        raise ParameterError(
+            "problem %r has a quadratic term along this mode (<phi, D^2F[phi]> "
+            "!= 0): a transcritical point, which the cubic one-mode balance "
+            "does not cover; pass amplitude" % problem.name
+        )
+    c1 = project(phi.values, mid)
+    c3 = project(phi.values, hi - 2.0 * mid + lo) / (6.0 * h * h)
+    if c3 == 0.0:
+        raise ParameterError(
+            "problem %r has no cubic term along this mode, so the one-mode "
+            "balance fixes no amplitude; pass amplitude" % problem.name
+        )
+    a2 = -c1 / c3
+    if not a2 > 0.0:
+        raise ParameterError(
+            "problem %r has no branch on side %+d of lambda*: the one-mode "
+            "balance at lambda = %g gives amplitude^2 = %g; the branch lies on "
+            "side %+d" % (problem.name, side, problem.lam, a2, -side)
+        )
+    return math.sqrt(a2)
+
+
+def branch_switch(grid, lam_star, l, m, amplitude=None, side=1, dlam0=0.25,
+                  family=chafee_infante):
+    """Initial point for the branch of ``family`` that bifurcates from
+    u == 0 at ``lam_star`` along the degree-l harmonics.
 
     Returns (lam_start, guess) with lam_start = lam_star + side * dlam0 and
-    guess = amplitude * Y_l^m / sup|Y_l^m|.  The default amplitude is
-    sqrt(4 |lam_start - lam_star| / (3 lam_start)).  For the built-in cubic
-    problem the leading-order amplitude is
-    sqrt(|lam_start - lam_star| I2 / (lam_start I4)) with I2 and I4 the
-    sphere integrals of phi^2 and phi^4 for phi = Y_l^m / sup|Y_l^m|, so the
-    default takes I2 / I4 = 4/3, its value for a single Fourier mode on a
-    circle.  On the sphere the ratio is not 4/3 (at 48x96: 2.32 for Y_2^0,
-    1.75 for Y_2^2, 2.92 for Y_3^0, 2.06 for Y_3^1), so the default is only
-    a rough start, and Newton spends more steps from it.  Using
-    the cosine-type harmonic (m >= 0) pins the rotational phase of the
-    branch at phi = 0.  ``lam_star``, ``dlam0`` and a given ``amplitude``
-    must be finite, and the amplitude positive.
+    guess = amplitude * phi, phi = Y_l^m / sup|Y_l^m|; the cosine-type
+    harmonic (m >= 0) pins the branch's rotational phase at phi = 0.
+
+    The default amplitude is the root a > 0 of the problem's one-mode
+    Galerkin balance at lam_start (a Lyapunov-Schmidt reduction onto phi;
+    Crandall and Rabinowitz 1971, Kielhofer 2012, section I.6):
+    a^2 = -c1 / c3, where c1 = <phi, DF[phi]> = g_l(lam_start) <phi, phi>
+    with g_l = F_u(0, 0) - l(l+1) F_q(0, 0), c3 = <phi, D^3F[phi]> / 6 with
+    D^3F[phi] = d^3/ds^3 F(s phi, s Lap phi) at s = 0, and <.,.> the
+    sphere quadrature.  D^3F comes from central second differences in s of
+    the problem's F_u and F_q (step 1e-2), exact up to rounding when F is
+    cubic; for ``chafee_infante`` the amplitude is
+    sqrt(dlam0 I2 / (lam_start I4)), I2 and I4 the integrals of phi^2 and
+    phi^4.  The balance is taken at lam_start, where Newton solves, not at
+    lam_star: balanced at lam_star, the 48x96 Y_3^1 start 0.3 past it
+    takes 10 Newton steps and lands on another equilibrium (amplitude
+    0.266, against 0.208 in 5 steps when balanced at lam_start).  For
+    l >= 3 and 0 < m < l the harmonic is in general not an isotropy axis
+    of the O(3) action, along which the equivariant branching lemma puts
+    the branches (Golubitsky, Stewart and Schaeffer 1988, ch. XIII), so
+    there (Y_3^1, say) the amplitude is only a start.
+
+    ParameterError is raised when the balance has no root on the requested
+    side (a subcritical branch asked for on the supercritical side, or
+    the reverse); the message names the side the branch lies on.  It is
+    also raised at a transcritical point, where the one-mode quadratic
+    coefficient <phi, D^2F[phi]> is nonzero: the cubic balance does not
+    apply there, and an explicit ``amplitude`` is needed.  A given
+    ``amplitude`` is used as it is, and ``family`` is then not called.
+    ``lam_star`` and a given ``amplitude`` must be finite, the amplitude
+    positive, and ``dlam0`` finite and positive (``side`` sets the
+    direction).
     """
     if side not in (1, -1):
         raise ParameterError("side must be +1 or -1")
@@ -403,18 +485,18 @@ def branch_switch(grid, lam_star, l, m, amplitude=None, side=1, dlam0=0.25):
         raise ParameterError(
             "lambda_star and dlam0 must be finite, got %r and %r" % (lam_star, dlam0)
         )
+    if not dlam0 > 0:
+        raise ParameterError(
+            "dlam0 must be > 0, got %r; side sets the direction" % (dlam0,)
+        )
+    mode = harmonic_mode(grid, l, m)
     if amplitude is None:
-        denom = 3.0 * lam_start
-        if denom <= 0:
-            raise ParameterError(
-                "default amplitude undefined at lam_start=%g; pass amplitude" % lam_start
-            )
-        amplitude = math.sqrt(4.0 * abs(lam_start - lam_star) / denom)
+        amplitude = _one_mode_amplitude(
+            family(lam_start), mode * (1.0 / mode.sup_norm), l * (l + 1.0), side
+        )
     if not (math.isfinite(amplitude) and amplitude > 0):
         raise ParameterError("amplitude must be finite and > 0, got %r" % (amplitude,))
-    mode = harmonic_mode(grid, l, m)
-    guess = mode * (amplitude / mode.sup_norm)
-    return lam_start, guess
+    return lam_start, mode * (amplitude / mode.sup_norm)
 
 
 def continue_branch(problem_family, op, start, dlam, n_steps, tol=1e-9):

@@ -19,7 +19,7 @@ from sphereq.harmonics import (
     max_degree,
     mean_mode_inverse,
 )
-from sphereq.problems import NonlinearProblem, evaluate, linearization_coefficients
+from sphereq.problems import evaluate, linearization_coefficients
 from sphereq.solver import _KRYLOV_RTOL, _krylov_solve, _mean_coefficients
 from sphereq.symmetry import _BIRADIAL_TARGETS
 
@@ -80,23 +80,6 @@ def reflect_phi(field, phi_c):
     n = field.grid.n_phi
     coeffs = reflect_coeffs(np.fft.rfft(field.values, axis=1), phi_c)
     return ScalarField(field.grid, np.fft.irfft(coeffs, n, axis=1))
-
-
-def _atan_elliptic(lam):
-    """F = 3q - atan q + lam u (1 - u^2): F_q = 3 - 1/(1 + q^2) lies in
-    [2, 3), so it varies with the state; the trivial branch bifurcates
-    supercritically at lam* = 2 l(l+1)."""
-
-    def f(u, q):
-        return 3.0 * q - np.arctan(q) + lam * u * (1.0 - u * u)
-
-    def fu(u, q):
-        return lam * (1.0 - 3.0 * u * u) + 0.0 * q
-
-    def fq(u, q):
-        return 3.0 - 1.0 / (1.0 + q * q) + 0.0 * u
-
-    return NonlinearProblem("atan-elliptic", f, fu, fq, delta_floor=2.0, lam=lam)
 
 
 def _tau_rule():

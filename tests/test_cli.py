@@ -211,6 +211,37 @@ def test_branch_readme_command_returns_all_points(capsys, tmp_path, realization)
 
 
 @pytest.mark.parametrize("realization", ["spectral", "finite-difference"])
+def test_branch_of_the_fully_nonlinear_problem_returns_all_points(
+    capsys, tmp_path, realization
+):
+    """atan-elliptic's degree-2 crossing is at lambda = 12, not l(l+1) = 6:
+    the search window widens until it holds it, and the start's amplitude
+    comes from the problem's own one-mode balance."""
+    code, out, _ = run_cli(
+        ["branch", "--problem", "atan-elliptic", "--l", "2", "--m", "2", "--steps",
+         "6", "--realization", realization, "--outdir", str(tmp_path)],
+        capsys,
+    )
+    assert code == 0
+    assert "lambda_star 12\n" in out and "points 7" in out
+    rows = (tmp_path / "branch_2_2.csv").read_text().strip().splitlines()
+    assert len(rows) == 8
+
+
+def test_branch_on_the_side_without_a_branch_exits_2(capsys, tmp_path):
+    """The cubic Y_2^2 branch lies above lambda* = 6; asking for the side
+    below is a usage error that names the side, not a traceback."""
+    code, out, err = run_cli(
+        ["branch", "--l", "2", "--m", "2", "--side", "-1", "--outdir", str(tmp_path)],
+        capsys,
+    )
+    assert code == 2 and out == ""
+    assert "no branch on side -1" in err and "lies on side +1" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("realization", ["spectral", "finite-difference"])
 def test_solve_at_zero_lambda_fails_cleanly(realization):
     """At lam = 0 a mode block of the preconditioner is singular; the
     command either solves or exits 2 with a message, never a traceback."""

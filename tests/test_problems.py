@@ -9,7 +9,9 @@ from sphereq import (
     NonlinearProblem,
     ParameterError,
     apply_laplacian,
+    atan_elliptic,
     chafee_infante,
+    detect_bifurcations,
     ellipticity_audit,
     eval_on_grid,
     harmonic_mode,
@@ -35,6 +37,19 @@ def test_partial_derivatives_match_finite_differences():
     p = chafee_infante(2.3)
     err_u, err_q = verify_partial_derivatives(p, rng=0)
     assert err_u < 1e-6 and err_q < 1e-6
+
+
+def test_atan_elliptic_is_fully_nonlinear():
+    """The registered atan-elliptic problem: exact partials, F_q in [2, 3)
+    varying with q, and its degree-l crossings at lam = 2 l(l+1)."""
+    p = problem_from_name("atan-elliptic", 13.0)
+    assert p.name == "atan-elliptic" and p.lam == 13.0 and p.delta_floor == 2.0
+    err_u, err_q = verify_partial_derivatives(p, rng=0)
+    assert err_u < 1e-6 and err_q < 1e-6
+    fq = p.eval_Fq(0.0, np.array([0.0, 1.0, -10.0]))
+    assert np.all((fq >= 2.0) & (fq < 3.0)) and np.ptp(fq) > 0.9
+    points = detect_bifurcations(atan_elliptic, (1.0, 13.0), 3)
+    assert [(round(lam, 9), l) for lam, l in points] == [(4.0, 1), (12.0, 2)]
 
 
 def test_registry_round_trip():

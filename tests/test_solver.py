@@ -2,6 +2,7 @@
 detection, branch switching and continuation."""
 
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -20,6 +21,7 @@ from sphereq import (
     ParameterError,
     ScalarField,
     apply_laplacian,
+    atan_elliptic,
     branch_switch,
     chafee_infante,
     continue_branch,
@@ -29,6 +31,7 @@ from sphereq import (
     harmonic_mode,
     make_grid,
     make_operator,
+    integrate,
     max_degree,
     newton_solve,
     theorem_audit,
@@ -38,7 +41,6 @@ from sphereq.grid import TWO_PI
 from sphereq.harmonics import apply_mode_blocks
 from oracles import (
     DivergenceError,
-    _atan_elliptic,
     gradient_flow_relax,
     jacobian_matrix,
     quadrature_weight_vector,
@@ -193,8 +195,8 @@ def test_newton_converges_with_variable_fq(realization):
     which the cubic problem (F_q == 1) never does."""
     grid = make_grid(48, 96)
     op = make_operator(grid, realization)
-    lam, guess = branch_switch(grid, 12.0, 2, 2, dlam0=1.0)
-    problem = _atan_elliptic(lam)
+    lam, guess = branch_switch(grid, 12.0, 2, 2, dlam0=1.0, family=atan_elliptic)
+    problem = atan_elliptic(lam)
     eq = newton_solve(problem, op, guess, tol=1e-9)
     assert eq.residual_norm <= 1e-9
     assert eq.amplitude > 0.1
@@ -473,12 +475,14 @@ def test_newton_converges_from_scaled_guesses(realization, l, m, scale):
 
 @pytest.mark.parametrize("realization", ["spectral", "finite-difference"])
 def test_newton_converges_from_a_far_y41_start(realization):
-    """2.5 times the normal-form Y_4^1 guess 4 past lambda* = 20.  At this
-    start the spectral linear system is beyond GMRES's budget at 1e-10
-    relative (it stagnates on the first step); the first step's forcing
-    term of 1e-2 is within it, and Newton reaches the branch."""
+    """2.5 times the circle normal-form Y_4^1 guess sqrt(4 dlam / (3 lam))
+    4 past lambda* = 20.  At this start the spectral linear system is
+    beyond GMRES's budget at 1e-10 relative (it stagnates on the first
+    step); the first step's forcing term of 1e-2 is within it, and Newton
+    reaches the branch."""
     grid = make_grid(48, 96)
-    lam, guess = branch_switch(grid, 20.0, 4, 1, dlam0=4.0)
+    lam, guess = branch_switch(grid, 20.0, 4, 1, dlam0=4.0,
+                               amplitude=math.sqrt(4 * 4.0 / (3 * 24.0)))
     eq = newton_solve(chafee_infante(lam), make_operator(grid, realization),
                       guess * 2.5, tol=1e-9)
     assert eq.residual_norm <= 1e-9
@@ -774,6 +778,124 @@ def test_switch_guess_has_mode_structure():
     assert ext.n == 4
     lam_start, axi = branch_switch(g, 2.0, 1, 0)
     assert np.max(np.abs(axi.values - axi.values[:, :1])) < 1e-12
+
+
+def _sup_normalized(grid, l, m):
+    mode = harmonic_mode(grid, l, m)
+    return mode * (1.0 / mode.sup_norm)
+
+
+@pytest.mark.parametrize("l, m, ratio", [(2, 0, 2.32), (2, 2, 1.75), (3, 0, 2.92),
+                                         (3, 1, 2.06), (3, 3, None)])
+@pytest.mark.parametrize("dlam0", [0.25, 1.4])
+def test_switch_amplitude_is_the_cubic_one_mode_balance(l, m, ratio, dlam0):
+    """For the cubic problem the one-mode balance at lam_start gives
+    a^2 = dlam0 I2 / (lam_start I4), I2 and I4 the integrals of phi^2 and
+    phi^4; on the sphere I2 / I4 is not the circle's 4/3."""
+    grid = make_grid(48, 96)
+    phi = _sup_normalized(grid, l, m)
+    i2, i4 = integrate(phi * phi), integrate(phi * phi * phi * phi)
+    if ratio is not None:
+        assert round(i2 / i4, 2) == ratio
+    lam, guess = branch_switch(grid, l * (l + 1.0), l, m, dlam0=dlam0)
+    assert lam == l * (l + 1.0) + dlam0
+    assert abs(guess.sup_norm - math.sqrt(dlam0 * i2 / (lam * i4))) <= 1e-12
+    assert np.max(np.abs(guess.values - phi.values * guess.sup_norm)) <= 1e-15
+
+
+def test_switch_amplitude_of_the_fully_nonlinear_problem():
+    """For atan-elliptic, D^3F[phi] = -(2 L^3 + 6 lam) phi^3 with L = l(l+1)
+    and c1 = (lam - 2L) I2, so a^2 = (lam - 2L) I2 / ((lam + L^3 / 3) I4).
+    The central difference in s is off by O((h L)^2) for a non-cubic F."""
+    grid = make_grid(48, 96)
+    phi = _sup_normalized(grid, 2, 2)
+    i2, i4 = integrate(phi * phi), integrate(phi * phi * phi * phi)
+    lam, guess = branch_switch(grid, 12.0, 2, 2, dlam0=0.5, family=atan_elliptic)
+    exact = math.sqrt((lam - 12.0) * i2 / ((lam + 72.0) * i4))
+    assert guess.sup_norm == pytest.approx(exact, rel=5e-3)
+
+
+@pytest.mark.parametrize("realization", ["spectral", "finite-difference"])
+@pytest.mark.parametrize("dlam0", [0.5, 1.0, 1.4])
+def test_y30_starts_take_at_most_four_newton_steps(realization, dlam0):
+    """The circle normal form started Y_3^0 a third below its branch, and
+    Newton took 8 steps to reach it."""
+    grid = make_grid(48, 96)
+    lam, guess = branch_switch(grid, 12.0, 3, 0, dlam0=dlam0)
+    eq = newton_solve(chafee_infante(lam), make_operator(grid, realization), guess,
+                      tol=1e-9)
+    assert eq.amplitude > 0.1
+    assert eq.newton_iters <= 4
+
+
+def _kappa_family(kappa):
+    """F = q + kappa atan q + lam u (1 - u^2): F_q(0, 0) = 1 + kappa, so the
+    degree-l crossing is at lam* = (1 + kappa) l(l+1)."""
+
+    def family(lam):
+        return NonlinearProblem(
+            "kappa-atan",
+            lambda u, q: q + kappa * np.arctan(q) + lam * u * (1.0 - u * u),
+            lambda u, q: lam * (1.0 - 3.0 * u * u) + 0.0 * q,
+            lambda u, q: 1.0 + kappa / (1.0 + q * q) + 0.0 * u,
+            delta_floor=1.0, lam=lam,
+        )
+
+    return family
+
+
+def test_switch_refuses_the_side_without_a_branch():
+    """The cubic pitchfork is supercritical: its branch lies above lambda*.
+    With kappa atan q added, <phi, D^3F[phi]> is proportional to
+    2 kappa L^3 - 6 lam, which at l = 2 changes sign near kappa = 1/11: the
+    branch turns to the side below lambda*."""
+    grid = make_grid(48, 96)
+    with pytest.raises(ParameterError, match="lies on side \\+1"):
+        branch_switch(grid, 6.0, 2, 2, side=-1)
+    branch_switch(grid, 6.0 * 1.05, 2, 2, family=_kappa_family(0.05))
+    with pytest.raises(ParameterError, match="no branch on side \\+1.*lies on side -1"):
+        branch_switch(grid, 6.0 * 1.2, 2, 2, family=_kappa_family(0.2))
+    lam, guess = branch_switch(grid, 6.0 * 1.2, 2, 2, side=-1,
+                               family=_kappa_family(0.2))
+    assert lam == pytest.approx(6.95) and guess.sup_norm > 0.0
+
+
+def test_switch_refuses_points_the_cubic_balance_does_not_cover():
+    """A u^2 term gives Y_2^0 the one-mode quadratic coefficient
+    <phi, 2 phi^2> != 0, a transcritical point; a linear F has no cubic
+    coefficient.  Either start needs an explicit amplitude."""
+    grid = make_grid(48, 96)
+
+    def quadratic(lam):
+        return NonlinearProblem(
+            "quadratic",
+            lambda u, q: q + lam * u * (1.0 - u * u) + u * u,
+            lambda u, q: lam * (1.0 - 3.0 * u * u) + 2.0 * u + 0.0 * q,
+            lambda u, q: 1.0 + 0.0 * (u + q),
+            delta_floor=1.0, lam=lam,
+        )
+
+    def linear(lam):
+        return NonlinearProblem(
+            "linear", lambda u, q: q + lam * u, lambda u, q: lam + 0.0 * (u + q),
+            lambda u, q: 1.0 + 0.0 * (u + q), delta_floor=1.0, lam=lam,
+        )
+
+    with pytest.raises(ParameterError, match="transcritical"):
+        branch_switch(grid, 6.0, 2, 0, family=quadratic)
+    with pytest.raises(ParameterError, match="no cubic term"):
+        branch_switch(grid, 6.0, 2, 0, family=linear)
+    for family in (quadratic, linear):
+        lam, guess = branch_switch(grid, 6.0, 2, 0, family=family, amplitude=0.3)
+        assert guess.sup_norm == pytest.approx(0.3)
+
+
+@pytest.mark.parametrize("dlam0", [0.0, -0.25])
+def test_switch_rejects_a_step_that_is_not_positive(dlam0):
+    """side sets the direction; a step of 0 or below would put the start on
+    the other side from the one the side names."""
+    with pytest.raises(ParameterError, match="dlam0 must be > 0"):
+        branch_switch(make_grid(16, 32), 6.0, 2, 2, dlam0=dlam0)
 
 
 @pytest.mark.parametrize("lam_star", [float("nan"), float("inf")])

@@ -14,6 +14,7 @@ from sphereq import (
     ContractError,
     DegenerateFieldError,
     ParameterError,
+    atan_elliptic,
     biradial_field,
     branch_switch,
     chafee_infante,
@@ -30,7 +31,7 @@ from sphereq import (
     theorem_audit,
 )
 from sphereq.symmetry import _EDGE_TOL, _sector
-from oracles import _atan_elliptic, biradial_angles, reflect_phi, rotate_phi
+from oracles import biradial_angles, reflect_phi, rotate_phi
 
 TWO_PI = 2.0 * np.pi
 
@@ -973,7 +974,8 @@ def test_tesseral_equilibria_have_saddle_meridians(shape, l, m):
 
 @pytest.mark.parametrize("realization", ["spectral", "finite-difference"])
 def test_mixed_mode_equilibrium_fails_the_hypotheses(realization):
-    """Newton from the Y_3^1 seed at lam = 28, for a problem whose F_q
+    """Newton from the Y_3^1 seed at lam = 28, with the circle normal-form
+    amplitude sqrt(4 dlam / (3 lam)), for a problem whose F_q
     varies (its Y_3 pitchfork is at lam* = 24), settles on a mixed-mode
     equilibrium: mirror-symmetric about a maximum at 0 and a minimum at pi,
     with ring-wise critical points inside both gaps.  Its sweeps stop short
@@ -981,8 +983,9 @@ def test_mixed_mode_equilibrium_fails_the_hypotheses(realization):
     the audited class; the interior critical points put it outside."""
     grid = make_grid(48, 96)
     op = make_operator(grid, realization)
-    lam, guess = branch_switch(grid, 24.0, 3, 1, dlam0=4.0)
-    problem = _atan_elliptic(lam)
+    lam, guess = branch_switch(grid, 24.0, 3, 1, dlam0=4.0,
+                               amplitude=math.sqrt(4 * 4.0 / (3 * 28.0)))
+    problem = atan_elliptic(lam)
     eq = newton_solve(problem, op, guess, tol=1e-9)
     report = theorem_audit(problem, op, eq.u)
     assert report.extrema.kinds == ("max", "min")
