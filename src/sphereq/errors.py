@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its integer check."""
 
 
 class SphereqError(Exception):
@@ -53,3 +53,11 @@ class ConvergenceError(SphereqError, RuntimeError):
 
 class LinearSolveError(SphereqError, RuntimeError):
     """The inner Krylov solve stagnated or broke down."""
+
+
+def _integer(value, name):
+    """A non-negative integer ``value`` (2 or 2.0) as an int; else a ParameterError."""
+    if not (float(value).is_integer() and value >= 0):
+        raise ParameterError(
+            "%s must be non-negative and an integer, got %r" % (name, value))
+    return int(value)

@@ -23,9 +23,10 @@ layout and the equatorial parity split of SHTns, Schaeffer 2013).  No full
 n_theta x n_theta block is formed.  The operator also inverts itself in
 the same layout: ``mean_mode_inverse`` gives the blocks of
 (c_u + c_q Lap)^-1, the solver's preconditioner, so the solver needs to
-know nothing of how the blocks are stored.  The spectral blocks and their
-inverse come from one parity-split Legendre factor, which stays private to
-this module.
+know nothing of how the blocks are stored.  The Legendre values have one
+private layout, a parity-split factor: the spectral blocks and their
+inverse read it at the grid's degree cap, the transform at its
+coefficients' cap, through the same ring FFT, fold and unfold.
 """
 
 from __future__ import annotations
@@ -37,37 +38,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ParameterError, ResolutionError
+from .errors import ParameterError, ResolutionError, _integer
 from .grid import ScalarField, TWO_PI
-
-
-def legendre_table(theta, degree_cap):
-    """Fully normalized associated Legendre values Q_l^m(cos theta).
-
-    Returns an array ``plm`` of shape (L+1, L+1, len(theta)) with
-    ``plm[l, m]`` the colatitude profile of the orthonormal harmonic,
-    normalized so that  2*pi * integral Q_l^m(x)^2 dx = 1.  Computed with
-    the standard stable forward recurrences on the normalized functions
-    (no overflow up to l of a few hundred), one degree at a time with every
-    order m < l advanced together.
-    """
-    theta = np.asarray(theta, dtype=float)
-    L = int(degree_cap)
-    x = np.cos(theta)
-    s = np.sin(theta)
-    plm = np.zeros((L + 1, L + 1, theta.size))
-    plm[0, 0] = 1.0 / math.sqrt(4.0 * math.pi)
-    for m in range(1, L + 1):
-        plm[m, m] = math.sqrt((2.0 * m + 1.0) / (2.0 * m)) * s * plm[m - 1, m - 1]
-    for l in range(1, L + 1):
-        m = np.arange(l)
-        a = np.sqrt((2.0 * l - 1.0) * (2.0 * l + 1.0) / ((l - m) * (l + m)))
-        plm[l, :l] = a[:, None] * x * plm[l - 1, :l]
-        # the second term starts two degrees above the diagonal
-        m = m[:-1]
-        b = np.sqrt((l - 1.0 - m) * (l - 1.0 + m) / ((2.0 * l - 3.0) * (2.0 * l - 1.0)))
-        plm[l, : l - 1] -= (a[:-1] * b)[:, None] * plm[l - 2, : l - 1]
-    return plm
 
 
 def max_degree(grid):
@@ -77,15 +49,22 @@ def max_degree(grid):
 
 @dataclass(frozen=True)
 class SpectralCoeffs:
-    """Real spherical-harmonic coefficients up to ``degree_cap``.
-
-    ``coeffs[l, degree_cap + m]`` holds the coefficient of the orthonormal
-    real harmonic of degree l and order m (cosine type for m > 0, sine type
-    for m < 0); entries with |m| > l are structurally zero.
-    """
+    """Real spherical-harmonic coefficients up to ``degree_cap``, a
+    non-negative integer: ``coeffs``, finite and of shape (degree_cap + 1,
+    2 degree_cap + 1), holds at ``[l, degree_cap + m]`` the coefficient of
+    the orthonormal real harmonic of degree l and order m (cosine type for
+    m > 0, sine type for m < 0); entries with |m| > l are structurally
+    zero."""
 
     degree_cap: int
     coeffs: np.ndarray
+
+    def __post_init__(self):
+        cap = _integer(self.degree_cap, "degree cap")
+        object.__setattr__(self, "degree_cap", cap)
+        shape = (cap + 1, 2 * cap + 1)
+        if np.shape(self.coeffs) != shape or not np.all(np.isfinite(self.coeffs)):
+            raise ParameterError("coefficients must be a finite %d x %d array" % shape)
 
     def __getitem__(self, lm):
         l, m = lm
@@ -102,67 +81,136 @@ def _check_resolution(grid, L):
         )
 
 
-def sht_forward(field, degree_cap):
-    """Expand a field in orthonormal real spherical harmonics.
+def _parity_legendre_factor(grid, cap):
+    """Q_l^m(cos theta), fully normalized (2*pi * integral Q_l^m(x)^2 dx
+    = 1), up to degree ``cap``, split by equatorial parity, Q_l^m(-x) =
+    (-1)^(l+m) Q_l^m(x): the pair (even, odd) of read-only triples (P, l, W)
+    over the modes m = 0 .. n_phi // 2.  ``P[m, j]`` holds Q_l^m on the
+    half's rings (the northern rings, and for the even half of odd n_theta
+    the equator) for the degree ``l[m, j]`` = m + parity + 2j, and is zero
+    past ``cap``.  ``W`` are the half's quadrature weights times 2*pi, each
+    northern ring counted twice for its southern mirror, so that
+    (P[m] * W) @ P[m]^T is the identity on the rows with a degree (to about
+    1e-14).  The standard stable recurrences (no overflow up to l of a few
+    hundred) write both halves at once: the diagonal Q_m^m is a running
+    product over m, and each offset j = l - m then advances every order."""
+    h = grid.n_theta // 2
+    n_even = grid.n_theta - h
+    theta = grid.theta_nodes[:n_even]
+    x, s = np.cos(theta), np.sin(theta)
+    w = 2.0 * TWO_PI * grid.theta_weights[:n_even]
+    w[h:] *= 0.5  # the equator ring is its own mirror
+    m = np.arange(grid.n_phi // 2 + 1)[:, None]
+    # row j holds Q_{m+j}^m for the orders m = 0 .. cap - j
+    order = np.arange(1, cap + 1)
+    row = np.empty((cap + 1, n_even))
+    row[0] = 1.0 / math.sqrt(4.0 * math.pi)
+    row[1:] = np.sqrt((2.0 * order + 1.0) / (2.0 * order))[:, None] * s
+    row, prev = np.cumprod(row, axis=0), None
+    # Q_l^m = a Q_{l-1}^m x - a b Q_{l-2}^m at [j, m] for l = m + j + 1
+    j, order = np.ogrid[: cap + 1, :cap]
+    l = order + j + 1
+    a = np.sqrt((2.0 * l - 1.0) * (2.0 * l + 1.0) / ((l - order) * (l + order)))
+    ab = a * np.sqrt((l - 1.0 - order) * (l - 1.0 + order)
+                     / ((2.0 * l - 3.0) * (2.0 * l - 1.0)))
+    halves = [np.zeros((m.size, (cap - parity) // 2 + 1, size))
+              for parity, size in enumerate((n_even, h))]
+    for j in range(cap + 1):
+        half = halves[j % 2]
+        half[: cap + 1 - j, j // 2] = row[:, : half.shape[2]]
+        new = a[j, : cap - j, None] * x * row[: cap - j]
+        if j:  # the second term starts two degrees above the diagonal
+            new -= ab[j, : cap - j, None] * prev[: cap - j]
+        prev, row = row, new
+    factor = tuple((p, m + parity + 2 * np.arange(p.shape[1]), w[: p.shape[2]])
+                   for parity, p in enumerate(halves))
+    for a in (*factor[0], *factor[1]):
+        a.setflags(write=False)
+    return factor
 
-    Per-ring Fourier analysis followed by Gauss-Legendre projection in
-    colatitude; exact for fields band-limited to ``degree_cap``.
-    """
+
+def _fold(modes):
+    """Rows e_j = (u_j + u_{n-1-j}) / 2 for j < n_theta // 2, the equator
+    ring of odd n_theta (even only), then o_j = (u_j - u_{n-1-j}) / 2."""
+    h = modes.shape[0] // 2
+    north, south = modes[:h], modes[::-1][:h]
+    folded = np.empty_like(modes)
+    np.add(north, south, out=folded[:h])
+    np.subtract(north, south, out=folded[-h:])
+    folded *= 0.5
+    folded[h:-h] = modes[h:-h]
+    return folded
+
+
+def _unfold(folded, out):
+    """out_j = e_j + o_j, out_{n-1-j} = e_j - o_j and the equator e, for
+    rows (e, o) laid out as ``_fold`` lays them out; returns ``out``."""
+    h = folded.shape[0] // 2
+    e, o = folded[:h], folded[-h:]
+    np.add(e, o, out=out[:h])
+    np.subtract(e, o, out=out[::-1][:h])
+    out[h:-h] = folded[h:-h]
+    return out
+
+
+def sht_forward(field, degree_cap):
+    """Expand a field in orthonormal real spherical harmonics up to
+    ``degree_cap``, a non-negative integer: per-ring Fourier analysis, the
+    fold, and Gauss-Legendre projection in colatitude per parity half of
+    the Legendre factor; exact for fields band-limited to ``degree_cap``."""
     grid = field.grid
-    L = int(degree_cap)
+    L = _integer(degree_cap, "degree cap")
     _check_resolution(grid, L)
-    plm = legendre_table(grid.theta_nodes, L)
-    n = grid.n_phi
-    ring = np.fft.rfft(field.values, axis=1) / n
-    w = grid.theta_weights
+    modes = np.fft.rfft(field.values, axis=1)[:, : L + 1] / grid.n_phi
+    modes[:, 1:] *= math.sqrt(2.0)
+    folded = _fold(modes)
+    (pe, _, we), (po, _, wo) = _parity_legendre_factor(grid, L)
+    # rows[m, l - m]: the cosine minus i times the sine coefficient of (l, m)
+    rows = np.empty((L + 1, L + 1), dtype=complex)
+    rows[:, ::2] = np.einsum("mjr,r,rm->mj", pe[: L + 1], we, folded[: we.size])
+    rows[:, 1::2] = np.einsum("mjr,r,rm->mj", po[: L + 1], wo, folded[we.size :])
+    l, m = np.tril_indices(L + 1)
     out = np.zeros((L + 1, 2 * L + 1))
-    # m = 0: ring mean against Q_l^0, weight 2*pi
-    out[:, L] = plm[:, 0] @ (w * TWO_PI * ring[:, 0].real)
-    sq2pi = math.sqrt(2.0) * math.pi
-    for m in range(1, L + 1):
-        cos_part = 2.0 * ring[:, m].real
-        sin_part = -2.0 * ring[:, m].imag
-        out[m:, L + m] = plm[m:, m] @ (w * sq2pi * cos_part)
-        out[m:, L - m] = plm[m:, m] @ (w * sq2pi * sin_part)
+    out[l, L - m] = -rows[m, l - m].imag
+    out[l, L + m] = rows[m, l - m].real  # over the sine part's (l, 0) for m = 0
     return SpectralCoeffs(L, out)
 
 
 def sht_inverse(coeffs, grid):
-    """Synthesize the harmonic series pointwise on the grid."""
-    L = coeffs.degree_cap
+    """Synthesize the harmonic series pointwise on the grid: per parity half
+    of the Legendre factor, the unfold of the rings and per-ring Fourier
+    synthesis."""
+    L, c = coeffs.degree_cap, coeffs.coeffs
     _check_resolution(grid, L)
-    plm = legendre_table(grid.theta_nodes, L)
-    n = grid.n_phi
-    ring = np.zeros((grid.n_theta, n // 2 + 1), dtype=complex)
-    ring[:, 0] = plm[:, 0].T @ coeffs.coeffs[:, L]
-    sq2 = math.sqrt(2.0)
-    for m in range(1, L + 1):
-        a = sq2 * (plm[m:, m].T @ coeffs.coeffs[m:, L + m])
-        b = sq2 * (plm[m:, m].T @ coeffs.coeffs[m:, L - m])
-        ring[:, m] = 0.5 * (a - 1j * b)
-    return ScalarField(grid, np.fft.irfft(ring * n, n, axis=1))
+    l, m = np.tril_indices(L + 1)
+    rows = np.zeros((L + 1, L + 1), dtype=complex)  # as in sht_forward
+    rows[m, l - m] = c[l, L + m] - 1j * np.where(m > 0, c[l, L - m], 0.0)
+    (pe, _, _), (po, _, _) = _parity_legendre_factor(grid, L)
+    folded = np.concatenate((np.einsum("mjr,mj->rm", pe[: L + 1], rows[:, ::2]),
+                             np.einsum("mjr,mj->rm", po[: L + 1], rows[:, 1::2])))
+    modes = np.zeros((grid.n_theta, grid.n_phi // 2 + 1), dtype=complex)
+    _unfold(folded, modes[:, : L + 1])
+    modes[:, 1:] /= math.sqrt(2.0)
+    return ScalarField(grid, np.fft.irfft(modes * grid.n_phi, grid.n_phi, axis=1))
 
 
 def harmonic_mode(grid, l, m):
     """The orthonormal real spherical harmonic of degree l, order m, sampled
-    on the grid (cosine type for m >= 0, sine type for m < 0)."""
-    if abs(m) > l:
+    on the grid (cosine type for m >= 0, sine type for m < 0); l and m are
+    integers with |m| <= l."""
+    l = _integer(l, "degree l")
+    if _integer(abs(m), "order |m|") > l:
         raise ParameterError("order |m|=%d exceeds degree l=%d" % (abs(m), l))
     _check_resolution(grid, l)  # sht_inverse's check comes after this allocation
     arr = np.zeros((l + 1, 2 * l + 1))
-    arr[l, l + m] = 1.0
+    arr[l, l + int(m)] = 1.0
     return sht_inverse(SpectralCoeffs(l, arr), grid)
 
 
 def trivial_branch_eigenvalues(l_max):
-    """Eigenvalues of the Laplace-Beltrami operator by degree.
-
-    Returns [(l, -l*(l+1), 2*l+1)] for l = 0..l_max, a non-negative
-    integer; exact integers.
-    """
-    if not (float(l_max).is_integer() and l_max >= 0):
-        raise ParameterError("l_max must be a non-negative integer, got %r" % (l_max,))
-    return [(l, -l * (l + 1), 2 * l + 1) for l in range(int(l_max) + 1)]
+    """Eigenvalues of the Laplace-Beltrami operator by degree: the exact
+    integers [(l, -l(l+1), 2l+1)] for l = 0..l_max, a non-negative integer."""
+    return [(l, -l * (l + 1), 2 * l + 1) for l in range(_integer(l_max, "l_max") + 1)]
 
 
 def _fd_theta_tables(theta):
@@ -204,39 +252,6 @@ def _fd_theta_tables(theta):
     return b0, ghost
 
 
-def _parity_legendre_factor(grid):
-    """The Legendre factor of the spectral realization, split by equatorial
-    parity: the pair (even, odd) of triples (P, l, W), each padded to one
-    row count over the modes m = 0 .. n_phi // 2.  Since
-    Q_l^m(-x) = (-1)^(l+m) Q_l^m(x), the even half holds the degrees with
-    l + m even and the odd half those with l + m odd.
-
-    ``P[m, j]`` holds Q_l^m on the half's rings (the northern rings, and for
-    the even half of odd n_theta the equator) for the degree
-    ``l[m, j]`` = m + parity + 2j; a row whose degree exceeds
-    ``max_degree(grid)`` is zero.  ``W`` are the half's quadrature weights
-    times 2*pi, each northern ring counted twice for its southern mirror
-    and the equator once, so that (P[m] * W) @ P[m]^T is the identity on
-    the rows with a degree (to about 1e-14).  All three are read-only."""
-    cap = max_degree(grid)
-    h = grid.n_theta // 2
-    n_even = grid.n_theta - h
-    plm = legendre_table(grid.theta_nodes[:n_even], cap)
-    w = 2.0 * TWO_PI * grid.theta_weights[:n_even]
-    w[h:] *= 0.5  # the equator ring is its own mirror
-    w.setflags(write=False)
-    m = np.arange(grid.n_phi // 2 + 1)[:, None]
-    halves = []
-    for parity, size in ((0, n_even), (1, h)):
-        l = m + parity + 2 * np.arange((cap - parity) // 2 + 1)
-        rows = plm[np.minimum(l, cap), np.minimum(m, cap), :size]
-        rows[l > cap] = 0.0
-        for a in (rows, l):
-            a.setflags(write=False)
-        halves.append((rows, l, w[:size]))
-    return tuple(halves)
-
-
 @dataclass(frozen=True, eq=False)
 class OperatorHandle:
     """An assembled realization of the Laplace-Beltrami operator.
@@ -260,17 +275,12 @@ class OperatorHandle:
 
     @functools.cached_property
     def _legendre_factor(self):
-        """The grid's ``_parity_legendre_factor``, which a spectral
-        ``mean_mode_inverse`` reads; formed there on first use and kept, so
-        only an operator that a solve uses holds one (two threads that form
-        it at once form the same arrays).
-
-        ``make_operator`` builds the spectral blocks from the same factor
-        and drops it, so a solved operator forms it twice (2.0 ms at 48x96,
-        7.7 ms at 128x256).  That is a deliberate trade: keeping the factor
-        on every operator raised the audit benchmark's peak RSS by 15%,
-        past its 10% bound, for the operators an audit never inverts."""
-        return _parity_legendre_factor(self.grid)
+        """The grid's ``_parity_legendre_factor`` at ``max_degree(grid)``,
+        formed on a spectral ``mean_mode_inverse``'s first use and kept (two
+        threads that form it at once form the same arrays).  ``make_operator``
+        drops its copy: kept on every operator, the factor raised the audit
+        benchmark's peak RSS by 15% for operators an audit never inverts."""
+        return _parity_legendre_factor(self.grid, max_degree(self.grid))
 
 
 def _legendre_product(p, g, w):
@@ -316,7 +326,7 @@ def make_operator(grid, realization="spectral"):
         raise ParameterError("unknown realization %r" % (realization,))
     if realization == "spectral":
         blocks = tuple(_legendre_product(p, -l * (l + 1.0), w)
-                       for p, l, w in _parity_legendre_factor(grid))
+                       for p, l, w in _parity_legendre_factor(grid, max_degree(grid)))
     else:
         blocks = _fd_blocks(grid)
     for half in blocks:
@@ -328,34 +338,22 @@ def apply_mode_blocks(blocks, values):
     """Apply per-mode parity blocks ``(even, odd)`` (``OperatorHandle``) to
     grid values of shape (n_theta, n_phi).
 
-    One ring rfft; the rows of the mode array fold into the halves
-    e_j = (u_j + u_{n-1-j}) / 2 and o_j = (u_j - u_{n-1-j}) / 2 for
-    j < n_theta // 2, the equator ring (odd n_theta) being even only; one
-    batched product per half on the interleaved real and imaginary parts;
-    the unfold out_j = E e + O o, out_{n-1-j} = E e - O o; one irfft.
-    Flipping the rings leaves e as it is and negates o exactly, so the
-    result is exactly equivariant under the flip."""
+    One ring rfft, the fold into the halves e and o, one batched product
+    per half on the interleaved real and imaginary parts, the unfold of
+    (E e, O o) and one irfft.  Flipping the rings leaves e as it is and
+    negates o exactly, so the result is exactly equivariant under the
+    flip."""
     even, odd = blocks
     n_theta, n_phi = values.shape
-    h = n_theta // 2
+    n_even = n_theta - n_theta // 2
     modes = np.fft.rfft(values, axis=1)
-    north, south = modes[:h], modes[: n_theta - h - 1 : -1]
-    # rows: the even half (northern rings, then the equator), the odd half
-    folded = np.empty_like(modes)
-    np.add(north, south, out=folded[:h])
-    np.subtract(north, south, out=folded[n_theta - h :])
-    folded *= 0.5
-    folded[h : n_theta - h] = modes[h : n_theta - h]
+    folded = _fold(modes)
     product = np.empty_like(modes)
     x, y = (a.view(float).reshape(n_theta, -1, 2).transpose(1, 0, 2)
             for a in (folded, product))
-    np.matmul(even, x[:, : n_theta - h], out=y[:, : n_theta - h])
-    np.matmul(odd, x[:, n_theta - h :], out=y[:, n_theta - h :])
-    e, o = product[:h], product[n_theta - h :]
-    np.add(e, o, out=modes[:h])
-    np.subtract(e, o, out=modes[: n_theta - h - 1 : -1])
-    modes[h : n_theta - h] = product[h : n_theta - h]
-    return np.fft.irfft(modes, n_phi, axis=1)
+    np.matmul(even, x[:, :n_even], out=y[:, :n_even])
+    np.matmul(odd, x[:, n_even:], out=y[:, n_even:])
+    return np.fft.irfft(_unfold(product, modes), n_phi, axis=1)
 
 
 def apply_laplacian(op, field):
@@ -450,11 +448,10 @@ def mean_mode_inverse(op, coeff_u, coeff_q):
         return MeanModeInverse(
             tuple(np.linalg.inv(a) for a in halves), coeff_u + shift, coeff_q
         )
-    cap = max_degree(op.grid)
     halves = []
     singular = False
     for (p, l, w), block in zip(op._legendre_factor, op.blocks):
-        present = l <= cap
+        present = l <= max_degree(op.grid)
         # fewer degrees than rings: M is c_u on the rest, the null part
         null = present.sum(axis=1) < p.shape[2]
         ll1 = l * (l + 1.0)

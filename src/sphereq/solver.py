@@ -16,6 +16,7 @@ from .errors import (
     ConvergenceError,
     LinearSolveError,
     ParameterError,
+    _integer,
 )
 from .grid import ScalarField, bisect_roots, integrate
 from .harmonics import (apply_laplacian, apply_mode_blocks, harmonic_mode,
@@ -287,10 +288,7 @@ def newton_solve(problem, op, guess, tol=1e-9, max_iter=30):
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ParameterError("tolerance must be finite and positive, got %r" % (tol,))
-    if not (float(max_iter).is_integer() and max_iter >= 0):
-        raise ParameterError(
-            "max_iter must be non-negative and an integer, got %r" % (max_iter,)
-        )
+    max_iter = _integer(max_iter, "max_iter")
 
     def state(u):
         q = apply_laplacian(op, u)
@@ -361,8 +359,7 @@ def detect_bifurcations(problem_family, lam_range, l_max):
         )
     if not hi > lo:
         raise ParameterError("empty lambda range")
-    if not (float(l_max).is_integer() and l_max >= 0):
-        raise ParameterError("l_max must be a non-negative integer, got %r" % (l_max,))
+    l_max = _integer(l_max, "l_max")
     for lam in np.linspace(lo, hi, 9):
         p = problem_family(lam)
         if abs(float(np.asarray(p.eval_F(0.0, 0.0)))) > 1e-12:
@@ -379,7 +376,7 @@ def detect_bifurcations(problem_family, lam_range, l_max):
         return fu - ll1 * fq
 
     scan = np.linspace(lo, hi, _SCAN_POINTS)
-    l = np.arange(int(l_max) + 1.0)
+    l = np.arange(l_max + 1.0)
     vals = g(scan, (l * (l + 1))[:, None])  # (degree, scan value)
     zero = vals == 0.0
     zero[:, 1:] &= ~zero[:, :-1]  # the first of a run of exact zeros
@@ -510,17 +507,14 @@ def continue_branch(problem_family, op, start, dlam, n_steps, tol=1e-9):
     onto the trivial state, which happens when continuation runs back into
     the bifurcation point.
     """
-    if not (float(n_steps).is_integer() and n_steps >= 0):
-        raise ParameterError(
-            "n_steps must be non-negative and an integer, got %r" % (n_steps,)
-        )
+    n_steps = _integer(n_steps, "n_steps")
     if dlam == 0 and n_steps > 0:
         raise ParameterError("dlam must be nonzero for a nontrivial continuation")
     if start.residual_norm > start.tol:
         raise ContractError("start point is not converged")
     points = [start]
     prev_u = None
-    for k in range(int(n_steps)):
+    for k in range(n_steps):
         lam_next = points[-1].lam + dlam
         if prev_u is None:
             guess = points[-1].u

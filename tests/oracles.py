@@ -14,8 +14,8 @@ import numpy as np
 from sphereq.errors import ParameterError, SphereqError
 from sphereq.grid import TWO_PI, ScalarField, gauss_legendre
 from sphereq.harmonics import (
+    SpectralCoeffs,
     apply_laplacian,
-    legendre_table,
     max_degree,
     mean_mode_inverse,
 )
@@ -236,6 +236,73 @@ def _full_fd_theta_tables(theta):
             else:
                 ghost[j, ghost_map[ie]] += row[t]
     return b0, ghost
+
+
+def legendre_table(theta, degree_cap):
+    """Fully normalized associated Legendre values Q_l^m(cos theta).
+
+    Returns an array ``plm`` of shape (L+1, L+1, len(theta)) with
+    ``plm[l, m]`` the colatitude profile of the orthonormal harmonic,
+    normalized so that  2*pi * integral Q_l^m(x)^2 dx = 1.  Computed with
+    the standard stable forward recurrences on the normalized functions
+    (no overflow up to l of a few hundred), one degree at a time with every
+    order m < l advanced together.
+    """
+    theta = np.asarray(theta, dtype=float)
+    L = int(degree_cap)
+    x = np.cos(theta)
+    s = np.sin(theta)
+    plm = np.zeros((L + 1, L + 1, theta.size))
+    plm[0, 0] = 1.0 / math.sqrt(4.0 * math.pi)
+    for m in range(1, L + 1):
+        plm[m, m] = math.sqrt((2.0 * m + 1.0) / (2.0 * m)) * s * plm[m - 1, m - 1]
+    for l in range(1, L + 1):
+        m = np.arange(l)
+        a = np.sqrt((2.0 * l - 1.0) * (2.0 * l + 1.0) / ((l - m) * (l + m)))
+        plm[l, :l] = a[:, None] * x * plm[l - 1, :l]
+        # the second term starts two degrees above the diagonal
+        m = m[:-1]
+        b = np.sqrt((l - 1.0 - m) * (l - 1.0 + m) / ((2.0 * l - 3.0) * (2.0 * l - 1.0)))
+        plm[l, : l - 1] -= (a[:-1] * b)[:, None] * plm[l - 2, : l - 1]
+    return plm
+
+
+def full_table_sht_forward(field, degree_cap):
+    """The spherical-harmonic expansion from the full ``legendre_table``
+    over all rings: per-ring Fourier analysis, then one Gauss-Legendre
+    projection per order m, without the equatorial parity split."""
+    grid = field.grid
+    L = int(degree_cap)
+    plm = legendre_table(grid.theta_nodes, L)
+    n = grid.n_phi
+    ring = np.fft.rfft(field.values, axis=1) / n
+    w = grid.theta_weights
+    out = np.zeros((L + 1, 2 * L + 1))
+    # m = 0: ring mean against Q_l^0, weight 2*pi
+    out[:, L] = plm[:, 0] @ (w * TWO_PI * ring[:, 0].real)
+    sq2pi = math.sqrt(2.0) * math.pi
+    for m in range(1, L + 1):
+        cos_part = 2.0 * ring[:, m].real
+        sin_part = -2.0 * ring[:, m].imag
+        out[m:, L + m] = plm[m:, m] @ (w * sq2pi * cos_part)
+        out[m:, L - m] = plm[m:, m] @ (w * sq2pi * sin_part)
+    return SpectralCoeffs(L, out)
+
+
+def full_table_sht_inverse(coeffs, grid):
+    """The harmonic series synthesized from the full ``legendre_table``
+    over all rings, one order m at a time."""
+    L = coeffs.degree_cap
+    plm = legendre_table(grid.theta_nodes, L)
+    n = grid.n_phi
+    ring = np.zeros((grid.n_theta, n // 2 + 1), dtype=complex)
+    ring[:, 0] = plm[:, 0].T @ coeffs.coeffs[:, L]
+    sq2 = math.sqrt(2.0)
+    for m in range(1, L + 1):
+        a = sq2 * (plm[m:, m].T @ coeffs.coeffs[m:, L + m])
+        b = sq2 * (plm[m:, m].T @ coeffs.coeffs[m:, L - m])
+        ring[:, m] = 0.5 * (a - 1j * b)
+    return ScalarField(grid, np.fft.irfft(ring * n, n, axis=1))
 
 
 def full_mode_blocks(grid, realization):

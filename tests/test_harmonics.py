@@ -1,6 +1,7 @@
 """Spherical-harmonic transform and the two operator realizations."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,9 +23,16 @@ from sphereq import (
     trivial_branch_eigenvalues,
 )
 from sphereq import harmonics
-from sphereq.harmonics import legendre_table
 from conftest import random_band_limited
-from oracles import d_phi, full_block_laplacian, reflect_phi, spectral_parity_blocks
+from oracles import (
+    d_phi,
+    full_block_laplacian,
+    full_table_sht_forward,
+    full_table_sht_inverse,
+    legendre_table,
+    reflect_phi,
+    spectral_parity_blocks,
+)
 
 FOUR_PI = 4.0 * np.pi
 
@@ -100,8 +108,6 @@ def test_resolution_rule_refuses_by_rings_and_by_longitudes(shape):
 
 def test_legendre_against_scipy():
     from scipy.special import lpmv
-
-    from sphereq.harmonics import legendre_table
 
     theta = make_grid(16, 32).theta_nodes
     x = np.cos(theta)
@@ -342,20 +348,112 @@ def test_spectral_blocks_equal_the_per_mode_build(shape):
 
 
 def test_legendre_factor_rows_by_degree():
-    """Row j of mode m in the parity half p holds degree m + p + 2j, and a
-    row past the degree cap is zero; the even half has the equator ring of
-    an odd ring count."""
-    grid = make_grid(9, 16)
+    """Row j of mode m in the parity half p holds degree m + p + 2j, bit
+    for bit the full table's row, and a row past the degree cap is zero;
+    the even half has the equator ring of an odd ring count.  The operator
+    reads the factor at the grid's cap (None), the transform at its
+    coefficients' cap below it; 24x96 has more modes than rings, so its
+    modes past the cap are all padding."""
+    cases = [((9, 16), None), ((9, 16), 4), ((9, 16), 0), ((24, 96), None),
+             ((24, 96), 10), ((33, 66), None), ((48, 96), None), ((48, 96), 20),
+             ((128, 256), None)]
+    for shape, cap in cases:
+        grid = make_grid(*shape)
+        cap = max_degree(grid) if cap is None else cap
+        plm = legendre_table(grid.theta_nodes, cap)
+        h = grid.n_theta // 2
+        m = np.arange(grid.n_phi // 2 + 1)[:, None]
+        for parity, (p, l, w) in enumerate(harmonics._parity_legendre_factor(grid, cap)):
+            size = grid.n_theta - h if parity == 0 else h
+            assert p.shape == (m.size, (cap - parity) // 2 + 1, size)
+            assert w.shape == (size,)
+            assert np.array_equal(l, m + parity + 2 * np.arange(l.shape[1]))
+            expected = plm[np.minimum(l, cap), np.minimum(m, cap), :size]
+            expected[l > cap] = 0.0
+            assert np.array_equal(p, expected)
+            assert not (p.flags.writeable or l.flags.writeable or w.flags.writeable)
+
+
+def test_legendre_factor_peaks_at_its_own_halves():
+    """Forming the factor at 128x256 holds little besides the padded halves
+    it returns (8.1 MiB; the build peaks at 8.8 MiB); gathered from a full
+    Legendre table, it peaked at 16.3 MiB."""
+    grid = make_grid(128, 256)
     cap = max_degree(grid)
-    plm = legendre_table(grid.theta_nodes, cap)
-    for parity, (p, l, w) in enumerate(harmonics._parity_legendre_factor(grid)):
-        size = 5 - parity
-        assert p.shape == (9, l.shape[1], size) and w.shape == (size,)
-        for m in range(9):
-            assert np.array_equal(l[m], m + parity + 2 * np.arange(l.shape[1]))
-            for j, degree in enumerate(l[m]):
-                expected = plm[degree, m, :size] if degree <= cap else 0.0
-                assert np.array_equal(p[m, j], np.broadcast_to(expected, (size,)))
+    tracemalloc.start()
+    try:
+        halves = harmonics._parity_legendre_factor(grid, cap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * sum(p.nbytes for p, l, w in halves)
+
+
+@pytest.mark.parametrize("shape", [(48, 96), (96, 192), (128, 256), (33, 66)])
+@pytest.mark.parametrize("kind", ["band-limited", "noise"])
+def test_sht_carries_a_field_between_grids(shape, kind):
+    """The audit benchmark's carry: expand a field on 48x96 at cap 47 (at
+    cap 32 for 33x66, whose degree cap that is) and synthesize the series
+    on another grid.  The parity-split transform matches the full-table one
+    within 1e-13 of the field's sup, both ways, on a band-limited field and
+    on noise that aliases."""
+    source = make_grid(48, 96)
+    rng = np.random.default_rng(18)
+    if kind == "noise":
+        u = ScalarField(source, rng.standard_normal((48, 96)))
+    else:
+        u = random_band_limited(source, 47, rng)
+    target = make_grid(*shape)
+    cap = min(47, max_degree(target))
+    coeffs = sht_forward(u, cap)
+    reference = full_table_sht_forward(u, cap)
+    assert np.max(np.abs(coeffs.coeffs - reference.coeffs)) <= 1e-13 * u.sup_norm
+    carried = sht_inverse(coeffs, target).values
+    expected = full_table_sht_inverse(reference, target).values
+    assert np.max(np.abs(carried - expected)) <= 1e-13 * u.sup_norm
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda u: sht_forward(u, -1), "degree cap", id="forward-cap--1"),
+        pytest.param(lambda u: sht_forward(u, 2.5), "degree cap", id="forward-cap-2.5"),
+        pytest.param(lambda u: sht_forward(u, float("nan")), "degree cap",
+                     id="forward-cap-nan"),
+        pytest.param(lambda u: SpectralCoeffs(3, np.zeros((2, 2))), "coefficients",
+                     id="coeffs-shape"),
+        pytest.param(lambda u: SpectralCoeffs(1.5, np.zeros((2, 3))), "degree cap",
+                     id="coeffs-cap-1.5"),
+        pytest.param(lambda u: SpectralCoeffs(-1, np.zeros((0, 0))), "degree cap",
+                     id="coeffs-cap--1"),
+        pytest.param(lambda u: SpectralCoeffs(1, np.full((2, 3), np.inf)),
+                     "coefficients", id="coeffs-inf"),
+        pytest.param(lambda u: harmonic_mode(u.grid, -1, 0), "degree l must",
+                     id="mode-degree--1"),
+        pytest.param(lambda u: harmonic_mode(u.grid, 2.5, 1), "degree l must",
+                     id="mode-degree-2.5"),
+        pytest.param(lambda u: harmonic_mode(u.grid, 2, 0.5), "order .m. must",
+                     id="mode-order-0.5"),
+        pytest.param(lambda u: harmonic_mode(u.grid, 2, -3), "order",
+                     id="mode-order--3"),
+    ],
+)
+def test_bad_degrees_and_coefficients_are_parameter_errors(grid32, call, message):
+    """A degree cap, degree or order that is not a non-negative integer
+    (|m| for the order, at most l), and coefficients that are not a finite
+    (cap+1, 2cap+1) array, are refused by name, not by an IndexError, a
+    TypeError or a silently truncated cap."""
+    with pytest.raises(ParameterError, match=message):
+        call(harmonic_mode(grid32, 2, 1))
+
+
+def test_integral_degrees_may_be_floats(grid32):
+    """2.0 is the degree 2, as the other integer arguments take it."""
+    y = harmonic_mode(grid32, 2, 1)
+    assert np.array_equal(harmonic_mode(grid32, 2.0, 1.0).values, y.values)
+    coeffs = sht_forward(y, 4.0)
+    assert coeffs.degree_cap == 4 and isinstance(coeffs.degree_cap, int)
+    assert np.array_equal(coeffs.coeffs, sht_forward(y, 4).coeffs)
 
 
 @pytest.mark.parametrize("shape", [(8, 16), (9, 16), (33, 64), (48, 96)])

@@ -340,13 +340,16 @@ def test_only_finite_difference_blocks_are_inverted_by_lapack(grid32, monkeypatc
 
 
 def _count_legendre_factors(monkeypatch):
-    """Record every grid whose parity Legendre factor is formed."""
+    """Record every grid whose operator's parity Legendre factor is formed:
+    the operator forms it at the grid's degree cap, the transform behind
+    ``harmonic_mode`` at its coefficients' cap."""
     grids = []
     form = harmonics._parity_legendre_factor
 
-    def counted(grid):
-        grids.append(grid)
-        return form(grid)
+    def counted(grid, cap):
+        if cap == max_degree(grid):
+            grids.append(grid)
+        return form(grid, cap)
 
     monkeypatch.setattr(harmonics, "_parity_legendre_factor", counted)
     return grids
