@@ -20,9 +20,9 @@ from . import fieldio
 from .errors import ParameterError, SphereqError
 from .grid import eval_on_grid, make_grid
 from .harmonics import harmonic_mode, make_operator, trivial_branch_eigenvalues
-from .problems import ellipticity_audit, problem_from_name, PROBLEM_REGISTRY
+from .problems import (PROBLEM_REGISTRY, TRIVIAL_AMPLITUDE, ellipticity_audit,
+                       problem_from_name)
 from .solver import (
-    TRIVIAL_AMPLITUDE,
     branch_switch,
     continue_branch,
     detect_bifurcations,

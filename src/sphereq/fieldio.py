@@ -213,44 +213,41 @@ def write_report_json(path_or_file, report):
         fh.write("\n")
 
 
+def _write_table(path_or_file, header, row_format, rows):
+    """One CSV table: the ``header`` line, then ``row_format % row`` for
+    each row; the writers format floats as %.17g, which reads back exactly."""
+    with _opened(path_or_file, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(row_format % tuple(row) + "\n")
+
+
 def write_bifurcation_csv(path_or_file, points):
     """One row per trivial-branch bifurcation point ``(lambda_star, l)``."""
-    with _opened(path_or_file, "w") as fh:
-        fh.write("lambda_star,l\n")
-        for lam, l in points:
-            fh.write("%.17g,%d\n" % (lam, l))
+    _write_table(path_or_file, "lambda_star,l", "%.17g,%d", points)
 
 
 def write_arc_csv(path_or_file, arc_report):
     """eps versus signed sector maximum of the reflection difference."""
-    with _opened(path_or_file, "w") as fh:
-        fh.write("eps,w_max\n")
-        for e, w in zip(arc_report.epsilons, arc_report.w_max):
-            fh.write("%.17g,%.17g\n" % (e, w))
+    _write_table(path_or_file, "eps,w_max", "%.17g,%.17g",
+                 zip(arc_report.epsilons, arc_report.w_max))
 
 
 def write_branch_csv(path_or_file, branch):
     """One row per branch point; ``amplitude`` is sup|u| over the grid
     nodes, so it depends on the grid."""
-    with _opened(path_or_file, "w") as fh:
-        fh.write("lambda,amplitude,residual_norm,newton_iters\n")
-        for p in branch:
-            fh.write(
-                "%.17g,%.17g,%.17g,%d\n"
-                % (p.lam, p.amplitude, p.residual_norm, p.newton_iters)
-            )
+    _write_table(path_or_file, "lambda,amplitude,residual_norm,newton_iters",
+                 "%.17g,%.17g,%.17g,%d",
+                 ((p.lam, p.amplitude, p.residual_norm, p.newton_iters)
+                  for p in branch))
 
 
 def write_extrema_csv(path_or_file, report):
     """Angles, kinds and peak levels of the extremal meridians of a
     SymmetryReport."""
     ext = report.extrema
-    with _opened(path_or_file, "w") as fh:
-        fh.write("index,angle,kind,axiality_defect,peak_level\n")
-        for i in range(ext.n):
-            peak = float(np.max(np.abs(ext.axis_profiles[i])))
-            fh.write(
-                "%d,%.17g,%s,%.17g,%.17g\n"
-                % (i, ext.angles[i], ext.kinds[i], ext.axiality_defects[i], peak)
-            )
-
+    peaks = np.max(np.abs(ext.axis_profiles), axis=1)
+    _write_table(path_or_file, "index,angle,kind,axiality_defect,peak_level",
+                 "%d,%.17g,%s,%.17g,%.17g",
+                 zip(range(ext.n), ext.angles, ext.kinds, ext.axiality_defects,
+                     peaks))

@@ -19,14 +19,19 @@ from .errors import EvaluationError, ParameterError
 from .grid import ScalarField
 from .harmonics import apply_laplacian
 
+#: Amplitude (sup|u| over the grid nodes) below which a state is the
+#: trivial state u == 0.
+TRIVIAL_AMPLITUDE = 1e-7
+
 
 @dataclass(frozen=True)
 class NonlinearProblem:
     """Evaluator triple for 0 = F(u, q) with uniform ellipticity F_q >= delta.
 
     The evaluators must accept numpy arrays (or scalars) for both slots and
-    broadcast; ``lam`` is the bifurcation parameter, which a problem is free
-    to ignore.
+    may return anything that broadcasts to u's shape, a scalar included;
+    ``evaluate`` does the broadcasting.  ``lam`` is the bifurcation
+    parameter, which a problem is free to ignore; it must be finite.
     """
 
     name: str
@@ -35,6 +40,10 @@ class NonlinearProblem:
     eval_Fq: Callable
     delta_floor: float
     lam: float = 0.0
+
+    def __post_init__(self):
+        if not math.isfinite(self.lam):
+            raise ParameterError("lambda must be finite, got %r" % (self.lam,))
 
 
 def chafee_infante(lam):
@@ -45,19 +54,13 @@ def chafee_infante(lam):
     ellipticity floor is 1.  ``lam`` must be finite.
     """
     lam = float(lam)
-    if not math.isfinite(lam):
-        raise ParameterError("lambda must be finite, got %r" % (lam,))
-
-    def f(u, q):
-        return q + lam * u * (1.0 - u * u)
-
-    def fu(u, q):
-        return lam * (1.0 - 3.0 * u * u) + 0.0 * np.asarray(q, dtype=float)
-
-    def fq(u, q):
-        return np.ones_like(np.asarray(u, dtype=float) + np.asarray(q, dtype=float))
-
-    return NonlinearProblem("chafee-infante", f, fu, fq, delta_floor=1.0, lam=lam)
+    return NonlinearProblem(
+        "chafee-infante",
+        lambda u, q: q + lam * u * (1.0 - u * u),
+        lambda u, q: lam * (1.0 - 3.0 * u * u),
+        lambda u, q: 1.0,
+        delta_floor=1.0, lam=lam,
+    )
 
 
 def atan_elliptic(lam):
@@ -70,19 +73,13 @@ def atan_elliptic(lam):
     branch towards larger lam.  ``lam`` must be finite.
     """
     lam = float(lam)
-    if not math.isfinite(lam):
-        raise ParameterError("lambda must be finite, got %r" % (lam,))
-
-    def f(u, q):
-        return 3.0 * q - np.arctan(q) + lam * u * (1.0 - u * u)
-
-    def fu(u, q):
-        return lam * (1.0 - 3.0 * u * u) + 0.0 * np.asarray(q, dtype=float)
-
-    def fq(u, q):
-        return 3.0 - 1.0 / (1.0 + q * q) + 0.0 * np.asarray(u, dtype=float)
-
-    return NonlinearProblem("atan-elliptic", f, fu, fq, delta_floor=2.0, lam=lam)
+    return NonlinearProblem(
+        "atan-elliptic",
+        lambda u, q: 3.0 * q - np.arctan(q) + lam * u * (1.0 - u * u),
+        lambda u, q: lam * (1.0 - 3.0 * u * u),
+        lambda u, q: 3.0 - 1.0 / (1.0 + q * q),
+        delta_floor=2.0, lam=lam,
+    )
 
 
 #: Built-in problem factories addressable by name (lambda is passed through).
@@ -105,7 +102,7 @@ def problem_from_name(name, lam):
 
 def evaluate(problem, name, u, q):
     """The problem's ``name`` evaluator ("F", "F_u" or "F_q") at the grid
-    arrays (u, q), broadcast to their shape; callers apply the Laplacian to
+    arrays (u, q), broadcast to u's shape; callers apply the Laplacian to
     a state once and pass it in as q.  The evaluator runs with numpy's
     floating-point warnings off, so an overflow shows as the non-finite
     value it makes, and a non-finite value raises EvaluationError naming

@@ -6,7 +6,6 @@ natural-parameter continuation.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,6 +13,7 @@ import numpy as np
 from .errors import (
     ContractError,
     ConvergenceError,
+    EvaluationError,
     LinearSolveError,
     ParameterError,
     _integer,
@@ -21,7 +21,8 @@ from .errors import (
 from .grid import ScalarField, bisect_roots, integrate
 from .harmonics import (apply_laplacian, apply_mode_blocks, harmonic_mode,
                         mean_mode_inverse)
-from .problems import chafee_infante, evaluate, linearization_coefficients
+from .problems import (TRIVIAL_AMPLITUDE, chafee_infante, evaluate,
+                       linearization_coefficients)
 
 
 @dataclass(frozen=True)
@@ -63,10 +64,6 @@ class Branch:
         return self.points[i]
 
 
-#: Amplitude (sup|u| over the grid nodes) below which a solve has landed on
-#: the trivial state u == 0.
-TRIVIAL_AMPLITUDE = 1e-7
-
 #: GMRES budget of every Newton step's Krylov solve: the floor of the
 #: relative tolerance, Krylov vectors per restart cycle, and restart cycles.
 #: The relative tolerance itself is newton_solve's forcing term (Eisenstat
@@ -102,7 +99,7 @@ _SWITCH_STEP = 1e-2
 _QUADRATIC_TOL = 1e-8
 
 
-def gmres(matvec, b, rtol, atol, restart, maxiter):
+def gmres(matvec, b, rtol, atol):
     """Restarted, right-preconditioned GMRES in the flexible form (Saad
     1993) for A x = b from x = 0.  ``matvec(v)``, for a flat float array v,
     returns the pair (A z, z), where z is the vector v stands for in the
@@ -110,26 +107,22 @@ def gmres(matvec, b, rtol, atol, restart, maxiter):
     for a plain (A v, v); gmres reads z only until the cycle's update, so z
     may be a view of v.
 
-    Each of at most ``maxiter`` cycles builds at most ``restart`` Arnoldi
-    vectors v_j, orthogonalised by classical Gram-Schmidt applied twice (two
-    products with the basis per pass), and reduces the least-squares problem
-    by Givens rotations.  It keeps each z_j and each image w_j = A z_j as
-    ``matvec`` returned them, so the cycle's update is x += sum y_j z_j and
-    its residual r -= sum y_j w_j: no product follows the last Arnoldi step.
-    A cycle ends when the rotated residual estimate meets the tolerance,
-    when the basis is full, or at an exact breakdown (the Krylov space is
-    invariant); the solve stops once the 2-norm of the residual formed from
-    the images, not the estimate, is at most max(atol, rtol |b|).  Returns
-    (x, info): x solves A x = b (the preconditioned solution, not the
-    Krylov coordinates), and info is 0 on success, otherwise the number of
-    cycles run, when the budget runs out or a breakdown leaves the residual
-    above the tolerance.  ``restart`` and ``maxiter`` must be positive
-    integers.  A b whose 2-norm overflows a double raises LinearSolveError.
+    Each of at most _KRYLOV_MAX_RESTARTS (50) cycles builds at most
+    _KRYLOV_RESTART (40) Arnoldi vectors v_j, orthogonalised by classical
+    Gram-Schmidt applied twice (two products with the basis per pass), and
+    reduces the least-squares problem by Givens rotations.  It keeps each
+    z_j and each image w_j = A z_j as ``matvec`` returned them, so the
+    cycle's update is x += sum y_j z_j and its residual r -= sum y_j w_j: no
+    product follows the last Arnoldi step.  A cycle ends when the rotated
+    residual estimate meets the tolerance, when the basis is full, or at an
+    exact breakdown (the Krylov space is invariant); the solve stops once
+    the 2-norm of the residual formed from the images, not the estimate, is
+    at most max(atol, rtol |b|).  Returns (x, info): x solves A x = b (the
+    preconditioned solution, not the Krylov coordinates), and info is 0 on
+    success, otherwise the number of cycles run, when the budget runs out or
+    a breakdown leaves the residual above the tolerance.  A b whose 2-norm
+    overflows a double raises LinearSolveError.
     """
-    if not (isinstance(restart, numbers.Integral) and restart >= 1):
-        raise ParameterError("restart must be a positive integer, got %r" % (restart,))
-    if maxiter < 1:
-        raise ParameterError("maxiter must be positive, got %r" % (maxiter,))
     b = np.asarray(b, dtype=float)
     x = np.zeros_like(b)
     with np.errstate(over="ignore"):
@@ -140,9 +133,9 @@ def gmres(matvec, b, rtol, atol, restart, maxiter):
             "%g)" % np.max(np.abs(b))
         )
     target = max(atol, rtol * r_norm)
-    basis = np.empty((restart + 1, b.size))
+    basis = np.empty((_KRYLOV_RESTART + 1, b.size))
     r = b.copy()
-    for cycle in range(1, maxiter + 1):
+    for cycle in range(1, _KRYLOV_MAX_RESTARTS + 1):
         if r_norm <= target:
             return x, 0
         basis[0] = r / r_norm
@@ -150,7 +143,7 @@ def gmres(matvec, b, rtol, atol, restart, maxiter):
         cols, rotations = [], []  # rotated Hessenberg columns, Givens (c, s)
         images, solutions = [], []  # w_j = A z_j and z_j, as matvec returned them
         breakdown = False
-        for j in range(restart):
+        for j in range(_KRYLOV_RESTART):
             w, z = matvec(basis[j])
             images.append(w)
             solutions.append(z)
@@ -185,14 +178,14 @@ def gmres(matvec, b, rtol, atol, restart, maxiter):
             acc = g[i] - sum(cols[k][i] * y[k] for k in range(i + 1, len(cols)))
             y[i] = acc / cols[i][i] if cols[i][i] else 0.0
         # row by row: stacking the rows would allocate, and fault in, a
-        # fresh (restart, n) array every cycle
+        # fresh (_KRYLOV_RESTART, n) array every cycle
         for y_j, w_j, z_j in zip(y, images, solutions):
             x += y_j * z_j
             r -= y_j * w_j
         r_norm = float(np.linalg.norm(r))
         if breakdown and r_norm > target:
             return x, cycle
-    return x, (0 if r_norm <= target else maxiter)
+    return x, (0 if r_norm <= target else _KRYLOV_MAX_RESTARTS)
 
 
 def _mean_coefficients(problem, grid, fu, fq):
@@ -249,8 +242,7 @@ def _krylov_solve(fu, fq, precond, rhs, rtol, atol):
         z = apply_mode_blocks(precond.blocks, v.reshape(shape)).ravel()
         return scale * v + shift * z, z
 
-    s, info = gmres(matvec, rhs.ravel(), rtol=rtol, atol=atol,
-                    restart=_KRYLOV_RESTART, maxiter=_KRYLOV_MAX_RESTARTS)
+    s, info = gmres(matvec, rhs.ravel(), rtol=rtol, atol=atol)
     if info != 0:
         raise LinearSolveError("GMRES stagnated (info=%d)" % info)
     return s.reshape(shape)
@@ -344,12 +336,14 @@ def detect_bifurcations(problem_family, lam_range, l_max):
     The trivial state must satisfy F(0, 0) = 0 across the range (verified).
     Crossings are roots of g_l(lam) = F_u(0,0; lam) - l(l+1) F_q(0,0; lam),
     scanned for every degree at 512 evenly spaced values (one problem per
-    value).  The first of a run of exact zeros is a root, and each sign
-    change is refined by one ``bisect_roots`` call.  ``lam_range`` must be
-    finite, and so must its width hi - lo: a window wider than the largest
-    double raises ParameterError before any scan value is formed.
-    ``l_max`` must be a non-negative integer.
-    Returns a list of (lam_star, l) sorted by lam_star.
+    value), with numpy's warnings off as in ``evaluate``: a non-finite F_u
+    or F_q at a scan or bisection value raises EvaluationError naming the
+    first such lambda.  The first of a run of exact zeros is a root, and
+    each sign change is refined by one ``bisect_roots`` call.  ``lam_range``
+    must be finite, and so must its width hi - lo: a window wider than the
+    largest double raises ParameterError before any scan value is formed.
+    ``l_max`` must be a non-negative integer.  Returns a list of
+    (lam_star, l) sorted by lam_star.
     """
     lo, hi = float(lam_range[0]), float(lam_range[1])
     if not math.isfinite(hi - lo):
@@ -361,8 +355,9 @@ def detect_bifurcations(problem_family, lam_range, l_max):
         raise ParameterError("empty lambda range")
     l_max = _integer(l_max, "l_max")
     for lam in np.linspace(lo, hi, 9):
-        p = problem_family(lam)
-        if abs(float(np.asarray(p.eval_F(0.0, 0.0)))) > 1e-12:
+        with np.errstate(all="ignore"):
+            f0 = float(np.asarray(problem_family(lam).eval_F(0.0, 0.0)))
+        if not abs(f0) <= 1e-12:  # a NaN F(0, 0) is refused too
             raise ContractError(
                 "u == 0 is not an equilibrium at lambda=%g; "
                 "trivial-branch bifurcation detection does not apply" % lam
@@ -370,10 +365,15 @@ def detect_bifurcations(problem_family, lam_range, l_max):
 
     def g(lams, ll1):
         """g_l at each lambda, for l(l+1) = ll1 broadcast against lams."""
-        coeffs = [(p.eval_Fu(0.0, 0.0), p.eval_Fq(0.0, 0.0))
-                  for p in map(problem_family, lams)]
-        fu, fq = np.array(coeffs, dtype=float).reshape(-1, 2).T  # also for no lams
-        return fu - ll1 * fq
+        with np.errstate(all="ignore"):
+            coeffs = [(p.eval_Fu(0.0, 0.0), p.eval_Fq(0.0, 0.0))
+                      for p in map(problem_family, lams)]
+        coeffs = np.array(coeffs, dtype=float).reshape(-1, 2)  # also for no lams
+        bad = np.argwhere(~np.isfinite(coeffs))
+        if bad.size:
+            raise EvaluationError("%s(0, 0) is not finite at lambda=%.12g"
+                                  % (("F_u", "F_q")[bad[0, 1]], lams[bad[0, 0]]))
+        return coeffs[:, 0] - ll1 * coeffs[:, 1]
 
     scan = np.linspace(lo, hi, _SCAN_POINTS)
     l = np.arange(l_max + 1.0)

@@ -33,8 +33,7 @@ import numpy as np
 
 from .errors import ContractError, DegenerateFieldError, ParameterError
 from .grid import TWO_PI, bisect_roots, eval_on_grid, eval_series, interp_phi
-from .problems import residual
-from .solver import TRIVIAL_AMPLITUDE
+from .problems import TRIVIAL_AMPLITUDE, residual
 
 _REFINE_FACTOR = 16
 # A grid longitude this close to a sector's mirror or far edge counts as on

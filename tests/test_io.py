@@ -253,6 +253,11 @@ def test_arc_csv_row_count(grid32):
     assert lines[0] == "eps,w_max"
     assert report.epsilons.size >= 50
     assert len(lines) == 1 + report.epsilons.size
+    # every value at 17 significant digits, so the table reads back exactly
+    assert buf.getvalue() == "eps,w_max\n" + "".join(
+        "%.17g,%.17g\n" % row for row in zip(report.epsilons, report.w_max))
+    table = np.array([line.split(",") for line in lines[1:]], dtype=float)
+    assert np.array_equal(table, np.column_stack([report.epsilons, report.w_max]))
 
 
 def test_branch_csv_row_count(grid32):
@@ -273,6 +278,16 @@ def test_branch_csv_row_count(grid32):
     lines = buf.getvalue().strip().splitlines()
     assert lines[0] == "lambda,amplitude,residual_norm,newton_iters"
     assert len(lines) == 8
+    assert buf.getvalue() == (
+        "lambda,amplitude,residual_norm,newton_iters\n"
+        "6,0.10000000000000001,1e-10,3\n"
+        "6.25,0.20000000000000001,1e-10,3\n"
+        "6.5,0.30000000000000004,1e-10,3\n"
+        "6.75,0.40000000000000002,1e-10,3\n"
+        "7,0.5,1e-10,3\n"
+        "7.25,0.60000000000000009,1e-10,3\n"
+        "7.5,0.70000000000000007,1e-10,3\n"
+    )
 
 
 def test_bifurcation_csv_rows():

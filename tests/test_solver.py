@@ -16,6 +16,7 @@ from sphereq import solver
 from sphereq import (
     ContractError,
     ConvergenceError,
+    EvaluationError,
     LinearSolveError,
     NonlinearProblem,
     ParameterError,
@@ -526,9 +527,10 @@ def _nonsymmetric(n, seed):
 
 @pytest.mark.parametrize("restart, rtol, atol", [(5, 1e-10, 0.0), (8, 0.0, 1e-9),
                                                  (60, 1e-12, 1e-14)])
-def test_gmres_meets_the_true_residual_bound(restart, rtol, atol):
+def test_gmres_meets_the_true_residual_bound(restart, rtol, atol, monkeypatch):
     """A restart below the dimension forces several cycles; the returned x
     meets |b - A x| <= max(atol, rtol |b|) and agrees with a dense solve."""
+    monkeypatch.setattr(solver, "_KRYLOV_RESTART", restart)
     a = _nonsymmetric(60, 3)
     b = np.random.default_rng(4).standard_normal(60)
     calls = []
@@ -537,8 +539,7 @@ def test_gmres_meets_the_true_residual_bound(restart, rtol, atol):
         calls.append(1)
         return a @ v, v
 
-    x, info = solver.gmres(matvec, b, rtol=rtol, atol=atol, restart=restart,
-                           maxiter=50)
+    x, info = solver.gmres(matvec, b, rtol=rtol, atol=atol)
     assert info == 0
     bound = max(atol, rtol * np.linalg.norm(b))
     assert np.linalg.norm(b - a @ x) <= bound
@@ -548,11 +549,12 @@ def test_gmres_meets_the_true_residual_bound(restart, rtol, atol):
         assert len(calls) > restart  # more than one cycle
 
 
-def test_gmres_returns_the_preconditioned_solution():
+def test_gmres_returns_the_preconditioned_solution(monkeypatch):
     """With columns scaled over four decades, matvec right-preconditions by
     the scaling D, returning (A D^-1 v, D^-1 v); gmres returns the solution
     x itself, not its Krylov coordinates D x, and the residual it forms
     from the images over several cycles is the true b - A x."""
+    monkeypatch.setattr(solver, "_KRYLOV_RESTART", 7)
     d = np.geomspace(1.0, 1e4, 60)
     a = _nonsymmetric(60, 9) * d
     b = np.random.default_rng(10).standard_normal(60)
@@ -563,44 +565,41 @@ def test_gmres_returns_the_preconditioned_solution():
         z = v / d
         return a @ z, z
 
-    x, info = solver.gmres(matvec, b, rtol=1e-10, atol=0.0, restart=7, maxiter=50)
+    x, info = solver.gmres(matvec, b, rtol=1e-10, atol=0.0)
     assert info == 0
     assert len(calls) > 7  # more than one cycle
     assert np.linalg.norm(b - a @ x) <= 1e-10 * np.linalg.norm(b)
     assert np.allclose(x, np.linalg.solve(a, b), rtol=1e-8, atol=0.0)
 
 
-def test_gmres_reports_a_budget_it_cannot_meet():
+def test_gmres_reports_a_budget_it_cannot_meet(monkeypatch):
+    monkeypatch.setattr(solver, "_KRYLOV_RESTART", 3)
+    monkeypatch.setattr(solver, "_KRYLOV_MAX_RESTARTS", 2)
     a = _nonsymmetric(60, 5)
     b = np.random.default_rng(6).standard_normal(60)
-    x, info = solver.gmres(lambda v: (a @ v, v), b, rtol=1e-12, atol=0.0,
-                           restart=3, maxiter=2)
+    x, info = solver.gmres(lambda v: (a @ v, v), b, rtol=1e-12, atol=0.0)
     assert info == 2
     assert np.linalg.norm(b - a @ x) > 1e-12 * np.linalg.norm(b)
-    with pytest.raises(ParameterError, match="maxiter"):
-        solver.gmres(lambda v: (a @ v, v), b, rtol=1e-12, atol=0.0, restart=3,
-                     maxiter=0)
-    # an empty cycle would run no product and return zeros as a stagnation
-    for restart in (0, -1, 2.5):
-        with pytest.raises(ParameterError, match="restart"):
-            solver.gmres(lambda v: (a @ v, v), b, rtol=1e-12, atol=0.0,
-                         restart=restart, maxiter=3)
 
 
-def test_gmres_zero_right_hand_side_returns_zeros():
+def test_gmres_zero_right_hand_side_returns_zeros(monkeypatch):
+    monkeypatch.setattr(solver, "_KRYLOV_RESTART", 4)
+    monkeypatch.setattr(solver, "_KRYLOV_MAX_RESTARTS", 3)
+
     def matvec(v):
         raise AssertionError("no product is needed")
 
-    x, info = solver.gmres(matvec, np.zeros(7), rtol=1e-10, atol=0.0, restart=4,
-                           maxiter=3)
+    x, info = solver.gmres(matvec, np.zeros(7), rtol=1e-10, atol=0.0)
     assert info == 0
     assert np.array_equal(x, np.zeros(7))
 
 
-def test_gmres_exact_breakdown_returns_the_exact_solution():
+def test_gmres_exact_breakdown_returns_the_exact_solution(monkeypatch):
     """A right-hand side that is an eigenvector spans an invariant Krylov
     space at the first step: one Arnoldi product, and the residual comes
     from its stored image."""
+    monkeypatch.setattr(solver, "_KRYLOV_RESTART", 10)
+    monkeypatch.setattr(solver, "_KRYLOV_MAX_RESTARTS", 5)
     a = _nonsymmetric(20, 8)
     a[1:, 0] = 0.0  # e_0 is an eigenvector with eigenvalue a[0, 0]
     b = np.zeros(20)
@@ -611,7 +610,7 @@ def test_gmres_exact_breakdown_returns_the_exact_solution():
         calls.append(1)
         return a @ v, v
 
-    x, info = solver.gmres(matvec, b, rtol=1e-15, atol=0.0, restart=10, maxiter=5)
+    x, info = solver.gmres(matvec, b, rtol=1e-15, atol=0.0)
     assert info == 0
     assert len(calls) == 1
     assert np.allclose(x, b / a[0, 0], rtol=1e-15, atol=0.0)
@@ -716,6 +715,48 @@ def test_detect_requires_trivial_root():
 
     with pytest.raises(ContractError):
         detect_bifurcations(family, (0.5, 3.0), 1)
+
+
+def test_detect_refuses_a_nan_trivial_residual():
+    """A NaN F(0, 0) is no trivial root: the check asks abs(F) <= 1e-12,
+    which NaN fails, not abs(F) > 1e-12, which NaN would pass."""
+    def family(lam):
+        return dataclasses.replace(chafee_infante(lam), eval_F=lambda u, q: math.nan)
+
+    with pytest.raises(ContractError, match="not an equilibrium"):
+        detect_bifurcations(family, (0.5, 13.0), 3)
+
+
+def test_detect_refuses_a_non_finite_fq_instead_of_dropping_crossings():
+    """F_q(0, 0) is NaN above lambda = 4: the crossings at 6 and 12 are not
+    dropped; the first scan value past 4 is named."""
+    def family(lam):
+        fq = math.nan if lam > 4.0 else 1.0
+        return dataclasses.replace(chafee_infante(lam), eval_Fq=lambda u, q: fq)
+
+    scan = np.linspace(0.5, 13.0, solver._SCAN_POINTS)
+    first = scan[scan > 4.0][0]
+    with pytest.raises(EvaluationError, match="F_q.* lambda=%.12g$" % first):
+        detect_bifurcations(family, (0.5, 13.0), 3)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_detect_refuses_a_non_finite_fu_instead_of_inventing_crossings():
+    """F_u(0, 0) overflows to inf within 0.2 of lambda = 6: no crossing is
+    lost at 6 or made up at 5.8 and 6.2, and numpy's overflow warning stays
+    off, as in ``evaluate``."""
+    def family(lam):
+        big = np.float64(1e300 if abs(lam - 6.0) < 0.2 else 1.0)
+        p = chafee_infante(lam)
+        return dataclasses.replace(p, eval_Fu=lambda u, q: p.eval_Fu(u, q) * big * big)
+
+    scan = np.linspace(0.5, 13.0, solver._SCAN_POINTS)
+    first = scan[np.abs(scan - 6.0) < 0.2][0]
+    with pytest.raises(EvaluationError, match="F_u.* lambda=%.12g$" % first):
+        detect_bifurcations(family, (0.5, 13.0), 3)
+    # the cubic family's roots stay where they were
+    points = detect_bifurcations(chafee_infante, (0.5, 13.0), 3)
+    assert [l for _, l in points] == [1, 2, 3]
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,10 @@
 """Axial-extremum detection, leveled/reflection/midpoint checks, moving-arc
 sweeps, and the full audit."""
 
+import ast
 import dataclasses
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -30,6 +32,9 @@ from sphereq import (
     SymmetryReport,
     theorem_audit,
 )
+from sphereq import symmetry
+from sphereq.harmonics import apply_laplacian
+from sphereq.problems import evaluate
 from sphereq.symmetry import _EDGE_TOL, _sector
 from oracles import biradial_angles, reflect_phi, rotate_phi
 
@@ -992,6 +997,34 @@ def test_mixed_mode_equilibrium_fails_the_hypotheses(realization):
     assert report.extrema.non_axial_critical.size > 0
     assert not report.conclusions_ok
     assert report.verdict == "hypotheses-not-met"
+
+
+@pytest.mark.parametrize("realization", ["spectral", "finite-difference"])
+def test_fully_nonlinear_equilibria_pass_the_audit(realization):
+    """The theorem's class is fully nonlinear: on the atan-elliptic Y_2^2
+    branch at lam = 13.5, 1.5 past its crossing at 12, F_q ranges over
+    about 2.00-2.59 on the equilibrium, and the audit still passes."""
+    grid = make_grid(48, 96)
+    op = make_operator(grid, realization)
+    lam, guess = branch_switch(grid, 12.0, 2, 2, dlam0=1.5, family=atan_elliptic)
+    problem = atan_elliptic(lam)
+    eq = newton_solve(problem, op, guess, tol=1e-9)
+    assert lam == 13.5 and eq.newton_iters == 4
+    fq = evaluate(problem, "F_q", eq.u.values, apply_laplacian(op, eq.u).values)
+    assert np.min(fq) >= 2.0 and np.ptp(fq) > 0.5
+    assert theorem_audit(problem, op, eq.u).verdict == "pass"
+
+
+def test_the_audit_does_not_import_the_solver():
+    """The audit needs the problem's residual, not the Newton-Krylov
+    module: symmetry.py takes nothing from sphereq.solver."""
+    tree = ast.parse(pathlib.Path(symmetry.__file__).read_text())
+    sources = [(node.module, [a.name for a in node.names])
+               for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert sources  # the walk sees the module's imports
+    for module, names in sources:
+        assert module not in ("solver", "sphereq.solver"), (module, names)
+        assert not (module in (None, "sphereq") and "solver" in names), names
 
 
 def _circular_gap(a, b):
