@@ -1,6 +1,7 @@
 """Pole-free colatitude/longitude grids on the unit sphere and the field
 primitives built on them: sampling, quadrature, the longitude series of
-each ring and interpolation from it, and the one root refiner.
+each ring and interpolation from it, and the one root refiner, which
+bisects or, given slopes, takes Newton steps that bisection safeguards.
 
 Colatitudes are Gauss-Legendre roots mapped through arccos, so no node ever
 touches a pole and ring quadrature integrates band-limited integrands
@@ -23,6 +24,9 @@ TWO_PI = 2.0 * math.pi
 #: falls below this, or after this many iterations.
 _GL_TOL = 1e-14
 _GL_MAX_ITER = 100
+#: A slope-guided ``bisect_roots`` bracket ends once a Newton step moves
+#: its point by at most this many units in the last place.
+_NEWTON_ULPS = 4
 
 
 def _legendre_and_derivative(n, x):
@@ -245,31 +249,66 @@ def interp_phi(field, phis):
     return eval_series(field.ring_series, phis)
 
 
-def bisect_roots(f, a, b):
-    """Roots of f refined by bisection in every bracket [a[i], b[i]] at once.
+def bisect_roots(f, a, b, slope=False):
+    """Roots of f refined in every bracket [a[i], b[i]] at once, by
+    bisection or, with ``slope``, by Newton steps that bisection safeguards.
 
     ``f`` maps an array of points, one per bracket in bracket order, to the
     values there, so each bracket may carry its own function; it is called
-    once at ``a`` and once per step.  Each bracket must be finite, with
+    once at ``a`` and once per step.  With ``slope`` it returns the pair
+    (values, slopes) instead.  Each bracket must be finite, with
     a[i] < b[i] and a strict sign change: f(a[i]) and f(b[i]) nonzero and of
     opposite signs, compared by ``np.sign``, not by a product, which can
-    overflow or underflow.  Every bracket is halved together at its
-    midpoint 0.5 * a + 0.5 * b, which cannot overflow, keeping the half
-    whose ends differ in sign; a midpoint where f is exactly 0 ends its
-    bracket there.  Halving stops once no bracket's midpoint lies strictly
-    between its ends: each bracket's ends are adjacent doubles, or equal.
+    overflow or underflow.  Every step evaluates f at one point inside each
+    bracket and keeps the part of the bracket whose ends differ in sign; a
+    point where f is exactly 0 ends its bracket there.  Without ``slope``
+    the point is the midpoint 0.5 * a + 0.5 * b, which cannot overflow.
+    With it, the point is the Newton step x - f(x) / f'(x) from the last
+    point (from ``a`` at first) when that lies strictly inside the
+    bracket, and the midpoint otherwise, so a zero or non-finite slope
+    bisects.  A bracket stops once no midpoint lies strictly between its
+    ends (they are adjacent doubles, or equal), or, with ``slope``, once a
+    Newton step moves at most ``_NEWTON_ULPS`` units in the last place.
     A finite bracket is under 2**1025 wide and doubles are at least
-    2**-1074 apart, so it takes at most about 2100 halvings.  Returns the
-    final midpoints.
+    2**-1074 apart, so bisection takes at most about 2100 halvings.
+    Returns the final midpoints, or the last Newton points.
     """
     a, b = np.array(a, dtype=float), np.array(b, dtype=float)
-    fa = np.array(f(a), dtype=float)
+    fa, dfa = _evaluate(f, a, slope)
+    x = a
+    if slope:
+        new = _newton_step(a, fa, dfa)
+    settled = np.zeros(a.shape, dtype=bool)
     while True:
         mid = 0.5 * a + 0.5 * b
-        if not np.any((a < mid) & (mid < b)):
-            return mid
-        fm = f(mid)
-        lower = np.abs(np.sign(fa) - np.sign(fm)) == 2.0
-        shrink = lower | (fm == 0.0)  # an exact zero moves both ends to it
-        b[shrink] = mid[shrink]
-        a[~lower], fa[~lower] = mid[~lower], fm[~lower]
+        active = ~settled & (a < mid) & (mid < b)
+        if not np.any(active):
+            return np.where(settled, x, mid)
+        if slope:
+            mid = np.where((a < new) & (new < b), new, mid)
+        x = np.where(settled, x, mid)
+        fx, dfx = _evaluate(f, x, slope)
+        lower = active & (np.abs(np.sign(fa) - np.sign(fx)) == 2.0)
+        shrink = lower | (active & (fx == 0.0))  # an exact zero ends at it
+        raise_a = active & ~lower
+        b[shrink] = x[shrink]
+        a[raise_a], fa[raise_a] = x[raise_a], fx[raise_a]
+        if slope:
+            new = _newton_step(x, fx, dfx)
+            done = active & (np.abs(new - x) <= _NEWTON_ULPS * np.spacing(np.abs(x)))
+            settled |= done
+            x = np.where(done, np.clip(new, a, b), x)
+
+
+def _evaluate(f, x, slope):
+    """f's values at x and, with ``slope``, its slopes there (else None)."""
+    if not slope:
+        return np.array(f(x), dtype=float), None
+    values, slopes = f(x)
+    return np.array(values, dtype=float), np.array(slopes, dtype=float)
+
+
+def _newton_step(x, fx, dfx):
+    """x - f(x) / f'(x): NaN or infinite where the slope is zero."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return x - fx / dfx

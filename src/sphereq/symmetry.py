@@ -20,8 +20,10 @@ check and every moving-arc sweep reflect the field through it, one copy
 u(theta, 2c - phi) per mirror c from a phase multiply and one inverse FFT.
 A sweep puts its mirrors on a lattice anchored at its target, one grid
 cell over 2r apart, so r reflected copies serve all its arcs and each arc
-is an index gather of them.  The extremum bisection advances all
-candidates in lockstep.
+is an index gather of them.  The audit forms the copy about each extremum
+once, for its reflection check and the two sweeps that end there.  The
+extremum angles are refined by Newton steps on u_phi's series, which
+bisection safeguards, all candidates in lockstep.
 """
 
 from __future__ import annotations
@@ -87,6 +89,12 @@ class AuditThresholds:
             raise ParameterError(
                 "n_eps must be at least 2 and an integer, got %r" % (self.n_eps,)
             )
+
+
+def _block_values(grid):
+    """The most values a batched table holds at once: the field's size, or
+    16 rings' worth on a grid with fewer rings."""
+    return max(grid.n_theta, _REFINE_FACTOR) * grid.n_phi
 
 
 @dataclass(frozen=True)
@@ -182,13 +190,18 @@ def detect_axial_extrema(u, thresholds=AuditThresholds()):
     changes fall into circular runs of refined columns within one cell of
     a change on some ring.  A run with a column within one cell of a
     change on every ring is a candidate: its angle is the sign change
-    across the run of the alignment-weighted ring average of u_phi,
-    refined by bisection, and it is an axial extremum when the normalized
-    defect max_theta |u_phi| / sup|u_phi| there is at most
-    ``thresholds.tol_ax``.
-    The extremum is a "max" when u_phi crosses from + to - on all its
-    rings, a "min" when from - to + on all, and a "saddle" otherwise; it
-    is ``merged`` when some ring changes sign more than once in its run.
+    across the run of the alignment-weighted ring average of u_phi, and it
+    is an axial extremum when the normalized defect
+    max_theta |u_phi| / sup|u_phi| there is at most ``thresholds.tol_ax``.
+    The candidates' angles are refined together by ``bisect_roots`` with
+    slopes: Newton steps on the weighted series, whose slope (the weighted
+    u_phi_phi series) comes from the same cosines and sines, inside the
+    brackets that bisection keeps.  On the benchmark's fields that takes at
+    most 5 evaluations of the series, where bisection to the last bit took
+    about 47.  The extremum is a "max" when u_phi crosses from + to - on
+    all its rings, a "min" when from - to + on all, and a "saddle"
+    otherwise; it is ``merged`` when some ring changes sign more than once
+    in its run.
     Every other run is a ring-wise critical point off the axial meridians,
     at its middle (or at its angle).  ``non_axial_critical`` lists one of
     them per gap between consecutive extrema that holds any (the whole
@@ -213,12 +226,12 @@ def detect_axial_extrema(u, thresholds=AuditThresholds()):
     du[:, -1] = 0.0
     # its ring sups and signs on the refined longitudes (irfft pads the
     # series with zeros), one block of n_theta // 16 rings (at least one) at
-    # a time: at most max(n_theta, 16) * n_phi values per block
+    # a time: at most _block_values(grid) values per block
     n_theta = u.grid.n_theta
     n_fine = _REFINE_FACTOR * u.grid.n_phi
     ring_sup = np.empty(n_theta)
     positive = np.empty((n_theta, n_fine), dtype=bool)
-    per_block = max(1, n_theta // _REFINE_FACTOR)
+    per_block = max(1, _block_values(u.grid) // n_fine)
     for start in range(0, n_theta, per_block):
         rows = slice(start, start + per_block)
         fine = np.fft.irfft(0.5 * du[rows], n_fine, axis=1, norm="forward")
@@ -257,9 +270,10 @@ def detect_axial_extrema(u, thresholds=AuditThresholds()):
     merged = per_ring.reshape(n_runs, len(positive)).max(axis=1, initial=0) > 1
 
     # a run's cells span [left, right].  Candidates with a sign change there
-    # of the alignment-weighted ring average of u_phi are bisected together,
-    # on one trigonometric series each: the ring series of u_phi contracted
-    # with the weights once.  Every other run keeps its middle.
+    # of the alignment-weighted ring average of u_phi are refined together
+    # by Newton steps that bisection safeguards, on one trigonometric series
+    # each: the ring series of u_phi contracted with the weights once, whose
+    # slope is the series times i*m.  Every other run keeps its middle.
     w = u.grid.theta_weights
     left = (first - 1) * (TWO_PI / n_fine)
     right = (first + length) * (TWO_PI / n_fine)
@@ -270,14 +284,19 @@ def detect_axial_extrema(u, thresholds=AuditThresholds()):
     sign_l = np.sign(w @ (du_l * ref))
     bracketed = np.abs(sign_l - np.sign(w @ (eval_series(du, right[cand]) * ref))) == 2.0
     series = np.einsum("tk,tm->km", w[:, None] * ref[:, bracketed], du)
-    bisect = cand[bracketed]
+    m = np.arange(series.shape[1])
+    d_series = series * (1j * m)
+    refine = cand[bracketed]
 
-    def weighted_u_phi(phis):  # series i at phis[i]: eval_series's diagonal alone
-        mphi = np.multiply.outer(np.arange(series.shape[1]), phis)
-        return (np.einsum("km,mk->k", series.real, np.cos(mphi))
-                - np.einsum("km,mk->k", series.imag, np.sin(mphi)))
+    def weighted_u_phi(phis):
+        """Series i and its slope at phis[i] (eval_series's diagonal alone),
+        from one table of cosines and sines."""
+        mphi = np.multiply.outer(m, phis)
+        cos, sin = np.cos(mphi), np.sin(mphi)
+        return tuple(np.einsum("km,mk->k", s.real, cos) - np.einsum("km,mk->k", s.imag, sin)
+                     for s in (series, d_series))
 
-    phi_star[bisect] = bisect_roots(weighted_u_phi, left[bisect], right[bisect])
+    phi_star[refine] = bisect_roots(weighted_u_phi, left[refine], right[refine], slope=True)
     phi_star %= TWO_PI
     defect = np.full(n_runs, np.inf)
     defect[cand] = np.max(np.abs(eval_series(du, phi_star[cand])), axis=0) / u_phi_sup
@@ -340,6 +359,12 @@ def _reflection(u, mirror):
     return np.fft.irfft(coef, u.grid.n_phi, axis=1, norm="forward")
 
 
+def _reflection_sup(u, copy, cols):
+    """sup |u - copy| over the grid longitudes ``cols``, for a copy of u
+    reflected about a sector's mirror; not normalized."""
+    return float(np.max(np.abs(u.values[:, cols] - copy[:, cols])))
+
+
 def check_reflection(u, centres, widths):
     """Sup of |u - u o R_c| over the grid longitudes of the sector
     (c - width, c) that ends at the mirror meridian c, divided by the field
@@ -351,7 +376,9 @@ def check_reflection(u, centres, widths):
     grid longitude; an empty sector reads 0.  Returns a float when both are
     scalars and an array of their broadcast shape otherwise.  Each centre
     with a nonempty sector gets one reflected copy of the field
-    (``_reflection``, the reflection the moving-arc sweeps use)."""
+    (``_reflection``, the reflection the moving-arc sweeps use);
+    ``theorem_audit`` measures the same defects with the copies it shares
+    with its sweeps."""
     centres, widths = np.broadcast_arrays(
         np.asarray(centres, dtype=float), np.asarray(widths, dtype=float)
     )
@@ -364,63 +391,11 @@ def check_reflection(u, centres, widths):
     for i, (c, width) in enumerate(zip(centres.ravel(), widths.ravel())):
         cols, _ = _sector(phi, c, 1, width)
         if cols.size:
-            w = u.values[:, cols] - _reflection(u, c)[:, cols]
-            out[i] = np.max(np.abs(w))
+            out[i] = _reflection_sup(u, _reflection(u, c), cols)
     span = u.span
     if span > 0:
         out /= span
     return float(out[0]) if centres.ndim == 0 else out.reshape(centres.shape)
-
-
-def _lattice_sweep(u, target, direction, gap, n_eps):
-    """The arcs of a sweep that ends at ``target``, increasing, the signed
-    max of w = u - u o R over the grid columns of each, 0 for an empty
-    sector, and sup|w| over the full gap.
-
-    With h the grid cell and r = ceil(n_eps * h / (2 * gap)), arc k mirrors
-    about c_k = target - direction * k * delta, delta = h / (2r), for every
-    k with a positive eps_k = gap - k * delta.  The gap's columns, at
-    distances x from the target, are one ``_sector``; arc k holds column j
-    when gap - eps_k < x_j - _EDGE_TOL.  gap - eps_k never decreases in
-    floating point, so the arcs holding a column are a run from arc 0,
-    ``held`` of them.  With k = q * r + s,
-    2 c_k - phi_j = 2 c_s - phi_{j + direction * q}: arc k reflects column
-    j onto column j + direction * q of the copy reflected about c_s.  The
-    copies' columns go into one table, counted from the gap column next to
-    the seed (the farthest from the target) and interleaved by s, so the
-    reflected values of the gap's column i for arcs 0, 1, 2, ... are one
-    run of the table from row i * r on.  Each column takes one slice of
-    the table, one subtraction and one max over the rings."""
-    h = u.grid.phi_cell
-    r = math.ceil(n_eps * h / (2.0 * gap))
-    delta = h / (2 * r)
-    eps = gap - np.arange(math.ceil(gap / delta - 1e-9)) * delta
-    n_arcs = eps.size
-    hi = np.zeros(n_arcs)
-    phi = u.grid.phi_nodes
-    columns, x = _sector(phi, target, direction, gap)
-    if not columns.size:
-        return eps[::-1], hi, 0.0
-    held = np.searchsorted(gap - eps, x - _EDGE_TOL)
-    r = min(r, n_arcs)
-    # each gap column's offset from the one next to the seed
-    n_phi = phi.size
-    first = columns[np.argmax(x)]
-    offset = (direction * (columns - first)) % n_phi
-    n_table = int(np.max(offset - (-held // r)))
-    table_columns = (first + direction * np.arange(n_table)) % n_phi
-    table = np.empty((n_table, r, u.grid.n_theta))
-    for s in range(r):
-        table[:, s] = _reflection(u, target - direction * s * delta)[:, table_columns].T
-    table = table.reshape(n_table * r, -1)
-    values = u.values.T[columns]
-
-    hi[:held.max()] = -np.inf
-    for c, (i, n) in enumerate(zip(offset.tolist(), held.tolist())):
-        w = np.subtract(values[c], table[i * r:i * r + n])
-        np.maximum(hi[:n], w.max(axis=1), out=hi[:n])
-    w = values - table[offset * r]
-    return eps[::-1], hi[::-1], float(np.max(np.abs(w)))
 
 
 @dataclass(frozen=True)
@@ -475,57 +450,161 @@ def moving_arc_sweep(u, ext, seed_index, direction, thresholds=AuditThresholds()
     than its mirror, so each arc's sector contains every smaller arc's, and
     the arcs holding a column are a counted run from the full gap down.
     Their reflected values are columns of r reflected copies of the field,
-    one per mirror within a half cell of the target (``_lattice_sweep``);
-    ``check_reflection`` makes its copies the same way.  Reflections are
-    trigonometric interpolation, so off-grid mirrors are exact for
-    band-limited fields.  ``seed_index`` must be an integer in
+    one per mirror within a half cell of the target (``_Sweep``), gathered
+    and reduced in runs of copies of at most the field's size, so memory
+    does not grow with ``n_eps``.  ``check_reflection`` makes its copies
+    the same way, and the copy about the target is the one it measures the
+    target's defect with; ``theorem_audit`` forms that copy once for both.
+    Reflections are trigonometric interpolation, so off-grid mirrors are
+    exact for band-limited fields.  ``seed_index`` must be an integer in
     range(ext.n), the seed a minimum and its neighbor in the sweep
     direction a maximum."""
-    if ext.n < 2:
-        raise ContractError("need at least two extrema to sweep")
-    if not isinstance(direction, (int, np.integer)) or direction not in (1, -1):
-        raise ParameterError("direction must be +1 or -1, got %r" % (direction,))
-    n = ext.n
-    if not isinstance(seed_index, (int, np.integer)) or not 0 <= seed_index < n:
-        raise ParameterError("seed_index %r is not in range(%d)" % (seed_index, n))
-    if ext.kinds[seed_index] != "min":
-        raise ContractError("moving-arc seed must be an axial minimum")
-    target_index = (seed_index + direction) % n
-    if ext.kinds[target_index] != "max":
-        raise ContractError("extremum adjacent to the seed is not a maximum")
-    seed = float(ext.angles[seed_index])
-    target = float(ext.angles[target_index])
-    gaps = ext.gaps.tolist()
-    if direction == 1:
-        gap, beyond = gaps[target_index], gaps[(target_index + 1) % n]
-    else:
-        gap, beyond = gaps[seed_index], gaps[target_index]
-    phi_star = min(gap, beyond)
-    n_eps, tol_w = thresholds.n_eps, thresholds.tol_w
+    return _Sweep(u, ext, seed_index, direction, thresholds).report()
 
-    span = u.span
-    eps, w_max, target_sup = _lattice_sweep(u, target, direction, gap, n_eps)
-    target_sup /= span
 
-    # eps_star: the last arc before the first one over the bound
-    over = np.nonzero(w_max > tol_w * span)[0]
-    first_over = over[0] if over.size else eps.size
-    eps_star = float(eps[first_over - 1]) if first_over else 0.0
+class _Sweep:
+    """One moving-arc sweep, fed its reflected copies one at a time.
 
-    return MovingArcReport(
-        start_angle=seed,
-        direction=direction,
-        target_angle=target,
-        epsilons=eps,
-        w_max=w_max,
-        eps_star=eps_star,
-        phi_star=phi_star,
-        tol_w=tol_w,
-        span=span,
-        reaches_target=bool(first_over >= eps.size - 1),
-        target_reflection_sup=target_sup,
-        equality_ok=target_sup <= tol_w,
-    )
+    With h the grid cell and r = ceil(n_eps * h / (2 * gap)), arc k mirrors
+    about c_k = target - direction * k * delta, delta = h / (2r), for every
+    k with a positive eps_k = gap - k * delta.  The gap's columns, at
+    distances x from the target, are one ``_sector``; arc k holds column j
+    when gap - eps_k < x_j - _EDGE_TOL.  gap - eps_k never decreases in
+    floating point, so the arcs holding a column are a run from arc 0,
+    ``held`` of them.  With k = q * r + s,
+    2 c_k - phi_j = 2 c_s - phi_{j + direction * q}: arc k reflects column
+    j onto column j + direction * q of the copy reflected about c_s, so r
+    copies serve every arc.  ``put`` takes them in order of s, the
+    target's own at s = 0, and ``report`` forms those not yet put.
+
+    Each copy's columns go into a table, counted from the gap column next
+    to the seed (the farthest from the target) and interleaved by s.  The
+    table is made and reduced in runs of consecutive s, each holding at
+    most ``_block_values`` values (the field's size, the cap of detect's
+    refined blocks) or one copy's columns, so memory does not grow with
+    ``n_eps``.  At the default ``n_eps`` one run holds the whole table on
+    every gap of the benchmark's 96x192 and 128x256 fields; at 48x96 and
+    below a gap can take two or more.  Within a run of L copies, the
+    reflected values of the gap's column i for its arcs are one slice of
+    the table from row i * L on: each column takes one slice, one
+    subtraction and one max over the rings per run."""
+
+    def __init__(self, u, ext, seed_index, direction, thresholds):
+        if ext.n < 2:
+            raise ContractError("need at least two extrema to sweep")
+        if not isinstance(direction, (int, np.integer)) or direction not in (1, -1):
+            raise ParameterError("direction must be +1 or -1, got %r" % (direction,))
+        n = ext.n
+        if not isinstance(seed_index, (int, np.integer)) or not 0 <= seed_index < n:
+            raise ParameterError("seed_index %r is not in range(%d)" % (seed_index, n))
+        if ext.kinds[seed_index] != "min":
+            raise ContractError("moving-arc seed must be an axial minimum")
+        target_index = (seed_index + direction) % n
+        if ext.kinds[target_index] != "max":
+            raise ContractError("extremum adjacent to the seed is not a maximum")
+        self.u, self.direction, self.tol_w = u, direction, thresholds.tol_w
+        self.seed = float(ext.angles[seed_index])
+        self.target = float(ext.angles[target_index])
+        gaps = ext.gaps.tolist()
+        if direction == 1:
+            gap, beyond = gaps[target_index], gaps[(target_index + 1) % n]
+        else:
+            gap, beyond = gaps[seed_index], gaps[target_index]
+        self.phi_star = min(gap, beyond)
+
+        h = u.grid.phi_cell
+        r = math.ceil(thresholds.n_eps * h / (2.0 * gap))
+        self.delta = h / (2 * r)
+        eps = gap - np.arange(math.ceil(gap / self.delta - 1e-9)) * self.delta
+        self.eps = eps[::-1]
+        self.target_sup = 0.0
+        self.columns, x = _sector(u.grid.phi_nodes, self.target, direction, gap)
+        self.n_put = 0
+        if not self.columns.size:  # every sector is empty: no copy to put
+            self.r, self.hi = 0, np.zeros((eps.size, 1))
+            return
+        held = np.searchsorted(gap - eps, x - _EDGE_TOL)
+        self.r = r = min(r, eps.size)
+        # each gap column's offset from the one next to the seed
+        n_phi = u.grid.n_phi
+        first = self.columns[np.argmax(x)]
+        self.offset = (direction * (self.columns - first)) % n_phi
+        n_table = int(np.max(self.offset - (-held // r)))
+        self.table_columns = (first + direction * np.arange(n_table)) % n_phi
+        self.values = u.values.T[self.columns]
+        self.whole, self.rest = np.divmod(held, r)
+        self.per_run = max(1, _block_values(u.grid) // (n_table * u.grid.n_theta))
+        # hi[q, s] is arc q * r + s's max
+        hi = np.zeros(-(-eps.size // r) * r)
+        hi[:held.max()] = -np.inf
+        self.hi = hi.reshape(-1, r)
+        self._new_table()
+
+    def _new_table(self):
+        """The table of the run that starts at the next copy, made before
+        that copy is formed, so no copy is freed under a table that
+        outlives it.  Such a copy leaves a hole that the next one does not
+        fit: made after the copy, the tables raised the ``audit``
+        benchmark's peak RSS by about 2 MB."""
+        run = min(self.per_run, self.r - self.n_put)
+        self.table = np.empty((self.table_columns.size, run, self.u.grid.n_theta))
+
+    def put(self, copy):
+        """Take u reflected about the next mirror, c_s for s the number of
+        copies put so far, and reduce the run that it ends."""
+        s = self.n_put
+        if s == self.r:
+            return
+        if not s:
+            self.target_sup = _reflection_sup(self.u, copy, self.columns)
+        j = s % self.per_run
+        self.table[:, j] = copy[:, self.table_columns].T
+        self.n_put += 1
+        if j == self.table.shape[1] - 1:
+            self._reduce(s - j)
+            if self.n_put < self.r:
+                self._new_table()
+
+    def _reduce(self, s0):
+        """Fold the table of the run from copy s0 into the arcs' maxima,
+        and drop it."""
+        run = self.table.shape[1]
+        table = self.table.reshape(-1, self.u.grid.n_theta)
+        del self.table
+        part = self.hi[:, s0:s0 + run].ravel()
+        count = self.whole * run + np.clip(self.rest - s0, 0, run)
+        for c, (i, n) in enumerate(zip(self.offset.tolist(), count.tolist())):
+            w = np.subtract(self.values[c], table[i * run:i * run + n])
+            np.maximum(part[:n], w.max(axis=1), out=part[:n])
+        self.hi[:, s0:s0 + run] = part.reshape(-1, run)
+
+    def report(self):
+        """Put the copies not yet put, one at a time, and report the sweep."""
+        while self.n_put < self.r:
+            self.put(_reflection(self.u, self.target - self.direction * self.n_put * self.delta))
+        eps, tol_w, span = self.eps, self.tol_w, self.u.span
+        w_max = self.hi.ravel()[eps.size - 1::-1]
+        target_sup = self.target_sup / span
+
+        # eps_star: the last arc before the first one over the bound
+        over = np.nonzero(w_max > tol_w * span)[0]
+        first_over = over[0] if over.size else eps.size
+        eps_star = float(eps[first_over - 1]) if first_over else 0.0
+
+        return MovingArcReport(
+            start_angle=self.seed,
+            direction=self.direction,
+            target_angle=self.target,
+            epsilons=eps,
+            w_max=w_max,
+            eps_star=eps_star,
+            phi_star=self.phi_star,
+            tol_w=tol_w,
+            span=span,
+            reaches_target=bool(first_over >= eps.size - 1),
+            target_reflection_sup=target_sup,
+            equality_ok=target_sup <= tol_w,
+        )
 
 
 VERDICT_PASS = "pass"
@@ -611,7 +690,12 @@ def theorem_audit(problem, op, u, thresholds=AuditThresholds()):
     defects) -> per-extremum reflection over the preceding gap ->
     moving-arc sweeps from every minimum in both orientations, plus the
     equation residual of u itself (informational, ``problems.residual``:
-    one application of Lap to u and one evaluation of F).  Requires a
+    one application of Lap to u and one evaluation of F).  The copy of u
+    reflected about each extremum is formed once, for its reflection check
+    (``check_reflection``'s defect) and, at a maximum, the two sweeps that
+    end there, whose s = 0 lattice copy it is; it is dropped before either
+    sweep forms its other copies.  So a figure1 audit makes 88 copies at
+    48x96 and 40 at 128x256.  Requires a
     nonconstant, nontrivial field.  Only measures: the report derives
     every pass flag and the verdict.  The report's thresholds are the
     given ones with ``midpoint_tol`` None resolved to the grid's longitude
@@ -621,13 +705,32 @@ def theorem_audit(problem, op, u, thresholds=AuditThresholds()):
     ext = detect_axial_extrema(u, thresholds)
     eq_residual = residual(problem, op, u).sup_norm
 
-    reflection_defects = check_reflection(u, ext.angles, ext.gaps)
-
+    # One reflected copy per extremum, read by its reflection check and, at
+    # a maximum, by the two sweeps that end there as their copy at s = 0.
+    # It is formed after those sweeps, so their first tables lie under it,
+    # and dropped before either forms its other copies.
+    phi = u.grid.phi_nodes
+    n = ext.n
+    defects = np.zeros(n)
+    sweeps = {}
+    for i, (c, gap) in enumerate(zip(ext.angles.tolist(), ext.gaps.tolist())):
+        cols, _ = _sector(phi, c, 1, gap)
+        ending = {}
+        if ext.kinds_alternate and ext.kinds[i] == "max":
+            ending = {(seed, direction): _Sweep(u, ext, seed, direction, thresholds)
+                      for seed, direction in (((i - 1) % n, 1), ((i + 1) % n, -1))}
+        if cols.size or any(sweep.r for sweep in ending.values()):
+            copy = _reflection(u, c)
+            if cols.size:
+                defects[i] = _reflection_sup(u, copy, cols)
+            for sweep in ending.values():
+                sweep.put(copy)
+            del copy
+        sweeps.update((key, sweep.report()) for key, sweep in ending.items())
     arc_reports = tuple(
-        moving_arc_sweep(u, ext, i, direction, thresholds)
-        for i in (ext.minima_indices if ext.kinds_alternate else ())
-        for direction in (1, -1)
-    )
+        sweeps[i, direction] for i in ext.minima_indices for direction in (1, -1)
+    ) if ext.kinds_alternate else ()
+    reflection_defects = defects / u.span  # positive: detection refuses a constant
 
     return SymmetryReport(
         extrema=ext,

@@ -8,6 +8,7 @@ patches that binding too, so it counts their Laplacians.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 
@@ -21,7 +22,8 @@ from sphereq.harmonics import (
 )
 from sphereq.problems import evaluate, linearization_coefficients
 from sphereq.solver import _KRYLOV_RTOL, _krylov_solve, _mean_coefficients
-from sphereq.symmetry import _BIRADIAL_TARGETS
+from sphereq import symmetry
+from sphereq.symmetry import _BIRADIAL_TARGETS, detect_axial_extrema
 
 
 class DivergenceError(SphereqError, RuntimeError):
@@ -68,6 +70,36 @@ def reflect_coeffs(coeffs, centres):
 def biradial_angles():
     """The twelve extremal longitudes of the biradial demo field (sorted)."""
     return np.sort(np.concatenate([_BIRADIAL_TARGETS, _BIRADIAL_TARGETS + math.pi]))
+
+
+def bisection_roots(f, a, b):
+    """Roots of f by bisection alone in every bracket [a[i], b[i]] at once:
+    each bracket halved at its midpoint 0.5 * a + 0.5 * b, keeping the half
+    whose ends differ in sign (an exact zero ends it), until no midpoint
+    lies strictly between its bracket's ends.  ``f`` is called once at
+    ``a`` and once per halving.  Returns the final midpoints."""
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+    fa = np.array(f(a), dtype=float)
+    while True:
+        mid = 0.5 * a + 0.5 * b
+        if not np.any((a < mid) & (mid < b)):
+            return mid
+        fm = f(mid)
+        lower = np.abs(np.sign(fa) - np.sign(fm)) == 2.0
+        shrink = lower | (fm == 0.0)
+        b[shrink] = mid[shrink]
+        a[~lower], fa[~lower] = mid[~lower], fm[~lower]
+
+
+def bisected_extremum_angles(field):
+    """The extremum angles of ``detect_axial_extrema`` with its candidates
+    refined by ``bisection_roots`` on the weighted u_phi series alone,
+    without its Newton steps."""
+    def values_only(f, a, b, slope=False):
+        return bisection_roots(lambda x: f(x)[0], a, b)
+
+    with mock.patch.object(symmetry, "bisect_roots", values_only):
+        return detect_axial_extrema(field).angles
 
 
 def reflect_phi(field, phi_c):

@@ -284,6 +284,59 @@ def test_bisect_roots_stops_at_an_exact_zero():
     assert bisect_roots(lambda x: x, np.array([-1.0]), np.array([1.0]))[0] == 0.0
 
 
+def _counted(f):
+    """f, and a list that grows by one per call of it."""
+    calls = []
+
+    def g(x):
+        calls.append(x.copy())
+        return f(x)
+
+    return g, calls
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_bisect_roots_newton_steps_reach_the_bisection_roots_sooner():
+    """With slopes, the brackets of x^2 - c (each its own c and sign) end
+    within a few units in the last place of bisection's roots, in at most
+    a quarter of its evaluations."""
+    c = np.array([2.0, 3.0, 0.5, 7.0])
+    sign = np.array([1.0, -1.0, 1.0, -1.0])
+    a = np.array([1.0, 1.5, 0.0, 2.0])
+    b = np.array([2.0, 2.0, 1.0, 3.0])
+    f, bisections = _counted(lambda x: sign * (x * x - c))
+    expected = bisect_roots(f, a, b)
+    g, newton = _counted(lambda x: (sign * (x * x - c), sign * 2.0 * x))
+    roots = bisect_roots(g, a, b, slope=True)
+    assert np.all(np.abs(roots - expected) <= 4 * np.spacing(expected))
+    assert 4 * len(newton) <= len(bisections)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "f, df, a, b",
+    [
+        # the slope is zero everywhere: every step bisects
+        (lambda x: x - 0.3, lambda x: 0.0 * x, -1.0, 1.0),
+        # zero at the bracket's first end, where the Newton step starts
+        (lambda x: x * x - 2.0, lambda x: 2.0 * x, 0.0, 2.0),
+        # a slope so small that the Newton step overflows
+        (lambda x: x - 0.3, lambda x: 1e-320 + 0.0 * x, -1.0, 1.0),
+    ],
+    ids=["zero-everywhere", "zero-at-start", "overflowing-step"],
+)
+def test_bisect_roots_zero_slope_ends_within_bisection_count(f, df, a, b):
+    """A zero slope (or one whose Newton step overflows) takes the
+    midpoint, without a warning, so the bracket ends within bisection's
+    evaluation count, on a root of f."""
+    plain, bisections = _counted(f)
+    expected = bisect_roots(plain, np.array([a]), np.array([b]))
+    guided, newton = _counted(lambda x: (f(x), df(x)))
+    root = bisect_roots(guided, np.array([a]), np.array([b]), slope=True)
+    assert len(newton) <= len(bisections)
+    assert abs(root[0] - expected[0]) <= 4 * np.spacing(expected[0])
+
+
 # ---------------------------------------------------------------------------
 # field container
 # ---------------------------------------------------------------------------

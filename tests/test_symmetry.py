@@ -3,8 +3,13 @@ sweeps, and the full audit."""
 
 import ast
 import dataclasses
+import importlib.util
+import io
 import math
 import pathlib
+import tracemalloc
+import types
+import zlib
 
 import numpy as np
 import pytest
@@ -36,7 +41,7 @@ from sphereq import symmetry
 from sphereq.harmonics import apply_laplacian
 from sphereq.problems import evaluate
 from sphereq.symmetry import _EDGE_TOL, _sector
-from oracles import biradial_angles, reflect_phi, rotate_phi
+from oracles import biradial_angles, bisected_extremum_angles, reflect_phi, rotate_phi
 
 TWO_PI = 2.0 * np.pi
 
@@ -711,25 +716,29 @@ def test_audit_applies_one_laplacian_per_field(grid32, op32, laplacian_calls):
 
 
 @pytest.mark.parametrize(
-    "make_field, n_irfft",
+    "shape, make_field, n_irfft",
     [
-        # 16 + 1 + 12 reflection checks + 88 lattice copies in 12 sweeps
-        (biradial_field, 117),
-        # 16 + 1 + 4 reflection checks + 4 sweeps of 3 lattice copies
-        (lambda g: harmonic_mode(g, 2, 2), 33),
+        # 16 + 1 + 88 copies: one per extremum (12), and 76 more in 12 sweeps
+        ((48, 96), biradial_field, 105),
+        # 16 + 1 + 12 copies: one per extremum (4), and 2 more in each of 4 sweeps
+        ((48, 96), lambda g: harmonic_mode(g, 2, 2), 29),
         # 16 + 1 + 2 reflection checks; saddles, so no sweep
-        (lambda g: harmonic_mode(g, 2, 1), 19),
+        ((48, 96), lambda g: harmonic_mode(g, 2, 1), 19),
+        # 16 + 1 + 40 copies: one per extremum (12), and 28 more in 12 sweeps
+        ((128, 256), biradial_field, 57),
     ],
-    ids=["figure1", "Y22", "Y21"],
+    ids=["figure1", "Y22", "Y21", "figure1-128x256"],
 )
-def test_audit_transforms_the_field_once(make_field, n_irfft, monkeypatch):
+def test_audit_transforms_the_field_once(shape, make_field, n_irfft, monkeypatch):
     """One rfft forms the field's ring series, and the equation residual's
     Laplacian takes the other.  Every longitude operation reads the series:
-    the irfft calls are 16 for u_phi's refined table (48 rings, 3 to a
-    block), 1 for the Laplacian, and one per reflected copy: one per
-    extremum for the reflection check and r per sweep, with
+    the irfft calls are 16 for u_phi's refined table (n_theta // 16 rings
+    to a block), 1 for the Laplacian, and one per reflected copy.  The
+    audit forms one copy per extremum, which its reflection check reads,
+    and at a maximum the two sweeps that end there take it as their s = 0
+    copy; each sweep forms its other r - 1 lattice copies, with
     r = ceil(100 * h / (2 * gap)) for the grid cell h."""
-    grid = make_grid(48, 96)
+    grid = make_grid(*shape)
     op = make_operator(grid)
     u = make_field(grid)
     calls = {"rfft": 0, "irfft": 0}
@@ -850,12 +859,82 @@ def test_reflection_defect_matches_arc_target_sup(grid32):
 
 
 def test_biradial_extrema_positions_and_count():
-    grid = make_grid(48, 128)
-    ext = detect_axial_extrema(biradial_field(grid))
-    assert ext.n == 12
-    assert ext.kinds.count("max") == 6 and ext.kinds.count("min") == 6
-    assert np.max(np.abs(ext.angles - biradial_angles())) < 1e-10
-    assert np.max(ext.axiality_defects) < 1e-10
+    """On these grids the field is band-limited to rounding, and its
+    detected extrema are its construction's to rounding."""
+    for shape in ((48, 128), (96, 192), (128, 256)):
+        ext = detect_axial_extrema(biradial_field(make_grid(*shape)))
+        assert ext.n == 12
+        assert ext.kinds.count("max") == 6 and ext.kinds.count("min") == 6
+        assert np.max(np.abs(ext.angles - biradial_angles())) <= 1e-14
+        assert np.max(ext.axiality_defects) < 1e-10
+
+
+def _benchmark_audit_fields():
+    """The 54 fields of the benchmark's ``audit`` workload, seeds 1-3: its
+    equilibria, figure1 and perturbed fields on three grids, generated by
+    ``perfbench/workloads.py`` from the seeds as ``perfbench/worker.py``
+    draws them, and read back from their SPHF text."""
+    import sphereq
+    from sphereq import fieldio, grid, harmonics, problems, solver
+
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    sq = types.SimpleNamespace(fieldio=fieldio, grid=grid, harmonics=harmonics,
+                               problems=problems, solver=solver, symmetry=symmetry,
+                               errors=sphereq.errors)
+    audit = workloads.Audit(sq)
+    audit.build()
+    fields = []
+    for seed in (1, 2, 3):
+        rng = np.random.default_rng([seed, zlib.crc32(b"audit")])
+        fields += [fieldio.read_field(io.StringIO(case.text)) for case in audit.cases(rng)]
+    return tuple(fields)
+
+
+def _refined_angles(u, monkeypatch):
+    """detect_axial_extrema's angles and the number of times its refiner
+    evaluated the candidates' series."""
+    calls = []
+    refine = symmetry.bisect_roots
+
+    def counted(f, a, b, **kwargs):
+        def g(x):
+            calls.append(x)
+            return f(x)
+        return refine(g, a, b, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(symmetry, "bisect_roots", counted)
+        angles = detect_axial_extrema(u).angles
+    return angles, len(calls)
+
+
+def _check_newton_angles(u, monkeypatch):
+    angles, evaluations = _refined_angles(u, monkeypatch)
+    reference = bisected_extremum_angles(u)
+    assert angles.shape == reference.shape
+    assert np.max(np.abs(angles - reference), initial=0.0) <= 1e-14
+    assert evaluations <= 8
+
+
+def test_newton_angles_match_bisection_on_the_benchmark_fields(monkeypatch):
+    """On every field the benchmark audits, the Newton-refined extremum
+    angles are the bisected ones to 1e-14 rad, from at most 8 evaluations
+    of the candidates' series per detection (bisection takes about 47)."""
+    fields = _benchmark_audit_fields()
+    assert len(fields) == 54
+    for u in fields:
+        _check_newton_angles(u, monkeypatch)
+
+
+@pytest.mark.parametrize(
+    "shape", [(32, 64), (33, 66), (48, 96), (96, 192), (128, 256)],
+    ids=["32x64", "33x66", "48x96", "96x192", "128x256"],
+)
+def test_newton_angles_match_bisection_on_figure1(shape, monkeypatch):
+    _check_newton_angles(biradial_field(make_grid(*shape)), monkeypatch)
 
 
 def test_biradial_pi_periodicity():
@@ -905,15 +984,19 @@ def _cos2_nyquist_field(grid):
         ((128, 256), biradial_field, 100),
         ((33, 66), _cos2_field, 40),
         ((33, 66), _cos2_nyquist_field, 40),
+        ((32, 64), _cos2_nyquist_field, 400),
     ],
-    ids=["cos2-32x64", "nyquist-32x64", "biradial-128x256", "cos2-33x66", "nyquist-33x66"],
+    ids=["cos2-32x64", "nyquist-32x64", "biradial-128x256", "cos2-33x66", "nyquist-33x66",
+         "nyquist-32x64-runs"],
 )
 @pytest.mark.parametrize("direction", [1, -1])
 def test_batched_sweep_matches_per_eps_reflections(shape, field, n_eps, direction):
     """The lattice sweep (reflected copies, then gathers of in-sector
     columns) reproduces the per-eps whole-field reflections at the report's
     own arcs; at 128x256 the table of reflected columns interleaves two
-    or three copies."""
+    or three copies.  With 400 arcs over a half-turn gap at 32x64 the
+    sweep takes 13 copies, and its table, 31 or 32 columns of each, is
+    made and reduced in runs of at most two copies."""
     u = field(make_grid(*shape))
     ext = detect_axial_extrema(u)
     seed = ext.minima_indices[0]
@@ -931,6 +1014,25 @@ def test_batched_sweep_matches_per_eps_reflections(shape, field, n_eps, directio
     assert report.reaches_target == (eps_star >= gap - delta - 1e-12)
     assert abs(report.target_reflection_sup - target_sup) <= 1e-13
     assert report.equality_ok == (target_sup <= report.tol_w)
+
+
+def test_sweep_memory_does_not_grow_with_the_arc_count():
+    """A figure1 sweep at 128x256 over 20000 arcs, 200 times the default,
+    peaks within twice the memory of one over 100: its table is made and
+    reduced in runs of at most the field's size."""
+    u = biradial_field(make_grid(128, 256))
+    ext = detect_axial_extrema(u)
+    peaks = []
+    for n_eps in (100, 20000):
+        tracemalloc.start()
+        try:
+            report = moving_arc_sweep(u, ext, ext.minima_indices[0], 1,
+                                      AuditThresholds(n_eps=n_eps))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert report.epsilons.size >= n_eps
+    assert peaks[1] <= 2 * peaks[0]
 
 
 @pytest.mark.parametrize(
