@@ -45,6 +45,11 @@ _EDGE_TOL = 1e-9
 # Rings whose sup|u_phi| is below this fraction of the field's carry no
 # sign information.
 _SIGNIFICANT = 1e-3
+# A moving-arc sweep gathers its reflected copies' columns in runs of at
+# most max(n_phi, _RUN_COLUMNS) columns of the field: the field's size or,
+# on a narrower grid, room for the columns of a sweep at the default n_eps
+# (at most 188 on the benchmark's fields), so that one run holds them.
+_RUN_COLUMNS = 256
 
 
 @dataclass(frozen=True)
@@ -89,12 +94,6 @@ class AuditThresholds:
             raise ParameterError(
                 "n_eps must be at least 2 and an integer, got %r" % (self.n_eps,)
             )
-
-
-def _block_values(grid):
-    """The most values a batched table holds at once: the field's size, or
-    16 rings' worth on a grid with fewer rings."""
-    return max(grid.n_theta, _REFINE_FACTOR) * grid.n_phi
 
 
 @dataclass(frozen=True)
@@ -226,12 +225,12 @@ def detect_axial_extrema(u, thresholds=AuditThresholds()):
     du[:, -1] = 0.0
     # its ring sups and signs on the refined longitudes (irfft pads the
     # series with zeros), one block of n_theta // 16 rings (at least one) at
-    # a time: at most _block_values(grid) values per block
+    # a time: at most max(n_theta, 16) * n_phi values per block
     n_theta = u.grid.n_theta
     n_fine = _REFINE_FACTOR * u.grid.n_phi
     ring_sup = np.empty(n_theta)
     positive = np.empty((n_theta, n_fine), dtype=bool)
-    per_block = max(1, _block_values(u.grid) // n_fine)
+    per_block = max(1, n_theta // _REFINE_FACTOR)
     for start in range(0, n_theta, per_block):
         rows = slice(start, start + per_block)
         fine = np.fft.irfft(0.5 * du[rows], n_fine, axis=1, norm="forward")
@@ -451,14 +450,14 @@ def moving_arc_sweep(u, ext, seed_index, direction, thresholds=AuditThresholds()
     the arcs holding a column are a counted run from the full gap down.
     Their reflected values are columns of r reflected copies of the field,
     one per mirror within a half cell of the target (``_Sweep``), gathered
-    and reduced in runs of copies of at most the field's size, so memory
-    does not grow with ``n_eps``.  ``check_reflection`` makes its copies
-    the same way, and the copy about the target is the one it measures the
-    target's defect with; ``theorem_audit`` forms that copy once for both.
-    Reflections are trigonometric interpolation, so off-grid mirrors are
-    exact for band-limited fields.  ``seed_index`` must be an integer in
-    range(ext.n), the seed a minimum and its neighbor in the sweep
-    direction a maximum."""
+    and reduced in runs of copies of at most about the field's size, so
+    memory does not grow with ``n_eps``.  ``check_reflection`` makes its
+    copies the same way, and the copy about the target is the one it
+    measures the target's defect with; ``theorem_audit`` forms that copy
+    once for both.  Reflections are trigonometric interpolation, so
+    off-grid mirrors are exact for band-limited fields.  ``seed_index``
+    must be an integer in range(ext.n), the seed a minimum and its neighbor
+    in the sweep direction a maximum."""
     return _Sweep(u, ext, seed_index, direction, thresholds).report()
 
 
@@ -480,11 +479,10 @@ class _Sweep:
     Each copy's columns go into a table, counted from the gap column next
     to the seed (the farthest from the target) and interleaved by s.  The
     table is made and reduced in runs of consecutive s, each holding at
-    most ``_block_values`` values (the field's size, the cap of detect's
-    refined blocks) or one copy's columns, so memory does not grow with
-    ``n_eps``.  At the default ``n_eps`` one run holds the whole table on
-    every gap of the benchmark's 96x192 and 128x256 fields; at 48x96 and
-    below a gap can take two or more.  Within a run of L copies, the
+    most max(n_phi, ``_RUN_COLUMNS``) columns of the field or one copy's
+    columns, so memory does not grow with ``n_eps``.  At the default
+    ``n_eps`` one run holds the whole table on every gap of the
+    benchmark's fields.  Within a run of L copies, the
     reflected values of the gap's column i for its arcs are one slice of
     the table from row i * L on: each column takes one slice, one
     subtraction and one max over the rings per run."""
@@ -533,7 +531,7 @@ class _Sweep:
         self.table_columns = (first + direction * np.arange(n_table)) % n_phi
         self.values = u.values.T[self.columns]
         self.whole, self.rest = np.divmod(held, r)
-        self.per_run = max(1, _block_values(u.grid) // (n_table * u.grid.n_theta))
+        self.per_run = max(1, max(n_phi, _RUN_COLUMNS) // n_table)
         # hi[q, s] is arc q * r + s's max
         hi = np.zeros(-(-eps.size // r) * r)
         hi[:held.max()] = -np.inf

@@ -996,7 +996,7 @@ def test_batched_sweep_matches_per_eps_reflections(shape, field, n_eps, directio
     own arcs; at 128x256 the table of reflected columns interleaves two
     or three copies.  With 400 arcs over a half-turn gap at 32x64 the
     sweep takes 13 copies, and its table, 31 or 32 columns of each, is
-    made and reduced in runs of at most two copies."""
+    made and reduced in two runs, of eight copies and of five."""
     u = field(make_grid(*shape))
     ext = detect_axial_extrema(u)
     seed = ext.minima_indices[0]
