@@ -26,7 +26,8 @@ the same layout: ``mean_mode_inverse`` gives the blocks of
 know nothing of how the blocks are stored.  The Legendre values have one
 private layout, a parity-split factor: the spectral blocks and their
 inverse read it at the grid's degree cap, the transform at its
-coefficients' cap, through the same ring FFT, fold and unfold.
+coefficients' cap, through the same ring FFT, fold and unfold, and
+``harmonic_mode`` reads the one row of its degree and order.
 """
 
 from __future__ import annotations
@@ -197,14 +198,26 @@ def sht_inverse(coeffs, grid):
 def harmonic_mode(grid, l, m):
     """The orthonormal real spherical harmonic of degree l, order m, sampled
     on the grid (cosine type for m >= 0, sine type for m < 0); l and m are
-    integers with |m| <= l."""
+    integers with |m| <= l.  Q_l^|m| is one row of the Legendre factor at
+    cap l; its unfold and one irfft give the same bits as ``sht_inverse``
+    of the unit coefficient."""
     l = _integer(l, "degree l")
-    if _integer(abs(m), "order |m|") > l:
-        raise ParameterError("order |m|=%d exceeds degree l=%d" % (abs(m), l))
-    _check_resolution(grid, l)  # sht_inverse's check comes after this allocation
-    arr = np.zeros((l + 1, 2 * l + 1))
-    arr[l, l + int(m)] = 1.0
-    return sht_inverse(SpectralCoeffs(l, arr), grid)
+    order = _integer(abs(m), "order |m|")
+    if order > l:
+        raise ParameterError("order |m|=%d exceeds degree l=%d" % (order, l))
+    _check_resolution(grid, l)
+    parity = (l - order) % 2
+    p, _, _ = _parity_legendre_factor(grid, l)[parity]
+    folded = np.zeros(grid.n_theta)  # _fold's layout: even rings, then odd
+    start = parity * (grid.n_theta - p.shape[2])
+    folded[start : start + p.shape[2]] = p[order, (l - order) // 2]
+    ring = _unfold(folded, np.empty(grid.n_theta))
+    if order:  # as sht_inverse's complex division by sqrt(2) rounds
+        ring *= 1.0 / math.sqrt(2.0)
+    ring *= grid.n_phi
+    modes = np.zeros((grid.n_theta, grid.n_phi // 2 + 1), dtype=complex)
+    modes[:, order] = ring if m >= 0 else -1j * ring
+    return ScalarField(grid, np.fft.irfft(modes, grid.n_phi, axis=1))
 
 
 def trivial_branch_eigenvalues(l_max):
@@ -365,15 +378,12 @@ def apply_laplacian(op, field):
 
 #: Past this a mean-coefficient half block (even or odd, see
 #: ``mean_mode_inverse``) is singular to rounding, and its inverse keeps
-#: less than half the digits.  A finite-difference half block is tested by
-#: its entries: its largest entry times the largest entry of its LAPACK
-#: inverse, which |M M^-1 - I| follows as about 3e-16 times; Newton's
-#: starting states read at most about 8e5 (128x256), exactly singular
-#: blocks at least about 8e14.  A spectral half block is tested by its
-#: eigenvalues, d_l = c_u - c_q l(l+1) over its degrees and c_u when it
-#: has a null part: singular when the largest |d| is at least this times
-#: the smallest (so always when one is zero); Newton's starting states read
-#: at most about 6e6 (128x256).
+#: less than half the digits.  One test serves both realizations: per
+#: mode, (|c_q| max|B| + |c_u|) max|X| for B the stored block and X its
+#: computed inverse, a bound on max|M| max|X| that |M X - I| follows as
+#: about 3e-16 times.  Over 216 Newton starts (degrees 2 to 4, every
+#: order, dlam0 0.7, 4 and 4 at 2.5 times the amplitude, 32x64 to 96x192)
+#: it reads at most 4.7e3 (spectral) and 3.1e4 (FD), and none is floored.
 _SINGULAR_BLOCK = 1e8
 
 
@@ -393,6 +403,47 @@ def _floor_shift(coeff_u, coeff_q):
     (positive for c_u == 0)."""
     floor = 1e-6 * max(1.0, abs(coeff_u) + abs(coeff_q))
     return math.copysign(floor, coeff_u or 1.0)
+
+
+def _max_abs(blocks):
+    """max|A| of each block A of a stack, by two reductions and no |A|
+    temporary."""
+    return np.maximum(blocks.max(axis=(1, 2)), -blocks.min(axis=(1, 2)))
+
+
+def _invert_halves(op, coeff_u, coeff_q):
+    """The half blocks of (coeff_u + coeff_q * Lap)^-1 as
+    ``mean_mode_inverse`` forms them, with no test for singular blocks.
+    An exactly singular FD block raises np.linalg.LinAlgError; an exactly
+    zero spectral eigenvalue leaves inf or NaN entries, without a warning."""
+    if op.realization == "finite-difference":
+        inv = []
+        for half in op.blocks:
+            a = coeff_q * half
+            ring = np.arange(a.shape[1])
+            a[:, ring, ring] += coeff_u
+            inv.append(np.linalg.inv(a))
+        return tuple(inv)
+    inv = []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for (p, l, w), block in zip(op._legendre_factor, op.blocks):
+            present = l <= max_degree(op.grid)
+            # fewer degrees than rings: M is c_u on the rest, the null part
+            null_part = (present.sum(axis=1) < p.shape[2]) / coeff_u
+            ll1 = l * (l + 1.0)
+            coef = np.divide(1.0, coeff_u - coeff_q * ll1, out=np.zeros(ll1.shape),
+                             where=present)
+            coef -= np.where(present, null_part[:, None], 0.0)
+            x = _legendre_product(p, coef, w)
+            ring = np.arange(x.shape[1])
+            x[:, ring, ring] += null_part[:, None]
+            residual = np.matmul(block, x)  # I - M X, M = c_u + c_q * block
+            residual *= -coeff_q
+            residual -= coeff_u * x
+            residual[:, ring, ring] += 1.0
+            x += np.matmul(x, residual)
+            inv.append(x)
+    return tuple(inv)
 
 
 def mean_mode_inverse(op, coeff_u, coeff_q):
@@ -416,68 +467,23 @@ def mean_mode_inverse(op, coeff_u, coeff_q):
     blocks, X <- X + X (I - M X), brings max|M X - I| down to LAPACK's
     level (about 4e-14 at 48x96 and 4e-13 at 128x256).
 
-    When a half block is singular, exactly or to rounding (coeff_u == 0
-    meets the constant mode or the zero spectral Nyquist block, or
-    coeff_u == l(l+1) coeff_q meets degree l), the diagonal of every half
-    block is shifted by one small floor, and the returned coeff_u includes
-    that shift, so the blocks invert the M that the returned coefficients
-    describe.  ``_SINGULAR_BLOCK`` states when a half block counts as
-    singular."""
-    if op.realization == "finite-difference":
-        halves = [coeff_q * half for half in op.blocks]
-
-        def shift_diagonals(value):
-            for a in halves:
-                ring = np.arange(a.shape[1])
-                a[:, ring, ring] += value
-
-        shift_diagonals(coeff_u)
-        try:
-            inv = tuple(np.linalg.inv(a) for a in halves)
-            singular = any(
-                np.max(np.abs(a).max(axis=(1, 2)) * np.abs(b).max(axis=(1, 2)))
-                > _SINGULAR_BLOCK
-                for a, b in zip(halves, inv)
-            )
-        except np.linalg.LinAlgError:
-            singular = True
-        if not singular:
-            return MeanModeInverse(inv, coeff_u, coeff_q)
-        shift = _floor_shift(coeff_u, coeff_q)
-        shift_diagonals(shift)
-        return MeanModeInverse(
-            tuple(np.linalg.inv(a) for a in halves), coeff_u + shift, coeff_q
-        )
-    halves = []
-    singular = False
-    for (p, l, w), block in zip(op._legendre_factor, op.blocks):
-        present = l <= max_degree(op.grid)
-        # fewer degrees than rings: M is c_u on the rest, the null part
-        null = present.sum(axis=1) < p.shape[2]
-        ll1 = l * (l + 1.0)
-        # M's eigenvalues per block: d_l on its degrees, c_u on a null part
-        d = np.abs(np.column_stack((coeff_u - coeff_q * ll1,
-                                    np.full(null.size, coeff_u))))
-        counted = np.column_stack((present, null))
-        big = np.max(d, axis=1, where=counted, initial=0.0)
-        small = np.min(d, axis=1, where=counted, initial=np.inf)
-        singular |= bool(np.any(big >= _SINGULAR_BLOCK * small))
-        halves.append((p, w, block, present, null, ll1))
-    if singular:
+    Both realizations then take one test and one floor.  A half block is
+    singular, exactly or to rounding, when (|c_q| max|B| + |c_u|) max|X|
+    exceeds ``_SINGULAR_BLOCK`` or is NaN, for B the stored block and X
+    its inverse (coeff_u == 0 meets the constant mode or the zero spectral
+    Nyquist block, and coeff_u == l(l+1) coeff_q meets degree l).  Then
+    coeff_u is shifted by one small floor and the blocks are formed once
+    more; the returned coeff_u includes that shift, so the blocks invert
+    the M that the returned coefficients describe."""
+    try:
+        inv = _invert_halves(op, coeff_u, coeff_q)
+    except np.linalg.LinAlgError:  # an FD block singular to the last bit
+        inv = None
+    if inv is None or any(
+        not np.max((abs(coeff_q) * _max_abs(b) + abs(coeff_u)) * _max_abs(x))
+        <= _SINGULAR_BLOCK
+        for b, x in zip(op.blocks, inv)
+    ):
         coeff_u += _floor_shift(coeff_u, coeff_q)
-    inv = []
-    for p, w, block, present, null, ll1 in halves:
-        null_part = null / coeff_u
-        coef = np.divide(1.0, coeff_u - coeff_q * ll1, out=np.zeros(ll1.shape),
-                         where=present)
-        coef -= np.where(present, null_part[:, None], 0.0)
-        x = _legendre_product(p, coef, w)
-        ring = np.arange(x.shape[1])
-        x[:, ring, ring] += null_part[:, None]
-        residual = np.matmul(block, x)  # I - M X, M = c_u + c_q * block
-        residual *= -coeff_q
-        residual -= coeff_u * x
-        residual[:, ring, ring] += 1.0
-        x += np.matmul(x, residual)
-        inv.append(x)
-    return MeanModeInverse(tuple(inv), coeff_u, coeff_q)
+        inv = _invert_halves(op, coeff_u, coeff_q)
+    return MeanModeInverse(inv, coeff_u, coeff_q)

@@ -120,14 +120,21 @@ def gmres(matvec, b, rtol, atol):
     at most max(atol, rtol |b|).  Returns (x, info): x solves A x = b (the
     preconditioned solution, not the Krylov coordinates), and info is 0 on
     success, otherwise the number of cycles run, when the budget runs out or
-    a breakdown leaves the residual above the tolerance.  A b whose 2-norm
-    overflows a double raises LinearSolveError.
+    a breakdown leaves the residual above the tolerance.  A b with a NaN or
+    infinite entry, or whose 2-norm overflows a double, raises
+    LinearSolveError naming the first such entry or the overflow.
     """
     b = np.asarray(b, dtype=float)
     x = np.zeros_like(b)
     with np.errstate(over="ignore"):
         r_norm = float(np.linalg.norm(b))
     if not math.isfinite(r_norm):
+        bad = np.flatnonzero(~np.isfinite(b))
+        if bad.size:
+            raise LinearSolveError(
+                "the right-hand side holds a non-finite entry (%g at index %d)"
+                % (b.flat[bad[0]], bad[0])
+            )
         raise LinearSolveError(
             "the right-hand side's 2-norm overflows a double (largest entry "
             "%g)" % np.max(np.abs(b))

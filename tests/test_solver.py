@@ -294,19 +294,21 @@ def _inverse_defect(op, precond):
 
 
 @pytest.mark.parametrize("realization", ["spectral", "finite-difference"])
-@pytest.mark.parametrize("shape", [(16, 32), (33, 66), (24, 96), (48, 96)])
+@pytest.mark.parametrize("shape", [(16, 32), (33, 66), (24, 96), (48, 96), (128, 256)])
 def test_mean_mode_inverse_inverts_the_stored_blocks(shape, realization):
     """The inverse meets max|M X - I| <= 1e-12 against the stored blocks, or
     eps times the spread of M's spectral eigenvalues where that is larger:
     at c_u = 6 + 1e-4, 1e-4 from degree 2, no inverse does better (the
-    closed form reads 6e-11 at 16x32 and 2e-10 at 48x96, LAPACK on the FD
-    blocks 2e-11 and 2e-10).  (1, -0.1) is the implicit step of
+    closed form reads 6e-11 at 16x32, 2e-10 at 48x96 and 7e-10 at 128x256,
+    LAPACK on the FD blocks 2e-11, 2e-10 and 7e-10), and none of these
+    pairs takes the floor.  (1, -0.1) is the implicit step of
     ``gradient_flow_relax`` at dt = 0.1; 24x96 caps the degree by its
     rings, so its spectral modes above the cap are all null.  The floored
     pairs, c_u = 0 and c_u = 2 (degree 1), stay within the 1e-6 that
-    ``_krylov_solve`` states up to 48x96.  The FD blocks are singular to
-    rounding there only on some grids, so only the spectral inverse must
-    carry a floor."""
+    ``_krylov_solve`` states up to 48x96 and the 1e-5 it states at 128x256
+    (the spectral inverse at c_u = 0 reads 6e-6 there).  The FD blocks are
+    singular to rounding there only on some grids, so only the spectral
+    inverse must carry a floor."""
     op = make_operator(make_grid(*shape), realization)
     l = np.arange(max_degree(op.grid) + 1.0)
     for coeff_u, coeff_q in ((3.7, 1.0), (-5.0, 1.0), (6.0 + 1e-4, 1.0), (1.0, -0.1)):
@@ -315,10 +317,26 @@ def test_mean_mode_inverse_inverts_the_stored_blocks(shape, realization):
         d = np.append(np.abs(coeff_u - coeff_q * l * (l + 1.0)), abs(coeff_u))
         bound = max(1e-12, solver._EPS * d.max() / d.min())
         assert _inverse_defect(op, precond) <= bound
+    floored_bound = 1e-5 if shape == (128, 256) else 1e-6
     for coeff_u in (0.0, 2.0):
         precond = harmonics.mean_mode_inverse(op, coeff_u, 1.0)
         assert realization != "spectral" or precond.coeff_u != coeff_u
-        assert _inverse_defect(op, precond) <= 1e-6
+        assert _inverse_defect(op, precond) <= floored_bound
+
+
+@pytest.mark.parametrize("realization", ["spectral", "finite-difference"])
+def test_mean_mode_inverse_floors_within_a_fixed_reach_of_an_eigenvalue(realization):
+    """The calibration of the one singular-block test at 48x96, c_q = 1:
+    c_u = e + delta for the eigenvalues e = 0, 2 and 6 of degrees 0, 1 and
+    2 takes the floor exactly when delta is at most 1e-6, or 1e-8 for the
+    FD constants, whose test value grows as 4e1 / delta against 1.6e3 /
+    delta for the spectral blocks at e = 0."""
+    op = make_operator(make_grid(48, 96), realization)
+    for e in (0.0, 2.0, 6.0):
+        reach = 1e-8 if (realization, e) == ("finite-difference", 0.0) else 1e-6
+        for delta in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 0.0):
+            precond = harmonics.mean_mode_inverse(op, e + delta, 1.0)
+            assert (precond.coeff_u != e + delta) == (delta <= reach), (e, delta)
 
 
 def test_only_finite_difference_blocks_are_inverted_by_lapack(grid32, monkeypatch):
@@ -592,6 +610,23 @@ def test_gmres_zero_right_hand_side_returns_zeros(monkeypatch):
     x, info = solver.gmres(matvec, np.zeros(7), rtol=1e-10, atol=0.0)
     assert info == 0
     assert np.array_equal(x, np.zeros(7))
+
+
+@pytest.mark.parametrize(
+    "b, message",
+    [([1.0, np.nan, np.inf], r"non-finite entry \(nan at index 1\)"),
+     ([1.0, 2.0, -np.inf], r"non-finite entry \(-inf at index 2\)"),
+     ([1e300, 1e300], r"2-norm overflows a double \(largest entry 1e\+300\)")],
+)
+def test_gmres_refuses_a_right_hand_side_without_a_finite_norm(b, message):
+    """A NaN or infinite entry is named with its index; a finite b whose
+    2-norm overflows is refused as an overflow.  No product is formed."""
+
+    def matvec(v):
+        raise AssertionError("no product is needed")
+
+    with pytest.raises(LinearSolveError, match=message):
+        solver.gmres(matvec, np.array(b), rtol=1e-10, atol=0.0)
 
 
 def test_gmres_exact_breakdown_returns_the_exact_solution(monkeypatch):
