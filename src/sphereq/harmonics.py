@@ -26,8 +26,7 @@ the same layout: ``mean_mode_inverse`` gives the blocks of
 know nothing of how the blocks are stored.  The Legendre values have one
 private layout, a parity-split factor: the spectral blocks and their
 inverse read it at the grid's degree cap, the transform at its
-coefficients' cap, through the same ring FFT, fold and unfold, and
-``harmonic_mode`` reads the one row of its degree and order.
+coefficients' cap, through the same ring FFT, fold and unfold.
 """
 
 from __future__ import annotations
@@ -198,26 +197,14 @@ def sht_inverse(coeffs, grid):
 def harmonic_mode(grid, l, m):
     """The orthonormal real spherical harmonic of degree l, order m, sampled
     on the grid (cosine type for m >= 0, sine type for m < 0); l and m are
-    integers with |m| <= l.  Q_l^|m| is one row of the Legendre factor at
-    cap l; its unfold and one irfft give the same bits as ``sht_inverse``
-    of the unit coefficient."""
+    integers with |m| <= l."""
     l = _integer(l, "degree l")
-    order = _integer(abs(m), "order |m|")
-    if order > l:
-        raise ParameterError("order |m|=%d exceeds degree l=%d" % (order, l))
-    _check_resolution(grid, l)
-    parity = (l - order) % 2
-    p, _, _ = _parity_legendre_factor(grid, l)[parity]
-    folded = np.zeros(grid.n_theta)  # _fold's layout: even rings, then odd
-    start = parity * (grid.n_theta - p.shape[2])
-    folded[start : start + p.shape[2]] = p[order, (l - order) // 2]
-    ring = _unfold(folded, np.empty(grid.n_theta))
-    if order:  # as sht_inverse's complex division by sqrt(2) rounds
-        ring *= 1.0 / math.sqrt(2.0)
-    ring *= grid.n_phi
-    modes = np.zeros((grid.n_theta, grid.n_phi // 2 + 1), dtype=complex)
-    modes[:, order] = ring if m >= 0 else -1j * ring
-    return ScalarField(grid, np.fft.irfft(modes, grid.n_phi, axis=1))
+    if _integer(abs(m), "order |m|") > l:
+        raise ParameterError("order |m|=%d exceeds degree l=%d" % (abs(m), l))
+    _check_resolution(grid, l)  # sht_inverse's check comes after this allocation
+    arr = np.zeros((l + 1, 2 * l + 1))
+    arr[l, l + int(m)] = 1.0
+    return sht_inverse(SpectralCoeffs(l, arr), grid)
 
 
 def trivial_branch_eigenvalues(l_max):
@@ -381,9 +368,11 @@ def apply_laplacian(op, field):
 #: less than half the digits.  One test serves both realizations: per
 #: mode, (|c_q| max|B| + |c_u|) max|X| for B the stored block and X its
 #: computed inverse, a bound on max|M| max|X| that |M X - I| follows as
-#: about 3e-16 times.  Over 216 Newton starts (degrees 2 to 4, every
-#: order, dlam0 0.7, 4 and 4 at 2.5 times the amplitude, 32x64 to 96x192)
-#: it reads at most 4.7e3 (spectral) and 3.1e4 (FD), and none is floored.
+#: about 3e-16 times.  Over 288 Newton starts of the cubic problem
+#: (degrees 2 to 4, every order, dlam0 0.7, 4 and 4 at 2.5 times the
+#: amplitude, 32x64 to 128x256) it reads at most 6.4e3 (spectral) and
+#: 4.1e4 (FD), both at 128x256, and none is floored; the same starts of
+#: atan-elliptic read at most 4.8e4 and 3.1e5.
 _SINGULAR_BLOCK = 1e8
 
 

@@ -456,22 +456,6 @@ def test_integral_degrees_may_be_floats(grid32):
     assert np.array_equal(coeffs.coeffs, sht_forward(y, 4).coeffs)
 
 
-@pytest.mark.parametrize("shape", [(16, 32), (24, 96), (33, 66), (48, 96), (128, 256)])
-def test_harmonic_mode_is_the_synthesis_of_its_unit_coefficient(shape):
-    """harmonic_mode reads one row of the Legendre factor instead of
-    synthesizing a series; its bytes equal those of sht_inverse of the unit
-    coefficient for every order of every degree up to 6, on both parity
-    halves, with an equator ring (33x66) and with the degree capped by the
-    rings (24x96)."""
-    grid = make_grid(*shape)
-    for l in range(7):
-        for m in range(-l, l + 1):
-            arr = np.zeros((l + 1, 2 * l + 1))
-            arr[l, l + m] = 1.0
-            expected = sht_inverse(SpectralCoeffs(l, arr), grid).values
-            assert harmonic_mode(grid, l, m).values.tobytes() == expected.tobytes(), (l, m)
-
-
 @pytest.mark.parametrize("shape", [(8, 16), (9, 16), (33, 64), (48, 96)])
 @pytest.mark.parametrize("realization", ["spectral", "finite-difference"])
 def test_apply_matches_full_block_reference(shape, realization):
